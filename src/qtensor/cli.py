@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 unsupported case (kernel class or divergent data).
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or invalid
+network, tableau or Clifford data, 3 unsupported case (kernel class or
+divergent data).
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from .selftest import run_selftest
 from .solve import UnsupportedKernel
 from .stab import (
     CliffordData,
+    CocycleMismatch,
+    ConditionViolation,
+    NotSymplectic,
+    OrthogonalityViolation,
+    UnsolvableOffset,
+    clifford_check,
     clifford_compose,
     clifford_identity,
     qubit_tableau,
@@ -36,6 +43,8 @@ from .stab import (
     stab_state,
 )
 
+INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
+                 NotSymplectic, CocycleMismatch, UnsolvableOffset)
 UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible,
                InfiniteGroupError, DivergentPrefactor)
 
@@ -130,7 +139,9 @@ def _load_clifford(specpath: str) -> CliffordData:
             u.set_cell("phi", 0, 1, Hom2Coeff(P2[0], P2[1], parse_product("T")[0], 1))
             return CliffordData(H2, alpha, u)
     with open(specpath, "r", encoding="utf-8") as fh:
-        return jsonio.from_json(json.load(fh))
+        c = jsonio.from_json(json.load(fh))
+    clifford_check(c)
+    return c
 
 
 def cmd_clifford(args) -> int:
@@ -204,7 +215,6 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--order", help="comma-separated wire contraction order")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", dest="as_json", action="store_true", default=True)
     p.add_argument("--dense", action="store_true")
     p.set_defaults(func=cmd_contract)
 
@@ -239,7 +249,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (NetSyntaxError, NetTypeError) as exc:
+    except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UNSUPPORTED as exc:

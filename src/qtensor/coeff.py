@@ -135,11 +135,6 @@ def hom_apply(h: HomCoeff, g) -> Scalar:
     return _norm(A, 0)
 
 
-def dual_group(G: ElementaryGroup) -> ElementaryGroup:
-    """Pontryagin-style dual hom[G|T] as an explicit group."""
-    return hom_group(G, T)
-
-
 # ---------------------------------------------------------------------------
 # hom^2[G0,G1|A] via currying
 

@@ -87,12 +87,6 @@ class QTensorData:
         E = GroupProduct()
         return QTensorData(G, E, LinearFnData.zero(E, G), QuadraticFnData.zero(E), is_zero=True)
 
-    @staticmethod
-    def scalar_one() -> "QTensorData":
-        E = GroupProduct()
-        G = GroupProduct()
-        return QTensorData(G, E, LinearFnData.zero(E, G), QuadraticFnData.zero(E))
-
     def mul_sqrt(self, k: Fraction) -> None:
         """Multiply the tensor by sqrt(k) for positive rational k."""
         k = Fraction(k)
@@ -198,17 +192,6 @@ def _beta_cells(t: QTensorData, rho_cells: List[HomCoeff], part: str, A) -> Line
             acc = acc + compose(m, dual(rho_cells[k], T if part == "phi" else R))
         cells.append(acc)
     return hom_data(t.E, target, [cells])
-
-
-def _pairing(t: QTensorData, part: str, e1, e2) -> Scalar:
-    tgt = T if part == "phi" else R
-    acc = tgt.normalize(0)
-    for k in range(len(t.E)):
-        for l in range(len(t.E)):
-            cell = t.q.cell(part, k, l)
-            if not cell.is_zero():
-                acc = tgt.normalize(acc + hom2_apply(cell, e1[k], e2[l]))
-    return acc
 
 
 def _restrict_bilinear_value(t: QTensorData, rho: LinearFnData, part: str) -> Hom2Coeff:

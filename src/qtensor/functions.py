@@ -204,10 +204,6 @@ class QuadraticFnData:
             ph = ph + hom2_apply(c, e[i], e[j])
         return as_scalar(a), mod1(ph)
 
-    def eval_normalized(self, e: GroupElement) -> Tuple[Scalar, Scalar]:
-        a, ph = self.eval(e)
-        return a - self.a0, mod1(ph - self.phi0)
-
     def __add__(self, other: "QuadraticFnData") -> "QuadraticFnData":
         if self.domain != other.domain:
             raise DomainMismatch("cannot add functions over different domains")
@@ -325,11 +321,6 @@ class QuadraticFnData:
                     out.set_cell(part, pos[i], pos[j], c)
         return out
 
-    def add_linear(self, part: str, i: int, h: HomCoeff) -> None:
-        """Fold a homomorphism on factor i into the q1 vector."""
-        vec = self.vec(part)
-        vec[i] = vec[i] + linear_as_quad(h)
-
     def direct_sum(self, other: "QuadraticFnData") -> "QuadraticFnData":
         dom = self.domain * other.domain
         off = len(self.domain)
@@ -357,19 +348,3 @@ class QuadraticFnData:
                 and all(c.is_zero() for c in self.phi1)
             )
         ) and as_scalar(self.a0) == 0 and mod1(self.phi0) == 0
-
-
-def eval_quadratic(q: QuadraticFnData, e: GroupElement) -> Tuple[Scalar, Scalar]:
-    return q.eval(e)
-
-
-def eval_linear(eps: LinearFnData, e: GroupElement) -> GroupElement:
-    return eps(e)
-
-
-def add_quadratic(q: QuadraticFnData, qp: QuadraticFnData) -> QuadraticFnData:
-    return q + qp
-
-
-def precompose(q: QuadraticFnData, gamma: LinearFnData) -> QuadraticFnData:
-    return q.precompose(gamma)

@@ -186,11 +186,3 @@ def parse_product(sig: str) -> GroupProduct:
 
 
 TRIVIAL = GroupProduct()
-
-
-def element_add(G: GroupProduct, a: GroupElement, b: GroupElement) -> GroupElement:
-    return G.add(a, b)
-
-
-def element_neg(G: GroupProduct, a: GroupElement) -> GroupElement:
-    return G.neg(a)

@@ -97,10 +97,6 @@ class OrderTensorData:
             yield e, g
 
 
-def order_eval(f, e) -> Scalar:
-    return f(e)
-
-
 def derivative_i(fn: Callable, G: GroupProduct, args: Sequence) -> Scalar:
     """The |args|-th derivative by inclusion-exclusion over subsets."""
     i = len(args)

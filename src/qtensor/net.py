@@ -527,20 +527,25 @@ def _dense_evaluate(spec: NetworkSpec, nodes: List[Node]) -> DenseTensor:
         total *= int(np.prod(denses[-1].dims, initial=1))
         if total > 2 ** 22:
             raise NetTypeError("dense evaluation would exceed the size limit")
-    users = spec.wire_users()
-    pairs = []
-    node_index = {node.name: i for i, node in enumerate(nodes)}
-    for w, us in users.items():
-        if len(us) == 2:
-            (n1, l1), (n2, l2) = us
-            pairs.append((node_index[spec.nodes[n1].name], l1,
-                          node_index[spec.nodes[n2].name], l2))
-    open_order = []
-    for w in spec.open_wires():
-        for ni, li in users[w]:
-            if len(users[w]) == 1:
-                open_order.append((node_index[spec.nodes[ni].name], li))
+    pairs, open_order = _dense_wiring(spec, nodes)
     return dense_contract(denses, pairs, open_order)
+
+
+def _dense_wiring(spec: NetworkSpec, nodes: List[Node]):
+    """Dense-oracle wiring of a sub-network: (node, leg, node, leg) pairs for
+    the wires with both ends among ``nodes``, and the open (node, leg) slots
+    among ``nodes`` in output order.  Positions index into ``nodes``."""
+    users = spec.wire_users()
+    pos = {id(node): i for i, node in enumerate(nodes)}
+    pairs = []
+    for us in users.values():
+        if len(us) == 2 and all(id(spec.nodes[ni]) in pos for ni, _ in us):
+            (n1, l1), (n2, l2) = us
+            pairs.append((pos[id(spec.nodes[n1])], l1, pos[id(spec.nodes[n2])], l2))
+    open_order = [(pos[id(spec.nodes[ni])], li) for w in spec.open_wires()
+                  for ni, li in users[w]
+                  if len(users[w]) == 1 and id(spec.nodes[ni]) in pos]
+    return pairs, open_order
 
 
 def verify_against_dense(spec: NetworkSpec, result: ContractionResult,
@@ -560,30 +565,12 @@ def verify_against_dense(spec: NetworkSpec, result: ContractionResult,
         ok = ok and dev <= tol
     if result.fermion_part is not None:
         fermi_nodes = [n for n in spec.nodes if isinstance(n.payload, FermionTensorData)]
-        users = spec.wire_users()
-        denses = []
-        node_index = {}
-        for i, node in enumerate(fermi_nodes):
-            node_index[node.name] = i
-            out_flags = [False] * node.payload.n
-            denses.append(fermion_dense(node.payload, out_flags))
-        pairs = []
-        for w, us in users.items():
-            if len(us) == 2 and all(
-                isinstance(spec.nodes[ni].payload, FermionTensorData) for ni, _ in us
-            ):
-                (n1, l1), (n2, l2) = us
-                pairs.append((node_index[spec.nodes[n1].name], l1,
-                              node_index[spec.nodes[n2].name], l2))
+        denses = [fermion_dense(node.payload, [False] * node.payload.n)
+                  for node in fermi_nodes]
+        pairs, open_order = _dense_wiring(spec, fermi_nodes)
         # orientation: first occurrence outgoing, second ingoing
         for (t1, a1, t2, a2) in pairs:
             denses[t1].outgoing[a1] = True
-        open_order = []
-        for w in result.open_wires:
-            for ni, li in users[w]:
-                node = spec.nodes[ni]
-                if isinstance(node.payload, FermionTensorData) and len(users[w]) == 1:
-                    open_order.append((node_index[node.name], li))
         want = dense_contract(denses, pairs, open_order)
         got = fermion_dense(result.fermion_part)
         dev = float(np.max(np.abs(want.arr - got.arr))) if got.arr.size else 0.0

@@ -58,10 +58,6 @@ def scalar_eq_mod1(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
     return min(d, 1.0 - d) <= tol
 
 
-def scalar_to_float(x: Scalar) -> float:
-    return float(x)
-
-
 def snap_rational(x: Scalar, max_den: int, tol: float = TOL) -> Scalar:
     """Round a float to a nearby fraction with small denominator, if any.
 

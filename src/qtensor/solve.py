@@ -375,10 +375,6 @@ def _split_cols(E: GroupProduct):
     return disc, cont_t, cont_r
 
 
-def hom_matrix_cells(eps: LinearFnData) -> List[List[HomCoeff]]:
-    return eps.eps1
-
-
 def kernel_of_hom(eps: LinearFnData) -> KernelPresentation:
     """Kernel of a homomorphism between group products, as a product with
     an explicit inclusion.  Supported classes: discrete-to-discrete (with

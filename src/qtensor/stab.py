@@ -5,10 +5,10 @@ quadratic tensor data.
 
 The dual H* of an index group is materialized factorwise (Z_k <-> Z_k,
 R <-> R, T <-> Z, Z <-> T) so that the symplectic machinery is ordinary
-coefficient arithmetic.  Constructions assemble the straightforward
-unreduced tensor data and normalize through the generic reductions
-whenever the groups are finite; continuous cases use the closed-form
-data from the corresponding propositions.
+coefficient arithmetic.  Code states (and through them Clifford
+unitaries) come in closed form straight from the tableau for every
+index group; projectors and measurements assemble the unreduced tensor
+data and normalize through the generic reductions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,11 +34,11 @@ from .coeff import (
     quad_as_hom,
     quad_to_bilinear,
 )
-from .engine import QTensorData, reduce_full, self_contract, tensor_product
+from .engine import QTensorData, _extract_through_section, reduce_full
 from .functions import LinearFnData, QuadraticFnData, hom_data
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
 from .scalar import Scalar, is_exact, mod1, scalar_eq
-from .solve import UnsupportedKernel, kernel_of_hom, solve_hom
+from .solve import UnsupportedKernel, kernel_of_hom, quotient_by_subgroup, solve_hom
 
 
 class OrthogonalityViolation(ValueError):
@@ -50,10 +50,6 @@ class NotSymplectic(ValueError):
 
 
 class CocycleMismatch(ValueError):
-    pass
-
-
-class Incomplete(ValueError):
     pass
 
 
@@ -105,12 +101,6 @@ class PauliLabel:
         D = dual_product(self.H)
         self.hstar = list(D.element(self.hstar))
         self.alpha = mod1(self.alpha)
-
-    def phase_on(self, h0: GroupElement) -> Scalar:
-        acc = self.alpha
-        for i, f in enumerate(self.H):
-            acc = acc + character_apply(f, h0[i], self.hstar[i])
-        return mod1(acc)
 
 
 def pauli_to_tensor(p: PauliLabel) -> QTensorData:
@@ -235,34 +225,6 @@ class StabTableau:
             f.kind != "Zk" or f.k > 1 for f in pres.group
         ):
             raise ConditionViolation("sigma is not injective")
-
-    def stabilizer_phase(self, s: GroupElement, h: GroupElement) -> Tuple[GroupElement, Scalar]:
-        """Action of R(s) on a basis ket |h>: returns (shift, phase) with
-        R(s)|h> = e^{2 pi i phase} |h + shift>."""
-        xs = [sum_apply(self.sigma_x[i], s) for i in range(len(self.H))]
-        shift = self.H.element([self.H[i].normalize(xs[i]) for i in range(len(self.H))])
-        zc = [sum_dual(self.sigma_z[i], s, dual_factor(self.H[i])) for i in range(len(self.H))]
-        _, pval = self.p.eval(s)
-        phase = -pval
-        for i, f in enumerate(self.H):
-            phase = phase + character_apply(f, h[i], zc[i])
-            phase = phase + character_apply(f, shift[i], zc[i])
-        return shift, mod1(phase)
-
-
-def sum_apply(row: Sequence[HomCoeff], s: GroupElement) -> Scalar:
-    acc = 0
-    for j, c in enumerate(row):
-        acc = acc + hom_apply(c, s[j])
-    return acc
-
-
-def sum_dual(row: Sequence[HomCoeff], s: GroupElement, dgrp) -> Scalar:
-    acc = 0
-    for j, c in enumerate(row):
-        acc = acc + hom_apply(c, s[j])
-    return dgrp.normalize(acc)
-
 
 def qubit_tableau(strings: Sequence[str]) -> StabTableau:
     """Tableau from signed qubit Pauli strings like "+XZZXI" or "-Y".
@@ -399,43 +361,6 @@ def stab_projector(tab: StabTableau) -> QTensorData:
     return reduce_full(_unreduced_projector(tab))
 
 
-def stab_state(tab: StabTableau) -> QTensorData:
-    """The unique code state of a complete tableau, unit-normalized."""
-    tab.validate()
-    if tab.H.finite:
-        proj = stab_projector(tab)
-        for h in tab.H.enumerate():
-            ket = point_tensor(tab.H, h)
-            # contract projector input legs against the ket
-            n = len(tab.H)
-            cur = tensor_product(proj, ket)
-            for i in range(n):
-                # input leg i+n pairs with ket leg; legs shift as we contract
-                cur = self_contract(cur, n, len(cur.G) - (n - i))
-            cur = reduce_full(cur)
-            if not cur.is_zero:
-                return _normalize_state(cur)
-        raise Incomplete("projector annihilates every basis state")
-    return _stab_state_direct(tab)
-
-
-def point_tensor(H: GroupProduct, h: GroupElement) -> QTensorData:
-    E = GroupProduct()
-    eps = LinearFnData(E, H, H.element(h), [[] for _ in range(len(H))])
-    return QTensorData(H, E, eps, QuadraticFnData.zero(E))
-
-
-def _normalize_state(t: QTensorData) -> QTensorData:
-    """Scale a finite-group state to unit 2-norm (exact when possible)."""
-    assert t.mag2 is not None, "normalization needs the exact channel"
-    count = t.E.order
-    norm2 = t.mag2 * count
-    out = t.copy()
-    out.mag2 = t.mag2 / norm2
-    out.q.a0 = math.log(float(out.mag2)) / (4 * math.pi)
-    return out
-
-
 def _dual_hom_matrix(rows_cells, S: GroupProduct, K: GroupProduct,
                      H: GroupProduct) -> LinearFnData:
     """Matrix of kappa^* sigma_z^*: H -> K^* from sigma_z compose kappa."""
@@ -444,8 +369,19 @@ def _dual_hom_matrix(rows_cells, S: GroupProduct, K: GroupProduct,
     return hom_data(H, Dk, [[cells[q][i] for i in range(len(H))] for q in range(len(K))])
 
 
-def _stab_state_direct(tab: StabTableau) -> QTensorData:
-    """Closed-form code-state data for infinite index groups."""
+def stab_state(tab: StabTableau) -> QTensorData:
+    """A code state of the tableau, built in closed form from (sigma_x, sigma_z, p).
+
+    With K_x = ker(sigma_x) and h0 solving kappa_x^* sigma_z^* h0 = p o kappa_x,
+    the state lives on E = S / K_x with eps(s) = h0 + sigma_x s and
+    q(s) = (sigma_z s)(h0) + (sigma_z s)(sigma_x s) - p(s).  The cost is
+    polynomial in the number of factors.  eps is injective, so for finite
+    groups the state has unit norm with exact mag2 = |K_x| / |S|, and its
+    amplitude at eps0 = h0 is real and positive.  A complete tableau fixes
+    the state up to a global phase; an incomplete one yields a unit code
+    state, one among many.
+    """
+    tab.validate()
     H, S = tab.H, tab.S
     n, m = len(H), len(S)
     sx = hom_data(S, H, tab.sigma_x)
@@ -469,9 +405,6 @@ def _stab_state_direct(tab: StabTableau) -> QTensorData:
     if h0 is None:
         raise UnsolvableOffset("no h0 solves kappa_x^* sigma_z^* h0 = p o kappa_x")
     h0 = H.element(h0)
-    # quotient S / Kx with lifts
-    from .solve import quotient_by_subgroup
-
     qpres = quotient_by_subgroup(S, kx)
     Q = qpres.group
     # q over S: (sigma_z^*(h0) - p + w)(s), eps over S: sigma_x offset by h0
@@ -488,8 +421,6 @@ def _stab_state_direct(tab: StabTableau) -> QTensorData:
         if not acc.is_zero():
             qS.phi1[b] = qS.phi1[b] + linear_as_quad(acc)
     epsS = LinearFnData(S, H, h0, tab.sigma_x)
-    from .engine import _extract_through_section
-
     q_new, eps_new = _extract_through_section(S, Q, qpres.lift, qS, epsS)
     t = QTensorData(H, Q, eps_new, q_new, 0, Fraction(1))
     if S.finite and Kx.finite:
@@ -571,14 +502,6 @@ class CliffordData:
 
     def apply_alpha(self, xi: GroupElement) -> GroupElement:
         return self.alpha_hom()(xi)
-
-
-def omega_cell(H: GroupProduct, k: int, l: int) -> Optional[Hom2Coeff]:
-    """omega(x, y) = y_z(x_h): cell (k, l) over the phase space."""
-    n = len(H)
-    if k < n and l == n + k:
-        return pairing_cell(H[k])
-    return None
 
 
 def phase_space_omega(H: GroupProduct, x: GroupElement, y: GroupElement) -> Scalar:
@@ -695,7 +618,8 @@ def clifford_to_tensor(c: CliffordData) -> QTensorData:
     # reorder (in, out) -> (out, in)
     state = _swap_blocks(state, n)
     if H.finite:
-        state = _normalize_unitary(state, H.order)
+        # the Choi state has unit norm; the unitary has Frobenius norm^2 |H|
+        state.mul_sqrt(Fraction(H.order))
     return state
 
 
@@ -705,15 +629,6 @@ def _swap_blocks(t: QTensorData, n: int) -> QTensorData:
     eps = LinearFnData(t.E, G, tuple(t.eps.eps0[p] for p in perm),
                        [t.eps.eps1[p] for p in perm])
     return QTensorData(G, t.E, eps, t.q, t.div_weight, t.mag2, t.is_zero)
-
-
-def _normalize_unitary(t: QTensorData, dim: int) -> QTensorData:
-    assert t.mag2 is not None
-    frob2 = t.mag2 * t.E.order
-    out = t.copy()
-    out.mag2 = t.mag2 * Fraction(dim) / frob2
-    out.q.a0 = math.log(float(out.mag2)) / (4 * math.pi)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from qtensor import jsonio
+from qtensor.coeff import Hom2Coeff
 from qtensor.dense import materialize
 from qtensor.fermion import beam_splitter, fermion_matrix
+from qtensor.groups import T, Zk, parse_product
 from qtensor.net import (
     NetSyntaxError,
     NetTypeError,
@@ -18,6 +20,7 @@ from qtensor.net import (
     run_contract,
     verify_against_dense,
 )
+from qtensor.stab import clifford_identity
 
 BELL = """
 wire q0: Z2
@@ -46,6 +49,23 @@ node h = H(a, c)
 node z1 = ket0(t)
 node cx = CX(c, t, q0, q1)
 open q0, q1
+"""
+
+# a third-order node (dense path) beside a fermion sector
+T_BESIDE_FERMIONS = """
+wire a: Z2
+wire b: Z2
+wire i0: F
+wire i1: F
+wire m0: F
+wire m1: F
+wire o0: F
+wire o1: F
+node st = plus(a)
+node t = T(a, b)
+node u1 = fbs(0.4)(i0, i1, m0, m1)
+node u2 = fbs(0.6)(m0, m1, o0, o1)
+open b, i0, i1, o0, o1
 """
 
 
@@ -254,8 +274,30 @@ def test_cli_fermion_eval(tmp_path):
     assert "+0.000000" in r.stdout
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path):
     r = run_cli("contract", "/nonexistent.net")
     assert r.returncode == 2
     r = run_cli()
     assert r.returncode == 2
+    # generators that do not commute break the tableau condition
+    r = run_cli("stab", "state", "gens:+XX,+XZ")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:")
+    # a Clifford whose u^(2) does not match its alpha
+    bad = clifford_identity(parse_product("Z2"))
+    bad.u.set_cell("phi", 0, 1, Hom2Coeff(Zk(2), Zk(2), T, 1))
+    f = tmp_path / "bad.json"
+    f.write_text(jsonio.dumps(bad))
+    for specs in ([str(f)], [str(f), "I"]):
+        r = run_cli("clifford", "compose", *specs)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:")
+
+
+def test_cli_contract_dense_beside_fermions(tmp_path):
+    net = tmp_path / "t_fermion.net"
+    net.write_text(T_BESIDE_FERMIONS)
+    r = run_cli("contract", str(net))
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert "dense" in out and "fermion" in out

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -159,15 +160,81 @@ def test_five_qubit_code():
         assert np.max(np.abs(proj @ W - proj)) < 1e-9
 
 
+SIGNED_FIVE_QUBIT = ["+XZZXI", "-IXZZX", "+XIXZZ", "-ZXIXZ", "-ZZZZZ"]
+STEANE = ["+IIIXXXX", "+IXXIIXX", "+XIXIXIX", "+IIIZZZZ", "+IZZIIZZ", "+ZIZIZIZ",
+          "+ZZZZZZZ"]
+
+
+def oracle_state(tab) -> np.ndarray:
+    """A unit vector in the range of the dense code projector: for a
+    complete tableau, the code state up to a global phase."""
+    P = materialize_matrix(stab_projector(tab), len(tab.H))
+    col = P[:, int(np.argmax(np.linalg.norm(P, axis=0)))]
+    return col / np.linalg.norm(col)
+
+
+def check_unit_code_state(tab, st) -> np.ndarray:
+    """The state has unit norm, exact mag2 = 1/|support|, a real positive
+    amplitude at eps0, and is fixed by the dense code projector."""
+    v = materialize(st).arr
+    idx = tuple(int(x) for x in st.eps.eps0)
+    assert abs(v[idx].imag) < 1e-12 and v[idx].real > 0
+    v = v.reshape(-1)
+    assert abs(np.linalg.norm(v) - 1) < 1e-9
+    assert st.mag2 == Fraction(1, int(np.count_nonzero(np.abs(v) > 1e-9)))
+    P = materialize_matrix(stab_projector(tab), len(tab.H))
+    assert np.max(np.abs(P @ v - v)) < 1e-9
+    return v
+
+
 def test_state_eigenrelations():
     for gens in [["+X"], ["-X"], ["+Y"], ["+Z"], ["+XX", "+ZZ"],
-                 ["+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ", "+ZZZZZ"]]:
+                 ["+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ", "+ZZZZZ"],
+                 SIGNED_FIVE_QUBIT, STEANE]:
         tab = qubit_tableau(gens)
         st = materialize(stab_state(tab)).arr.reshape(-1)
         assert abs(np.linalg.norm(st) - 1) < 1e-9
+        assert up_to_phase(oracle_state(tab), st), gens
         for s in gens:
             W = string_matrix(s)
             assert np.max(np.abs(W @ st - st)) < 1e-9, (gens, s)
+
+
+def qudit_css(k_of: Sequence[int], sx_group: str, sx, sz_group: str, sz):
+    """CSS tableau over prod Z_k from integer sigma_x / sigma_z coefficients."""
+    H = GroupProduct([Zk(k) for k in k_of])
+    Sx, Sz = parse_product(sx_group), parse_product(sz_group)
+    sx_cells = [[HomCoeff(Sx[a], H[i], sx[i][a]) for a in range(len(Sx))]
+                for i in range(len(H))]
+    sz_cells = [[HomCoeff(Sz[b], H[i], sz[i][b]) for b in range(len(Sz))]
+                for i in range(len(H))]
+    return css_tableau(Sx, Sz, sx_cells, sz_cells, H)
+
+
+def test_qudit_css_states_match_oracle():
+    cases = [
+        # Z3 Bell pair: X X and Z Z^-1
+        qudit_css([3, 3], "Z3", [[1], [1]], "Z3", [[1], [2]]),
+        # Z5 GHZ on four qudits: X X X X and Z_i Z_{i+1}^-1
+        qudit_css([5] * 4, "Z5", [[1]] * 4, "Z5,Z5,Z5",
+                  [[1, 0, 0], [4, 1, 0], [0, 4, 1], [0, 0, 4]]),
+        # Z2 x Z4: X X^2 (order 2) and Z Z (order 4)
+        qudit_css([2, 4], "Z2", [[1], [1]], "Z4", [[1], [1]]),
+    ]
+    for tab in cases:
+        st = stab_state(tab)
+        v = check_unit_code_state(tab, st)
+        assert up_to_phase(oracle_state(tab), v)
+
+
+def test_incomplete_tableau_gives_a_code_state():
+    for gens in [["-ZZ"], FIVE_QUBIT]:
+        tab = qubit_tableau(gens)
+        st = stab_state(tab)
+        v = check_unit_code_state(tab, st)
+        for s in gens:
+            W = string_matrix(s)
+            assert np.max(np.abs(W @ v - v)) < 1e-9, (gens, s)
 
 
 def test_css_repetition_code():
