@@ -10,10 +10,17 @@ elementary abelian group (or a product of two), and each function is
 stored as one coefficient value in that group.  All operations below are
 closed-form table lookups with explicit even/odd branching for cyclic
 groups; exhaustive pointwise verification lives in the test suite.
+Fitting coefficients to pointwise values on Z_k is closed-form too: the
+coefficients are read off one or two values and then checked against
+every point, so data that is not quadratic raises instead of fitting.
+
+The coefficient groups (``hom_group``, ``hom2_group``, ``quad_group``)
+depend only on their frozen group arguments and are cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +65,7 @@ def _norm(group: ElementaryGroup, v) -> Scalar:
 # hom[G|A]
 
 
+@functools.lru_cache(maxsize=None)
 def hom_group(G: ElementaryGroup, A: ElementaryGroup) -> ElementaryGroup:
     """The coefficient group of homomorphisms G -> A."""
     if G.kind == "Zk":
@@ -139,6 +147,7 @@ def hom_apply(h: HomCoeff, g) -> Scalar:
 # hom^2[G0,G1|A] via currying
 
 
+@functools.lru_cache(maxsize=None)
 def hom2_group(G0: ElementaryGroup, G1: ElementaryGroup, A: ElementaryGroup) -> ElementaryGroup:
     return hom_group(G0, hom_group(G1, A))
 
@@ -198,6 +207,7 @@ def hom2_partial(h: Hom2Coeff, g0) -> HomCoeff:
 # hom_2[G|A]: normalized quadratic functions
 
 
+@functools.lru_cache(maxsize=None)
 def quad_group(G: ElementaryGroup, A: ElementaryGroup) -> Tuple[ElementaryGroup, ElementaryGroup]:
     """The pair of factor groups holding (h2, h1) quadratic coefficients."""
     if G.kind == "Zk":
@@ -287,9 +297,10 @@ def quad_apply(q: QuadCoeff, g) -> Scalar:
             return Fraction((l // d) * (half * gg * gg + int(h1) * gg) % l)
         if A.kind == "T":
             if k % 2 == 0:
-                return mod1(Fraction(int(h2), 2 * k) * gg * gg + Fraction(int(h1), k) * (gg - gg * gg))
+                v = int(h2) * gg * gg + 2 * int(h1) * (gg - gg * gg)
+                return Fraction(v % (2 * k), 2 * k)
             half = _half_odd(int(h2), k)
-            return mod1(Fraction(half * gg * gg + int(h1) * gg, k))
+            return Fraction((half * gg * gg + int(h1) * gg) % k, k)
         return _norm(A, 0)
     if G.kind == "Z":
         gg = int(g)
@@ -636,20 +647,43 @@ def hom_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> HomCoeff:
 def quad_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> QuadCoeff:
     """Recover quadratic coefficients from pointwise values on Z_k.
 
-    Enumerates the (small) h2 factor group, pins h1 from F(1), and
-    verifies every point, so a wrong fit cannot slip through.
+    The coefficients are solved for in closed form, from F(1) and F(2)
+    for even k and from F(1) and F(-1) for odd k, and the result is then
+    checked at every point of Z_k, so values that no normalized
+    quadratic function takes raise ``ValueError``.
     """
     if G.kind != "Zk":
         raise DomainMismatch("quad_fit needs a finite source")
     g2grp, g1grp = quad_group(G, A)
     if g2grp == Z1 and g1grp == Z1:
         return quad_zero(G, A)
-    vals = [A.normalize(F(g)) for g in range(G.k)]
-    for t2 in range(max(g2grp.k, 1)):
-        for t1 in range(max(g1grp.k, 1)):
-            cand = QuadCoeff(G, A, t2, t1)
-            if all(A.eq(quad_apply(cand, g), vals[g]) for g in range(G.k)):
-                return cand
+    k = G.k
+    vals = [A.normalize(F(g)) for g in range(k)]
+    f1, f2, fm1 = vals[1], vals[2 % k], vals[-1]
+    if A.kind == "T":
+        if k % 2 == 0:
+            # F(1) = h2/2k and F(2) = (h2 - h1)/(k/2)
+            h2 = round(2 * k * f1)
+            h1 = ((2 * h2 - round(k * f2)) % k) // 2
+        else:
+            # F(+-1) = (h2/2 +- h1)/k
+            h2 = round(k * (f1 + fm1))
+            h1 = _half_odd(round(k * (f1 - fm1)), k)
+    else:  # A = Z_l; every other target has trivial groups and returned above
+        l, d = A.k, _gcd(k, A.k)
+        if k % 2 == 0 and l % 2 == 0:
+            # F(1) = s h2 and F(2) = 4 s h2 - 2 (l/d) h1 (mod l), with s = l / 2 gcd(k, l/2)
+            s = l // (2 * _gcd(k, l // 2))
+            h2 = int(f1) // s
+            h1 = ((4 * s * h2 - int(f2)) % l) // (2 * (l // d))
+        else:
+            # F(+-1) = (l/d) (h2/2 +- h1) (mod l)
+            step = l // d
+            h2 = ((int(f1) + int(fm1)) % l) // step
+            h1 = _half_odd(((int(f1) - int(fm1)) % l) // step, d)
+    fit = QuadCoeff(G, A, h2, h1)
+    if all(A.eq(quad_apply(fit, g), vals[g]) for g in range(k)):
+        return fit
     raise ValueError(f"no quadratic coefficient matches values {vals} on {G}->{A}")
 
 

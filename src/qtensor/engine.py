@@ -762,7 +762,8 @@ def reduce_full(t: QTensorData, report: Optional[ReduceReport] = None) -> QTenso
     cur = _compact(t)
     if cur.is_zero:
         return cur
-    for _ in range(200):
+    measure = _reduction_measure(cur)
+    while True:
         lin = hom_data(cur.E, cur.G, cur.eps.eps1)
         pres = kernel_of_hom(lin)
         K, incl = pres.group, pres.inclusion
@@ -817,4 +818,16 @@ def reduce_full(t: QTensorData, report: Optional[ReduceReport] = None) -> QTenso
         if not progress:
             report.residual_z_rank = sum(1 for f in K if f.kind == "Z")
             return cur
-    raise RuntimeError("reduction did not terminate")
+        # each step sums out a finite subgroup of order >= 2 or integrates out
+        # a whole T or R factor, so the loop ends after finitely many steps
+        before, measure = measure, _reduction_measure(cur)
+        assert measure < before, f"reduction step did not shrink E: {before} -> {measure}"
+
+
+def _reduction_measure(t: QTensorData) -> Tuple[int, int, int]:
+    """(R factors, T factors, order of the finite part) of E, compared lexicographically."""
+    finite = 1
+    for f in t.E:
+        if f.kind == "Zk":
+            finite *= f.k
+    return (sum(1 for f in t.E if f.kind == "R"), sum(1 for f in t.E if f.kind == "T"), finite)

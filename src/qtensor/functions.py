@@ -20,6 +20,7 @@ from .coeff import (
     QuadCoeff,
     compose,
     conjugate_cell,
+    hom2_apply,
     hom2_partial,
     hom2_zero,
     hom_apply,
@@ -89,13 +90,16 @@ class LinearFnData:
         if gamma.codomain != self.domain:
             raise DomainMismatch("composition domains do not line up")
         H = gamma.domain
-        eps1 = [
-            [_sum_homs(H[j], self.codomain[i],
-                       [compose(gamma.eps1[k][j], self.eps1[i][k])
-                        for k in range(len(self.domain))])
-             for j in range(len(H))]
-            for i in range(len(self.codomain))
-        ]
+        gamma_rows = _nonzero_rows(gamma.eps1)
+        eps1 = []
+        for i, Ci in enumerate(self.codomain):
+            row = [hom_zero(Hj, Ci) for Hj in H]
+            for k, c in enumerate(self.eps1[i]):
+                if c.is_zero():
+                    continue
+                for j, g in gamma_rows[k]:
+                    row[j] = row[j] + compose(g, c)
+            eps1.append(row)
         return LinearFnData(H, self.codomain, self.eps0, eps1)
 
     def compose_affine(self, gamma: "LinearFnData", shift: GroupElement) -> "LinearFnData":
@@ -120,11 +124,9 @@ class LinearFnData:
         )
 
 
-def _sum_homs(src, tgt, homs: List[HomCoeff]) -> HomCoeff:
-    acc = hom_zero(src, tgt)
-    for h in homs:
-        acc = acc + h
-    return acc
+def _nonzero_rows(cells: List[List[HomCoeff]]) -> List[List[Tuple[int, HomCoeff]]]:
+    """The (column, coefficient) pairs of each row's nonzero cells."""
+    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in cells]
 
 
 def hom_data(domain: GroupProduct, codomain: GroupProduct, cells) -> LinearFnData:
@@ -189,19 +191,20 @@ class QuadraticFnData:
     def eval(self, e: GroupElement) -> Tuple[Scalar, Scalar]:
         if len(e) != len(self.domain):
             raise DomainMismatch("element does not match domain")
+        # every term at a finite factor's 0 is an exact 0, so those are skipped
+        live = [x != 0 or G.kind != "Zk" for G, x in zip(self.domain, e)]
         a = self.a0
         ph = self.phi0
-        for i in range(len(self.domain)):
-            a = a + quad_apply(self.a1[i], e[i])
-            ph = ph + quad_apply(self.phi1[i], e[i])
+        for i, x in enumerate(e):
+            if live[i]:
+                a = a + quad_apply(self.a1[i], x)
+                ph = ph + quad_apply(self.phi1[i], x)
         for (i, j), c in self.a2.items():
-            from .coeff import hom2_apply
-
-            a = a + hom2_apply(c, e[i], e[j])
+            if live[i] and live[j]:
+                a = a + hom2_apply(c, e[i], e[j])
         for (i, j), c in self.phi2.items():
-            from .coeff import hom2_apply
-
-            ph = ph + hom2_apply(c, e[i], e[j])
+            if live[i] and live[j]:
+                ph = ph + hom2_apply(c, e[i], e[j])
         return as_scalar(a), mod1(ph)
 
     def __add__(self, other: "QuadraticFnData") -> "QuadraticFnData":
@@ -234,9 +237,30 @@ class QuadraticFnData:
                 out.set_cell(part, i, j, -c)
         return out
 
+    def neighbours(self, part: str) -> List[List[Tuple[int, Hom2Coeff]]]:
+        """For each factor k, the nonzero cells (l, cell(k, l)) in order of l.
+
+        The diagonal cell is the bilinear form of the factor's quadratic
+        coefficient; the stored cells appear in both rows, transposed in
+        the row of their larger index.
+        """
+        m = len(self.domain)
+        nbrs: List[List[Tuple[int, Hom2Coeff]]] = [[] for _ in range(m)]
+        for k, q1k in enumerate(self.vec(part)):
+            diag = quad_to_bilinear(q1k)
+            if not diag.is_zero():
+                nbrs[k].append((k, diag))
+        for (k, l), c in getattr(self, part + "2").items():
+            if c.is_zero():
+                continue
+            nbrs[k].append((l, c))
+            nbrs[l].append((k, c.transpose()))
+        for row in nbrs:
+            row.sort(key=lambda lc: lc[0])
+        return nbrs
+
     def shift(self, e0: GroupElement) -> "QuadraticFnData":
         """The function e -> self(e + e0)."""
-        m = len(self.domain)
         a_val, phi_val = self.eval(e0)
         out = QuadraticFnData(
             self.domain,
@@ -247,59 +271,61 @@ class QuadraticFnData:
             dict(self.a2),
             dict(self.phi2),
         )
+        support = [k for k, x in enumerate(e0) if x != 0]
+        if not support:
+            return out
         # linear correction q^(2)(e0, .)
         for part, tgt in (("a", R), ("phi", T)):
+            nbrs = self.neighbours(part)
+            lin: Dict[int, HomCoeff] = {}
+            for k in support:
+                for i, cell in nbrs[k]:
+                    h = lin.get(i, hom_zero(self.domain[i], tgt))
+                    lin[i] = h + hom2_partial(cell, e0[k])
             vec = out.vec(part)
-            for i in range(m):
-                h = hom_zero(self.domain[i], tgt)
-                for k in range(m):
-                    h = h + hom2_partial(self.cell(part, k, i), e0[k])
-                if not h.is_zero():
-                    vec[i] = vec[i] + linear_as_quad(h)
+            for i in sorted(lin):
+                if not lin[i].is_zero():
+                    vec[i] = vec[i] + linear_as_quad(lin[i])
         return out
 
     def precompose(self, gamma: LinearFnData) -> "QuadraticFnData":
-        """The function h -> self(gamma(h)) for a homomorphism gamma."""
+        """The function h -> self(gamma(h)) for a homomorphism gamma.
+
+        Only nonzero cells of gamma and of the bilinear form are visited;
+        each output coefficient sums its terms in the order (k, l) of the
+        input cells, as a dense double loop would.
+        """
         assert gamma.is_homomorphism
         if gamma.codomain != self.domain:
             raise DomainMismatch("precompose domains do not line up")
         H = gamma.domain
-        mH, mE = len(H), len(self.domain)
+        gamma_rows = _nonzero_rows(gamma.eps1)
         out = QuadraticFnData(H, self.a0, self.phi0)
-        for part, tgt in (("a", R), ("phi", T)):
+        for part in ("a", "phi"):
+            q1 = self.vec(part)
             vec = out.vec(part)
-            for i in range(mH):
-                acc = quad_zero(H[i], tgt)
-                for k in range(mE):
-                    q1k = self.vec(part)[k]
-                    g = gamma.eps1[k][i]
-                    if not (q1k.is_zero() or g.is_zero()):
-                        acc = acc + phi(q1k, g)
-                    for l in range(k):
-                        cell = self.cell(part, k, l)
-                        if cell.is_zero():
-                            continue
-                        gl = gamma.eps1[l][i]
-                        if g.is_zero() or gl.is_zero():
-                            continue
-                        acc = acc + lam(conjugate_cell(g, cell, gl))
-                vec[i] = acc
-            for i in range(mH):
-                for j in range(i + 1, mH):
-                    c = hom2_zero(H[i], H[j], tgt)
-                    for k in range(mE):
-                        gki = gamma.eps1[k][i]
-                        if gki.is_zero():
-                            continue
-                        for l in range(mE):
-                            cell = self.cell(part, k, l)
-                            if cell.is_zero():
-                                continue
-                            glj = gamma.eps1[l][j]
-                            if glj.is_zero():
-                                continue
-                            c = c + conjugate_cell(gki, cell, glj)
-                    out.set_cell(part, i, j, c)
+            cells: Dict[Cell, Hom2Coeff] = {}
+            for k, nbrs in enumerate(self.neighbours(part)):
+                rk = gamma_rows[k]
+                if not q1[k].is_zero():
+                    for i, g in rk:
+                        vec[i] = vec[i] + phi(q1[k], g)
+                for l, cell in nbrs:
+                    rl = gamma_rows[l]
+                    if l < k:
+                        # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
+                        gl_of = dict(rl)
+                        for i, g in rk:
+                            gl = gl_of.get(i)
+                            if gl is not None:
+                                vec[i] = vec[i] + lam(conjugate_cell(g, cell, gl))
+                    for i, g in rk:
+                        for j, gl in rl:
+                            if j > i:
+                                c = conjugate_cell(g, cell, gl)
+                                cells[(i, j)] = cells[(i, j)] + c if (i, j) in cells else c
+            for i, j in sorted(cells):
+                out.set_cell(part, i, j, cells[(i, j)])
         return out
 
     def precompose_affine(self, gamma: LinearFnData, shift: GroupElement) -> "QuadraticFnData":

@@ -9,6 +9,7 @@ nonnegative residues, T values reduced mod 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,7 @@ class ElementaryGroup:
         return f"Z{self.k}" if self.kind == "Zk" else self.kind
 
 
+@functools.lru_cache(maxsize=None)
 def Zk(k: int) -> ElementaryGroup:
     return ElementaryGroup("Zk", k)
 

@@ -421,10 +421,17 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> Tuple[QTenso
         edge_seq = [w for w in order if w in edges] + missing
     else:
         edge_seq = None
-    # components: (tensor, legs) pairs merged as edges are consumed
-    comps: List[Tuple[QTensorData, List[str]]] = [
-        (node.payload, list(node.legs)) for node in nodes
-    ]
+    # components: (tensor, legs) pairs merged as edges are consumed, keyed by
+    # the index of their first node so that they keep the node order
+    comps: Dict[int, Tuple[QTensorData, List[str]]] = {
+        ci: (node.payload, list(node.legs)) for ci, node in enumerate(nodes)
+    }
+    # wire -> the components holding it, in component order
+    holders: Dict[str, List[int]] = {}
+    for ci, (_, legs) in comps.items():
+        for w in legs:
+            if ci not in holders.setdefault(w, []):
+                holders[w].append(ci)
     report = ReduceReport()
 
     def esize(t: QTensorData) -> int:
@@ -433,44 +440,53 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> Tuple[QTenso
             n *= f.k if f.kind == "Zk" else 4
         return n
 
+    sizes = {ci: esize(t) for ci, (t, _) in comps.items()}
+
     def contract_edge(w: str):
-        holders = [ci for ci, (_, legs) in enumerate(comps) if w in legs]
-        if len(holders) == 1:
-            ci = holders[0]
+        hs = holders.pop(w)
+        if len(hs) == 1:
+            ci = hs[0]
             t, legs = comps[ci]
-            pos = [i for i, lw in enumerate(legs) if lw == w]
-            t = reduce_full(self_contract(t, pos[0], pos[1]), report)
-            comps[ci] = (t, [lw for i, lw in enumerate(legs) if i not in pos])
         else:
-            c1, c2 = holders
-            t1, l1 = comps[c1]
-            t2, l2 = comps[c2]
+            ci, c2 = hs
+            t1, l1 = comps[ci]
+            t2, l2 = comps.pop(c2)
             t = tensor_product(t1, t2)
             legs = l1 + l2
-            pos = [i for i, lw in enumerate(legs) if lw == w]
-            t = reduce_full(self_contract(t, pos[0], pos[1]), report)
-            legs = [lw for i, lw in enumerate(legs) if i not in pos]
-            comps[c1] = (t, legs)
-            del comps[c2]
+            del sizes[c2]
+            for lw in set(l2):
+                if lw != w:
+                    hl = holders[lw]
+                    hl.remove(c2)
+                    if ci not in hl:
+                        hl.append(ci)
+                        hl.sort()
+        pos = [i for i, lw in enumerate(legs) if lw == w]
+        t = reduce_full(self_contract(t, pos[0], pos[1]), report)
+        comps[ci] = (t, [lw for i, lw in enumerate(legs) if i not in pos])
+        sizes[ci] = esize(t)
+
+    rank = {w: n for n, w in enumerate(edges)}
+
+    def cost(w):
+        # greedy: smallest combined embedding size, ties by declaration
+        n = 1
+        for ci in holders[w]:
+            n *= sizes[ci]
+        return n, rank[w]
 
     remaining = list(edges)
     while remaining:
         if edge_seq is not None:
             w = next(x for x in edge_seq if x in remaining)
         else:
-            # greedy: smallest combined embedding size, ties by declaration
-            def cost(w):
-                holders = [ci for ci, (_, legs) in enumerate(comps) if w in legs]
-                if len(holders) == 1:
-                    return esize(comps[holders[0]][0])
-                return esize(comps[holders[0]][0]) * esize(comps[holders[1]][0])
-
-            w = min(remaining, key=lambda x: (cost(x), edges.index(x)))
+            w = min(remaining, key=cost)
         remaining.remove(w)
         contract_edge(w)
-    big = comps[0][0]
-    legs = [(None, w) for w in comps[0][1]]
-    for t, ls in comps[1:]:
+    parts = list(comps.values())
+    big = parts[0][0]
+    legs = [(None, w) for w in parts[0][1]]
+    for t, ls in parts[1:]:
         big = tensor_product(big, t)
         legs += [(None, w) for w in ls]
     # order open legs

@@ -442,18 +442,50 @@ def test_omega_cocycle_pointwise():
 
 
 def test_fit_roundtrip():
-    for G in FINITE:
-        for A in [T, Zk(4), Zk(3), Zk(6)]:
-            for h2, h1 in quad_coeff_samples(G, A, limit=6):
+    for k in range(1, 17):
+        G = Zk(k)
+        for A in [T, Zk(3), Zk(4), Zk(6), Zk(8)]:
+            g2grp, g1grp = quad_group(G, A)
+            for h2, h1 in product(range(g2grp.k), range(g1grp.k)):
                 q = QuadCoeff(G, A, h2, h1)
                 fit = quad_fit(G, A, lambda g: quad_apply(q, g))
-                for g in range(G.k):
-                    assert A.eq(quad_apply(fit, g), quad_apply(q, g))
+                assert (fit.h2, fit.h1) == (q.h2, q.h1), (G, A, h2, h1)
+    for G in FINITE:
         for A in [T, Zk(4), Zk(5)]:
             for c in coeffs(hom_group(G, A)):
                 h = HomCoeff(G, A, c)
                 fit = hom_fit(G, A, lambda g: hom_apply(h, g))
                 assert fit.value == h.value
+
+
+def test_fit_rejects_non_quadratic_values():
+    q = QuadCoeff(Zk(5), T, 3, 1)
+    off_by_one_step = lambda g: quad_apply(q, g) + (Fraction(1, 5) if g == 3 else 0)
+    with pytest.raises(ValueError):
+        quad_fit(Zk(5), T, off_by_one_step)
+    with pytest.raises(ValueError):
+        quad_fit(Zk(7), T, lambda g: Fraction(g ** 3, 7))
+
+
+def test_fit_cost_is_linear_in_k(monkeypatch):
+    """One fit on Z_101 evaluates each point at most twice, whatever the coefficient."""
+    import qtensor.coeff as coeff
+
+    calls = []
+    plain = coeff.quad_apply
+
+    def counted(q, g):
+        calls.append(g)
+        return plain(q, g)
+
+    monkeypatch.setattr(coeff, "quad_apply", counted)
+    G = Zk(101)
+    for h2 in (1, 50, 100):
+        q = QuadCoeff(G, T, h2, 7)
+        calls.clear()
+        fit = coeff.quad_fit(G, T, lambda g: coeff.quad_apply(q, g))
+        assert (fit.h2, fit.h1) == (q.h2, q.h1)
+        assert len(calls) <= 2 * 101, (h2, len(calls))
 
 
 def test_hom2_partial_is_partial_evaluation():

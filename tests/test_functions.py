@@ -117,22 +117,54 @@ def test_shift_pointwise():
         q = random_quadratic(E, rng)
         elems = list(E.enumerate())
         e0 = rng.choice(elems)
-        qs = q.shift(e0)
-        for e in elems:
-            assert qs.eval(e) == q.eval(E.add(e, e0)), (sig, e0, e)
+        # also shifts with zero components: only the first one kept, and none
+        first_only = E.element([e0[0]] + [0] * (len(E) - 1))
+        for shift in (e0, first_only, E.identity()):
+            qs = q.shift(shift)
+            for e in elems:
+                assert qs.eval(e) == q.eval(E.add(e, shift)), (sig, shift, e)
+
+
+def _zero_row_and_column(gam: LinearFnData) -> LinearFnData:
+    """gam with its first codomain row and its last domain column set to zero."""
+    H, E = gam.domain, gam.codomain
+    cells = [
+        [HomCoeff(H[j], E[i], 0) if i == 0 or j == len(H) - 1 else gam.eps1[i][j]
+         for j in range(len(H))]
+        for i in range(len(E))
+    ]
+    return hom_data(H, E, cells)
+
+
+def _keep_phi2_cells(q: QuadraticFnData, n: int) -> QuadraticFnData:
+    """q with only its first n stored off-diagonal phase cells."""
+    return QuadraticFnData(q.domain, q.a0, q.phi0, list(q.a1), list(q.phi1), {},
+                           dict(list(q.phi2.items())[:n]))
 
 
 def test_precompose_pointwise():
     rng = random.Random(17)
-    for sigH, sigE in [("Z2", "Z2,Z2"), ("Z2,Z2", "Z4"), ("Z4,Z2", "Z2,Z4"),
-                       ("Z3", "Z3,Z3"), ("Z6", "Z2,Z3"), ("Z2,Z2", "Z2,Z2,Z2")]:
+    for sigH, sigE, variant in [
+        ("Z2", "Z2,Z2", None), ("Z2,Z2", "Z4", None), ("Z4,Z2", "Z2,Z4", None),
+        ("Z3", "Z3,Z3", None), ("Z6", "Z2,Z3", None), ("Z2,Z2", "Z2,Z2,Z2", None),
+        ("Z2,Z3", "Z6,Z2,Z3", None), ("Z2,Z2,Z2", "Z2,Z2,Z2,Z2", None),
+        ("Z2,Z2,Z2", "Z2,Z2,Z2,Z2", "zero row and column"), ("Z4,Z2", "Z2,Z4", "zero row and column"),
+        ("Z2,Z2,Z2", "Z2,Z2,Z2,Z2", "no phi2"), ("Z2,Z3", "Z6,Z2,Z3", "no phi2"),
+        ("Z2,Z2,Z2", "Z2,Z2,Z2,Z2", "one phi2 cell"), ("Z2,Z3", "Z6,Z2,Z3", "one phi2 cell"),
+    ]:
         H, E = parse_product(sigH), parse_product(sigE)
         for _ in range(6):
             q = random_quadratic(E, rng)
             gam = random_hom(H, E, rng)
+            if variant == "zero row and column":
+                gam = _zero_row_and_column(gam)
+            elif variant == "no phi2":
+                q = _keep_phi2_cells(q, 0)
+            elif variant == "one phi2 cell":
+                q = _keep_phi2_cells(q, 1)
             qc = q.precompose(gam)
             for h in H.enumerate():
-                assert qc.eval(h) == q.eval(gam(h)), (sigH, sigE, h)
+                assert qc.eval(h) == q.eval(gam(h)), (sigH, sigE, variant, h)
 
 
 def test_precompose_affine_pointwise():
