@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -26,7 +26,6 @@ from .coeff import (
     HomCoeff,
     QuadCoeff,
     compose,
-    conjugate_cell,
     dual,
     hom2_apply,
     hom2_group,
@@ -40,7 +39,7 @@ from .coeff import (
     quad_to_bilinear,
 )
 from .functions import LinearFnData, QuadraticFnData, hom_data
-from .groups import GroupProduct, R, T, Zk
+from .groups import GroupProduct, R, T, Z, Zk
 from .scalar import Scalar, is_exact, mod1, snap_rational
 from .solve import (
     UnsupportedKernel,
@@ -177,41 +176,22 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
 
 def _beta_cells(t: QTensorData, rho_cells: List[HomCoeff], part: str, A) -> LinearFnData:
     """The homomorphism beta: E -> A^dual with beta(e)(r) = q^(2)(rho r, e)."""
-    Astar = hom_group(A, T if part == "phi" else R)
-    target = GroupProduct([Astar])
-    cells = []
-    for jj in range(len(t.E)):
-        acc = hom_zero(t.E[jj], Astar)
-        for k in range(len(t.E)):
-            if rho_cells[k].is_zero():
-                continue
-            cell = t.q.cell(part, k, jj)
-            if cell.is_zero():
-                continue
-            m = cell.transpose().as_outer_hom()  # E_j -> hom[E_k|target]
-            acc = acc + compose(m, dual(rho_cells[k], T if part == "phi" else R))
-        cells.append(acc)
-    return hom_data(t.E, target, [cells])
+    tgt = T if part == "phi" else R
+    Astar = hom_group(A, tgt)
+    cells = [hom_zero(Ej, Astar) for Ej in t.E]
+    for k, nbrs in enumerate(t.q.neighbours(part)):
+        if rho_cells[k].is_zero():
+            continue
+        rho_dual = dual(rho_cells[k], tgt)
+        for j, cell in nbrs:
+            m = cell.transpose().as_outer_hom()  # E_j -> hom[E_k|tgt]
+            cells[j] = cells[j] + compose(m, rho_dual)
+    return hom_data(t.E, GroupProduct([Astar]), [cells])
 
 
 def _restrict_bilinear_value(t: QTensorData, rho: LinearFnData, part: str) -> Hom2Coeff:
     """rho^* q^(2) rho as a single bilinear coefficient on the 1-factor domain."""
-    A = rho.domain[0]
-    tgt = T if part == "phi" else R
-    acc = Hom2Coeff(A, A, tgt, 0)
-    for k in range(len(t.E)):
-        rk = rho.eps1[k][0]
-        if rk.is_zero():
-            continue
-        for l in range(len(t.E)):
-            rl = rho.eps1[l][0]
-            if rl.is_zero():
-                continue
-            cell = t.q.cell(part, k, l)
-            if cell.is_zero():
-                continue
-            acc = acc + conjugate_cell(rk, cell, rl)
-    return acc
+    return quad_to_bilinear(t.q.precompose(rho).vec(part)[0])
 
 
 def _extract_through_section(
@@ -221,120 +201,42 @@ def _extract_through_section(
     qfun: QuadraticFnData,
     epsfun: LinearFnData,
 ) -> Tuple[QuadraticFnData, LinearFnData]:
-    """Coefficients of q and eps pulled through a (possibly non-hom) section.
+    """Coefficients of q and eps pulled back to Q through the section
+    sum x_t e_t -> sum x_t * lift_t.
 
-    The section maps sum x_t e_t to sum xbar_t * lift_t computed in E;
-    both functions must be invariant under the reduced subgroup, which
-    makes the composites genuine quadratic / affine-linear functions.
-    Finite factors are extracted by exact sampling, infinite factors via
-    coefficient-level composition (the section is a homomorphism there).
+    Reading each finite factor Z_k of Q as Z makes the section a
+    homomorphism, so q and eps are composed with it on the coefficient
+    level.  Both functions must be invariant under the reduced subgroup;
+    then every composite factors through Z -> Z_k, and the coefficients of
+    the finite factors are moved down in closed form: an eps cell from its
+    value at 1, phi1 by ``quad_fit`` on its Z -> T coefficient, a phi cross
+    cell from B(1, 1).  The a-part cells of finite factors have trivial
+    coefficient groups.
     """
-    m = len(Q)
-
-    def section(x) -> Tuple:
-        comps = []
-        for jj in range(len(E)):
-            acc = 0
-            for tt in range(m):
-                xv = int(x[tt]) if Q[tt].kind in ("Zk", "Z") else x[tt]
-                lv = lifts[tt][jj]
-                if lv != 0 and xv != 0:
-                    acc = acc + lv * xv
-            comps.append(acc)
-        return E.element(comps)
-
-    fin = [tt for tt in range(m) if Q[tt].kind == "Zk"]
-    inf = [tt for tt in range(m) if Q[tt].kind != "Zk"]
-
-    out_q = QuadraticFnData.zero(Q)
-    n = len(epsfun.codomain)
-    out_eps = LinearFnData.zero(Q, epsfun.codomain)
-    base = section(Q.identity())
-    a0, phi0 = qfun.eval(base)
-    out_q.a0, out_q.phi0 = a0, phi0
-    out_eps.eps0 = epsfun(base)
-
-    if inf:
-        # honest homomorphism on the infinite factors, coefficients = lifts
-        Qinf = GroupProduct([Q[tt] for tt in inf])
-        inf_cells = [
-            [HomCoeff(Q[tt], E[jj], lifts[tt][jj]) for tt in inf]
-            for jj in range(len(E))
-        ]
-        hom_inf = hom_data(Qinf, E, inf_cells)
-        q_inf = qfun.precompose(hom_inf)
-        eps_inf = epsfun.compose_hom(hom_inf)
-        for a, tt in enumerate(inf):
-            out_q.a1[tt] = q_inf.a1[a]
-            out_q.phi1[tt] = q_inf.phi1[a]
-            for i in range(n):
-                out_eps.eps1[i][tt] = eps_inf.eps1[i][a]
-        for a in range(len(inf)):
-            for b in range(a + 1, len(inf)):
-                ta, tb = inf[a], inf[b]
-                i, j = (ta, tb) if ta < tb else (tb, ta)
-                ca = q_inf.cell("a", a, b) if ta < tb else q_inf.cell("a", b, a)
-                cp = q_inf.cell("phi", a, b) if ta < tb else q_inf.cell("phi", b, a)
-                out_q.set_cell("a", i, j, ca)
-                out_q.set_cell("phi", i, j, cp)
-
-    def unit(tt, v=1):
-        x = [0] * m
-        x[tt] = v
-        return Q.element(x)
-
-    for tt in fin:
-        def Fq(u, _tt=tt):
-            _, ph = qfun.eval(section(unit(_tt, u)))
-            return mod1(ph - phi0)
-
-        out_q.phi1[tt] = quad_fit(Q[tt], T, Fq)
-        for i in range(n):
-            def Fe(u, _tt=tt, _i=i):
-                val = epsfun(section(unit(_tt, u)))[_i]
-                return epsfun.codomain[_i].normalize(val - out_eps.eps0[_i])
-
-            out_eps.eps1[i][tt] = _hom_fit_any(Q[tt], epsfun.codomain[i], Fe)
-
-    # cross cells involving finite factors
-    for a, tt in enumerate(fin):
-        for uu in fin[a + 1:]:
-            x = Q.add(unit(tt), unit(uu))
-            _, pxy = qfun.eval(section(x))
-            _, px = qfun.eval(section(unit(tt)))
-            _, py = qfun.eval(section(unit(uu)))
-            v = mod1(pxy - px - py + phi0)
-            i, j = (tt, uu) if tt < uu else (uu, tt)
-            out_q.set_cell("phi", i, j, _hom2_fit_value(Q[i], Q[j], v))
-        for uu in inf:
-            grp = hom2_group(Q[tt], Q[uu], T)
-            if grp == Zk(1):
-                continue
-            # bilinear pairing between the finite section image and the lift
-            e_fin = section(unit(tt))
-            col = E.element([lifts[uu][jj] for jj in range(len(E))])
-            v = _bilinear_pair(qfun, e_fin, col)
-            i, j = (tt, uu) if tt < uu else (uu, tt)
-            out_q.set_cell("phi", i, j, _hom2_fit_value(Q[i], Q[j], v))
-    return out_q, out_eps
-
-
-def _bilinear_pair(qfun: QuadraticFnData, e1, e2) -> Scalar:
-    acc = Fraction(0)
-    for k in range(len(qfun.domain)):
-        for l in range(len(qfun.domain)):
-            cell = qfun.cell("phi", k, l)
-            if not cell.is_zero():
-                acc = acc + hom2_apply(cell, e1[k], e2[l])
-    return mod1(acc)
-
-
-def _hom_fit_any(G, A, F) -> HomCoeff:
-    if hom_group(G, A) == Zk(1):
-        return hom_zero(G, A)
-    if A.kind in ("Zk", "T"):
-        return hom_fit(G, A, F)
-    raise UnsupportedKernel(f"finite factor mapping into {A}")
+    Qz = GroupProduct([Z if f.kind == "Zk" else f for f in Q])
+    section = hom_data(Qz, E, [[HomCoeff(Qz[t], E[j], lifts[t][j]) for t in range(len(Q))]
+                               for j in range(len(E))])
+    qz = qfun.precompose(section)
+    ez = epsfun.compose_hom(section)
+    fin = [f.kind == "Zk" for f in Q]
+    out_q = QuadraticFnData(Q, qz.a0, qz.phi0)
+    for t in range(len(Q)):
+        if fin[t]:
+            out_q.phi1[t] = quad_fit(Q[t], T, lambda u, c=qz.phi1[t]: quad_apply(c, u))
+        else:
+            out_q.a1[t], out_q.phi1[t] = qz.a1[t], qz.phi1[t]
+    for (i, j), c in qz.a2.items():
+        if not (fin[i] or fin[j]):
+            out_q.set_cell("a", i, j, c)
+    for (i, j), c in qz.phi2.items():
+        if fin[i] or fin[j]:
+            c = _hom2_fit_value(Q[i], Q[j], hom2_apply(c, 1, 1))
+        out_q.set_cell("phi", i, j, c)
+    eps1 = [[hom_fit(Q[t], Gi, lambda _, c=c: c.value) if fin[t] else c
+             for t, c in enumerate(row)]
+            for Gi, row in zip(epsfun.codomain, ez.eps1)]
+    eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
+    return out_q, LinearFnData(Q, epsfun.codomain, eps0, eps1)
 
 
 def _hom2_fit_value(G0, G1, v) -> Hom2Coeff:
@@ -749,16 +651,8 @@ def _add_complex_cell(q: QuadraticFnData, j: int, l: int, Ej, El, val: complex) 
 # full reduction
 
 
-@dataclass
-class ReduceReport:
-    residual_z_rank: int = 0
-    steps: List[str] = field(default_factory=list)
-
-
-def reduce_full(t: QTensorData, report: Optional[ReduceReport] = None) -> QTensorData:
+def reduce_full(t: QTensorData) -> QTensorData:
     """Repeatedly reduce kernel factors of eps^(1) until only Z remains."""
-    if report is None:
-        report = ReduceReport()
     cur = _compact(t)
     if cur.is_zero:
         return cur
@@ -782,10 +676,8 @@ def reduce_full(t: QTensorData, report: Optional[ReduceReport] = None) -> QTenso
                 g = math.gcd(v, A.k)
                 if v != 0 and g == 1:
                     cur = reduce_invertible(cur, col)
-                    report.steps.append(f"invertible Z{A.k}")
                 elif v == 0:
                     cur = reduce_zero(cur, col)
-                    report.steps.append(f"zero Z{A.k}")
                 else:
                     # zero-reduce the order-g subgroup inside A
                     sub = GroupProduct([Zk(g)])
@@ -794,12 +686,10 @@ def reduce_full(t: QTensorData, report: Optional[ReduceReport] = None) -> QTenso
                         for j in range(len(cur.E))
                     ]
                     cur = reduce_zero(cur, hom_data(sub, cur.E, sub_cells))
-                    report.steps.append(f"zero Z{g} inside Z{A.k}")
                 progress = True
                 break
             if A.kind == "T":
                 cur = reduce_zero(cur, col)
-                report.steps.append("zero T")
                 progress = True
                 break
             if A.kind == "R":
@@ -807,21 +697,25 @@ def reduce_full(t: QTensorData, report: Optional[ReduceReport] = None) -> QTenso
                 zp = _restrict_bilinear_value(cur, col, "phi").value
                 if abs(complex(float(za), float(zp))) < 1e-12:
                     cur = reduce_zero(cur, col)
-                    report.steps.append("zero R")
                 else:
                     cur = reduce_real(cur, col)
-                    report.steps.append("gaussian R")
                 progress = True
                 break
-        if cur.is_zero:
-            return cur
-        if not progress:
-            report.residual_z_rank = sum(1 for f in K if f.kind == "Z")
+        if cur.is_zero or not progress:
             return cur
         # each step sums out a finite subgroup of order >= 2 or integrates out
         # a whole T or R factor, so the loop ends after finitely many steps
         before, measure = measure, _reduction_measure(cur)
         assert measure < before, f"reduction step did not shrink E: {before} -> {measure}"
+
+
+def residual_z_rank(t: QTensorData) -> int:
+    """The number of Z factors in the kernel of eps^(1), the directions of E
+    left summed with infinite measure; 0 for the zero tensor."""
+    if t.is_zero:
+        return 0
+    K = kernel_of_hom(hom_data(t.E, t.G, t.eps.eps1)).group
+    return sum(1 for f in K if f.kind == "Z")
 
 
 def _reduction_measure(t: QTensorData) -> Tuple[int, int, int]:

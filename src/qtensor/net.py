@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeff import Hom2Coeff, HomCoeff, QuadCoeff
 from .dense import DenseTensor, dense_contract, materialize
-from .engine import QTensorData, ReduceReport, reduce_full, self_contract, tensor_product
+from .engine import QTensorData, reduce_full, residual_z_rank, self_contract, tensor_product
 from .fermion import (
     FermionTensorData,
     beam_splitter,
@@ -402,15 +402,15 @@ def run_contract(spec: NetworkSpec, order: Optional[List[str]] = None) -> Contra
             res.fermion_part = _contract_fermi(spec, fermi_nodes)
         return res
     if group_nodes:
-        res.group_part, report = _contract_group(spec, group_nodes, order)
-        res.residual_z_rank = report.residual_z_rank
+        res.group_part = _contract_group(spec, group_nodes, order)
+        res.residual_z_rank = residual_z_rank(res.group_part)
         res.div_weight = res.group_part.div_weight if res.group_part else 0
     if fermi_nodes:
         res.fermion_part = _contract_fermi(spec, fermi_nodes)
     return res
 
 
-def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> Tuple[QTensorData, ReduceReport]:
+def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> QTensorData:
     """Contract the group sector: user-specified wire order, else greedy
     pairwise merging that minimizes the intermediate embedding size."""
     users = spec.wire_users()
@@ -432,7 +432,6 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> Tuple[QTenso
         for w in legs:
             if ci not in holders.setdefault(w, []):
                 holders[w].append(ci)
-    report = ReduceReport()
 
     def esize(t: QTensorData) -> int:
         n = 1
@@ -462,7 +461,7 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> Tuple[QTenso
                         hl.append(ci)
                         hl.sort()
         pos = [i for i, lw in enumerate(legs) if lw == w]
-        t = reduce_full(self_contract(t, pos[0], pos[1]), report)
+        t = reduce_full(self_contract(t, pos[0], pos[1]))
         comps[ci] = (t, [lw for i, lw in enumerate(legs) if i not in pos])
         sizes[ci] = esize(t)
 
@@ -501,7 +500,7 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> Tuple[QTenso
         eps = LinearFnData(big.E, G, tuple(big.eps.eps0[p] for p in perm),
                            [big.eps.eps1[p] for p in perm])
         big = QTensorData(G, big.E, eps, big.q, big.div_weight, big.mag2)
-    return big, report
+    return big
 
 
 def _contract_fermi(spec: NetworkSpec, nodes: List[Node]) -> FermionTensorData:

@@ -228,3 +228,97 @@ def test_destructive_contraction_gives_zero():
                      QuadraticFnData.zero(E))
     t = self_contract(tensor_product(k0, k1), 0, 1)
     assert t.is_zero
+
+
+def _fibre_entry(t: QTensorData, g) -> complex:
+    """T(g) summed over the fibre eps^-1(g), which must be finite."""
+    from qtensor.functions import hom_data
+    from qtensor.solve import kernel_of_hom, solve_hom
+
+    if t.is_zero:
+        return 0j
+    lin = hom_data(t.E, t.G, t.eps.eps1)
+    e0 = solve_hom(lin, t.G.element([Gi.normalize(x - c)
+                                     for Gi, x, c in zip(t.G, g, t.eps.eps0)]))
+    if e0 is None:
+        return 0j
+    pres = kernel_of_hom(lin)
+    total = 0j
+    for k in pres.group.enumerate():
+        e = t.E.add(e0, pres.inclusion(k))
+        a, ph = t.q.eval(e)
+        mag = math.sqrt(float(t.mag2)) if t.mag2 is not None else math.exp(2 * math.pi * float(a))
+        total += mag * cmath.exp(2j * math.pi * float(ph))
+    return total
+
+
+def test_reduce_over_mixed_finite_and_integer_quotient():
+    # E = Z x Z4 -> G = Z x Z2, (n, a) -> (n, a mod 2): reducing the order-2
+    # kernel leaves a quotient with a Z2 and a Z factor, joined by the
+    # image of the Z-Z4 cross cell
+    E = parse_product("Z,Z4")
+    G = parse_product("Z,Z2")
+    eps = LinearFnData(E, G, G.identity(), [[HomCoeff(E[0], G[0], 1), HomCoeff(E[1], G[0], 0)],
+                                            [HomCoeff(E[0], G[1], 0), HomCoeff(E[1], G[1], 1)]])
+    crossed = 0
+    for c in range(4):
+        for h2 in (0, 2, 4, 6):
+            for h1 in (0, 1):
+                q = QuadraticFnData.zero(E)
+                q.phi1[0] = QuadCoeff(E[0], T, Fraction(1, 3), Fraction(1, 5))
+                q.phi1[1] = QuadCoeff(E[1], T, h2, h1)
+                q.set_cell("phi", 0, 1, Hom2Coeff(E[0], E[1], T, c))
+                t = QTensorData(G, E, eps, q)
+                red = reduce_full(t)
+                if not red.is_zero:
+                    assert sorted(f.kind for f in red.E) == ["Z", "Zk"], red.E
+                    assert [f.k for f in red.E if f.kind == "Zk"] == [2]
+                    crossed += bool(red.q.phi2)
+                for n in range(-3, 4):
+                    for b in range(2):
+                        want = _fibre_entry(t, (n, b))
+                        got = _fibre_entry(red, (n, b))
+                        assert abs(got - want) < 1e-9, (c, h2, h1, n, b, got, want)
+    assert crossed
+
+
+def test_reductions_do_not_sample_functions(monkeypatch):
+    # F P F and its inverse on one Z101 register: a reduction may evaluate q
+    # and eps at the shift it solves for, but not at every point of Z101
+    from qtensor import engine
+    from qtensor.net import build_gate
+
+    d = 101
+    F = build_gate("F", [], [f"Z{d}"] * 2)
+    P = QTensorData(parse_product(f"Z{d},Z{d}"), parse_product(f"Z{d}"),
+                    LinearFnData(parse_product(f"Z{d}"), parse_product(f"Z{d},Z{d}"), (0, 0),
+                                 [[HomCoeff(Zk(d), Zk(d), 1)]] * 2),
+                    QuadraticFnData(parse_product(f"Z{d}"), phi1=[QuadCoeff(Zk(d), T, 7, 0)]))
+    ket = QTensorData(parse_product(f"Z{d}"), GroupProduct(),
+                      LinearFnData(GroupProduct(), parse_product(f"Z{d}"), (0,), [[]]),
+                      QuadraticFnData.zero(GroupProduct()))
+    calls = {"eval": 0, "eps": 0, "steps": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QuadraticFnData, "eval", counted("eval", QuadraticFnData.eval))
+    monkeypatch.setattr(LinearFnData, "__call__", counted("eps", LinearFnData.__call__))
+    for name in ("reduce_zero", "reduce_invertible", "reduce_real"):
+        monkeypatch.setattr(engine, name, counted("steps", getattr(engine, name)))
+    P_inv = QTensorData(P.G, P.E, P.eps, -P.q)
+    t, steps = ket, 0
+    for gate in (F, P, F) + (F, F, F, P_inv, F, F, F):
+        t = self_contract(tensor_product(t, gate), 0, 1)
+        calls.update(eval=0, eps=0, steps=0)
+        t = engine.reduce_full(t)
+        assert calls["eval"] <= calls["steps"] + 1, calls
+        # reduce_zero evaluates eps at e0 and rho at 1, and each of its two
+        # solve_hom calls evaluates its map twice
+        assert calls["eps"] <= 6 * calls["steps"], calls
+        steps += calls["steps"]
+    # the mirror returns |0> exactly
+    assert steps >= 5 and len(t.E) == 0 and t.mag2 == 1 and t.q.phi0 == 0

@@ -301,3 +301,35 @@ def test_cli_contract_dense_beside_fermions(tmp_path):
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout)
     assert "dense" in out and "fermion" in out
+
+
+def _z_embedding_net() -> str:
+    """A node summed over E = Z through n -> (n, n) in Z2 x Z2, beside two
+    Hadamards: one Z factor stays in ker eps1 whatever the order."""
+    from qtensor.coeff import HomCoeff
+    from qtensor.engine import QTensorData
+    from qtensor.functions import LinearFnData, QuadraticFnData
+
+    G, E = parse_product("Z2,Z2"), parse_product("Z")
+    eps = LinearFnData(E, G, G.identity(), [[HomCoeff(E[0], G[0], 1)], [HomCoeff(E[0], G[1], 1)]])
+    payload = json.dumps(jsonio.to_json(QTensorData(G, E, eps, QuadraticFnData.zero(E))))
+    return "\n".join([
+        "wire w1: Z2", "wire w2: Z2", "wire w3: Z2", "wire w4: Z2", "wire w5: Z2", "wire w6: Z2",
+        f"node z = json {payload} (w1, w2)",
+        "node i = I(w2, w3)", "node h1 = H(w4, w5)", "node h2 = H(w5, w6)",
+        "open w1, w3, w4, w6",
+    ])
+
+
+def test_residual_z_rank_does_not_depend_on_order(tmp_path):
+    spec = parse(_z_embedding_net())
+    for order in (["w5", "w2"], ["w2", "w5"]):
+        res = run_contract(spec, order)
+        assert [f.kind for f in res.group_part.E].count("Z") == 1
+        assert res.residual_z_rank == 1, order
+    net = tmp_path / "z.net"
+    net.write_text(_z_embedding_net())
+    for order in ("w5,w2", "w2,w5"):
+        r = run_cli("contract", str(net), "--order", order)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["residual_z_rank"] == 1, order
