@@ -47,6 +47,7 @@ from .solve import (
     quotient_by_subgroup,
     real_kernel,
     solve_hom,
+    solve_with_kernel,
 )
 
 
@@ -156,10 +157,10 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     delta_cells = [[t.eps.eps1[i][k] + (-t.eps.eps1[j][k]) for k in range(len(t.E))]]
     delta = hom_data(t.E, Gc, delta_cells)
     target = Gc.element([t.G[i].normalize(t.eps.eps0[j] - t.eps.eps0[i])])
-    shift = solve_hom(delta, target)
-    if shift is None:
+    found = solve_with_kernel(delta, target)
+    if found is None:
         return QTensorData.zero(G_rest)
-    pres = kernel_of_hom(delta)
+    shift, pres = found
     Ep, kappa = pres.group, pres.inclusion
     eps_rest = LinearFnData(
         t.E, G_rest, tuple(t.eps.eps0[x] for x in rest),
@@ -187,11 +188,6 @@ def _beta_cells(t: QTensorData, rho_cells: List[HomCoeff], part: str, A) -> Line
             m = cell.transpose().as_outer_hom()  # E_j -> hom[E_k|tgt]
             cells[j] = cells[j] + compose(m, rho_dual)
     return hom_data(t.E, GroupProduct([Astar]), [cells])
-
-
-def _restrict_bilinear_value(t: QTensorData, rho: LinearFnData, part: str) -> Hom2Coeff:
-    """rho^* q^(2) rho as a single bilinear coefficient on the 1-factor domain."""
-    return quad_to_bilinear(t.q.precompose(rho).vec(part)[0])
 
 
 def _extract_through_section(
@@ -308,13 +304,17 @@ def _check_rho_in_kernel(t: QTensorData, rho: LinearFnData) -> None:
 
 def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
     """Sum/integrate over a subgroup on which the bilinear form vanishes."""
-    A = rho.domain[0]
     _check_rho_in_kernel(t, rho)
-    if A.kind == "R":
+    if rho.domain[0].kind == "R":
         sup0 = [kk for kk in range(len(t.E)) if not rho.eps1[kk][0].is_zero()]
         if len(sup0) > 1:
             t, rho = _realign_real(t, rho)
-    qres = t.q.precompose(rho)
+    return _reduce_zero(t, rho, t.q.precompose(rho))
+
+
+def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
+    """``reduce_zero`` once rho is checked, with qres = q o rho."""
+    A = rho.domain[0]
     for part in ("a", "phi"):
         if not quad_to_bilinear(qres.vec(part)[0]).is_zero():
             raise KernelViolation("q^(2) does not vanish on rho")
@@ -328,10 +328,10 @@ def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
         raise NotIntegrable("nonzero a-part pairing against a summed subgroup")
     Astar = hom_group(A, T)
     target = GroupProduct([Astar]).element([Astar.neg(chi.value)])
-    e0 = solve_hom(beta, target)
-    if e0 is None:
+    found = solve_with_kernel(beta, target)
+    if found is None:
         return QTensorData.zero(t.G)
-    pres = kernel_of_hom(beta)
+    e0, pres = found
     K2, kappa2 = pres.group, pres.inclusion
 
     shifted_q = t.q.shift(e0)
@@ -438,11 +438,15 @@ def _subgroup_coeff(A, K2f, val) -> HomCoeff:
 def reduce_invertible(t: QTensorData, rho: LinearFnData) -> QTensorData:
     """Gauss-sum reduction over a finite cyclic subgroup where q_phi^(2)
     is nondegenerate."""
-    A = rho.domain[0]
-    assert A.kind == "Zk"
-    k = A.k
+    assert rho.domain[0].kind == "Zk"
     _check_rho_in_kernel(t, rho)
-    qres = t.q.precompose(rho)
+    return _reduce_invertible(t, rho, t.q.precompose(rho))
+
+
+def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
+    """``reduce_invertible`` once rho is checked, with qres = q o rho."""
+    A = rho.domain[0]
+    k = A.k
     if not (qres.a1[0].is_zero() and quad_to_bilinear(qres.a1[0]).is_zero()):
         raise NotIntegrable("q_a must vanish on the reduced subgroup")
     bil = quad_to_bilinear(qres.phi1[0])
@@ -671,13 +675,13 @@ def reduce_full(t: QTensorData) -> QTensorData:
             if A.kind == "Zk":
                 if A.k == 1:
                     continue
-                bil = _restrict_bilinear_value(cur, col, "phi")
-                v = int(bil.value)
+                qres = cur.q.precompose(col)
+                v = int(quad_to_bilinear(qres.phi1[0]).value)
                 g = math.gcd(v, A.k)
-                if v != 0 and g == 1:
-                    cur = reduce_invertible(cur, col)
-                elif v == 0:
-                    cur = reduce_zero(cur, col)
+                if v == 0 or g == 1:
+                    _check_rho_in_kernel(cur, col)
+                    step = _reduce_zero if v == 0 else _reduce_invertible
+                    cur = step(cur, col, qres)
                 else:
                     # zero-reduce the order-g subgroup inside A
                     sub = GroupProduct([Zk(g)])
@@ -693,8 +697,9 @@ def reduce_full(t: QTensorData) -> QTensorData:
                 progress = True
                 break
             if A.kind == "R":
-                za = _restrict_bilinear_value(cur, col, "a").value
-                zp = _restrict_bilinear_value(cur, col, "phi").value
+                qres = cur.q.precompose(col)
+                za = quad_to_bilinear(qres.a1[0]).value
+                zp = quad_to_bilinear(qres.phi1[0]).value
                 if abs(complex(float(za), float(zp))) < 1e-12:
                     cur = reduce_zero(cur, col)
                 else:

@@ -7,6 +7,11 @@ handled by exact Smith normal form; real blocks use Gaussian elimination
 threshold otherwise).  Circle-group targets are lifted through the
 covering R -> R/Z by introducing auxiliary integer unknowns.  Kernel
 shapes outside the supported classes raise UnsupportedKernel.
+
+Each integer system is factored once: one Smith form U A V = S serves
+every kernel vector, solution, lattice basis and inverse read off it, and
+``solve_with_kernel`` gives a solve and a kernel of the same homomorphism
+one factorization when they lift to the same system.
 """
 
 from __future__ import annotations
@@ -146,26 +151,39 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     return U, S, V
 
 
-def integer_kernel(A: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Basis (list of columns) of {x : A x = 0} over the integers."""
+def _factor(A: Sequence[Sequence[int]], factored: Optional[dict]):
+    """smith_normal_form(A), kept in ``factored`` (keyed by the matrix) when
+    given, so a system met twice is factored once."""
+    if factored is None:
+        return smith_normal_form(A)
+    key = tuple(map(tuple, A))
+    if key not in factored:
+        factored[key] = smith_normal_form(A)
+    return factored[key]
+
+
+def integer_kernel(A: Sequence[Sequence[int]], snf=None) -> List[List[int]]:
+    """Basis (list of columns) of {x : A x = 0} over the integers; ``snf``
+    is A's Smith form when already known."""
     n = len(A)
     m = len(A[0]) if n else 0
     if m == 0:
         return []
     if n == 0:
         return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    _, S, V = smith_normal_form(A)
+    _, S, V = snf or smith_normal_form(A)
     r = sum(1 for t in range(min(n, m)) if S[t][t] != 0)
     return [[V[i][j] for i in range(m)] for j in range(r, m)]
 
 
-def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution of A x = b, or None."""
+def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int], snf=None) -> Optional[List[int]]:
+    """One integer solution of A x = b, or None; ``snf`` is A's Smith form
+    when already known."""
     n = len(A)
     m = len(A[0]) if n else 0
     if n == 0:
         return [0] * m
-    U, S, V = smith_normal_form(A)
+    U, S, V = snf or smith_normal_form(A)
     c = [sum(U[i][j] * int(b[j]) for j in range(n)) for i in range(n)]
     y = [0] * m
     for t in range(min(n, m)):
@@ -181,22 +199,11 @@ def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List
     return [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
 
 
-def lattice_basis(gens: List[List[int]]) -> List[List[int]]:
-    """Basis of the lattice generated by integer column vectors."""
-    if not gens:
-        return []
-    m = len(gens[0])
-    A = [[g[i] for g in gens] for i in range(m)]  # m x len(gens)
-    U, S, V = smith_normal_form(A)
-    # columns of A*V span the lattice; first r are independent
-    AV = _matmul(A, V)
-    r = sum(1 for t in range(min(m, len(gens))) if S[t][t] != 0)
-    basis = []
-    for j in range(len(gens)):
-        col = [AV[i][j] for i in range(m)]
-        if any(col):
-            basis.append(col)
-    return basis[: r] if r else []
+def _int_inverse(U):
+    """Inverse of a unimodular integer matrix: U' U V = I gives V U'."""
+    Up, S, V = smith_normal_form(U)
+    assert all(abs(S[i][i]) == 1 for i in range(len(U))), "matrix is not unimodular"
+    return _matmul(V, Up)
 
 
 # ---------------------------------------------------------------------------
@@ -337,30 +344,62 @@ class KernelPresentation:
     inclusion: LinearFnData  # homomorphism group -> E
 
 
-def _hom_int_coeff(cell: HomCoeff, scale: Fraction) -> Optional[Fraction]:
-    """The scaled integer contribution of a discrete-source cell.
+def _int_cell(cell: HomCoeff) -> int:
+    """Lifted integer image of the generator of a Z_k or Z source in Z_k or Z."""
+    src, tgt = cell.source, cell.target
+    if src.kind == "Zk":
+        return tgt.k // math.gcd(src.k, tgt.k) * int(cell.value) if tgt.kind == "Zk" else 0
+    return int(cell.value)
 
-    For the lifted integer equation, a source generator contributes its
-    image's canonical representative times ``scale``.
-    """
+
+def _rational_cell(cell: HomCoeff, solving: bool) -> Fraction:
+    """Lifted rational image of the generator of a Z_k or Z source in T or R."""
     src, tgt, v = cell.source, cell.target, cell.value
     if src.kind == "Zk":
-        if tgt.kind == "Zk":
-            return scale * (tgt.k // math.gcd(src.k, tgt.k)) * int(v)
-        if tgt.kind == "T":
-            return scale * Fraction(int(v), src.k)
-        return Fraction(0)
-    if src.kind == "Z":
-        if tgt.kind == "Zk":
-            return scale * int(v)
-        if tgt.kind == "Z":
-            return scale * int(v)
-        if tgt.kind == "T":
-            if not is_exact(v):
-                return None
-            return scale * Fraction(v)
-        return None  # Z -> R real coefficient: not an integer problem
-    return Fraction(0)
+        return Fraction(int(v), src.k) if tgt.kind == "T" else Fraction(0)
+    if solving and tgt.kind == "R":
+        raise UnsupportedKernel("integer lattice into real target in a solve")
+    if not is_exact(v):
+        raise UnsupportedKernel(f"irrational coupling from {src} into {tgt}")
+    return Fraction(v)
+
+
+def _lifted_system(eps: LinearFnData, cols: List[int], rows: List[int], b=None):
+    """The integer system [A | D] x = rhs that lifts eps on the discrete
+    columns ``cols`` and codomain ``rows``; ``b`` is the right-hand side of
+    a solve, None for a kernel.
+
+    A row into Z_k or Z is integral as it stands.  A row into T or R has
+    rational entries and is scaled by the lcm of their denominators and, in
+    a solve, of b's.  Each Z_k or T row gets one auxiliary integer unknown,
+    a column of D holding its modulus: k, or the scale of a T row.  Rows
+    into Z and R are exact equations, and a kernel skips zero R rows.
+    """
+    G = eps.codomain
+    A, mods, rhs = [], [], []
+    for i in rows:
+        Gi, cells = G[i], [eps.eps1[i][j] for j in cols]
+        if Gi.kind in ("Zk", "Z"):
+            A.append([_int_cell(c) for c in cells])
+            mods.append(Gi.k if Gi.kind == "Zk" else 0)
+            rhs.append(0 if b is None else int(b[i]))
+            continue
+        vals = [_rational_cell(c, b is not None) for c in cells]
+        if b is None:
+            if Gi.kind == "R" and not any(vals):
+                continue
+            bi = Fraction(0)
+        elif Gi.kind == "R" and not is_exact(b[i]):
+            raise UnsupportedKernel("irrational real target in discrete solve")
+        else:
+            bi = Fraction(b[i])
+        den = math.lcm(bi.denominator, *[c.denominator for c in vals])
+        A.append([int(c * den) for c in vals])
+        mods.append(den if Gi.kind == "T" else 0)
+        rhs.append(int(bi * den))
+    aux = [t for t, mod in enumerate(mods) if mod]
+    full = [row + [mods[t] if t == a else 0 for a in aux] for t, row in enumerate(A)]
+    return full, rhs
 
 
 def _split_cols(E: GroupProduct):
@@ -375,11 +414,12 @@ def _split_cols(E: GroupProduct):
     return disc, cont_t, cont_r
 
 
-def kernel_of_hom(eps: LinearFnData) -> KernelPresentation:
+def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelPresentation:
     """Kernel of a homomorphism between group products, as a product with
     an explicit inclusion.  Supported classes: discrete-to-discrete (with
     rational circle couplings), circle-to-circle, real-to-real, and block
-    combinations in which no codomain factor mixes source classes."""
+    combinations in which no codomain factor mixes source classes.
+    ``factored`` holds Smith forms already computed (see ``_factor``)."""
     assert eps.is_homomorphism
     E, G = eps.domain, eps.codomain
     disc, cont_t, cont_r = _split_cols(E)
@@ -411,11 +451,11 @@ def kernel_of_hom(eps: LinearFnData) -> KernelPresentation:
     # --- discrete block ----------------------------------------------------
     if disc:
         rows_d = [i for i in range(len(G)) if touch[i] == {"d"}]
-        _discrete_kernel(eps, disc, rows_d, add_generator)
+        _discrete_kernel(eps, disc, rows_d, add_generator, factored)
     # --- circle block ------------------------------------------------------
     if cont_t:
         rows_t = [i for i in range(len(G)) if touch[i] == {"t"}]
-        _circle_kernel(eps, cont_t, rows_t, add_generator)
+        _circle_kernel(eps, cont_t, rows_t, add_generator, factored)
     # --- real block ----------------------------------------------------------
     if cont_r:
         rows_r = [i for i in range(len(G)) if touch[i] == {"r"}]
@@ -429,87 +469,37 @@ def kernel_of_hom(eps: LinearFnData) -> KernelPresentation:
     return KernelPresentation(K, incl)
 
 
-def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
-    E, G = eps.domain, eps.codomain
+def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
+    E = eps.domain
     m = len(cols)
-    # build the lifted integer system: rows scaled to integer coefficients,
-    # one auxiliary integer per Z_k or T codomain factor
-    A_rows: List[List[int]] = []
-    aux_mod: List[int] = []
-    for i in rows:
-        Gi = G[i]
-        if Gi.kind == "R":
-            # discrete cols into R: only Z sources can couple; require zero
-            # or a rational row (treated as an exact equation)
-            coeffs = []
-            for j in cols:
-                v = eps.eps1[i][j].value
-                if E[j].kind == "Z" and not is_exact(v):
-                    raise UnsupportedKernel("integer lattice into real target")
-                coeffs.append(Fraction(v) if E[j].kind == "Z" else Fraction(0))
-            if any(coeffs):
-                den = math.lcm(*[c.denominator for c in coeffs])
-                A_rows.append([int(c * den) for c in coeffs])
-                aux_mod.append(0)
-            continue
-        scale = Fraction(1)
-        raw = []
-        for j in cols:
-            c = _hom_int_coeff(eps.eps1[i][j], Fraction(1))
-            if c is None:
-                raise UnsupportedKernel(
-                    f"irrational coupling from {E[j]} into {Gi}"
-                )
-            raw.append(c)
-        den = math.lcm(*[c.denominator for c in raw]) if raw else 1
-        A_rows.append([int(c * den) for c in raw])
-        if Gi.kind == "Zk":
-            aux_mod.append(Gi.k * den)
-        elif Gi.kind == "T":
-            aux_mod.append(den)
-        else:  # Z target: exact equation
-            aux_mod.append(0)
-    # assemble [A | D] with D the diagonal of auxiliary moduli
-    n_rows = len(A_rows)
-    aux_cols = [i for i in range(n_rows) if aux_mod[i] != 0]
-    full = [
-        A_rows[i] + [aux_mod[i] if i == a else 0 for a in aux_cols]
-        for i in range(n_rows)
-    ]
-    kgens = integer_kernel(full) if n_rows else [
+    full, _ = _lifted_system(eps, cols, rows)
+    kgens = integer_kernel(full, _factor(full, factored)) if full else [
         [1 if t == j else 0 for t in range(m)] for j in range(m)
     ]
-    xgens = [g[:m] for g in kgens]
-    # column relations c_j e_j are always solutions
-    for jj, j in enumerate(cols):
-        if E[j].kind == "Zk":
-            v = [0] * m
-            v[jj] = E[j].k
-            xgens.append(v)
-    L = lattice_basis(xgens)
-    if not L:
+    # the solutions x, with the column relations k_j e_j, generate a lattice
+    rels = [(jj, E[j].k) for jj, j in enumerate(cols) if E[j].kind == "Zk"]
+    gens = [g[:m] for g in kgens] + [[k if t == jj else 0 for t in range(m)] for jj, k in rels]
+    if not gens:
         return
-    # relation lattice C expressed in the basis of L
-    Bmat = [[L[q][i] for q in range(len(L))] for i in range(m)]  # m x rank
-    Cgens = []
-    for jj, j in enumerate(cols):
-        if E[j].kind == "Zk":
-            v = [0] * m
-            v[jj] = E[j].k
-            Cgens.append(v)
-    Mcols = []
-    for c in Cgens:
-        sol = solve_integer(Bmat, c)
-        assert sol is not None, "column relations must lie in the solution lattice"
-        Mcols.append(sol)
-    rank = len(L)
-    M = [[Mcols[t][q] for t in range(len(Mcols))] for q in range(rank)]
-    if Mcols:
+    # one Smith form U W V = S of the generator matrix W: the columns of
+    # W V = U^-1 S are a basis B of the lattice (the first r, nonzero), and
+    # a relation c has the unique coordinates S^-1 (U c) in it
+    W = [[g[i] for g in gens] for i in range(m)]
+    U, S, V = smith_normal_form(W)
+    rank = sum(1 for t in range(min(m, len(gens))) if S[t][t] != 0)
+    if not rank:
+        return
+    Bmat = [row[:rank] for row in _matmul(W, V)]
+    M = [[0] * len(rels) for _ in range(rank)]
+    for t, (jj, k) in enumerate(rels):
+        for q in range(rank):
+            assert U[q][jj] * k % S[q][q] == 0, "column relations must lie in the solution lattice"
+            M[q][t] = U[q][jj] * k // S[q][q]
+    if rels:
         U, S, V = smith_normal_form(M)
         # new basis B' = B U^{-1}: columns are generators of L with orders S
-        Uinv = _int_inverse(U)
-        Bprime = _matmul(Bmat, Uinv)
-        orders = [S[t][t] if t < len(Mcols) else 0 for t in range(rank)]
+        Bprime = _matmul(Bmat, _int_inverse(U))
+        orders = [S[t][t] if t < len(rels) else 0 for t in range(rank)]
     else:
         Bprime = Bmat
         orders = [0] * rank
@@ -527,20 +517,6 @@ def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
             else:
                 col_cells.append(hom_zero(factor, E[j]))
         emit(factor, col_cells)
-
-
-def _int_inverse(U):
-    n = len(U)
-    _, S, V = smith_normal_form(U)
-    assert all(abs(S[i][i]) == 1 for i in range(n)), "matrix is not unimodular"
-    # U^{-1} = V S^{-1} Uu where Uu S V... easier: solve U X = I column-wise
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_integer(U, e)
-        assert x is not None
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _incl_coeff(src, tgt, g: int) -> HomCoeff:
@@ -561,7 +537,7 @@ def _incl_coeff(src, tgt, g: int) -> HomCoeff:
     raise UnsupportedKernel(f"inclusion into {tgt} from {src}")
 
 
-def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
+def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
     E, G = eps.domain, eps.codomain
     m = len(cols)
     mat = []
@@ -579,7 +555,7 @@ def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
             ]
             emit(T, col_cells)
         return
-    U, S, V = smith_normal_form(mat)
+    U, S, V = _factor(mat, factored)
     r = min(len(mat), m)
     for t in range(m):
         s = S[t][t] if t < r else 0
@@ -638,11 +614,12 @@ def _real_block_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit
         emit(R, col_cells)
 
 
-def solve_hom(eps: LinearFnData, target: Tuple) -> Optional[Tuple]:
+def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None) -> Optional[Tuple]:
     """One solution e of eps(e) = target, or None.
 
     Solves the affine equation; the same class restrictions as
-    ``kernel_of_hom`` apply.
+    ``kernel_of_hom`` apply.  ``factored`` holds Smith forms already
+    computed (see ``_factor``).
     """
     E, G = eps.domain, eps.codomain
     b = G.sub(G.element(target), eps(E.identity()))
@@ -655,42 +632,10 @@ def solve_hom(eps: LinearFnData, target: Tuple) -> Optional[Tuple]:
         if any(not c.is_zero() for c in cells) or (not cont_t and not cont_r):
             rows_d.append(i)
     if disc:
-        A_rows, rhs, aux_mod = [], [], []
-        for i in rows_d:
-            Gi = G[i]
-            if any(not eps.eps1[i][j].is_zero() for j in cont_t + cont_r):
-                raise UnsupportedKernel("mixed-class solve")
-            raw = []
-            for j in disc:
-                c = _hom_int_coeff(eps.eps1[i][j], Fraction(1))
-                if c is None:
-                    raise UnsupportedKernel("irrational discrete solve")
-                raw.append(c)
-            if Gi.kind == "R":
-                bi = Fraction(b[i]) if is_exact(b[i]) else None
-                if bi is None:
-                    raise UnsupportedKernel("irrational real target in discrete solve")
-                den = math.lcm(*[c.denominator for c in raw + [bi]]) if raw else 1
-                A_rows.append([int(c * den) for c in raw])
-                rhs.append(int(bi * den))
-                aux_mod.append(0)
-                continue
-            bi = Fraction(b[i])
-            den = math.lcm(*[c.denominator for c in raw + [bi]]) if raw else bi.denominator
-            A_rows.append([int(c * den) for c in raw])
-            rhs.append(int(bi * den))
-            if Gi.kind == "Zk":
-                aux_mod.append(Gi.k * den)
-            elif Gi.kind == "T":
-                aux_mod.append(den)
-            else:
-                aux_mod.append(0)
-        aux_cols = [i for i in range(len(A_rows)) if aux_mod[i] != 0]
-        full = [
-            A_rows[i] + [aux_mod[i] if i == a else 0 for a in aux_cols]
-            for i in range(len(A_rows))
-        ]
-        res = solve_integer(full, rhs) if full else [0] * len(disc)
+        if any(not eps.eps1[i][j].is_zero() for i in rows_d for j in cont_t + cont_r):
+            raise UnsupportedKernel("mixed-class solve")
+        full, rhs = _lifted_system(eps, disc, rows_d, b)
+        res = solve_integer(full, rhs, _factor(full, factored)) if full else [0] * len(disc)
         if res is None:
             return None
         for jj, j in enumerate(disc):
@@ -702,7 +647,7 @@ def solve_hom(eps: LinearFnData, target: Tuple) -> Optional[Tuple]:
         mat = [[int(eps.eps1[i][j].value) for j in cont_t] for i in rows_t]
         rhsv = [b[i] for i in rows_t]
         if mat:
-            res = _solve_circle(mat, rhsv)
+            res = _solve_circle(mat, rhsv, _factor(mat, factored))
             if res is None:
                 return None
             for jj, j in enumerate(cont_t):
@@ -740,9 +685,9 @@ def solve_hom(eps: LinearFnData, target: Tuple) -> Optional[Tuple]:
     return e
 
 
-def _solve_circle(mat: List[List[int]], rhs: List) -> Optional[List]:
-    """Solve M phi = rhs (mod 1) for circle-valued unknowns."""
-    U, S, V = smith_normal_form(mat)
+def _solve_circle(mat: List[List[int]], rhs: List, snf) -> Optional[List]:
+    """Solve M phi = rhs (mod 1) for circle-valued unknowns, given M's Smith form."""
+    U, S, V = snf
     n, m = len(mat), len(mat[0])
     c = []
     for i in range(n):
@@ -765,6 +710,17 @@ def _solve_circle(mat: List[List[int]], rhs: List) -> Optional[List]:
         if not T.eq(_m1(c[t]), 0):
             return None
     return [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
+
+
+def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, KernelPresentation]]:
+    """``solve_hom(eps, target)`` and ``kernel_of_hom(eps)``, or None when
+    there is no solution.  Where the two lift eps to the same integer
+    system, that system is factored once."""
+    factored: dict = {}
+    e = solve_hom(eps, target, factored)
+    if e is None:
+        return None
+    return e, kernel_of_hom(eps, factored)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,18 @@
-"""Every shipped network file must pass oracle verification."""
+"""Every shipped network file must pass oracle verification, and its
+contraction must keep the presentation pinned in data/nets_contract.json.
+
+After a change that alters the presentation on purpose, rewrite the pinned
+file from the repository root with
+
+    PYTHONPATH=src:tests python -c "import json, test_nets_corpus as t; \\
+        json.dump(t.contractions(), open('tests/data/nets_contract.json', 'w'), \\
+        indent=1, sort_keys=True)"
+
+and say why in CHANGES.md.
+"""
 
 import glob
+import json
 import math
 import os
 
@@ -8,10 +20,25 @@ import numpy as np
 import pytest
 
 from qtensor.dense import materialize
+from qtensor.jsonio import qtensor_to_json
 from qtensor.net import parse_file, run_contract, verify_against_dense
 from qtensor.stab import qubit_tableau, stab_state
 
 NETS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "nets", "*.net")))
+PINNED = os.path.join(os.path.dirname(__file__), "data", "nets_contract.json")
+
+
+def contractions() -> dict:
+    """The JSON of each corpus file's group part and its residual Z rank."""
+    out = {}
+    for path in NETS:
+        res = run_contract(parse_file(path))
+        g = res.group_part
+        out[os.path.basename(path)] = {
+            "group_part": None if g is None else json.loads(json.dumps(qtensor_to_json(g))),
+            "residual_z_rank": res.residual_z_rank,
+        }
+    return out
 
 
 def test_corpus_present():
@@ -26,6 +53,16 @@ def test_corpus_verifies(path):
         return  # dense evaluation path has no independent second route here
     ok, dev = verify_against_dense(spec, res)
     assert ok, f"{os.path.basename(path)} deviates by {dev}"
+
+
+def test_corpus_matches_pinned_contractions():
+    with open(PINNED, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    got = contractions()
+    assert sorted(got) == sorted(pinned)
+    for name in got:
+        # compare the serialized text, so an exact 0 and a float 0.0 differ
+        assert json.dumps(got[name], sort_keys=True) == json.dumps(pinned[name], sort_keys=True), name
 
 
 def test_bell_value():

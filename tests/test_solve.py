@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from qtensor import solve
 from qtensor.coeff import HomCoeff, hom_group
 from qtensor.functions import LinearFnData, hom_data
 from qtensor.groups import GroupProduct, R, T, Z, Zk, parse_product
 from qtensor.solve import (
     UnsupportedKernel,
+    _int_inverse,
     integer_kernel,
     kernel_of_hom,
     quotient_by_subgroup,
@@ -56,6 +58,42 @@ def test_integer_kernel_and_solve():
         assert all(sum(A[i][j] * sol[j] for j in range(m)) == b[i] for i in range(n))
 
 
+def test_int_inverse_random():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        # a product of elementary moves: add a multiple of a row, swap, negate
+        for _ in range(rng.randrange(0, 12)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            move = rng.randrange(3)
+            if move == 0 and i != j:
+                c = rng.randrange(-4, 5)
+                U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+            elif move == 1:
+                U[i], U[j] = U[j], U[i]
+            else:
+                U[i] = [-x for x in U[i]]
+        assert matmul(_int_inverse(U), U) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_kernel_factors_each_matrix_once(monkeypatch):
+    # Z4 x Z2 x Z6 x Z2 -> Z2 x Z4 has four column relations; the lifted
+    # system, the generator lattice, the relation matrix and its inverse
+    # are each factored once
+    E, G = parse_product("Z4,Z2,Z6,Z2"), parse_product("Z2,Z4")
+    vals = [[1, 1, 1, 0], [1, 0, 2, 1]]
+    eps = hom_data(E, G, [[HomCoeff(E[j], G[i], vals[i][j]) for j in range(len(E))]
+                          for i in range(len(G))])
+    calls = []
+    snf = solve.smith_normal_form
+    monkeypatch.setattr(solve, "smith_normal_form", lambda A: calls.append(A) or snf(A))
+    pres = kernel_of_hom(eps)
+    assert len(calls) <= 4, len(calls)
+    true_kernel = {e for e in E.enumerate() if G.is_identity(eps(e))}
+    assert {pres.inclusion(r) for r in pres.group.enumerate()} == true_kernel
+
+
 def random_hom(H, E, rng):
     cells = []
     for i in range(len(E)):
@@ -75,12 +113,15 @@ def random_hom(H, E, rng):
 
 
 FINITE_SIGS = ["Z2,Z2", "Z4,Z2", "Z6", "Z3,Z3", "Z8,Z2", "Z2,Z3,Z4", "Z12,Z2"]
+# codomains holding T: a Z_k -> T coupling v / k makes a lifted row with a
+# denominator to scale away
+CIRCLE_SIGS = ["T", "Z4,T", "T,Z2", "T,T"]
 
 
 def test_kernel_finite_exhaustive():
     rng = random.Random(3)
     for sigE in FINITE_SIGS:
-        for sigG in ["Z2", "Z4", "Z2,Z2", "Z6", "Z3"]:
+        for sigG in ["Z2", "Z4", "Z2,Z2", "Z6", "Z3"] + CIRCLE_SIGS:
             E, G = parse_product(sigE), parse_product(sigG)
             for _ in range(4):
                 eps = random_hom(E, G, rng)
@@ -174,12 +215,23 @@ def test_kernel_mixed_row_raises():
 def test_solve_finite():
     rng = random.Random(5)
     for sigE in FINITE_SIGS:
-        for sigG in ["Z2", "Z4", "Z2,Z2", "Z6"]:
+        for sigG in ["Z2", "Z4", "Z2,Z2", "Z6"] + CIRCLE_SIGS:
             E, G = parse_product(sigE), parse_product(sigG)
             eps = random_hom(E, G, rng)
             elems = list(E.enumerate())
             image = {eps(e) for e in elems}
-            for g in G.enumerate():
+            if all(f.kind == "Zk" for f in G):
+                targets = list(G.enumerate())
+            else:
+                # the image and rational points, some with denominators no
+                # coupling has
+                targets = list(image) + [
+                    G.element([rng.randrange(f.k) if f.kind == "Zk" else
+                               Fraction(rng.randrange(1, 24), rng.choice([2, 3, 5, 8, 12]))
+                               for f in G])
+                    for _ in range(12)]
+                assert any(g not in image for g in targets)
+            for g in targets:
                 sol = solve_hom(eps, g)
                 if g in image:
                     assert sol is not None and G.eq(eps(E.element(sol)), g)
