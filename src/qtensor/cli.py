@@ -44,7 +44,7 @@ from .stab import (
 )
 
 INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
-                 NotSymplectic, CocycleMismatch, UnsolvableOffset)
+                 NotSymplectic, CocycleMismatch, UnsolvableOffset, jsonio.NonIntegralValue)
 UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible,
                InfiniteGroupError, DivergentPrefactor)
 

@@ -14,20 +14,22 @@ Fitting coefficients to pointwise values on Z_k is closed-form too: the
 coefficients are read off one or two values and then checked against
 every point, so data that is not quadratic raises instead of fitting.
 
-The coefficient groups (``hom_group``, ``hom2_group``, ``quad_group``)
-depend only on their frozen group arguments and are cached.
+Values follow ``groups``: Z_k and Z coefficients and results are plain
+``int``, T and R ones ``Fraction`` or ``float``.  The coefficient groups
+(``hom_group``, ``hom2_group``, ``quad_group``) depend only on their frozen
+group arguments; they are cached, and each coefficient keeps its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Tuple
 
 from .groups import ElementaryGroup, R, T, Z, Z1, Zk
-from .scalar import Scalar, as_scalar, is_exact, mod1
+from .scalar import Scalar, is_exact, mod1
 
 
 class DomainMismatch(ValueError):
@@ -49,16 +51,6 @@ def _gcd(a: int, b: int) -> int:
 def _half_odd(v: int, k: int) -> int:
     """The unique h/2 in Z_k for odd k (k+1)//2 is the inverse of doubling."""
     return (v * ((k + 1) // 2)) % k
-
-
-def _norm(group: ElementaryGroup, v) -> Scalar:
-    if group.kind == "Zk":
-        return Fraction(int(v) % group.k)
-    if group.kind == "Z":
-        return Fraction(int(v))
-    if group.kind == "T":
-        return mod1(as_scalar(v))
-    return as_scalar(v)
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +79,12 @@ class HomCoeff:
     source: ElementaryGroup
     target: ElementaryGroup
     value: Scalar
+    group: ElementaryGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grp = hom_group(self.source, self.target)
-        object.__setattr__(self, "value", _norm(grp, self.value))
-
-    @property
-    def group(self) -> ElementaryGroup:
-        return hom_group(self.source, self.target)
+        object.__setattr__(self, "group", grp)
+        object.__setattr__(self, "value", grp.normalize(self.value))
 
     def is_zero(self) -> bool:
         return self.group.eq(self.value, 0)
@@ -108,7 +98,9 @@ class HomCoeff:
         return HomCoeff(self.source, self.target, -self.value)
 
 
+@functools.lru_cache(maxsize=None)
 def hom_zero(G: ElementaryGroup, A: ElementaryGroup) -> HomCoeff:
+    """The zero coefficient; frozen, so one object serves every zero cell."""
     return HomCoeff(G, A, 0)
 
 
@@ -118,29 +110,26 @@ def hom_apply(h: HomCoeff, g) -> Scalar:
     g = G.normalize(g)
     if G.kind == "Zk":
         if A.kind == "Zk":
-            d = _gcd(G.k, A.k)
-            return Fraction((A.k // d) * int(v) * int(g) % A.k)
+            return (A.k // _gcd(G.k, A.k)) * v * g % A.k
         if A.kind == "T":
-            return mod1(Fraction(int(v) * int(g), G.k)) if is_exact(g) else mod1(v * g / G.k)
-        return Fraction(0) if A.kind == "Z" else as_scalar(0.0) if A.kind == "R" else 0
+            return Fraction(v * g % G.k, G.k)
+        return A.normalize(0)
     if G.kind == "Z":
         if A.kind == "Zk":
-            return Fraction(int(v) * int(g) % A.k)
-        if A.kind == "Z":
-            return Fraction(int(v) * int(g))
+            return v * g % A.k
         if A.kind == "T":
-            return mod1(v * int(g))
-        return v * int(g)
+            return mod1(v * g)
+        return v * g
     if G.kind == "T":
         if A.kind == "T":
-            return mod1(int(v) * g)
-        return _norm(A, 0)
+            return mod1(v * g)
+        return A.normalize(0)
     # G = R
     if A.kind == "T":
         return mod1(v * g)
     if A.kind == "R":
         return v * g
-    return _norm(A, 0)
+    return A.normalize(0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +147,12 @@ class Hom2Coeff:
     g1: ElementaryGroup
     target: ElementaryGroup
     value: Scalar
+    group: ElementaryGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grp = hom2_group(self.g0, self.g1, self.target)
-        object.__setattr__(self, "value", _norm(grp, self.value))
-
-    @property
-    def group(self) -> ElementaryGroup:
-        return hom2_group(self.g0, self.g1, self.target)
+        object.__setattr__(self, "group", grp)
+        object.__setattr__(self, "value", grp.normalize(self.value))
 
     def is_zero(self) -> bool:
         return self.group.eq(self.value, 0)
@@ -188,6 +175,7 @@ class Hom2Coeff:
         return HomCoeff(self.g0, hom_group(self.g1, self.target), self.value)
 
 
+@functools.lru_cache(maxsize=None)
 def hom2_zero(G0, G1, A) -> Hom2Coeff:
     return Hom2Coeff(G0, G1, A, 0)
 
@@ -240,15 +228,13 @@ class QuadCoeff:
     target: ElementaryGroup
     h2: Scalar
     h1: Scalar
+    groups: Tuple[ElementaryGroup, ElementaryGroup] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g2, g1 = quad_group(self.source, self.target)
-        object.__setattr__(self, "h2", _norm(g2, self.h2))
-        object.__setattr__(self, "h1", _norm(g1, self.h1))
-
-    @property
-    def groups(self) -> Tuple[ElementaryGroup, ElementaryGroup]:
-        return quad_group(self.source, self.target)
+        g2, g1 = grps = quad_group(self.source, self.target)
+        object.__setattr__(self, "groups", grps)
+        object.__setattr__(self, "h2", g2.normalize(self.h2))
+        object.__setattr__(self, "h1", g1.normalize(self.h1))
 
     def is_zero(self) -> bool:
         g2, g1 = self.groups
@@ -261,6 +247,7 @@ class QuadCoeff:
         return QuadCoeff(self.source, self.target, -self.h2, -self.h1)
 
 
+@functools.lru_cache(maxsize=None)
 def quad_zero(G, A) -> QuadCoeff:
     return QuadCoeff(G, A, 0, 0)
 
@@ -289,43 +276,40 @@ def quad_apply(q: QuadCoeff, g) -> Scalar:
         if A.kind == "Zk":
             l, d = A.k, _gcd(k, A.k)
             if k % 2 == 0 and l % 2 == 0:
-                term = Fraction(l, _gcd(k, l // 2)) * Fraction(int(h2)) / 2 * gg * gg
-                term += Fraction(l, d) * int(h1) * (gg - gg * gg)
-                assert term.denominator == 1
-                return Fraction(int(term) % l)
-            half = _half_odd(int(h2), d)
-            return Fraction((l // d) * (half * gg * gg + int(h1) * gg) % l)
+                # l / gcd(k, l/2) is even, so the h2 term is an integer
+                term = (l // 2) // _gcd(k, l // 2) * h2 * gg * gg
+                return (term + (l // d) * h1 * (gg - gg * gg)) % l
+            half = _half_odd(h2, d)
+            return (l // d) * (half * gg * gg + h1 * gg) % l
         if A.kind == "T":
             if k % 2 == 0:
                 v = int(h2) * gg * gg + 2 * int(h1) * (gg - gg * gg)
                 return Fraction(v % (2 * k), 2 * k)
             half = _half_odd(int(h2), k)
             return Fraction((half * gg * gg + int(h1) * gg) % k, k)
-        return _norm(A, 0)
+        return A.normalize(0)
     if G.kind == "Z":
         gg = int(g)
         if A.kind == "Zk":
             l = A.k
             if l % 2 == 0:
-                v = int(h2) * (gg * (gg + 1) // 2) + int(h1) * gg
-                return Fraction(v % l)
-            half = _half_odd(int(h2), l)
-            return Fraction((half * gg * gg + int(h1) * gg) % l)
+                return (h2 * (gg * (gg + 1) // 2) + h1 * gg) % l
+            return (_half_odd(h2, l) * gg * gg + h1 * gg) % l
         if A.kind == "Z":
-            return Fraction(int(h2) * (gg * (gg + 1) // 2) + int(h1) * gg)
+            return h2 * (gg * (gg + 1) // 2) + h1 * gg
         if A.kind == "T":
             return mod1((h2 - h1 / 2) * gg * gg + h1 / 2 * gg)
         return h2 * gg * gg / 2 + h1 * gg  # A = R
     if G.kind == "T":
         if A.kind == "T":
-            return mod1(int(q.h1) * g)
-        return _norm(A, 0)
+            return mod1(h1 * g)
+        return A.normalize(0)
     # G = R
     if A.kind == "T":
         return mod1(h2 * g * g / 2 + h1 * g)
     if A.kind == "R":
         return h2 * g * g / 2 + h1 * g
-    return _norm(A, 0)
+    return A.normalize(0)
 
 
 def quad_to_bilinear(q: QuadCoeff) -> Hom2Coeff:
@@ -422,7 +406,7 @@ def compose(h: HomCoeff, hp: HomCoeff) -> HomCoeff:
     if G0.kind == "Z":
         if G1.kind == "Z":
             # coefficient of hp applied to integer a
-            return HomCoeff(G0, G2, _norm(out_grp, a * b))
+            return HomCoeff(G0, G2, out_grp.normalize(a * b))
         if G1.kind == "Zk":
             k = G1.k
             if G2.kind == "Zk":
@@ -472,7 +456,7 @@ def dual(h: HomCoeff, A: ElementaryGroup = T) -> HomCoeff:
         # sample the dual map at the unit coefficient of hom[G|A]
         v = compose(h, HomCoeff(G, A, 1)).value
         if D1.kind == "Z":
-            return HomCoeff(D1, D2, _norm(D2, v))
+            return HomCoeff(D1, D2, D2.normalize(v))
         d1 = D1.k
         if D2.kind == "Zk":
             d2 = D2.k
@@ -520,15 +504,13 @@ def phi(q: QuadCoeff, gamma: HomCoeff) -> QuadCoeff:
         if H.kind == "Zk":
             m = H.k
             d = _gcd(m, k)
-            scale2 = Fraction(m * k, d * d)
+            scale2 = (m // d) * (k // d)
             scale1 = m // d
             if k % 2 == 0:
                 base = int(h2) - 2 * int(h1)
             else:
                 base = 2 * _half_odd(int(h2), k)
-            t2 = base * int(gv) * int(gv) * scale2
-            assert t2.denominator == 1
-            t2 = int(t2)
+            t2 = base * gv * gv * scale2
             t1 = int(h1) * int(gv) * scale1
             if m % 2 == 0:
                 return QuadCoeff(H, A, t2 + 2 * t1, t1)
@@ -712,35 +694,35 @@ def hom2s_group(G: ElementaryGroup, A: ElementaryGroup) -> ElementaryGroup:
 def hom2s_apply(G: ElementaryGroup, A: ElementaryGroup, b, g0, g1) -> Scalar:
     """Evaluate the symmetric bilinear form with coefficient b."""
     grp = hom2s_group(G, A)
-    b = _norm(grp, b)
+    b = grp.normalize(b)
     if G.kind == "Zk":
         k = G.k
         if A.kind == "Zk":
             l = A.k
             if k % 2 == 0 and l % 2 == 0:
-                return Fraction((l // _gcd(k, l // 2)) * int(b) * int(g0) * int(g1) % l)
-            return Fraction((l // _gcd(k, l)) * int(b) * int(g0) * int(g1) % l)
+                return (l // _gcd(k, l // 2)) * b * int(g0) * int(g1) % l
+            return (l // _gcd(k, l)) * b * int(g0) * int(g1) % l
         if A.kind == "T":
             return mod1(Fraction(int(b) * int(g0) * int(g1), k))
-        return _norm(A, 0)
+        return A.normalize(0)
     if G.kind == "Z":
         if A.kind == "Zk":
-            return Fraction(int(b) * int(g0) * int(g1) % A.k)
+            return b * int(g0) * int(g1) % A.k
         if A.kind == "Z":
-            return Fraction(int(b) * int(g0) * int(g1))
+            return b * int(g0) * int(g1)
         if A.kind == "T":
             return mod1(b * int(g0) * int(g1))
         return b * int(g0) * int(g1)
     if G.kind == "R" and A.kind in ("T", "R"):
         v = b * g0 * g1
         return mod1(v) if A.kind == "T" else v
-    return _norm(A, 0)
+    return A.normalize(0)
 
 
 def standard_quad_value(G: ElementaryGroup, A: ElementaryGroup, b, g) -> Scalar:
     """Q0(b)(g): the chosen standard quadratic refinement of b."""
     grp = hom2s_group(G, A)
-    b = _norm(grp, b)
+    b = grp.normalize(b)
     g = G.normalize(g)
     if G.kind == "Zk":
         k = G.k
@@ -748,32 +730,31 @@ def standard_quad_value(G: ElementaryGroup, A: ElementaryGroup, b, g) -> Scalar:
         if A.kind == "Zk":
             l = A.k
             if k % 2 == 0 and l % 2 == 0:
-                v = Fraction(l, _gcd(k, l // 2)) * Fraction(int(b)) / 2 * gg * gg
-                assert v.denominator == 1
-                return Fraction(int(v) % l)
+                # l / gcd(k, l/2) is even, so the value is an integer
+                return (l // 2) // _gcd(k, l // 2) * b * gg * gg % l
             d = _gcd(k, l)
-            return Fraction((l // d) * _half_odd(int(b), d) * gg * gg % l)
+            return (l // d) * _half_odd(b, d) * gg * gg % l
         if A.kind == "T":
             if k % 2 == 0:
                 return mod1(Fraction(int(b) * gg * gg, 2 * k))
             return mod1(Fraction(_half_odd(int(b), k) * gg * gg, k))
-        return _norm(A, 0)
+        return A.normalize(0)
     if G.kind == "Z":
         gg = int(g)
         if A.kind == "Zk":
             l = A.k
             if l % 2 == 0:
-                return Fraction(int(b) * (gg * (gg + 1) // 2) % l)
-            return Fraction(_half_odd(int(b), l) * gg * gg % l)
+                return b * (gg * (gg + 1) // 2) % l
+            return _half_odd(b, l) * gg * gg % l
         if A.kind == "Z":
-            return Fraction(int(b) * (gg * (gg + 1) // 2))
+            return b * (gg * (gg + 1) // 2)
         if A.kind == "T":
             return mod1(b / 2 * gg * gg)
         return b / 2 * gg * gg
     if G.kind == "R" and A.kind in ("T", "R"):
         v = b * g * g / 2
         return mod1(v) if A.kind == "T" else v
-    return _norm(A, 0)
+    return A.normalize(0)
 
 
 def omega_cocycle(G: ElementaryGroup, A: ElementaryGroup, b, bp) -> Scalar:
@@ -783,18 +764,18 @@ def omega_cocycle(G: ElementaryGroup, A: ElementaryGroup, b, bp) -> Scalar:
     ``hom2s_group(G, A)``.
     """
     grp = hom2s_group(G, A)
-    b, bp = _norm(grp, b), _norm(grp, bp)
+    b, bp = grp.normalize(b), grp.normalize(bp)
     homg = hom_group(G, A)
     if G.kind == "Zk" and G.k % 2 == 0:
         k = G.k
         if A.kind == "Zk" and A.k % 2 == 0:
             d2 = _gcd(k, A.k // 2)
             carry = ((int(b) + int(bp)) % d2 - int(b) - int(bp)) // d2
-            return _norm(homg, (_gcd(k, A.k) // 2) * carry)
+            return homg.normalize((_gcd(k, A.k) // 2) * carry)
         if A.kind == "T":
             carry = ((int(b) + int(bp)) % k - int(b) - int(bp)) // k
-            return _norm(homg, (k // 2) * carry)
+            return homg.normalize((k // 2) * carry)
     if G.kind == "Z" and A.kind == "T":
         carry = mod1(b + bp) - b - bp  # in {0, -1}
         return mod1(Fraction(1, 2) * carry) if is_exact(carry) else mod1(carry / 2)
-    return _norm(homg, 0)
+    return homg.normalize(0)

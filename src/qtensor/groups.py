@@ -3,8 +3,9 @@
 The four elementary kinds are cyclic groups Z_k, the integers Z, the
 circle T = R/Z, and the reals R.  A ``GroupProduct`` is an ordered list
 of elementary factors; elements are stored as tuples with one value per
-factor, normalized so that equality is structural (Z_k values as least
-nonnegative residues, T values reduced mod 1).
+factor, normalized so that equality is structural: Z_k values are least
+nonnegative residues and Z values integers, both plain ``int``; T values
+are reduced mod 1 and, like R values, are ``Fraction`` or ``float``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
 from .scalar import Scalar, as_scalar, mod1, scalar_eq, scalar_eq_mod1
@@ -37,6 +37,11 @@ class ElementaryGroup:
                 raise ValueError("Z_k requires k >= 1")
         elif self.kind not in ("Z", "T", "R"):
             raise ValueError(f"unknown group kind {self.kind!r}")
+        # from ints alone, so that it does not change with the process's string hash seed
+        object.__setattr__(self, "_hash", hash((("Zk", "Z", "T", "R").index(self.kind), self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def finite(self) -> bool:
@@ -50,11 +55,11 @@ class ElementaryGroup:
 
     def normalize(self, v) -> Scalar:
         if self.kind == "Zk":
-            return Fraction(int(v) % self.k)
+            return int(v) % self.k
         if self.kind == "Z":
-            return Fraction(int(v))
+            return int(v)
         if self.kind == "T":
-            return mod1(as_scalar(v))
+            return mod1(v)
         return as_scalar(v)
 
     def neg(self, v) -> Scalar:
@@ -152,7 +157,7 @@ class GroupProduct:
                 raise InfiniteGroup(f"cannot enumerate factor {f}")
         ranges = [range(f.k) for f in self.factors]
         for combo in itertools.product(*ranges):
-            yield tuple(Fraction(v) for v in combo)
+            yield combo
 
     def signature(self) -> str:
         return ",".join(str(f) for f in self.factors)

@@ -1,7 +1,8 @@
 """JSON encodings of the coefficient-level data types.
 
 The exact field layouts are documented in docs/format.md; serialization
-is stable-key-ordered so outputs diff cleanly.
+is stable-key-ordered so outputs diff cleanly.  Z_k and Z values must be
+integers on input; any other value there raises ``NonIntegralValue``.
 """
 
 from __future__ import annotations
@@ -10,13 +11,34 @@ import json
 from fractions import Fraction
 import numpy as np
 
-from .coeff import Hom2Coeff, HomCoeff, QuadCoeff
+from .coeff import Hom2Coeff, HomCoeff, QuadCoeff, hom2_group, hom_group, quad_group
 from .engine import QTensorData
 from .fermion import FermionTensorData
 from .functions import LinearFnData, QuadraticFnData
 from .groups import parse_product
-from .scalar import scalar_from_json, scalar_json
+from .scalar import is_exact, scalar_from_json, scalar_json
 from .stab import CliffordData, StabTableau, dual_factor, dual_product
+
+
+class NonIntegralValue(ValueError):
+    pass
+
+
+def _value(grp, obj):
+    """The value ``obj`` encodes, in the group ``grp``."""
+    v = scalar_from_json(obj)
+    if grp.kind in ("Zk", "Z") and not (is_exact(v) and v == int(v)):
+        raise NonIntegralValue(f"{grp} value {json.dumps(obj)} is not an integer")
+    return v
+
+
+def _hom(src, tgt, obj) -> HomCoeff:
+    return HomCoeff(src, tgt, _value(hom_group(src, tgt), obj))
+
+
+def _quad(src, tgt, pair) -> QuadCoeff:
+    g2, g1 = quad_group(src, tgt)
+    return QuadCoeff(src, tgt, _value(g2, pair[0]), _value(g1, pair[1]))
 
 
 def _cplx(z: complex):
@@ -47,17 +69,14 @@ def quadratic_from_json(obj: dict) -> QuadraticFnData:
         E,
         scalar_from_json(obj.get("a0", 0)),
         scalar_from_json(obj.get("phi0", 0)),
-        [QuadCoeff(E[i], Rg, scalar_from_json(v[0]), scalar_from_json(v[1]))
-         for i, v in enumerate(obj.get("a1", [[0, 0]] * len(E)))],
-        [QuadCoeff(E[i], Tg, scalar_from_json(v[0]), scalar_from_json(v[1]))
-         for i, v in enumerate(obj.get("phi1", [[0, 0]] * len(E)))],
+        [_quad(E[i], Rg, v) for i, v in enumerate(obj.get("a1", [[0, 0]] * len(E)))],
+        [_quad(E[i], Tg, v) for i, v in enumerate(obj.get("phi1", [[0, 0]] * len(E)))],
     )
-    for key, v in obj.get("a2", {}).items():
-        i, j = map(int, key.split(","))
-        q.set_cell("a", i, j, Hom2Coeff(E[i], E[j], Rg, scalar_from_json(v)))
-    for key, v in obj.get("phi2", {}).items():
-        i, j = map(int, key.split(","))
-        q.set_cell("phi", i, j, Hom2Coeff(E[i], E[j], Tg, scalar_from_json(v)))
+    for part, A in (("a", Rg), ("phi", Tg)):
+        for key, v in obj.get(part + "2", {}).items():
+            i, j = map(int, key.split(","))
+            grp = hom2_group(E[i], E[j], A)
+            q.set_cell(part, i, j, Hom2Coeff(E[i], E[j], A, _value(grp, v)))
     return q
 
 
@@ -73,11 +92,10 @@ def linear_to_json(eps: LinearFnData) -> dict:
 def linear_from_json(obj: dict) -> LinearFnData:
     E = parse_product(obj["domain"])
     G = parse_product(obj["codomain"])
-    eps0 = G.element([scalar_from_json(x) for x in obj["eps0"]])
-    cells = [
-        [HomCoeff(E[j], G[i], scalar_from_json(v)) for j, v in enumerate(row)]
-        for i, row in enumerate(obj["eps1"])
-    ]
+    raw = obj["eps0"]  # extra entries pass through for element()'s arity check
+    eps0 = G.element([_value(Gi, x) for Gi, x in zip(G, raw)] + raw[len(G):])
+    cells = [[_hom(E[j], G[i], v) for j, v in enumerate(row)]
+             for i, row in enumerate(obj["eps1"])]
     return LinearFnData(E, G, eps0, cells)
 
 
@@ -144,15 +162,10 @@ def tableau_to_json(tab: StabTableau) -> dict:
 def tableau_from_json(obj: dict) -> StabTableau:
     H = parse_product(obj["H"])
     S = parse_product(obj["S"])
-    sx = [
-        [HomCoeff(S[a], H[i], scalar_from_json(v)) for a, v in enumerate(row)]
-        for i, row in enumerate(obj["sigma_x"])
-    ]
-    sz = [
-        [HomCoeff(S[a], dual_factor(H[i]), scalar_from_json(v))
-         for a, v in enumerate(row)]
-        for i, row in enumerate(obj["sigma_z"])
-    ]
+    sx = [[_hom(S[a], H[i], v) for a, v in enumerate(row)]
+          for i, row in enumerate(obj["sigma_x"])]
+    sz = [[_hom(S[a], dual_factor(H[i]), v) for a, v in enumerate(row)]
+          for i, row in enumerate(obj["sigma_z"])]
     p = quadratic_from_json(obj["p"])
     return StabTableau(H, S, sx, sz, p)
 
@@ -169,10 +182,8 @@ def clifford_to_json(c: CliffordData) -> dict:
 def clifford_from_json(obj: dict) -> CliffordData:
     H = parse_product(obj["H"])
     P = H * dual_product(H)
-    alpha = [
-        [HomCoeff(P[j], P[i], scalar_from_json(v)) for j, v in enumerate(row)]
-        for i, row in enumerate(obj["alpha"])
-    ]
+    alpha = [[_hom(P[j], P[i], v) for j, v in enumerate(row)]
+             for i, row in enumerate(obj["alpha"])]
     return CliffordData(H, alpha, quadratic_from_json(obj["u"]))
 
 

@@ -1,9 +1,10 @@
 """Exact-or-float scalar values.
 
-Scalars are either exact rationals (`fractions.Fraction`, covering all
-integers) or floats.  Arithmetic between exact values stays exact; any
-operation touching a float yields a float.  Values living on the circle
-group are kept reduced to [0, 1).
+Scalars are exact (`int` or `fractions.Fraction`) or floats.  Z_k and Z
+values are plain `int`; T and R values are `Fraction` or `float`.
+Arithmetic between exact values stays exact, except that `int / int` is
+a float, so exact division goes through `Fraction`; any operation touching
+a float yields a float.  Circle values are kept reduced to [0, 1).
 """
 
 from __future__ import annotations
@@ -19,22 +20,25 @@ TOL = 1e-9
 
 
 def as_scalar(x) -> Scalar:
-    if isinstance(x, (Fraction, int)):
-        return x if isinstance(x, Fraction) else Fraction(x)
-    if isinstance(x, float):
+    # int and float first: isinstance against Fraction, an ABC, is slow for other types
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (float, Fraction)):
         return x
     raise TypeError(f"not a scalar: {x!r}")
 
 
 def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (Fraction, int))
+    return isinstance(x, (int, Fraction))
 
 
 def mod1(x: Scalar) -> Scalar:
     """Reduce to the fundamental domain [0, 1) of R/Z."""
-    if isinstance(x, (Fraction, int)):
-        f = Fraction(x)
-        return f - math.floor(f)
+    if isinstance(x, int):
+        return Fraction(0)
+    if not isinstance(x, float) and isinstance(x, Fraction):
+        n, d = x.numerator, x.denominator
+        return x if 0 <= n < d else Fraction(n % d, d)
     r = math.fmod(float(x), 1.0)
     if r < 0.0:
         r += 1.0
@@ -46,14 +50,14 @@ def mod1(x: Scalar) -> Scalar:
 def scalar_eq(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
     """Exact equality for rational pairs, |a-b| <= tol otherwise."""
     if is_exact(a) and is_exact(b):
-        return Fraction(a) == Fraction(b)
+        return a == b
     return abs(float(a) - float(b)) <= tol
 
 
 def scalar_eq_mod1(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
     """Equality on the circle: distance measured mod 1."""
     if is_exact(a) and is_exact(b):
-        return mod1(Fraction(a) - Fraction(b)) == 0
+        return mod1(a - b) == 0
     d = mod1(float(a) - float(b))
     return min(d, 1.0 - d) <= tol
 

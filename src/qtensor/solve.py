@@ -9,7 +9,8 @@ covering R -> R/Z by introducing auxiliary integer unknowns.  Kernel
 shapes outside the supported classes raise UnsupportedKernel.
 
 Each integer system is factored once: one Smith form U A V = S serves
-every kernel vector, solution, lattice basis and inverse read off it, and
+every kernel vector, solution, lattice basis and inverse read off it (U^-1
+is built alongside U), and
 ``solve_with_kernel`` gives a solve and a kernel of the same homomorphism
 one factorization when they lift to the same system.
 """
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from .coeff import HomCoeff, hom_apply, hom_zero
 from .functions import LinearFnData, hom_data
 from .groups import GroupProduct, R, T, Z, Zk
-from .scalar import is_exact
+from .scalar import is_exact, mod1
 
 PIVOT_TOL = 1e-12
 
@@ -38,7 +39,10 @@ class UnsupportedKernel(ValueError):
 
 
 def _eye(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def _matmul(A, B):
@@ -56,17 +60,26 @@ def _matmul(A, B):
     return out
 
 
-def smith_normal_form(A: Sequence[Sequence[int]]):
-    """U @ A @ V = S with U, V unimodular and S in Smith normal form."""
+def smith_normal_form(A: Sequence[Sequence[int]], inverse: bool = False):
+    """U @ A @ V = S with U, V unimodular and S in Smith normal form.
+
+    With ``inverse``, U^-1 comes back as a fourth matrix, built alongside
+    U: a row swap on U swaps the same two columns of U^-1, and
+    row_dst += c row_src on U is col_src -= c col_dst on U^-1.
+    """
     S = [list(map(int, row)) for row in A]
     n = len(S)
     m = len(S[0]) if n else 0
+    r = min(n, m)
     U = _eye(n)
     V = _eye(m)
+    Uinv_t = _eye(n) if inverse else None  # rows are the columns of U^-1
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
+        if inverse:
+            Uinv_t[i], Uinv_t[j] = Uinv_t[j], Uinv_t[i]
 
     def swap_cols(i, j):
         for row in S:
@@ -77,6 +90,8 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     def add_row(src, dst, c):
         S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
         U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+        if inverse:
+            Uinv_t[src] = [x - c * y for x, y in zip(Uinv_t[src], Uinv_t[dst])]
 
     def add_col(src, dst, c):
         for row in S:
@@ -85,13 +100,15 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
             row[dst] += c * row[src]
 
     t = 0
-    while t < min(n, m):
+    while t < r:
         # find pivot of least absolute value
-        piv = None
+        piv, best = None, 0
         for i in range(t, n):
+            row = S[i]
             for j in range(t, m):
-                if S[i][j] != 0 and (piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = row[j]
+                if x and (piv is None or abs(x) < best):
+                    piv, best = (i, j), abs(x)
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -117,10 +134,10 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
                     add_col(t, j, -(S[t][j] // S[t][t]))
         t += 1
     # enforce the divisibility chain
-    for t in range(min(n, m)):
+    for t in range(r):
         if S[t][t] == 0:
             continue
-        for j in range(t + 1, min(n, m)):
+        for j in range(t + 1, r):
             if S[j][j] % S[t][t] != 0:
                 add_col(j, t, 1)
                 # re-run elimination at position t
@@ -142,12 +159,14 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
                         S[t][jj] == 0 for jj in range(t + 1, m)
                     ):
                         break
-    for t in range(min(n, m)):
+    for t in range(r):
         if S[t][t] < 0:
             for row in V:
                 row[t] = -row[t]
             for i in range(n):
                 S[i][t] = -S[i][t]
+    if inverse:
+        return U, S, V, [list(col) for col in zip(*Uinv_t)]
     return U, S, V
 
 
@@ -197,13 +216,6 @@ def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int], snf=None) -> Opt
         if c[t] != 0:
             return None
     return [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
-
-
-def _int_inverse(U):
-    """Inverse of a unimodular integer matrix: U' U V = I gives V U'."""
-    Up, S, V = smith_normal_form(U)
-    assert all(abs(S[i][i]) == 1 for i in range(len(U))), "matrix is not unimodular"
-    return _matmul(V, Up)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +508,9 @@ def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, 
             assert U[q][jj] * k % S[q][q] == 0, "column relations must lie in the solution lattice"
             M[q][t] = U[q][jj] * k // S[q][q]
     if rels:
-        U, S, V = smith_normal_form(M)
+        _, S, _, Uinv = smith_normal_form(M, inverse=True)
         # new basis B' = B U^{-1}: columns are generators of L with orders S
-        Bprime = _matmul(Bmat, _int_inverse(U))
+        Bprime = _matmul(Bmat, Uinv)
         orders = [S[t][t] if t < len(rels) else 0 for t in range(rank)]
     else:
         Bprime = Bmat
@@ -696,18 +708,16 @@ def _solve_circle(mat: List[List[int]], rhs: List, snf) -> Optional[List]:
             acc = acc + U[i][j] * rhs[j]
         c.append(acc)
     y = [Fraction(0)] * m
-    from .scalar import mod1 as _m1
-
     for t in range(m):
         s = S[t][t] if t < min(n, m) else 0
         if t < n:
             if s == 0:
-                if not T.eq(_m1(c[t]), 0):
+                if not T.eq(mod1(c[t]), 0):
                     return None
             else:
-                y[t] = c[t] / s if is_exact(c[t]) else float(c[t]) / s
+                y[t] = Fraction(c[t], s) if is_exact(c[t]) else float(c[t]) / s
     for t in range(min(n, m), n):
-        if not T.eq(_m1(c[t]), 0):
+        if not T.eq(mod1(c[t]), 0):
             return None
     return [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
 
@@ -758,24 +768,18 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
             v = [0] * m
             v[jj] = S[j].k
             gens.append(v)
-    if not gens:
-        gens = []
-    M = [[g[i] for g in gens] for i in range(m)] if gens else [[0] * 0 for _ in range(m)]
     if gens:
-        U, Smat, V = smith_normal_form(M)
-        Uinv = _int_inverse(U)
+        U, Smat, _, Uinv = smith_normal_form([[g[i] for g in gens] for i in range(m)], inverse=True)
         orders = [Smat[t][t] if t < len(gens) else 0 for t in range(m)]
     else:
-        Uinv = _eye(m)
+        U = Uinv = _eye(m)
         orders = [0] * m
     factors = []
     lifts = []
-    keep = []
     for t in range(m):
         o = orders[t]
         if o == 1:
             continue
-        keep.append(t)
         factors.append(Zk(o) if o else Z)
         full = [0] * len(S)
         for jj, j in enumerate(disc):
@@ -783,28 +787,22 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
         lifts.append(full)
     # untouched continuous factors pass through
     for j in cont_t + cont_r:
-        keep.append(None)
         factors.append(S[j])
         full = [0] * len(S)
         full[j] = 1
         lifts.append(full)
     Q = GroupProduct(factors)
 
-    disc_index = {j: jj for jj, j in enumerate(disc)}
-    U_loc = U if gens else _eye(m)
-
     def project(s):
         out = []
-        ti = 0
         for t in range(m):
             o = orders[t]
             if o == 1:
                 continue
             acc = 0
             for jj, j in enumerate(disc):
-                acc += U_loc[t][jj] * int(s[j])
+                acc += U[t][jj] * int(s[j])
             out.append(acc)
-            ti += 1
         for j in cont_t + cont_r:
             out.append(s[j])
         return Q.element(out)

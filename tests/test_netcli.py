@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -223,10 +224,14 @@ def test_inline_json_node(tmp_path):
     assert np.max(np.abs(U - fermion_matrix(t, 2))) < 1e-12
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "qtensor.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -292,6 +297,32 @@ def test_cli_usage_errors(tmp_path):
         r = run_cli("clifford", "compose", *specs)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:")
+
+
+def _z4_node_net(eps0, cell) -> str:
+    """One inline node on a Z4 wire with E = Z4, eps = eps0 + cell * e."""
+    payload = {"type": "qtensor", "G": "Z4", "E": "Z4", "zero": False, "div_weight": 0,
+               "eps": {"domain": "Z4", "codomain": "Z4", "eps0": [eps0], "eps1": [[cell]]},
+               "q": {"domain": "Z4"}}
+    return f"wire w: Z4\nnode n = json {json.dumps(payload)} (w)\nopen w\n"
+
+
+@pytest.mark.parametrize("eps0, cell", [
+    (0, 2),  # integral control
+    (0, {"num": 5, "den": 2}),
+    (0, 2.5),
+    ({"num": 1, "den": 3}, 1),
+])
+def test_cli_rejects_non_integral_discrete_values(tmp_path, eps0, cell):
+    net = tmp_path / "z4.net"
+    net.write_text(_z4_node_net(eps0, cell))
+    r = run_cli("contract", str(net))
+    if (eps0, cell) == (0, 2):
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["group"]["eps"]["eps1"] == [[2]]
+    else:
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr.startswith("error:") and "not an integer" in r.stderr
 
 
 def test_cli_contract_dense_beside_fermions(tmp_path):
