@@ -16,7 +16,7 @@ import numpy as np
 from . import jsonio
 from .dense import DivergentPrefactor, InfiniteGroupError, materialize
 from .engine import NotIntegrable, NotInvertible
-from .fermion import FermionTensorData, fermion_entry
+from .fermion import FermionTensorData, NontrivialEmbedding, SingularBlock, fermion_entry
 from .groups import parse_product
 from .net import (
     ContractionResult,
@@ -46,7 +46,7 @@ from .stab import (
 INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
                  NotSymplectic, CocycleMismatch, UnsolvableOffset, jsonio.NonIntegralValue)
 UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible,
-               InfiniteGroupError, DivergentPrefactor)
+               InfiniteGroupError, DivergentPrefactor, SingularBlock, NontrivialEmbedding)
 
 
 def _print_result(res: ContractionResult, as_dense: bool) -> None:

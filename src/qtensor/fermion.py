@@ -7,6 +7,12 @@ Contraction over mode pairs is a Schur complement on the antisymmetric
 matrix; the scalar factor of the contraction is the Pfaffian of the
 inverted block, with the sign fixed empirically against dense graded
 contraction (the identity-law case) and asserted in the tests.
+
+The tensor product, mode permutation and contraction work on tensors with
+trivial embedding (l = 0, eps1 the identity) only; any other input raises
+`NontrivialEmbedding`.  A network is contracted by absorbing its nodes one
+at a time (`net._contract_fermi`), so each Schur complement inverts a
+block over the modes joined by that step only.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ class SingularBlock(ValueError):
 
 class TooLarge(ValueError):
     pass
+
+
+class NontrivialEmbedding(ValueError):
+    """An operation that needs l = 0 and eps1 = I was given other data."""
 
 
 def pfaffian(M: np.ndarray, tol: float = 1e-12) -> complex:
@@ -106,9 +116,19 @@ class FermionTensorData:
         return self.n - 2 * self.l
 
     def has_trivial_embedding(self) -> bool:
-        return self.l == 0 and self.eps1.shape[0] == self.eps1.shape[1] and np.allclose(
-            self.eps1, np.eye(self.n)
-        )
+        # np.allclose(eps1, I) written out, |eps1 - I| <= 1e-8 + 1e-5 |I| per
+        # entry (NaN and inf fail), without its per-call dispatch cost
+        if self.l != 0 or self.eps1.shape != (self.n, self.n):
+            return False
+        eye = np.eye(self.n)
+        return bool((np.abs(self.eps1 - eye) <= 1e-8 + 1e-5 * eye).all())
+
+
+def _require_trivial(*ts: FermionTensorData) -> None:
+    for t in ts:
+        if not t.has_trivial_embedding():
+            raise NontrivialEmbedding(
+                f"fermion tensor with l = {t.l} or eps1 != I is not supported here")
 
 
 def fermion_entry(t: FermionTensorData, x: Sequence[int]) -> complex:
@@ -164,7 +184,7 @@ def beam_splitter(theta: float) -> FermionTensorData:
 
 
 def fermion_tensor_product(a: FermionTensorData, b: FermionTensorData) -> FermionTensorData:
-    assert a.has_trivial_embedding() and b.has_trivial_embedding()
+    _require_trivial(a, b)
     n = a.n + b.n
     q2 = np.zeros((n, n), dtype=complex)
     q2[: a.n, : a.n] = a.q2
@@ -176,8 +196,8 @@ def permute_modes(t: FermionTensorData, perm: Sequence[int]) -> FermionTensorDat
     """Reorder modes; for antisymmetric-matrix tensors this is just a
     simultaneous row/column permutation (the Pfaffian sign bookkeeping
     matches the fermionic reordering signs)."""
-    assert t.has_trivial_embedding()
-    P = np.asarray(perm)
+    _require_trivial(t)
+    P = np.asarray(perm, dtype=np.intp)
     q2 = t.q2[np.ix_(P, P)]
     return FermionTensorData(t.n, 0, np.eye(t.n), q2, t.q0)
 
@@ -188,24 +208,24 @@ def fermion_contract(t: FermionTensorData, c: int) -> FermionTensorData:
     The tensor must have trivial embedding over n + c + c modes; mode
     n + j is contracted with mode n + c + j.  Raises SingularBlock when
     the inverted block is singular (the result would need a nontrivial
-    embedding, which is out of scope).
+    embedding, which is out of scope).  The Pfaffian and the inverse are
+    of the 2c x 2c block only; the update of the n other modes is O(n^2 c).
     """
-    assert t.has_trivial_embedding()
+    _require_trivial(t)
     n = t.n - 2 * c
     assert n >= 0
     a = t.q2[:n, :n]
-    b = t.q2[:n, n:n + c]
-    cc = t.q2[:n, n + c:]
-    d = t.q2[n:n + c, n:n + c]
-    e = t.q2[n:n + c, n + c:]
-    f = t.q2[n + c:, n + c:]
-    K = np.block([[d, e + np.eye(c)], [-(e + np.eye(c)).T, f]])
+    bc = t.q2[:n, n:]
+    eI = t.q2[n:n + c, n + c:] + np.eye(c)
+    K = np.empty((2 * c, 2 * c), dtype=complex)
+    K[:c, :c] = t.q2[n:n + c, n:n + c]
+    K[:c, c:] = eI
+    K[c:, :c] = -eI.T
+    K[c:, c:] = t.q2[n + c:, n + c:]
     pf = pfaffian(K)
     if abs(pf) < 1e-12:
         raise SingularBlock("contraction block is singular")
-    Kinv = np.linalg.inv(K)
-    bc = np.hstack([b, cc])
-    q2_new = a - bc @ Kinv @ np.hstack([-b, -cc]).T
+    q2_new = a + bc @ np.linalg.inv(K) @ bc.T
     q2_new = (q2_new - q2_new.T) / 2  # clean numerical asymmetry
     # scalar fixed against dense graded contraction (identity case) and
     # asserted on random instances in the tests

@@ -504,29 +504,31 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> QTensorData:
 
 
 def _contract_fermi(spec: NetworkSpec, nodes: List[Node]) -> FermionTensorData:
-    big = nodes[0].payload
-    legs = [(nodes[0].name, w) for w in nodes[0].legs]
-    for node in nodes[1:]:
-        big = fermion_tensor_product(big, node.payload)
-        legs += [(node.name, w) for w in node.legs]
-    users = spec.wire_users()
-    pair_wires = [w for w, us in users.items() if len(us) == 2
-                  and all(isinstance(spec.nodes[ni].payload, FermionTensorData)
-                          for ni, _ in us)]
-    open_pos = [i for i, (_, w) in enumerate(legs) if w not in pair_wires]
-    upos = [min(i for i, (_, lw) in enumerate(legs) if lw == w) for w in pair_wires]
-    vpos = [max(i for i, (_, lw) in enumerate(legs) if lw == w) for w in pair_wires]
-    perm = open_pos + upos + vpos
-    big = permute_modes(big, perm)
-    if pair_wires:
-        big = fermion_contract(big, len(pair_wires))
+    """Absorb the fermion nodes one at a time, in declaration order.
+
+    Each step takes the tensor product with the next node, then contracts
+    every wire whose two ends are now both held (a self-loop included) with
+    one Schur complement.  A wire's first-declared end is its outgoing one
+    (u), the second its ingoing one (v), as in the dense oracle.  The held
+    tensor keeps only the open modes seen so far and the frontier.
+    """
+    big = None
+    legs: List[str] = []
+    for node in nodes:
+        big = node.payload if big is None else fermion_tensor_product(big, node.payload)
+        legs += node.legs
+        joined = [w for w in dict.fromkeys(node.legs) if legs.count(w) == 2]
+        if joined:
+            keep = [i for i, w in enumerate(legs) if w not in joined]
+            upos = [legs.index(w) for w in joined]
+            vpos = [len(legs) - 1 - legs[::-1].index(w) for w in joined]
+            big = fermion_contract(permute_modes(big, keep + upos + vpos), len(joined))
+            legs = [legs[i] for i in keep]
     # order the open modes per the open clause
-    opens = [legs[i][1] for i in open_pos]
-    want = [w for w in spec.open_wires() if w in opens]
-    if want and want != opens:
-        perm2 = [opens.index(w) for w in want]
-        big = permute_modes(big, perm2)
-    return big
+    return permute_modes(big, [legs.index(w) for w in spec.open_wires() if w in legs])
+
+
+DENSE_LIMIT = 2 ** 22
 
 
 def _dense_evaluate(spec: NetworkSpec, nodes: List[Node]) -> DenseTensor:
@@ -540,7 +542,7 @@ def _dense_evaluate(spec: NetworkSpec, nodes: List[Node]) -> DenseTensor:
         else:
             raise NetTypeError("fermionic nodes cannot join a dense evaluation")
         total *= int(np.prod(denses[-1].dims, initial=1))
-        if total > 2 ** 22:
+        if total > DENSE_LIMIT:
             raise NetTypeError("dense evaluation would exceed the size limit")
     pairs, open_order = _dense_wiring(spec, nodes)
     return dense_contract(denses, pairs, open_order)
@@ -580,6 +582,8 @@ def verify_against_dense(spec: NetworkSpec, result: ContractionResult,
         ok = ok and dev <= tol
     if result.fermion_part is not None:
         fermi_nodes = [n for n in spec.nodes if isinstance(n.payload, FermionTensorData)]
+        if 2 ** sum(node.payload.n for node in fermi_nodes) > DENSE_LIMIT:
+            raise NetTypeError("dense evaluation would exceed the size limit")
         denses = [fermion_dense(node.payload, [False] * node.payload.n)
                   for node in fermi_nodes]
         pairs, open_order = _dense_wiring(spec, fermi_nodes)

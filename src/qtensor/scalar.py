@@ -29,7 +29,12 @@ def as_scalar(x) -> Scalar:
 
 
 def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction))
+    # int and float first, as in as_scalar: isinstance against Fraction goes through ABCMeta
+    if isinstance(x, int):
+        return True
+    if isinstance(x, float):
+        return False
+    return isinstance(x, Fraction)
 
 
 def mod1(x: Scalar) -> Scalar:

@@ -91,3 +91,12 @@ def test_values_are_exact_by_type(name, t):
             assert type(v) is int, (what, grp, v)
         elif grp.kind == "T":
             assert type(v) is Fraction, (what, v)
+
+
+@pytest.mark.parametrize("x", [0, 7, -3, True, False, Fraction(1, 3), Fraction(4),
+                               0.5, -2.0, float("nan"), np.float64(0.25), np.float32(1.0),
+                               np.int64(3), np.int32(-1), 1j])
+def test_is_exact_is_the_type_test(x):
+    from qtensor.scalar import is_exact
+
+    assert is_exact(x) == isinstance(x, (int, Fraction))

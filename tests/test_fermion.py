@@ -1,6 +1,6 @@
 """Fermionic tensors: Pfaffian oracle, worked example tables, beam
-splitters, and Schur-complement contraction against the dense graded
-oracle."""
+splitters, Schur-complement contraction against the dense graded
+oracle, and whole networks through `run_contract`."""
 
 import cmath
 import math
@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from qtensor.dense import DenseTensor, dense_contract, self_contract_dense, tensor_product_dense
+from qtensor import net
 from qtensor.fermion import (
     FermionTensorData,
+    NontrivialEmbedding,
     NotAntisymmetric,
     SingularBlock,
     beam_splitter,
@@ -25,6 +27,7 @@ from qtensor.fermion import (
     pfaffian,
     pfaffian_cofactor,
 )
+from qtensor.net import NetTypeError, NetworkSpec, Node, parse, run_contract, verify_against_dense
 
 
 def random_antisym(n, rng):
@@ -223,3 +226,240 @@ def test_graded_sign_order_independence():
         a = self_contract_dense(self_contract_dense(d, 2, 4), 2, 3)
         b = self_contract_dense(self_contract_dense(d, 3, 5), 2, 3)
         assert np.max(np.abs(a.arr - b.arr)) < 1e-10
+
+
+def test_trivial_embedding_check_matches_allclose():
+    rng = np.random.default_rng(29)
+    for n in (0, 1, 3, 6):
+        for dev in (0.0, 5e-9, 2e-8, 9e-6, 2e-5, np.nan, np.inf):
+            for i, j in [(0, 0), (0, n - 1), (n - 1, 0)] if n else [(None, None)]:
+                eps = np.eye(n, dtype=complex) + 1e-9 * rng.uniform(-1, 1, (n, n))
+                if i is not None:
+                    eps[i, j] += dev * (1 if rng.uniform() < 0.5 else 1j)
+                t = FermionTensorData(n, 0, eps, np.zeros((n, n)), 1.0)
+                assert t.has_trivial_embedding() == np.allclose(eps, np.eye(n)), (n, dev, i, j)
+    paired = FermionTensorData(2, 1, np.zeros((2, 0)), np.zeros((0, 0)), 1.0)
+    assert not paired.has_trivial_embedding()
+
+
+def test_nontrivial_embedding_raises_a_named_error():
+    paired = FermionTensorData(2, 1, np.zeros((2, 0)), np.zeros((0, 0)), 1.0)
+    bs = beam_splitter(0.3)
+    with pytest.raises(NontrivialEmbedding):
+        fermion_tensor_product(bs, paired)
+    with pytest.raises(NontrivialEmbedding):
+        permute_modes(paired, [1, 0])
+    with pytest.raises(NontrivialEmbedding):
+        fermion_contract(paired, 1)
+    assert issubclass(NontrivialEmbedding, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# networks
+
+
+def one_shot_contract(spec: NetworkSpec) -> FermionTensorData:
+    """Oracle: the product of every fermion node, one Schur complement over
+    all joined pairs (first-declared end outgoing), then the open order."""
+    nodes = [nd for nd in spec.nodes if isinstance(nd.payload, FermionTensorData)]
+    big = nodes[0].payload
+    legs = list(nodes[0].legs)
+    for nd in nodes[1:]:
+        big = fermion_tensor_product(big, nd.payload)
+        legs += nd.legs
+    pairs = [w for w in dict.fromkeys(legs) if legs.count(w) == 2]
+    opens = [w for w in legs if w not in pairs]
+    perm = ([legs.index(w) for w in opens] + [legs.index(w) for w in pairs]
+            + [len(legs) - 1 - legs[::-1].index(w) for w in pairs])
+    big = permute_modes(big, perm)
+    if pairs:
+        big = fermion_contract(big, len(pairs))
+    return permute_modes(big, [opens.index(w) for w in spec.open_wires() if w in opens])
+
+
+def random_fermion_net(rng: random.Random, kind: str) -> NetworkSpec:
+    """2-4 random antisymmetric nodes of 2-4 modes, at most 6 open modes.
+
+    ``kind`` "self_loop" joins two legs of node 0, "split" pairs legs only
+    within two halves of the nodes (two components), "shuffled" declares
+    the nodes in a random order."""
+    sizes = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+    slots = [(ni, li) for ni, m in enumerate(sizes) for li in range(m)]
+    legs = [[None] * m for m in sizes]
+    spec = NetworkSpec()
+
+    def join(a, b):
+        w = f"w{len(spec.wires)}"
+        spec.wires[w] = "F"
+        legs[a[0]][a[1]] = legs[b[0]][b[1]] = w
+
+    if kind == "self_loop":
+        join((0, 0), (0, sizes[0] - 1))
+    groups = [slots]
+    if kind == "split":
+        cut = len(sizes) // 2
+        groups = [[s for s in slots if s[0] < cut], [s for s in slots if s[0] >= cut]]
+    for group in groups:
+        free = [s for s in group if legs[s[0]][s[1]] is None]
+        rng.shuffle(free)
+        keep_open = min(len(free), rng.randint(0, 3))
+        while len(free) - keep_open >= 2:
+            join(free.pop(), free.pop())
+    opens = []
+    for ni, m in enumerate(sizes):
+        for li in range(m):
+            if legs[ni][li] is None:
+                w = f"o{len(opens)}"
+                spec.wires[w] = "F"
+                legs[ni][li] = w
+                opens.append(w)
+    rng.shuffle(opens)
+    spec.open_order = opens
+    for ni, m in enumerate(sizes):
+        q0 = complex(rng.uniform(0.5, 1.5), rng.uniform(-1, 1))
+        t = FermionTensorData(m, 0, np.eye(m), random_antisym(m, rng), q0)
+        spec.nodes.append(Node(f"n{ni}", t, legs[ni]))
+    if kind == "shuffled":
+        rng.shuffle(spec.nodes)
+    spec.validate()
+    return spec
+
+
+def _contract_or_singular(fn, spec):
+    try:
+        return fn(spec)
+    except SingularBlock:
+        return None
+
+
+@pytest.mark.parametrize("kind", ["random", "self_loop", "split", "shuffled"])
+def test_networks_agree_with_dense_and_one_shot(kind):
+    rng = random.Random({"random": 31, "self_loop": 37, "split": 41, "shuffled": 43}[kind])
+    singular = 0
+    for _ in range(15):
+        spec = random_fermion_net(rng, kind)
+        got = _contract_or_singular(lambda s: run_contract(s).fermion_part, spec)
+        want = _contract_or_singular(one_shot_contract, spec)
+        # both routes raise SingularBlock, or neither does
+        assert (got is None) == (want is None)
+        if got is None:
+            singular += 1
+            continue
+        assert got.n == want.n
+        assert np.max(np.abs(got.q2 - want.q2), initial=0.0) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(want.q2), initial=0.0)))
+        assert abs(got.q0 - want.q0) <= 1e-12 * max(1.0, abs(want.q0))
+        ok, dev = verify_against_dense(spec, run_contract(spec))
+        assert ok, dev
+    assert singular == 0
+
+
+def test_singular_self_loop_raises_on_both_routes():
+    spec = parse("wire a: F\nwire b: F\nwire c: F\n"
+                 "node u = fbs(3.141592653589793)(a, b, a, c)\nopen b, c\n")
+    with pytest.raises(SingularBlock):
+        run_contract(spec)
+    with pytest.raises(SingularBlock):
+        one_shot_contract(spec)
+
+
+def test_closed_ring_is_a_scalar():
+    spec = parse("wire a: F\nwire b: F\nwire c: F\nwire d: F\n"
+                 "node u = fbs(0.3)(a, b, c, d)\nnode v = fbs(0.5)(c, d, a, b)\n")
+    got = run_contract(spec).fermion_part
+    want = one_shot_contract(spec)
+    assert got.n == 0 and abs(got.q0 - want.q0) < 1e-12
+    ok, dev = verify_against_dense(spec, run_contract(spec))
+    assert ok, dev
+
+
+def brickwork_net(n: int, depth: int, rng: random.Random):
+    """``depth`` layers of beam splitters on (i, i + 1), alternating
+    offsets; open modes are the n inputs, then the n outputs."""
+    ver = [0] * n
+    lines = [f"wire f{i}_0: F" for i in range(n)]
+    gates = []
+    for layer in range(depth):
+        for i in range(layer % 2, n - 1, 2):
+            theta = rng.uniform(-math.pi, math.pi)
+            ins = [f"f{i}_{ver[i]}", f"f{i + 1}_{ver[i + 1]}"]
+            ver[i] += 1
+            ver[i + 1] += 1
+            outs = [f"f{i}_{ver[i]}", f"f{i + 1}_{ver[i + 1]}"]
+            lines += [f"wire {w}: F" for w in outs]
+            lines.append(f"node b{len(gates)} = fbs({theta!r})({', '.join(ins + outs)})")
+            gates.append((i, theta))
+    lines.append("open " + ", ".join([f"f{i}_0" for i in range(n)]
+                                     + [f"f{i}_{ver[i]}" for i in range(n)]))
+    return "\n".join(lines) + "\n", gates
+
+
+def test_brickwork_is_the_product_of_mode_rotations():
+    n = 8
+    text, gates = brickwork_net(n, n, random.Random(47))
+    t = run_contract(parse(text)).fermion_part
+    want = np.eye(n, dtype=complex)
+    for i, theta in gates:
+        g = np.eye(n, dtype=complex)
+        g[i:i + 2, i:i + 2] = [[math.cos(theta), 1j * math.sin(theta)],
+                               [1j * math.sin(theta), math.cos(theta)]]
+        want = g @ want
+    assert t.n == 2 * n
+    assert abs(fermion_entry(t, [0] * (2 * n)) - 1) < 1e-12
+    got = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            x = [0] * (2 * n)
+            x[j] = x[n + k] = 1
+            got[k, j] = fermion_entry(t, x)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_shuffled_brickwork_matches_one_shot():
+    rng = random.Random(53)
+    for n in (4, 6):
+        text, _ = brickwork_net(n, n, rng)
+        spec = parse(text)
+        rng.shuffle(spec.nodes)
+        got = run_contract(spec).fermion_part
+        want = one_shot_contract(spec)
+        assert np.max(np.abs(got.q2 - want.q2)) < 1e-12
+        assert abs(got.q0 - want.q0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_brickwork_steps_stay_on_the_frontier(n, monkeypatch):
+    seen = []
+
+    def spy(t, c):
+        seen.append(t.n)
+        return fermion_contract(t, c)
+
+    monkeypatch.setattr(net, "fermion_contract", spy)
+    text, gates = brickwork_net(n, n, random.Random(59))
+    run_contract(parse(text))
+    assert seen and max(seen) <= 2 * n + 4, max(seen)
+
+
+def test_dense_oracle_refuses_oversized_fermion_networks(monkeypatch):
+    text, _ = brickwork_net(6, 6, random.Random(61))  # 15 nodes, 60 modes
+    spec = parse(text)
+    res = run_contract(spec)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense tensor built past the size limit")
+
+    monkeypatch.setattr(net, "fermion_dense", no_dense)
+    with pytest.raises(NetTypeError, match="size limit"):
+        verify_against_dense(spec, res)
+
+
+def test_nontrivial_embedding_in_a_network():
+    paired = FermionTensorData(2, 1, np.zeros((2, 0)), np.zeros((0, 0)), 1.0)
+    one = NetworkSpec({"a": "F", "b": "F"}, [Node("p", paired, ["a", "b"])])
+    two = NetworkSpec({"a": "F", "b": "F", "c": "F", "d": "F"},
+                      [Node("u", beam_splitter(0.3), ["a", "b", "c", "d"]),
+                       Node("p", paired, ["c", "d"])])
+    for spec in (one, two):
+        with pytest.raises(NontrivialEmbedding):
+            run_contract(spec)

@@ -364,3 +364,39 @@ def test_residual_z_rank_does_not_depend_on_order(tmp_path):
         r = run_cli("contract", str(net), "--order", order)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["residual_z_rank"] == 1, order
+
+
+def _self_loop_net(theta: float) -> str:
+    """One beam splitter whose mode 0 input feeds its own mode 0 output."""
+    return ("wire a: F\nwire b: F\nwire c: F\n"
+            f"node u = fbs({theta!r})(a, b, a, c)\nopen b, c\n")
+
+
+def test_cli_singular_fermion_contraction_is_unsupported(tmp_path):
+    net = tmp_path / "loop.net"
+    net.write_text(_self_loop_net(0.3))
+    r = run_cli("contract", str(net))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["fermion"]["n"] == 2
+    # at theta = pi the joined block [[0, 1 + cos(theta)], ...] vanishes
+    net.write_text(_self_loop_net(math.pi))
+    r = run_cli("contract", str(net))
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert r.stderr.startswith("unsupported case:") and "Traceback" not in r.stderr
+
+
+_PAIRED = json.dumps({"type": "fermion", "n": 2, "l": 1, "eps1": [[], []], "q2": [],
+                      "q0": [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("text", [
+    f"wire a: F\nwire b: F\nnode p = json {_PAIRED} (a, b)\nopen a, b\n",
+    "wire a: F\nwire b: F\nwire c: F\nwire d: F\n"
+    f"node u = fbs(0.3)(a, b, c, d)\nnode p = json {_PAIRED} (c, d)\nopen a, b\n",
+])
+def test_cli_fermion_node_with_pairs_is_unsupported(tmp_path, text):
+    net = tmp_path / "paired.net"
+    net.write_text(text)
+    r = run_cli("contract", str(net))
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert r.stderr.startswith("unsupported case:") and "Traceback" not in r.stderr
