@@ -436,7 +436,7 @@ def test_brickwork_steps_stay_on_the_frontier(n, monkeypatch):
         return fermion_contract(t, c)
 
     monkeypatch.setattr(net, "fermion_contract", spy)
-    text, gates = brickwork_net(n, n, random.Random(59))
+    text, _ = brickwork_net(n, n, random.Random(59))
     run_contract(parse(text))
     assert seen and max(seen) <= 2 * n + 4, max(seen)
 
