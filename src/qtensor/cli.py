@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or invalid
-network, tableau or Clifford data, 3 unsupported case (kernel class or
-divergent data).
+network, tableau or Clifford data, 3 unsupported case (kernel class,
+divergent data, or a dense evaluation past its size limit).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .dense import DivergentPrefactor, InfiniteGroupError, materialize
+from .dense import DivergentPrefactor, InfiniteGroupError, TooLargeError, materialize
 from .engine import NotIntegrable, NotInvertible
 from .fermion import FermionTensorData, NontrivialEmbedding, SingularBlock, fermion_entry
 from .groups import parse_product
@@ -45,8 +45,8 @@ from .stab import (
 
 INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
                  NotSymplectic, CocycleMismatch, UnsolvableOffset, jsonio.NonIntegralValue)
-UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible,
-               InfiniteGroupError, DivergentPrefactor, SingularBlock, NontrivialEmbedding)
+UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible, InfiniteGroupError,
+               TooLargeError, DivergentPrefactor, SingularBlock, NontrivialEmbedding)
 
 
 def _print_result(res: ContractionResult, as_dense: bool) -> None:

@@ -10,7 +10,11 @@ elementary abelian group (or a product of two), and each function is
 stored as one coefficient value in that group.  All operations below are
 closed-form table lookups with explicit even/odd branching for cyclic
 groups; exhaustive pointwise verification lives in the test suite.
-Fitting coefficients to pointwise values on Z_k is closed-form too: the
+A homomorphism out of Z_k or Z is read off the image of 1 by one
+function, ``hom_from_image``, which raises when the value is no such
+image; fitting, duals, the linear part of a quadratic coefficient and the
+engine's and solver's generator reads all go through it.  Fitting
+quadratic coefficients to pointwise values on Z_k is closed-form too: the
 coefficients are read off one or two values and then checked against
 every point, so data that is not quadratic raises instead of fitting.
 
@@ -130,6 +134,30 @@ def hom_apply(h: HomCoeff, g) -> Scalar:
     if A.kind == "R":
         return v * g
     return A.normalize(0)
+
+
+def hom_from_image(G: ElementaryGroup, A: ElementaryGroup, v) -> HomCoeff:
+    """The coefficient of the homomorphism G -> A (G = Z_k or Z) sending 1
+    to v.  Raises ``ValueError`` when no homomorphism does: v = 1 for
+    Z_4 -> Z_6, v = 1/2 for Z_3 -> T, any nonzero v into Z or R from Z_k.
+    """
+    if G.kind == "Z":
+        return HomCoeff(G, A, v)
+    if G.kind != "Zk":
+        raise DomainMismatch(f"{G} is not generated by 1")
+    if A.kind == "Zk":
+        # hom[Z_k|Z_l] = Z_d sends 1 to (l/d) c
+        c, r = divmod(int(v) % A.k, A.k // _gcd(G.k, A.k))
+        ok = r == 0
+    elif A.kind == "T":
+        # hom[Z_k|T] = Z_k sends 1 to c/k
+        f = Fraction(v) * G.k
+        c, ok = f.numerator, f.denominator == 1
+    else:  # hom[Z_k|Z] and hom[Z_k|R] are trivial
+        c, ok = 0, A.eq(v, 0)
+    if not ok:
+        raise ValueError(f"{v} is not the image of 1 under a homomorphism {G} -> {A}")
+    return HomCoeff(G, A, c)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +400,8 @@ def quad_as_hom(q: QuadCoeff) -> HomCoeff:
     G, A = q.source, q.target
     if not quad_to_bilinear(q).is_zero():
         raise ValueError("quadratic coefficient is not linear")
-    if G.kind == "Zk":
-        val = quad_apply(q, 1)
-        if A.kind == "T":
-            f = Fraction(val) * G.k
-            assert f.denominator == 1
-            return HomCoeff(G, A, int(f))
-        if A.kind == "Zk":
-            d = _gcd(G.k, A.k)
-            step = A.k // d
-            assert int(val) % step == 0
-            return HomCoeff(G, A, (int(val) // step) % d)
-        return hom_zero(G, A)
-    if G.kind == "Z":
-        return HomCoeff(G, A, quad_apply(q, 1))
+    if G.kind in ("Zk", "Z"):
+        return hom_from_image(G, A, quad_apply(q, 1))
     # T and R sources store the hom directly in h1
     return HomCoeff(G, A, q.h1)
 
@@ -453,21 +469,8 @@ def dual(h: HomCoeff, A: ElementaryGroup = T) -> HomCoeff:
     if out_grp == Z1 or D1 == Z1 or D2 == Z1:
         return hom_zero(D1, D2)
     if D1.kind in ("Zk", "Z"):
-        # sample the dual map at the unit coefficient of hom[G|A]
-        v = compose(h, HomCoeff(G, A, 1)).value
-        if D1.kind == "Z":
-            return HomCoeff(D1, D2, D2.normalize(v))
-        d1 = D1.k
-        if D2.kind == "Zk":
-            d2 = D2.k
-            step = d2 // _gcd(d1, d2)
-            assert int(v) % step == 0
-            return HomCoeff(D1, D2, int(v) // step)
-        if D2.kind == "T":
-            f = Fraction(v) * d1
-            assert f.denominator == 1
-            return HomCoeff(D1, D2, int(f))
-        raise TagMismatch("finite dual into continuous target")
+        # the dual map sends the unit coefficient of hom[G|A] to its composite with h
+        return hom_from_image(D1, D2, compose(h, HomCoeff(G, A, 1)).value)
     # D1 continuous: the dual acts by multiplication with the raw value
     return HomCoeff(D1, D2, h.value)
 
@@ -607,23 +610,11 @@ def lam(h: Hom2Coeff) -> QuadCoeff:
 
 
 def hom_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> HomCoeff:
-    """Recover the coefficient of a homomorphism from its values."""
+    """Recover the coefficient of a homomorphism Z_k -> A from its values,
+    which ``hom_from_image`` reads at 1."""
     if G.kind != "Zk":
         raise DomainMismatch("hom_fit needs a finite source")
-    grp = hom_group(G, A)
-    if grp == Z1:
-        return hom_zero(G, A)
-    v1 = F(1)
-    if A.kind == "T":
-        f = Fraction(v1) * G.k
-        assert f.denominator == 1, f"not a homomorphism value: {v1}"
-        return HomCoeff(G, A, int(f))
-    if A.kind == "Zk":
-        d = _gcd(G.k, A.k)
-        step = A.k // d
-        assert int(v1) % step == 0, f"not a homomorphism value: {v1}"
-        return HomCoeff(G, A, int(v1) // step)
-    raise UnsupportedTarget(str(A))
+    return hom_from_image(G, A, F(1))
 
 
 def quad_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> QuadCoeff:

@@ -26,6 +26,11 @@ class InfiniteGroupError(ValueError):
     pass
 
 
+class TooLargeError(ValueError):
+    """A dense tensor or enumeration past a fixed size limit; the case is
+    valid but the oracle refuses it."""
+
+
 class DivergentPrefactor(ValueError):
     pass
 

@@ -31,6 +31,7 @@ from .coeff import (
     hom2_group,
     hom_apply,
     hom_fit,
+    hom_from_image,
     hom_group,
     hom_zero,
     quad_apply,
@@ -39,10 +40,11 @@ from .coeff import (
     quad_to_bilinear,
 )
 from .functions import LinearFnData, QuadraticFnData, hom_data
-from .groups import GroupProduct, R, T, Z, Zk
+from .groups import GroupProduct, R, T, Z, Z1, Zk
 from .scalar import Scalar, is_exact, mod1, snap_rational
 from .solve import (
     UnsupportedKernel,
+    gauss_jordan,
     kernel_of_hom,
     quotient_by_subgroup,
     real_kernel,
@@ -110,11 +112,6 @@ class QTensorData:
             mag = math.sqrt(float(self.mag2))
         return mag * cmath.exp(2j * math.pi * float(self.q.phi0))
 
-    def copy(self) -> "QTensorData":
-        import copy as _copy
-
-        return _copy.deepcopy(self)
-
 
 # ---------------------------------------------------------------------------
 # tensor product and self-contraction
@@ -142,6 +139,14 @@ def tensor_product(t: QTensorData, u: QTensorData) -> QTensorData:
     q = t.q.direct_sum(u.q)
     mag2 = None if t.mag2 is None or u.mag2 is None else t.mag2 * u.mag2
     return QTensorData(G, E, eps, q, t.div_weight + u.div_weight, mag2)
+
+
+def permute_legs(t: QTensorData, perm: List[int]) -> QTensorData:
+    """t with its index legs reordered: leg i of the result is leg perm[i] of t."""
+    G = GroupProduct([t.G[p] for p in perm])
+    eps = LinearFnData(t.E, G, tuple(t.eps.eps0[p] for p in perm),
+                       [t.eps.eps1[p] for p in perm])
+    return QTensorData(G, t.E, eps, t.q, t.div_weight, t.mag2, t.is_zero)
 
 
 def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
@@ -226,25 +231,15 @@ def _extract_through_section(
             out_q.set_cell("a", i, j, c)
     for (i, j), c in qz.phi2.items():
         if fin[i] or fin[j]:
-            c = _hom2_fit_value(Q[i], Q[j], hom2_apply(c, 1, 1))
+            # B(1, 1) read into hom[Q_j|T], then that coefficient into Q_i
+            b1 = hom_from_image(Q[j], T, hom2_apply(c, 1, 1))
+            c = Hom2Coeff(Q[i], Q[j], T, hom_from_image(Q[i], b1.group, b1.value).value)
         out_q.set_cell("phi", i, j, c)
     eps1 = [[hom_fit(Q[t], Gi, lambda _, c=c: c.value) if fin[t] else c
              for t, c in enumerate(row)]
             for Gi, row in zip(epsfun.codomain, ez.eps1)]
     eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
     return out_q, LinearFnData(Q, epsfun.codomain, eps0, eps1)
-
-
-def _hom2_fit_value(G0, G1, v) -> Hom2Coeff:
-    """Bilinear coefficient with B(1,1) = v for finite/Z factor pairs."""
-    grp = hom2_group(G0, G1, T)
-    if grp == Zk(1):
-        assert T.eq(mod1(v), 0), f"nonzero pairing {v} in trivial cell {G0},{G1}"
-        return Hom2Coeff(G0, G1, T, 0)
-    # H2(c)(1,1) = c / grp.k
-    f = Fraction(v) * grp.k
-    assert f.denominator == 1, f"pairing {v} incompatible with cell group {grp}"
-    return Hom2Coeff(G0, G1, T, int(f))
 
 
 def _compact(t: QTensorData) -> QTensorData:
@@ -356,9 +351,9 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
         rho_gen = rho(rho.domain.element([1]))
         inside = solve_hom(kappa2, rho_gen)
         assert inside is not None, "summed subgroup must lie in the beta kernel"
-        incl_cells = [
-            [_subgroup_coeff(A, K2[kk], inside[kk])] for kk in range(len(K2))
-        ]
+        if any(f.kind in ("T", "R") and hom_group(A, f) != Z1 for f in K2):
+            raise UnsupportedKernel("discrete subgroup meeting continuous kernel factors")
+        incl_cells = [[hom_from_image(A, f, x)] for f, x in zip(K2, inside)]
         sub = hom_data(GroupProduct([A]), K2, incl_cells)
         qpres = quotient_by_subgroup(K2, sub)
         Q = qpres.group
@@ -412,29 +407,6 @@ def _col_support(lin: LinearFnData, col: int) -> List[int]:
     return [j for j in range(len(lin.codomain)) if not lin.eps1[j][col].is_zero()]
 
 
-def _subgroup_coeff(A, K2f, val) -> HomCoeff:
-    """Coefficient of the map A -> K2 factor sending 1 to val."""
-    grp = hom_group(A, K2f)
-    if grp == Zk(1):
-        assert K2f.normalize(val) == 0 or K2f.kind != "Zk" and val == 0
-        return hom_zero(A, K2f)
-    if K2f.kind == "Zk":
-        k = K2f.k
-        if A.kind == "Zk":
-            d = math.gcd(A.k, k)
-            step = k // d
-            v = int(val) % k
-            assert v % step == 0
-            return HomCoeff(A, K2f, (v // step) % d)
-        return HomCoeff(A, K2f, val)
-    if K2f.kind == "Z":
-        if A.kind == "Zk":
-            assert int(val) == 0
-            return hom_zero(A, K2f)
-        return HomCoeff(A, K2f, val)
-    raise UnsupportedKernel("discrete subgroup meeting continuous kernel factors")
-
-
 def reduce_invertible(t: QTensorData, rho: LinearFnData) -> QTensorData:
     """Gauss-sum reduction over a finite cyclic subgroup where q_phi^(2)
     is nondegenerate."""
@@ -479,27 +451,6 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     return _compact(out)
 
 
-def _determinant(M) -> Fraction:
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if A[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            A[j], A[piv] = A[piv], A[j]
-            det = -det
-        det *= A[j][j]
-        inv = A[j][j]
-        A[j] = [x / inv for x in A[j]]
-        for i in range(j + 1, n):
-            if A[i][j] != 0:
-                f = A[i][j]
-                A[i] = [x - f * y for x, y in zip(A[i], A[j])]
-    return det
-
-
 def _realign_real(t: QTensorData, rho: LinearFnData) -> Tuple[QTensorData, LinearFnData]:
     """Change coordinates on the real block so the reduction direction is a
     single factor; the basis change has determinant +-1, preserving the
@@ -509,7 +460,7 @@ def _realign_real(t: QTensorData, rho: LinearFnData) -> Tuple[QTensorData, Linea
     exact = all(is_exact(x) for x in v)
     comp = real_kernel([v])
     B = [[v[i]] + [w[i] for w in comp] for i in range(len(rids))]  # columns
-    det = _determinant(B) if exact else None
+    det = gauss_jordan(B, True)[2] if exact else None
     if exact:
         assert det != 0
         B = [[row[0]] + [row[c] / det if c == len(rids) - 1 else row[c]

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, TooLargeError
 
 
 class NotAntisymmetric(ValueError):
@@ -31,10 +31,6 @@ class NotAntisymmetric(ValueError):
 
 
 class SingularBlock(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -236,7 +232,7 @@ def fermion_contract(t: FermionTensorData, c: int) -> FermionTensorData:
 def fermion_dense(t: FermionTensorData, outgoing: Optional[List[bool]] = None) -> DenseTensor:
     """All 2^n entries as a graded dense tensor."""
     if t.n > 16:
-        raise TooLarge(f"{t.n} modes is beyond the dense limit")
+        raise TooLargeError(f"{t.n} modes is beyond the dense limit")
     dims = (2,) * t.n
     arr = np.zeros(dims, dtype=complex)
     for idx in np.ndindex(*dims):

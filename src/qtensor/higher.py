@@ -19,13 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, InfiniteGroupError, TooLargeError
 from .groups import ElementaryGroup, GroupProduct, T, Zk
 from .scalar import Scalar
-
-
-class TooLargeError(ValueError):
-    pass
 
 
 @dataclass
@@ -136,7 +132,7 @@ def hierarchy_level_diagonal(fn: Callable, G: GroupProduct, max_level: int = 6) 
 
 def order_tensor_materialize(t: OrderTensorData) -> DenseTensor:
     if not (t.G.finite and t.E.finite):
-        raise TooLargeError("materialization needs finite groups")
+        raise InfiniteGroupError("materialization needs finite groups")
     if t.E.order > 2 ** 16:
         raise TooLargeError("embedding domain too large")
     dims = tuple(f.k for f in t.G)

@@ -23,8 +23,15 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .coeff import Hom2Coeff, HomCoeff, QuadCoeff
-from .dense import DenseTensor, dense_contract, materialize
-from .engine import QTensorData, reduce_full, residual_z_rank, self_contract, tensor_product
+from .dense import DenseTensor, TooLargeError, dense_contract, materialize
+from .engine import (
+    QTensorData,
+    permute_legs,
+    reduce_full,
+    residual_z_rank,
+    self_contract,
+    tensor_product,
+)
 from .fermion import (
     FermionTensorData,
     beam_splitter,
@@ -495,11 +502,8 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> QTensorData:
         for i, (_, lw) in enumerate(legs):
             if lw == w:
                 perm.append(i)
-    if perm and perm != list(range(len(legs))) and not big.is_zero:
-        G = GroupProduct([big.G[p] for p in perm])
-        eps = LinearFnData(big.E, G, tuple(big.eps.eps0[p] for p in perm),
-                           [big.eps.eps1[p] for p in perm])
-        big = QTensorData(G, big.E, eps, big.q, big.div_weight, big.mag2)
+    if perm and perm != list(range(len(legs))):
+        big = permute_legs(big, perm)
     return big
 
 
@@ -543,7 +547,7 @@ def _dense_evaluate(spec: NetworkSpec, nodes: List[Node]) -> DenseTensor:
             raise NetTypeError("fermionic nodes cannot join a dense evaluation")
         total *= int(np.prod(denses[-1].dims, initial=1))
         if total > DENSE_LIMIT:
-            raise NetTypeError("dense evaluation would exceed the size limit")
+            raise TooLargeError("dense evaluation would exceed the size limit")
     pairs, open_order = _dense_wiring(spec, nodes)
     return dense_contract(denses, pairs, open_order)
 
@@ -583,7 +587,7 @@ def verify_against_dense(spec: NetworkSpec, result: ContractionResult,
     if result.fermion_part is not None:
         fermi_nodes = [n for n in spec.nodes if isinstance(n.payload, FermionTensorData)]
         if 2 ** sum(node.payload.n for node in fermi_nodes) > DENSE_LIMIT:
-            raise NetTypeError("dense evaluation would exceed the size limit")
+            raise TooLargeError("dense evaluation would exceed the size limit")
         denses = [fermion_dense(node.payload, [False] * node.payload.n)
                   for node in fermi_nodes]
         pairs, open_order = _dense_wiring(spec, fermi_nodes)

@@ -2,11 +2,14 @@
 elementary abelian groups.
 
 Discrete blocks (Z_k and Z factors) are lifted to integer lattices and
-handled by exact Smith normal form; real blocks use Gaussian elimination
-(exact over rationals when possible, floating point with a 1e-12 pivot
-threshold otherwise).  Circle-group targets are lifted through the
-covering R -> R/Z by introducing auxiliary integer unknowns.  Kernel
-shapes outside the supported classes raise UnsupportedKernel.
+handled by exact Smith normal form; real blocks use one Gauss-Jordan
+elimination, ``gauss_jordan`` (exact over rationals when possible,
+floating point with a pivot threshold of PIVOT_TOL times the largest
+entry otherwise), which also gives the engine its exact determinants.
+Circle-group targets are lifted through the covering R -> R/Z by
+introducing auxiliary integer unknowns.  Kernel shapes outside the
+supported classes raise UnsupportedKernel.  A kernel generator of a
+discrete block is read back into each factor by ``coeff.hom_from_image``.
 
 Each integer system is factored once: one Smith form U A V = S serves
 every kernel vector, solution, lattice basis and inverse read off it (U^-1
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .coeff import HomCoeff, hom_apply, hom_zero
+from .coeff import HomCoeff, hom_apply, hom_from_image, hom_zero
 from .functions import LinearFnData, hom_data
 from .groups import GroupProduct, R, T, Z, Zk
 from .scalar import is_exact, mod1
@@ -222,88 +225,66 @@ def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int], snf=None) -> Opt
 # rational / real elimination
 
 
-def _rational_kernel(A: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [row[:] for row in A]
-    pivots = []
-    r = 0
+def gauss_jordan(A: Sequence[Sequence], exact: bool):
+    """Reduced row echelon form of A, with its pivot columns and, for square
+    A, its determinant (0 when singular).
+
+    Exact data is reduced over ``Fraction``, anything else over floats.
+    The pivot of a column is its largest |entry| among the rows not yet
+    used, if that is above the tolerance: 0 for exact data, PIVOT_TOL times
+    the largest |entry| of A for floats.  Exact results do not depend on
+    the pivot choice, since the reduced row echelon form is unique.
+    """
+    num = Fraction if exact else float
+    M = [[num(x) for x in row] for row in A]
+    n = len(M)
+    m = len(M[0]) if n else 0
+    tol = 0 if exact else PIVOT_TOL * (max((abs(x) for row in M for x in row), default=1.0) or 1.0)
+    pivots: List[int] = []
+    det = num(1)
     for j in range(m):
-        piv = None
-        for i in range(r, n):
-            if M[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][j]
-        M[r] = [x / inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][j] != 0:
-                f = M[i][j]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(j)
-        r += 1
+        r = len(pivots)
         if r == n:
             break
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * m
-        v[j] = Fraction(1)
-        for row_idx, pj in enumerate(pivots):
-            v[pj] = -M[row_idx][j]
-        basis.append(v)
-    return basis
-
-
-def _float_kernel(A: List[List[float]]) -> List[List[float]]:
-    """Kernel basis by Gaussian elimination with partial pivoting.
-
-    Free columns yield unit basis vectors, mirroring the exact path, so
-    coordinate directions known to lie in the kernel stay coordinate
-    directions."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [list(map(float, row)) for row in A]
-    scale = max((abs(x) for row in M for x in row), default=1.0) or 1.0
-    pivots = []
-    r = 0
-    for j in range(m):
-        piv = None
-        best = PIVOT_TOL * scale
+        piv, best = None, tol
         for i in range(r, n):
             if abs(M[i][j]) > best:
                 piv, best = i, abs(M[i][j])
         if piv is None:
+            det = num(0)
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            det = -det
         inv = M[r][j]
+        det *= inv
         M[r] = [x / inv for x in M[r]]
         for i in range(n):
-            if i != r and abs(M[i][j]) > 0:
+            if i != r and M[i][j]:
                 f = M[i][j]
                 M[i] = [x - f * y for x, y in zip(M[i], M[r])]
         pivots.append(j)
-        r += 1
-        if r == n:
-            break
-    free = [j for j in range(m) if j not in pivots]
+    return M, pivots, det
+
+
+def real_kernel(A: List[List]) -> List[List]:
+    """Basis of {x : A x = 0} over the reals, one vector per free column:
+    1 there and 0 on the other free columns, so coordinate directions in
+    the kernel stay coordinate directions.  Exact when A is rational."""
+    exact = all(is_exact(x) for row in A for x in row)
+    M, pivots, _ = gauss_jordan(A, exact)
+    num = Fraction if exact else float
+    m = len(A[0]) if A else 0
     basis = []
-    for j in free:
-        v = [0.0] * m
-        v[j] = 1.0
+    for j in range(m):
+        if j in pivots:
+            continue
+        v = [num(0)] * m
+        v[j] = num(1)
         for row_idx, pj in enumerate(pivots):
             v[pj] = -M[row_idx][j]
         basis.append(v)
     return basis
-
-
-def real_kernel(A: List[List]) -> List[List]:
-    if all(is_exact(x) for row in A for x in row):
-        return [[Fraction(x) for x in v] for v in _rational_kernel([[Fraction(x) for x in row] for row in A])]
-    return _float_kernel([[float(x) for x in row] for row in A])
 
 
 def real_solve(A: List[List], b: List) -> Optional[List]:
@@ -311,25 +292,10 @@ def real_solve(A: List[List], b: List) -> Optional[List]:
     n = len(A)
     m = len(A[0]) if n else 0
     if all(is_exact(x) for row in A for x in row) and all(is_exact(x) for x in b):
-        M = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(A, b)]
-        r = 0
-        pivots = []
-        for j in range(m):
-            piv = next((i for i in range(r, n) if M[i][j] != 0), None)
-            if piv is None:
-                continue
-            M[r], M[piv] = M[piv], M[r]
-            inv = M[r][j]
-            M[r] = [x / inv for x in M[r]]
-            for i in range(n):
-                if i != r and M[i][j] != 0:
-                    f = M[i][j]
-                    M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-            pivots.append(j)
-            r += 1
-        for i in range(r, n):
-            if M[i][m] != 0:
-                return None
+        # reducing [A | b]: the system is inconsistent iff b's column holds a pivot
+        M, pivots, _ = gauss_jordan([list(row) + [bb] for row, bb in zip(A, b)], True)
+        if m in pivots:
+            return None
         x = [Fraction(0)] * m
         for row_idx, pj in enumerate(pivots):
             x[pj] = M[row_idx][m]
@@ -524,29 +490,10 @@ def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, 
         col_cells = []
         for j in range(len(E)):
             if j in cols:
-                gj = gen[cols.index(j)]
-                col_cells.append(_incl_coeff(factor, E[j], gj))
+                col_cells.append(hom_from_image(factor, E[j], gen[cols.index(j)]))
             else:
                 col_cells.append(hom_zero(factor, E[j]))
         emit(factor, col_cells)
-
-
-def _incl_coeff(src, tgt, g: int) -> HomCoeff:
-    """Coefficient of the map r -> g*r from a kernel factor into E_j."""
-    if tgt.kind == "Zk":
-        k = tgt.k
-        if src.kind == "Zk":
-            d = math.gcd(src.k, k)
-            step = k // d
-            assert g % step == 0, "generator order does not divide factor order"
-            return HomCoeff(src, tgt, (g // step) % d)
-        return HomCoeff(src, tgt, g % k)
-    if tgt.kind == "Z":
-        if src.kind == "Zk":
-            assert g == 0
-            return hom_zero(src, tgt)
-        return HomCoeff(src, tgt, g)
-    raise UnsupportedKernel(f"inclusion into {tgt} from {src}")
 
 
 def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):

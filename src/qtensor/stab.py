@@ -34,7 +34,7 @@ from .coeff import (
     quad_as_hom,
     quad_to_bilinear,
 )
-from .engine import QTensorData, _extract_through_section, reduce_full
+from .engine import QTensorData, _extract_through_section, permute_legs, reduce_full, tensor_product
 from .functions import LinearFnData, QuadraticFnData, hom_data
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
 from .scalar import Scalar, is_exact, mod1, scalar_eq
@@ -187,7 +187,7 @@ class StabTableau:
             acc = acc + conjugate_cell(x, pairing_cell(f), z)
         return acc
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         m = len(self.S)
         for a in range(m):
             for b in range(m):
@@ -361,8 +361,7 @@ def stab_projector(tab: StabTableau) -> QTensorData:
     return reduce_full(_unreduced_projector(tab))
 
 
-def _dual_hom_matrix(rows_cells, S: GroupProduct, K: GroupProduct,
-                     H: GroupProduct) -> LinearFnData:
+def _dual_hom_matrix(rows_cells, K: GroupProduct, H: GroupProduct) -> LinearFnData:
     """Matrix of kappa^* sigma_z^*: H -> K^* from sigma_z compose kappa."""
     Dk = dual_product(K)
     cells = [[dual(rows_cells[i][q], T) for i in range(len(H))] for q in range(len(K))]
@@ -391,7 +390,7 @@ def stab_state(tab: StabTableau) -> QTensorData:
     sz = hom_data(S, dual_product(H), tab.sigma_z)
     szkx = sz.compose_hom(kx)
     M = _dual_hom_matrix([[szkx.eps1[i][q] for q in range(len(Kx))]
-                          for i in range(n)], S, Kx, H)
+                          for i in range(n)], Kx, H)
     pkx = tab.p.precompose(kx)
     target_vals = []
     for q in range(len(Kx)):
@@ -431,53 +430,19 @@ def stab_state(tab: StabTableau) -> QTensorData:
 
 
 def pauli_measurement(tab: StabTableau) -> QTensorData:
-    """Syndrome POVM as a 3-index tensor over (out, in, syndrome)."""
+    """Syndrome POVM as a 3-index tensor over (out, in, syndrome): the
+    unreduced projector data times the identity on S*, with the syndrome
+    phase u(s) pairing each S factor with its dual."""
     tab.validate()
     H, S = tab.H, tab.S
     if not (H.finite and S.finite):
         raise UnsupportedKernel("measurement tensor needs finite groups")
     n, m = len(H), len(S)
     Ds = dual_product(S)
-    G = H * H * Ds
-    E = H * S * Ds
-    rows = []
-    for i in range(2 * n + m):
-        row = []
-        for j in range(n + m + m):
-            tgt = G[i]
-            val = None
-            if i < n:
-                if j == i:
-                    val = HomCoeff(E[j], tgt, 1)
-                elif n <= j < n + m:
-                    val = tab.sigma_x[i][j - n]
-            elif i < 2 * n:
-                if j == i - n:
-                    val = HomCoeff(E[j], tgt, 1)
-            else:
-                if j == n + m + (i - 2 * n):
-                    val = HomCoeff(E[j], tgt, 1)
-            row.append(val if val is not None else hom_zero(E[j], tgt))
-        rows.append(row)
-    eps = LinearFnData(E, G, G.identity(), rows)
-    q = QuadraticFnData.zero(E)
-    for i, f in enumerate(H):
-        for b in range(m):
-            zc = tab.sigma_z[i][b]
-            if zc.is_zero():
-                continue
-            cell = conjugate_cell(HomCoeff(f, f, 1), pairing_cell(f), zc)
-            q.set_cell("phi", i, n + b, q.cell("phi", i, n + b) + cell)
-    sq = _sigma_quadratic(tab) + (-tab.p)
+    t = tensor_product(_unreduced_projector(tab),
+                       QTensorData(Ds, Ds, LinearFnData.identity(Ds), QuadraticFnData.zero(Ds)))
     for b in range(m):
-        q.phi1[n + b] = q.phi1[n + b] + sq.phi1[b]
-    for (a, b), c in sq.phi2.items():
-        q.set_cell("phi", n + a, n + b, q.cell("phi", n + a, n + b) + c)
-    # syndrome phase u(s): pairing between S factor b and S* factor b
-    for b in range(m):
-        q.set_cell("phi", n + b, n + m + b, pairing_cell(S[b]))
-    t = QTensorData(G, E, eps, q)
-    t.mul_sqrt(Fraction(1, S.order * S.order))
+        t.q.set_cell("phi", n + b, n + m + b, pairing_cell(S[b]))
     return reduce_full(t)
 
 
@@ -512,7 +477,7 @@ def phase_space_omega(H: GroupProduct, x: GroupElement, y: GroupElement) -> Scal
     return mod1(acc)
 
 
-def clifford_check(c: CliffordData, tol: float = 1e-9) -> None:
+def clifford_check(c: CliffordData) -> None:
     H = c.H
     P = c.phase_space
     n2 = len(P)
@@ -616,19 +581,11 @@ def clifford_to_tensor(c: CliffordData) -> QTensorData:
     tab = StabTableau(Hc, S, sx, sz, c.u)
     state = stab_state(tab)
     # reorder (in, out) -> (out, in)
-    state = _swap_blocks(state, n)
+    state = permute_legs(state, list(range(n, 2 * n)) + list(range(n)))
     if H.finite:
         # the Choi state has unit norm; the unitary has Frobenius norm^2 |H|
         state.mul_sqrt(Fraction(H.order))
     return state
-
-
-def _swap_blocks(t: QTensorData, n: int) -> QTensorData:
-    perm = list(range(n, 2 * n)) + list(range(n))
-    G = GroupProduct([t.G[p] for p in perm])
-    eps = LinearFnData(t.E, G, tuple(t.eps.eps0[p] for p in perm),
-                       [t.eps.eps1[p] for p in perm])
-    return QTensorData(G, t.E, eps, t.q, t.div_weight, t.mag2, t.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +650,27 @@ def gaussian_clifford(L: np.ndarray, d: Optional[Sequence[float]] = None) -> Cli
     return c
 
 
+def _gkp_data(L: np.ndarray):
+    """(n, sigma_x cells, p) of a GKP lattice basis L over S = Z^2n:
+    sigma_x = L_x as Z -> R cells and p(s) = (L_z s)(L_x s) / 2 pi, whose
+    matrix M = L^T omega L / 2 pi gives h2 = M_aa / 2 and the cells M_ab."""
+    n2 = L.shape[0]
+    n = n2 // 2
+    sx = [[HomCoeff(Z, R, float(L[i, j])) if abs(L[i, j]) > 1e-14 else hom_zero(Z, R)
+           for j in range(n2)] for i in range(n)]
+    omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
+    M = L.T @ omega_t @ L / (2 * math.pi)
+    p = QuadraticFnData.zero(GroupProduct([Z] * n2))
+    for a in range(n2):
+        if abs(M[a, a]) > 1e-14:
+            p.phi1[a] = QuadCoeff(Z, T, mod1(M[a, a] / 2), 0)
+        for b in range(a + 1, n2):
+            val = mod1(M[a, b])
+            if not scalar_eq(val, 0) and not scalar_eq(val, 1.0):
+                p.set_cell("phi", a, b, Hom2Coeff(Z, Z, T, val))
+    return n, sx, p
+
+
 def gkp_tableau(L: np.ndarray) -> StabTableau:
     """GKP stabilizer tableau over H = R^n from a lattice basis.
 
@@ -701,55 +679,24 @@ def gkp_tableau(L: np.ndarray) -> StabTableau:
     exactly what makes the tableau condition close mod 1.
     """
     L = np.asarray(L, dtype=float)
-    n2 = L.shape[0]
-    n = n2 // 2
+    n, sx, p = _gkp_data(L)
     Jt = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     gram = L.T @ Jt @ L / (2 * math.pi)
     if np.max(np.abs(gram - np.round(gram))) > 1e-9:
         raise NotSymplectic("L^T J L is not an integer multiple of 2 pi")
-    H = GroupProduct([R] * n)
-    S = GroupProduct([Z] * n2)
-    sx = [[HomCoeff(Z, R, float(L[i, j])) if abs(L[i, j]) > 1e-14 else hom_zero(Z, R)
-           for j in range(n2)] for i in range(n)]
     sz = [[HomCoeff(Z, R, float(L[n + i, j]) / (2 * math.pi))
            if abs(L[n + i, j]) > 1e-14 else hom_zero(Z, R)
-           for j in range(n2)] for i in range(n)]
-    omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
-    M = L.T @ omega_t @ L / (2 * math.pi)
-    p = QuadraticFnData.zero(S)
-    for a in range(n2):
-        if abs(M[a, a]) > 1e-14:
-            p.phi1[a] = QuadCoeff(Z, T, mod1(M[a, a] / 2), 0)
-        for b in range(a + 1, n2):
-            val = mod1(M[a, b])
-            if not scalar_eq(val, 0) and not scalar_eq(val, 1.0):
-                p.set_cell("phi", a, b, Hom2Coeff(Z, Z, T, val))
-    tab = StabTableau(H, S, sx, sz, p)
+           for j in range(2 * n)] for i in range(n)]
+    tab = StabTableau(GroupProduct([R] * n), p.domain, sx, sz, p)
     tab.validate()
     return tab
 
 
 def gkp_state_data(L: np.ndarray) -> QTensorData:
     """Code-state data of a GKP code with trivial kernel(L_x)."""
-    L = np.asarray(L, dtype=float)
-    n2 = L.shape[0]
-    n = n2 // 2
+    n, sx, p = _gkp_data(np.asarray(L, dtype=float))
     H = GroupProduct([R] * n)
-    E = GroupProduct([Z] * n2)
-    cells = [[HomCoeff(Z, R, float(L[i, j])) if abs(L[i, j]) > 1e-14 else hom_zero(Z, R)
-              for j in range(n2)] for i in range(n)]
-    eps = LinearFnData(E, H, H.identity(), cells)
-    omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
-    M = L.T @ omega_t @ L / (2 * math.pi)
-    q = QuadraticFnData.zero(E)
-    for a in range(n2):
-        if abs(M[a, a]) > 1e-14:
-            q.phi1[a] = QuadCoeff(Z, T, mod1(M[a, a] / 2), 0)
-        for b in range(a + 1, n2):
-            val = mod1(M[a, b])
-            if not scalar_eq(val, 0) and not scalar_eq(val, 1.0):
-                q.set_cell("phi", a, b, Hom2Coeff(Z, Z, T, val))
-    return QTensorData(H, E, eps, q, 0, None)
+    return QTensorData(H, p.domain, LinearFnData(p.domain, H, H.identity(), sx), p, 0, None)
 
 
 def approx_gkp_state(a: float, b: float) -> QTensorData:

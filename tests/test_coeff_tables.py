@@ -23,6 +23,7 @@ from qtensor.coeff import (
     hom2s_group,
     hom_apply,
     hom_fit,
+    hom_from_image,
     hom_group,
     lam,
     linear_as_quad,
@@ -456,6 +457,20 @@ def test_fit_roundtrip():
                 h = HomCoeff(G, A, c)
                 fit = hom_fit(G, A, lambda g: hom_apply(h, g))
                 assert fit.value == h.value
+    # every coefficient out of Z_k or Z comes back from the image of 1, and
+    # so does every bilinear one from B(1, 1), read into hom[G1|T] and then
+    # into G0 as the engine reads the finite cross cells of a section
+    cyclic = [Zk(k) for k in range(1, 13)] + [Z]
+    for G in cyclic:
+        for A in cyclic + [T]:
+            for c in coeffs(hom_group(G, A)):
+                h = HomCoeff(G, A, c)
+                assert hom_from_image(G, A, hom_apply(h, 1)) == h, (G, A, c)
+        for G1 in cyclic:
+            for c in coeffs(hom2_group(G, G1, T)):
+                b = Hom2Coeff(G, G1, T, c)
+                b1 = hom_from_image(G1, T, hom2_apply(b, 1, 1))
+                assert Hom2Coeff(G, G1, T, hom_from_image(G, b1.group, b1.value).value) == b
 
 
 def test_fit_rejects_non_quadratic_values():
@@ -465,6 +480,13 @@ def test_fit_rejects_non_quadratic_values():
         quad_fit(Zk(5), T, off_by_one_step)
     with pytest.raises(ValueError):
         quad_fit(Zk(7), T, lambda g: Fraction(g ** 3, 7))
+    # images of 1 that no homomorphism out of Z_k has
+    for G, A, v in [(Zk(4), Zk(6), 1), (Zk(3), T, Fraction(1, 2)), (Zk(2), Z, 1),
+                    (Zk(5), R, Fraction(1, 3)), (Zk(1), Zk(3), 2), (Zk(6), T, 0.1)]:
+        with pytest.raises(ValueError):
+            hom_from_image(G, A, v)
+        with pytest.raises(ValueError):
+            hom_fit(G, A, lambda g: v * g)
 
 
 def test_fit_cost_is_linear_in_k(monkeypatch):

@@ -9,7 +9,13 @@ import random
 import numpy as np
 import pytest
 
-from qtensor.dense import DenseTensor, dense_contract, self_contract_dense, tensor_product_dense
+from qtensor.dense import (
+    DenseTensor,
+    TooLargeError,
+    dense_contract,
+    self_contract_dense,
+    tensor_product_dense,
+)
 from qtensor import net
 from qtensor.fermion import (
     FermionTensorData,
@@ -27,7 +33,8 @@ from qtensor.fermion import (
     pfaffian,
     pfaffian_cofactor,
 )
-from qtensor.net import NetTypeError, NetworkSpec, Node, parse, run_contract, verify_against_dense
+from qtensor.net import NetworkSpec, Node, parse, run_contract, verify_against_dense
+from test_netcli import run_cli
 
 
 def random_antisym(n, rng):
@@ -450,8 +457,18 @@ def test_dense_oracle_refuses_oversized_fermion_networks(monkeypatch):
         raise AssertionError("dense tensor built past the size limit")
 
     monkeypatch.setattr(net, "fermion_dense", no_dense)
-    with pytest.raises(NetTypeError, match="size limit"):
+    with pytest.raises(TooLargeError, match="size limit"):
         verify_against_dense(spec, res)
+
+
+def test_cli_dense_refusal_exits_3(tmp_path):
+    text, _ = brickwork_net(6, 6, random.Random(61))
+    f = tmp_path / "brickwork6.net"
+    f.write_text(text)
+    for args in (("verify", str(f)), ("contract", str(f), "--verify")):
+        r = run_cli(*args)
+        assert r.returncode == 3, (args, r.returncode, r.stderr)
+        assert "unsupported case" in r.stderr and "size limit" in r.stderr
 
 
 def test_nontrivial_embedding_in_a_network():

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from qtensor.coeff import QuadCoeff, quad_apply, quad_group
+from qtensor.dense import TooLargeError
 from qtensor.groups import GroupProduct, T, Zk, parse_product
 from qtensor.higher import (
     OrderFnData,
-    TooLargeError,
     ccx_gate,
     ccz_gate,
     ch_gate,

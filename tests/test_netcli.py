@@ -149,6 +149,27 @@ open c
     assert ok, dev
 
 
+def test_zero_result_follows_the_open_clause():
+    # <0|X|0> = 0 beside a qubit and a qutrit ket left open in the other order
+    text = """
+wire a: Z2
+wire b: Z2
+wire q: Z2
+wire r: Z3
+node k = ket0(a)
+node x = X(a, b)
+node z = ket0(b)
+node kq = ket0(q)
+node kr = ket0(r)
+open r, q
+"""
+    spec = parse(text)
+    res = run_contract(spec)
+    assert res.group_part.is_zero and str(res.group_part.G) == "Z3,Z2"
+    ok, dev = verify_against_dense(spec, res)
+    assert ok, dev
+
+
 def test_fermion_network():
     text = """
 wire i0: F

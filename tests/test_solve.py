@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,9 +12,12 @@ from qtensor.functions import LinearFnData, hom_data
 from qtensor.groups import GroupProduct, R, T, Z, Zk, parse_product
 from qtensor.solve import (
     UnsupportedKernel,
+    gauss_jordan,
     integer_kernel,
     kernel_of_hom,
     quotient_by_subgroup,
+    real_kernel,
+    real_solve,
     smith_normal_form,
     solve_hom,
     solve_integer,
@@ -260,6 +264,68 @@ def test_solve_real():
     eps = hom_data(E, G, [[HomCoeff(R, R, Fraction(2)), HomCoeff(R, R, Fraction(1))]])
     sol = solve_hom(eps, (Fraction(5),))
     assert sol is not None and G.eq(eps(sol), (Fraction(5),))
+
+
+def cofactor_det(M):
+    if not M:
+        return Fraction(1)
+    return sum((-1) ** j * M[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+def minor_rank(A):
+    """The largest r with a nonzero r x r minor."""
+    n, m = len(A), len(A[0])
+    for r in range(min(n, m), 0, -1):
+        for rows in combinations(range(n), r):
+            for cols in combinations(range(m), r):
+                if cofactor_det([[A[i][j] for j in cols] for i in rows]) != 0:
+                    return r
+    return 0
+
+
+def test_elimination_random_rational():
+    rng = random.Random(11)
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        A = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) if rng.random() < 0.7
+              else Fraction(0) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            A[-1] = [2 * x for x in A[0]]
+        rank = minor_rank(A)
+        _, pivots, det = gauss_jordan(A, True)
+        assert len(pivots) == rank
+        if n == m:
+            assert det == cofactor_det(A)
+        basis = real_kernel(A)
+        assert len(basis) == m - rank
+        for v in basis:
+            assert all(isinstance(x, Fraction) for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+        if basis:  # each vector has its unit entry on its own free column
+            assert minor_rank(basis) == len(basis)
+        x0 = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(m)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        x = real_solve(A, b)
+        assert x is not None and [sum(a * y for a, y in zip(row, x)) for row in A] == b
+        b = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        x = real_solve(A, b)
+        solvable = minor_rank([row + [bb] for row, bb in zip(A, b)]) == rank
+        assert (x is not None) == solvable
+        if solvable:
+            assert [sum(a * y for a, y in zip(row, x)) for row in A] == b
+
+
+def test_real_kernel_float_outputs():
+    # bit patterns pinned: free columns give unit vectors, and entries below
+    # PIVOT_TOL times the largest |entry| never pivot
+    cases = [
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]], [[0.6666666666666665, -1.8333333333333333, 1.0]]),
+        ([[1e-13, 1.0]], [[1.0, -1e-13]]),
+        ([[0.3, 0.6, 0.1], [0.1, 0.2, 0.7], [0.2, 0.4, -0.6]], [[-2.0, 1.0, -0.0]]),
+    ]
+    for A, want in cases:
+        assert repr(real_kernel(A)) == repr(want)
 
 
 def test_solve_circle():

@@ -3,8 +3,6 @@ not covered elsewhere."""
 
 import json
 import math
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +20,7 @@ from qtensor.engine import (
 )
 from qtensor.functions import LinearFnData, QuadraticFnData, hom_data
 from qtensor.groups import GroupProduct, R, T, Zk, parse_product
+from test_netcli import run_cli
 
 
 def test_mixed_dimension_tensor_entries():
@@ -95,10 +94,7 @@ def test_cli_unsupported_case_exit_3(tmp_path):
     )
     f = tmp_path / "rotor.json"
     f.write_text(json.dumps(jsonio.to_json(tab)))
-    r = subprocess.run(
-        [sys.executable, "-m", "qtensor.cli", "stab", "state", str(f)],
-        capture_output=True, text=True,
-    )
+    r = run_cli("stab", "state", str(f))
     assert r.returncode == 3, (r.returncode, r.stderr)
     assert "unsupported" in r.stderr.lower()
 
