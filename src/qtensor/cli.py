@@ -44,7 +44,8 @@ from .stab import (
 )
 
 INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
-                 NotSymplectic, CocycleMismatch, UnsolvableOffset, jsonio.NonIntegralValue)
+                 NotSymplectic, CocycleMismatch, UnsolvableOffset, jsonio.NonIntegralValue,
+                 jsonio.MalformedPayload)
 UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible, InfiniteGroupError,
                TooLargeError, DivergentPrefactor, SingularBlock, NontrivialEmbedding)
 

@@ -257,7 +257,7 @@ def _compact(t: QTensorData) -> QTensorData:
 # gauss sums
 
 
-def gauss_sum(q: QuadCoeff, offset: Optional[HomCoeff] = None) -> Tuple[Fraction, Scalar]:
+def gauss_sum(q: QuadCoeff) -> Tuple[Fraction, Scalar]:
     """(squared magnitude, phase) of sum over Z_k of exp(2 pi i q(g)).
 
     Requires the bilinear part of q to be nondegenerate; the magnitude is
@@ -270,14 +270,9 @@ def gauss_sum(q: QuadCoeff, offset: Optional[HomCoeff] = None) -> Tuple[Fraction
     b = quad_to_bilinear(q).value
     if math.gcd(int(b), k) != 1:
         raise Degenerate(f"bilinear coefficient {b} degenerate over Z_{k}")
-    qq = q
-    if offset is not None and not offset.is_zero():
-        from .coeff import linear_as_quad
-
-        qq = q + linear_as_quad(offset)
     total = 0j
     for g in range(k):
-        total += cmath.exp(2j * math.pi * float(quad_apply(qq, g)))
+        total += cmath.exp(2j * math.pi * float(quad_apply(q, g)))
     mag = abs(total)
     assert abs(mag - math.sqrt(k)) < 1e-9 * math.sqrt(k), f"|sum| = {mag} != sqrt({k})"
     phase = snap_rational(cmath.phase(total) / (2 * math.pi), 8 * k)

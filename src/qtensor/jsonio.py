@@ -2,7 +2,9 @@
 
 The exact field layouts are documented in docs/format.md; serialization
 is stable-key-ordered so outputs diff cleanly.  Z_k and Z values must be
-integers on input; any other value there raises ``NonIntegralValue``.
+integers on input; any other value there raises ``NonIntegralValue``.  Row
+and column counts, the lengths of a1/phi1 and the a2/phi2 cell keys must
+fit the signatures; a payload that does not raises ``MalformedPayload``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,33 @@ from .stab import CliffordData, StabTableau, dual_factor, dual_product
 
 class NonIntegralValue(ValueError):
     pass
+
+
+class MalformedPayload(ValueError):
+    pass
+
+
+def _require(cond: bool, what: str) -> None:
+    if not cond:
+        raise MalformedPayload(what)
+
+
+def _matrix(obj, rows: int, cols: int, what: str) -> list:
+    """``obj`` checked to be a list of ``rows`` lists of ``cols`` entries."""
+    _require(isinstance(obj, list) and len(obj) == rows
+             and all(isinstance(r, list) and len(r) == cols for r in obj),
+             f"{what} must be {rows} x {cols}")
+    return obj
+
+
+def _cell_key(key: str, m: int):
+    """The cell (i, j) that the key "i,j" names, with i < j < m."""
+    try:
+        i, j = map(int, key.split(","))
+    except ValueError:
+        i = j = -1
+    _require(0 <= i < j < m, f"cell key {key!r} is not 'i,j' with 0 <= i < j < {m}")
+    return i, j
 
 
 def _value(grp, obj):
@@ -65,16 +94,19 @@ def quadratic_from_json(obj: dict) -> QuadraticFnData:
     from .groups import R as Rg, T as Tg
 
     E = parse_product(obj["domain"])
+    m = len(E)
+    a1 = _matrix(obj.get("a1", [[0, 0]] * m), m, 2, "a1")
+    phi1 = _matrix(obj.get("phi1", [[0, 0]] * m), m, 2, "phi1")
     q = QuadraticFnData(
         E,
         scalar_from_json(obj.get("a0", 0)),
         scalar_from_json(obj.get("phi0", 0)),
-        [_quad(E[i], Rg, v) for i, v in enumerate(obj.get("a1", [[0, 0]] * len(E)))],
-        [_quad(E[i], Tg, v) for i, v in enumerate(obj.get("phi1", [[0, 0]] * len(E)))],
+        [_quad(E[i], Rg, v) for i, v in enumerate(a1)],
+        [_quad(E[i], Tg, v) for i, v in enumerate(phi1)],
     )
     for part, A in (("a", Rg), ("phi", Tg)):
         for key, v in obj.get(part + "2", {}).items():
-            i, j = map(int, key.split(","))
+            i, j = _cell_key(key, m)
             grp = hom2_group(E[i], E[j], A)
             q.set_cell(part, i, j, Hom2Coeff(E[i], E[j], A, _value(grp, v)))
     return q
@@ -92,10 +124,11 @@ def linear_to_json(eps: LinearFnData) -> dict:
 def linear_from_json(obj: dict) -> LinearFnData:
     E = parse_product(obj["domain"])
     G = parse_product(obj["codomain"])
-    raw = obj["eps0"]  # extra entries pass through for element()'s arity check
-    eps0 = G.element([_value(Gi, x) for Gi, x in zip(G, raw)] + raw[len(G):])
+    raw = obj["eps0"]
+    _require(isinstance(raw, list) and len(raw) == len(G), f"eps0 must have {len(G)} entries")
+    eps0 = G.element([_value(Gi, x) for Gi, x in zip(G, raw)])
     cells = [[_hom(E[j], G[i], v) for j, v in enumerate(row)]
-             for i, row in enumerate(obj["eps1"])]
+             for i, row in enumerate(_matrix(obj["eps1"], len(G), len(E), "eps1"))]
     return LinearFnData(E, G, eps0, cells)
 
 
@@ -120,6 +153,8 @@ def qtensor_from_json(obj: dict) -> QTensorData:
         return QTensorData.zero(G)
     eps = linear_from_json(obj["eps"])
     q = quadratic_from_json(obj["q"])
+    _require(eps.codomain == G and q.domain == eps.domain,
+             "eps must map the domain of q into G")
     mag2 = obj.get("mag2")
     return QTensorData(
         G, eps.domain, eps, q, obj.get("div_weight", 0),
@@ -162,11 +197,13 @@ def tableau_to_json(tab: StabTableau) -> dict:
 def tableau_from_json(obj: dict) -> StabTableau:
     H = parse_product(obj["H"])
     S = parse_product(obj["S"])
+    n, m = len(H), len(S)
     sx = [[_hom(S[a], H[i], v) for a, v in enumerate(row)]
-          for i, row in enumerate(obj["sigma_x"])]
+          for i, row in enumerate(_matrix(obj["sigma_x"], n, m, "sigma_x"))]
     sz = [[_hom(S[a], dual_factor(H[i]), v) for a, v in enumerate(row)]
-          for i, row in enumerate(obj["sigma_z"])]
+          for i, row in enumerate(_matrix(obj["sigma_z"], n, m, "sigma_z"))]
     p = quadratic_from_json(obj["p"])
+    _require(p.domain == S, "p must be a function on S")
     return StabTableau(H, S, sx, sz, p)
 
 
@@ -183,8 +220,10 @@ def clifford_from_json(obj: dict) -> CliffordData:
     H = parse_product(obj["H"])
     P = H * dual_product(H)
     alpha = [[_hom(P[j], P[i], v) for j, v in enumerate(row)]
-             for i, row in enumerate(obj["alpha"])]
-    return CliffordData(H, alpha, quadratic_from_json(obj["u"]))
+             for i, row in enumerate(_matrix(obj["alpha"], len(P), len(P), "alpha"))]
+    u = quadratic_from_json(obj["u"])
+    _require(u.domain == P, "u must be a function on H x H*")
+    return CliffordData(H, alpha, u)
 
 
 def to_json(obj) -> dict:

@@ -9,6 +9,16 @@ coefficient arithmetic.  Code states (and through them Clifford
 unitaries) come in closed form straight from the tableau for every
 index group; projectors and measurements assemble the unreduced tensor
 data and normalize through the generic reductions.
+
+Each object has one condition, checked once.  A tableau's is
+p^(2) = sigma_z^* J sigma_x, compared cell by cell with the pairing cells,
+which the constructions then reuse; p^(2) is symmetric, so the condition
+already gives sigma^* J sigma = 0.  Clifford data (alpha, u) is checked as
+its Choi tableau, whose pairing is alpha^* omega alpha - omega and whose
+code state is the unitary; the same symmetry gives alpha^* J alpha = J,
+so a non-symplectic alpha is a CocycleMismatch.  Qubit tableaux are read
+from Pauli strings: an optional sign + or -, then one letter of IXYZ per
+qubit, all strings of one length.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,28 +197,30 @@ class StabTableau:
             acc = acc + conjugate_cell(x, pairing_cell(f), z)
         return acc
 
-    def validate(self) -> None:
+    def validate(self) -> List[List[Hom2Coeff]]:
+        """Check the tableau condition and that sigma is injective; return
+        the pairing cells sigma_pair_cell(a, b) as an m x m list."""
+        cells = self._condition(ConditionViolation, "tableau condition")
+        self._check_injective()
+        return cells
+
+    def _condition(self, error, what: str) -> List[List[Hom2Coeff]]:
+        """The pairing cells, each compared once with the cell of p^(2).
+
+        p^(2) is symmetric: its cell (b, a) is the transpose of its cell
+        (a, b), over the same coefficient group.  So the condition at (a, b)
+        and at (b, a) already makes the pairing symmetric, sigma^* J sigma = 0.
+        """
         m = len(self.S)
+        cells = [[self.sigma_pair_cell(a, b) for b in range(m)] for a in range(m)]
         for a in range(m):
             for b in range(m):
-                want = self.sigma_pair_cell(a, b)
-                if a == b:
-                    got = quad_to_bilinear(self.p.phi1[a])
-                else:
-                    got = self.p.cell("phi", a, b)
+                want, got = cells[a][b], self.p.cell("phi", a, b)
                 grp = want.group
                 if not grp.eq(grp.normalize(got.value), want.value):
-                    raise ConditionViolation(
-                        f"tableau condition fails at cell ({a},{b}): "
-                        f"{got.value} != {want.value}"
-                    )
-                # antisymmetry consequence sigma* J sigma = 0
-                wt = self.sigma_pair_cell(b, a)
-                if not grp.eq(grp.normalize(want.value), wt.transpose().value):
-                    raise ConditionViolation(
-                        f"sigma*J sigma nonzero at cell ({a},{b})"
-                    )
-        self._check_injective()
+                    raise error(f"{what} fails at cell ({a},{b}): "
+                                f"{got.value} != {want.value}")
+        return cells
 
     def _check_injective(self) -> None:
         D = dual_product(self.H)
@@ -229,17 +241,19 @@ class StabTableau:
 def qubit_tableau(strings: Sequence[str]) -> StabTableau:
     """Tableau from signed qubit Pauli strings like "+XZZXI" or "-Y".
 
+    Each string is an optional sign + or - and then one letter I, X, Y or Z
+    per qubit; there is at least one string, and all have the same length.
     The diagonal of p is fixed so that the stabilizer representation sends
     each generator to exactly the signed string operator (with Y = i XZ).
     """
     gens = []
     for s in strings:
-        sign = 1
-        body = s
-        if s[0] in "+-":
-            sign = -1 if s[0] == "-" else 1
-            body = s[1:]
-        gens.append((sign, body))
+        sign, body = (s[0], s[1:]) if s[:1] in ("+", "-") else ("+", s)
+        if not body or body.strip("IXYZ"):
+            raise ConditionViolation(f"{s!r} is not a signed Pauli string over IXYZ")
+        gens.append((-1 if sign == "-" else 1, body))
+    if len({len(body) for _, body in gens}) != 1:
+        raise ConditionViolation("need one or more Pauli strings of equal length")
     n = len(gens[0][1])
     m = len(gens)
     H = GroupProduct([Zk(2)] * n)
@@ -274,38 +288,34 @@ def css_tableau(Sx: GroupProduct, Sz: GroupProduct, sigma_x_cells, sigma_z_cells
     sz = [[sigma_z_cells[i][a - mx] if a >= mx else hom_zero(S[a], dual_factor(H[i]))
            for a in range(mx + mz)] for i in range(n)]
     tab = StabTableau(H, S, sx, sz, QuadraticFnData.zero(S))
-    # orthogonality sigma_z^* sigma_x = 0
-    for a in range(mx):
-        for b in range(mx, mx + mz):
-            cell = tab.sigma_pair_cell(a, b)
-            if not cell.is_zero():
-                raise OrthogonalityViolation(
-                    f"sigma_z^* sigma_x nonzero at ({a},{b}): {cell.value}"
-                )
-    tab.validate()
+    # the pairing vanishes off the (Sx, Sz) block, so with p = 0 the tableau
+    # condition is the orthogonality sigma_z^* sigma_x = 0
+    tab._condition(OrthogonalityViolation, "orthogonality sigma_z^* sigma_x = 0")
+    tab._check_injective()
     return tab
 
 
-def _sigma_quadratic(tab: StabTableau) -> QuadraticFnData:
-    """The normalized quadratic function w(s) = (sigma_z s)(sigma_x s)."""
+def _sigma_quadratic(S: GroupProduct, cells) -> QuadraticFnData:
+    """The normalized quadratic function w(s) = (sigma_z s)(sigma_x s) from
+    the pairing cells of a tableau with stabilizer group S."""
     from .coeff import lam
 
-    S = tab.S
     m = len(S)
     w = QuadraticFnData.zero(S)
     for a in range(m):
-        cell = tab.sigma_pair_cell(a, a)
+        cell = cells[a][a]
         if not cell.is_zero():
             w.phi1[a] = w.phi1[a] + lam(cell)
         for b in range(a + 1, m):
-            c = tab.sigma_pair_cell(a, b) + tab.sigma_pair_cell(b, a).transpose()
+            c = cells[a][b] + cells[b][a].transpose()
             if not c.is_zero():
                 w.set_cell("phi", a, b, w.cell("phi", a, b) + c)
     return w
 
 
-def _unreduced_projector(tab: StabTableau) -> QTensorData:
-    """Projector data before reduction: E = H x S, entries from R(s).
+def _unreduced_projector(tab: StabTableau, cells) -> QTensorData:
+    """Projector data before reduction: E = H x S, entries from R(s), with
+    the tableau's pairing cells.
 
     <h_o| R(s) |h_i> = e^{2 pi i (-p(s) + (sigma_z s)(h_i) + (sigma_z s)(sigma_x s))}
     at h_o = h_i + sigma_x s.
@@ -343,7 +353,7 @@ def _unreduced_projector(tab: StabTableau) -> QTensorData:
             cell = conjugate_cell(HomCoeff(f, f, 1), pairing_cell(f), zc)
             q.set_cell("phi", i, n + b, q.cell("phi", i, n + b) + cell)
     # phase w(s) - p(s) on the S part
-    sq = _sigma_quadratic(tab) + (-tab.p)
+    sq = _sigma_quadratic(S, cells) + (-tab.p)
     for b in range(m):
         q.phi1[n + b] = q.phi1[n + b] + sq.phi1[b]
     for (a, b), c in sq.phi2.items():
@@ -357,8 +367,7 @@ def _unreduced_projector(tab: StabTableau) -> QTensorData:
 
 
 def stab_projector(tab: StabTableau) -> QTensorData:
-    tab.validate()
-    return reduce_full(_unreduced_projector(tab))
+    return reduce_full(_unreduced_projector(tab, tab.validate()))
 
 
 def _dual_hom_matrix(rows_cells, K: GroupProduct, H: GroupProduct) -> LinearFnData:
@@ -380,7 +389,12 @@ def stab_state(tab: StabTableau) -> QTensorData:
     the state up to a global phase; an incomplete one yields a unit code
     state, one among many.
     """
-    tab.validate()
+    return _code_state(tab, tab.validate())
+
+
+def _code_state(tab: StabTableau, cells) -> QTensorData:
+    """stab_state of a tableau whose condition holds and whose sigma is
+    injective, from its pairing cells."""
     H, S = tab.H, tab.S
     n, m = len(H), len(S)
     sx = hom_data(S, H, tab.sigma_x)
@@ -407,7 +421,7 @@ def stab_state(tab: StabTableau) -> QTensorData:
     qpres = quotient_by_subgroup(S, kx)
     Q = qpres.group
     # q over S: (sigma_z^*(h0) - p + w)(s), eps over S: sigma_x offset by h0
-    qS = _sigma_quadratic(tab) + (-tab.p)
+    qS = _sigma_quadratic(S, cells) + (-tab.p)
     for b in range(m):
         acc = hom_zero(S[b], T)
         for i, f in enumerate(H):
@@ -433,13 +447,13 @@ def pauli_measurement(tab: StabTableau) -> QTensorData:
     """Syndrome POVM as a 3-index tensor over (out, in, syndrome): the
     unreduced projector data times the identity on S*, with the syndrome
     phase u(s) pairing each S factor with its dual."""
-    tab.validate()
+    cells = tab.validate()
     H, S = tab.H, tab.S
     if not (H.finite and S.finite):
         raise UnsupportedKernel("measurement tensor needs finite groups")
     n, m = len(H), len(S)
     Ds = dual_product(S)
-    t = tensor_product(_unreduced_projector(tab),
+    t = tensor_product(_unreduced_projector(tab, cells),
                        QTensorData(Ds, Ds, LinearFnData.identity(Ds), QuadraticFnData.zero(Ds)))
     for b in range(m):
         t.q.set_cell("phi", n + b, n + m + b, pairing_cell(S[b]))
@@ -477,53 +491,31 @@ def phase_space_omega(H: GroupProduct, x: GroupElement, y: GroupElement) -> Scal
     return mod1(acc)
 
 
-def clifford_check(c: CliffordData) -> None:
+def _choi_tableau(c: CliffordData) -> Tuple[StabTableau, List[List[Hom2Coeff]]]:
+    """The complete tableau over H(in) x H(out) whose code state is the Choi
+    state of ``c``, and its pairing cells, checked against u^(2).
+
+    S is the phase space, sigma_x = (1 0; alpha_x), sigma_z = (0 -1; alpha_z)
+    and p = u.  The pairing is then alpha^* omega alpha - omega, so the
+    tableau condition is the Clifford condition.  As u^(2) is symmetric, it
+    also gives alpha^* J alpha = J: a non-symplectic alpha fails it too.
+    """
     H = c.H
-    P = c.phase_space
-    n2 = len(P)
     n = len(H)
+    S = c.phase_space
+    Hc = H * H  # (in, out) ordering per the defining derivation
+    sx = [[HomCoeff(S[j], Hc[i], 1) if j == i else hom_zero(S[j], Hc[i])
+           for j in range(2 * n)] for i in range(n)] + c.alpha[:n]
+    sz = [[-HomCoeff(S[j], dual_factor(Hc[i]), 1) if j == n + i
+           else hom_zero(S[j], dual_factor(Hc[i])) for j in range(2 * n)]
+          for i in range(n)] + c.alpha[n:]
+    tab = StabTableau(Hc, S, sx, sz, c.u)
+    return tab, tab._condition(CocycleMismatch, "u^(2) = alpha^* omega alpha - omega")
 
-    def conj_cell(mid_k, mid_l, cell, i, j):
-        return conjugate_cell(c.alpha[mid_k][i], cell, c.alpha[mid_l][j])
 
-    for i in range(n2):
-        for j in range(n2):
-            # alpha^* omega alpha cell (i, j)
-            acc = hom2_zero(P[i], P[j], T)
-            for m in range(n):
-                cell = pairing_cell(H[m])
-                if not (c.alpha[m][i].is_zero() or c.alpha[n + m][j].is_zero()):
-                    acc = acc + conj_cell(m, n + m, cell, i, j)
-            # minus omega cell (i, j)
-            if i < n and j == n + i:
-                acc = acc + (-pairing_cell(H[i]))
-            # compare with u^(2) cell (i, j)
-            got = c.u.cell("phi", i, j)
-            grp = got.group
-            if not grp.eq(grp.normalize(acc.value), got.value):
-                raise CocycleMismatch(
-                    f"u^(2) cell ({i},{j}): expected {acc.value}, got {got.value}"
-                )
-    # symplectic condition alpha^* J alpha = J
-    for i in range(n2):
-        for j in range(n2):
-            acc = hom2_zero(P[i], P[j], T)
-            for m in range(n):
-                cell = pairing_cell(H[m])
-                if not (c.alpha[m][i].is_zero() or c.alpha[n + m][j].is_zero()):
-                    acc = acc + conj_cell(m, n + m, cell, i, j)
-                if not (c.alpha[n + m][i].is_zero() or c.alpha[m][j].is_zero()):
-                    acc = acc + (-conjugate_cell(c.alpha[n + m][i],
-                                                 pairing_cell(H[m]).transpose(),
-                                                 c.alpha[m][j]))
-            want = hom2_zero(P[i], P[j], T)
-            if i < n and j == n + i:
-                want = pairing_cell(H[i])
-            elif j < n and i == n + j:
-                want = -pairing_cell(H[j]).transpose()
-            grp = acc.group
-            if not grp.eq(grp.normalize(acc.value), want.value):
-                raise NotSymplectic(f"alpha^*Jalpha != J at cell ({i},{j})")
+def clifford_check(c: CliffordData) -> None:
+    """Raise CocycleMismatch unless u^(2) = alpha^* omega alpha - omega."""
+    _choi_tableau(c)
 
 
 def clifford_identity(H: GroupProduct) -> CliffordData:
@@ -562,24 +554,12 @@ def _sum_cells(src, tgt, cells):
 
 def clifford_to_tensor(c: CliffordData) -> QTensorData:
     """The Clifford unitary as a tensor over (out, in), unit-normalized."""
-    clifford_check(c)
+    tab, cells = _choi_tableau(c)
+    # the Choi tableau's condition is the Clifford condition, checked above;
+    # its sigma holds (s_x, -s_z) as rows, so it is injective
+    state = _code_state(tab, cells)
     H = c.H
     n = len(H)
-    D = dual_product(H)
-    n2 = 2 * n
-    # internal complete tableau over H_code = H(out) x H(in):
-    #   sigma_x = (1 0; a_xx a_xz), sigma_z = (0 -1; a_zx a_zz), p = u
-    S = c.phase_space
-    Hc = H * H  # (in, out) ordering per the defining derivation
-    sx = [[HomCoeff(S[j], Hc[i], 1) if j == i else hom_zero(S[j], Hc[i])
-           for j in range(n2)] for i in range(n)]
-    sx += [[c.alpha[i - n][j] for j in range(n2)] for i in range(n, 2 * n)]
-    sz = [[-HomCoeff(S[j], dual_factor(Hc[i]), 1) if j == n + i
-           else hom_zero(S[j], dual_factor(Hc[i])) for j in range(n2)]
-          for i in range(n)]
-    sz += [[c.alpha[n + (i - n)][j] for j in range(n2)] for i in range(n, 2 * n)]
-    tab = StabTableau(Hc, S, sx, sz, c.u)
-    state = stab_state(tab)
     # reorder (in, out) -> (out, in)
     state = permute_legs(state, list(range(n, 2 * n)) + list(range(n)))
     if H.finite:

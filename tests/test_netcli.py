@@ -318,13 +318,43 @@ def test_cli_usage_errors(tmp_path):
         r = run_cli("clifford", "compose", *specs)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:")
+    # malformed Pauli strings, on the command line and in a net gate
+    for gens in ("+XQ", "++X", "+XZ,+Z", ""):
+        r = run_cli("stab", "state", "gens:" + gens)
+        assert r.returncode == 2, (gens, r.stderr)
+        assert r.stderr.startswith("error:")
+    net = tmp_path / "stab.net"
+    net.write_text("wire a: Z2\nnode s = stab(+XQ)(a)\nopen a\n")
+    r = run_cli("contract", str(net))
+    assert r.returncode == 2, r.stderr
+    # payloads whose rows, columns or cells do not fit their signatures
+    tab = {"type": "tableau", "H": "Z2,Z2", "S": "Z2", "sigma_x": [[1]],
+           "sigma_z": [[0], [0]], "p": {"domain": "Z2"}}
+    cliff = {"type": "clifford", "H": "Z2", "alpha": [[1, 0]], "u": {"domain": "Z2,Z2"}}
+    for args, payload in ((("stab", "state"), tab), (("clifford", "compose"), cliff)):
+        f.write_text(json.dumps(payload))
+        r = run_cli(*args, str(f))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:")
+    for part, key, value in (("eps", "eps1", [[1, 1]]), ("q", "phi1", [[0, 0]] * 2),
+                             ("q", "phi2", {"0,0": 1})):
+        payload = _z4_payload(0, 1)
+        payload[part][key] = value
+        net.write_text(_z4_node_net(payload))
+        r = run_cli("contract", str(net))
+        assert r.returncode == 2, (key, r.stderr)
+        assert r.stderr.startswith("error:")
 
 
-def _z4_node_net(eps0, cell) -> str:
-    """One inline node on a Z4 wire with E = Z4, eps = eps0 + cell * e."""
-    payload = {"type": "qtensor", "G": "Z4", "E": "Z4", "zero": False, "div_weight": 0,
-               "eps": {"domain": "Z4", "codomain": "Z4", "eps0": [eps0], "eps1": [[cell]]},
-               "q": {"domain": "Z4"}}
+def _z4_payload(eps0, cell) -> dict:
+    """A qtensor on G = Z4 with E = Z4, eps = eps0 + cell * e."""
+    return {"type": "qtensor", "G": "Z4", "E": "Z4", "zero": False, "div_weight": 0,
+            "eps": {"domain": "Z4", "codomain": "Z4", "eps0": [eps0], "eps1": [[cell]]},
+            "q": {"domain": "Z4"}}
+
+
+def _z4_node_net(payload: dict) -> str:
+    """One inline node with the qtensor ``payload`` on a Z4 wire."""
     return f"wire w: Z4\nnode n = json {json.dumps(payload)} (w)\nopen w\n"
 
 
@@ -336,7 +366,7 @@ def _z4_node_net(eps0, cell) -> str:
 ])
 def test_cli_rejects_non_integral_discrete_values(tmp_path, eps0, cell):
     net = tmp_path / "z4.net"
-    net.write_text(_z4_node_net(eps0, cell))
+    net.write_text(_z4_node_net(_z4_payload(eps0, cell)))
     r = run_cli("contract", str(net))
     if (eps0, cell) == (0, 2):
         assert r.returncode == 0, r.stderr

@@ -2,7 +2,9 @@
 and Clifford data."""
 
 import cmath
+import json
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,15 +13,19 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from qtensor import jsonio
 from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff
 from qtensor.dense import materialize, materialize_matrix
 from qtensor.engine import QTensorData, reduce_full, self_contract, tensor_product
 from qtensor.functions import QuadraticFnData
 from qtensor.groups import GroupProduct, T, Z, Zk, parse_product
+from qtensor.solve import UnsupportedKernel
+from qtensor import stab
 from qtensor.stab import (
     CliffordData,
     CocycleMismatch,
     PauliLabel,
+    StabTableau,
     clifford_check,
     clifford_compose,
     clifford_identity,
@@ -31,6 +37,7 @@ from qtensor.stab import (
     pauli_to_tensor,
     phase_space_omega,
     qubit_tableau,
+    rotor_tableau,
     stab_projector,
     stab_state,
 )
@@ -305,6 +312,19 @@ def test_clifford_check_examples():
     bad.u.set_cell("phi", 0, 1, Hom2Coeff(Zk(2), Zk(2), T, 1))
     with pytest.raises(CocycleMismatch):
         clifford_check(bad)
+    # alpha^* J alpha != J: no u fits, since u^(2) is symmetric and
+    # alpha^* omega alpha - omega is then not
+    for sig, rows in (("Z2", [[1, 1], [0, 0]]), ("Z3", [[1, 0], [0, 2]])):
+        H = parse_product(sig)
+        P = H * dual_product(H)
+        k = H[0].k
+        alpha = [[HomCoeff(P[j], P[i], rows[i][j]) for j in range(2)] for i in range(2)]
+        for a, b, c, d, e in product(range(2 * k), range(k), range(2 * k), range(k), range(k)):
+            u = QuadraticFnData.zero(P)
+            u.phi1 = [QuadCoeff(P[0], T, a, b), QuadCoeff(P[1], T, c, d)]
+            u.set_cell("phi", 0, 1, Hom2Coeff(P[0], P[1], T, e))
+            with pytest.raises(CocycleMismatch):
+                clifford_check(CliffordData(H, alpha, u))
 
 
 def test_clifford_to_tensor_h_s():
@@ -379,3 +399,99 @@ def test_clifford_compose_random_vs_dense():
         Uc = materialize_matrix(clifford_to_tensor(c), 1)
         assert up_to_phase((Ua @ Ub).reshape(-1), Uc.reshape(-1))
         pool.append(c)
+
+
+def test_each_pairing_cell_is_computed_once(monkeypatch):
+    """stab_state, stab_projector and pauli_measurement compute the m x m
+    pairing cells once; clifford_to_tensor computes its (2n)^2 cells once
+    and one kernel, that of the code state."""
+    calls = {"cell": 0, "kernel": 0}
+    cell, kernel = StabTableau.sigma_pair_cell, stab.kernel_of_hom
+
+    def counted_cell(self, a, b):
+        calls["cell"] += 1
+        return cell(self, a, b)
+
+    def counted_kernel(h):
+        calls["kernel"] += 1
+        return kernel(h)
+
+    monkeypatch.setattr(StabTableau, "sigma_pair_cell", counted_cell)
+    monkeypatch.setattr(stab, "kernel_of_hom", counted_kernel)
+    for gens in (["+XX", "+ZZ"], FIVE_QUBIT, STEANE):
+        tab = qubit_tableau(gens)
+        for fn in (stab_state, stab_projector, pauli_measurement):
+            calls["cell"] = 0
+            fn(tab)
+            assert calls["cell"] == len(gens) ** 2, (fn.__name__, gens)
+    for c in (hadamard_data(), cx_data()):
+        calls["cell"] = calls["kernel"] = 0
+        clifford_to_tensor(c)
+        assert calls["cell"] == len(c.phase_space) ** 2
+        assert calls["kernel"] == 1
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+PINNED = os.path.join(os.path.dirname(__file__), "data", "stab_outputs.json")
+
+
+def pinned_tableaux() -> dict:
+    """The exact tableaux of this module: qubit generator lists, qudit CSS
+    codes and rotor codes."""
+    gens = [["+X"], ["-X"], ["+Y"], ["-Y"], ["+Z"], ["-Z"], ["+XX", "+ZZ"], ["-ZZ"],
+            FIVE_QUBIT, FIVE_QUBIT + ["+ZZZZZ"], SIGNED_FIVE_QUBIT, STEANE]
+    out = {",".join(g): qubit_tableau(g) for g in gens}
+    out["z3_bell"] = qudit_css([3, 3], "Z3", [[1], [1]], "Z3", [[1], [2]])
+    out["z5_ghz"] = qudit_css([5] * 4, "Z5", [[1]] * 4, "Z5,Z5,Z5",
+                              [[1, 0, 0], [4, 1, 0], [0, 4, 1], [0, 0, 4]])
+    out["z2_z4"] = qudit_css([2, 4], "Z2", [[1], [1]], "Z4", [[1], [1]])
+    out["rotor_t"] = rotor_tableau(np.array([[1]]), np.zeros((1, 0), dtype=int))
+    out["rotor_tz"] = rotor_tableau(np.array([[1], [1]]), np.array([[1], [-1]]))
+    return out
+
+
+def pinned_cliffords() -> dict:
+    from tests_clifford_data import cz_data
+
+    h, s, cx, cz = hadamard_data(), s_gate_data(), cx_data(), cz_data()
+    return {"H": h, "S": s, "CX": cx, "CZ": cz, "HH": clifford_compose(h, h),
+            "SS": clifford_compose(s, s), "HS": clifford_compose(h, s),
+            "SH": clifford_compose(s, h), "CX_CZ": clifford_compose(cx, cz)}
+
+
+def stab_outputs() -> dict:
+    """The JSON of every stab_state, stab_projector and pauli_measurement of
+    the pinned tableaux (or the name of the error it raises), and of
+    clifford_to_tensor on the pinned Clifford data.
+
+    After a change that alters these outputs on purpose, rewrite the pinned
+    file from the repository root with
+
+        PYTHONPATH=src:tests python -c "import json, test_stabilizer as t; \\
+            json.dump(t.stab_outputs(), open('tests/data/stab_outputs.json', 'w'), \\
+            indent=1, sort_keys=True)"
+
+    and say why in CHANGES.md.
+    """
+    out = {}
+    for name, tab in pinned_tableaux().items():
+        for fn in (stab_state, stab_projector, pauli_measurement):
+            try:
+                out[f"{fn.__name__}/{name}"] = json.loads(jsonio.dumps(fn(tab)))
+            except UnsupportedKernel as exc:
+                out[f"{fn.__name__}/{name}"] = type(exc).__name__
+    for name, c in pinned_cliffords().items():
+        out[f"clifford_to_tensor/{name}"] = json.loads(jsonio.dumps(clifford_to_tensor(c)))
+    return out
+
+
+def test_stab_outputs_match_pinned():
+    with open(PINNED, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    got = stab_outputs()
+    assert sorted(got) == sorted(pinned)
+    for key in got:
+        # compare the serialized text, so an exact 0 and a float 0.0 differ
+        assert json.dumps(got[key], sort_keys=True) == json.dumps(pinned[key], sort_keys=True), key
