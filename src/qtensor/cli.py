@@ -17,7 +17,7 @@ from . import jsonio
 from .dense import DivergentPrefactor, InfiniteGroupError, TooLargeError, materialize
 from .engine import NotIntegrable, NotInvertible
 from .fermion import FermionTensorData, NontrivialEmbedding, SingularBlock, fermion_entry
-from .groups import parse_product
+from .groups import BadSignature, parse_product
 from .net import (
     ContractionResult,
     NetSyntaxError,
@@ -34,6 +34,7 @@ from .stab import (
     ConditionViolation,
     NotSymplectic,
     OrthogonalityViolation,
+    SpaceMismatch,
     UnsolvableOffset,
     clifford_check,
     clifford_compose,
@@ -44,8 +45,8 @@ from .stab import (
 )
 
 INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
-                 NotSymplectic, CocycleMismatch, UnsolvableOffset, jsonio.NonIntegralValue,
-                 jsonio.MalformedPayload)
+                 NotSymplectic, CocycleMismatch, UnsolvableOffset, SpaceMismatch, BadSignature,
+                 jsonio.NonIntegralValue, jsonio.MalformedPayload)
 UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible, InfiniteGroupError,
                TooLargeError, DivergentPrefactor, SingularBlock, NontrivialEmbedding)
 

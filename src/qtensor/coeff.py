@@ -17,6 +17,9 @@ engine's and solver's generator reads all go through it.  Fitting
 quadratic coefficients to pointwise values on Z_k is closed-form too: the
 coefficients are read off one or two values and then checked against
 every point, so data that is not quadratic raises instead of fitting.
+A quadratic coefficient on Z that factors through Z_k moves down to Z_k
+by the same closed form, checked at the two points it is read from
+(``quad_descend``).
 
 Values follow ``groups``: Z_k and Z coefficients and results are plain
 ``int``, T and R ones ``Fraction`` or ``float``.  The coefficient groups
@@ -632,7 +635,38 @@ def quad_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> QuadCoeff:
         return quad_zero(G, A)
     k = G.k
     vals = [A.normalize(F(g)) for g in range(k)]
-    f1, f2, fm1 = vals[1], vals[2 % k], vals[-1]
+    fit = _quad_closed_form(G, A, vals[1], vals[2 % k], vals[-1])
+    if all(A.eq(quad_apply(fit, g), vals[g]) for g in range(k)):
+        return fit
+    raise ValueError(f"no quadratic coefficient matches values {vals} on {G}->{A}")
+
+
+def quad_descend(G: ElementaryGroup, c: QuadCoeff) -> QuadCoeff:
+    """The coefficient on G = Z_k of the quadratic function F: Z -> A with
+    coefficient ``c``, for F that factors through Z -> Z_k.
+
+    The closed form of ``quad_fit`` is read off F(1) and F(2) (even k) or
+    F(1) and F(-1) (odd k), and the fit is checked against F at those
+    points only; a mismatch, so an F that does not factor, raises
+    ``ValueError``.  That check is as strong as one at every point: a
+    normalized quadratic D on Z is D(u) = u D(1) + u(u-1)/2 B(1, 1), with
+    B(1, 1) = D(2) - 2 D(1) = D(1) + D(-1).  So two quadratic functions
+    that agree at 0, 1 and 2 (or at 0 and +-1) agree on all of Z; for
+    A = T they differ by a u(u -+ 1) with 2a in Z, which is 0 mod 1.
+    """
+    A = c.target
+    pts = (1, 2) if G.k % 2 == 0 else (1, -1)
+    vals = {u: quad_apply(c, u) for u in pts}
+    fit = _quad_closed_form(G, A, vals[1], vals.get(2), vals.get(-1))
+    if all(A.eq(quad_apply(fit, u), vals[u]) for u in pts):
+        return fit
+    raise ValueError(f"{c} does not factor through {G}")
+
+
+def _quad_closed_form(G: ElementaryGroup, A: ElementaryGroup, f1, f2, fm1) -> QuadCoeff:
+    """The coefficient on Z_k -> A (A = T or Z_l) taking the value f1 at 1
+    and f2 at 2 (even k, and even l for A = Z_l) or fm1 at -1 (otherwise)."""
+    k = G.k
     if A.kind == "T":
         if k % 2 == 0:
             # F(1) = h2/2k and F(2) = (h2 - h1)/(k/2)
@@ -642,7 +676,7 @@ def quad_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> QuadCoeff:
             # F(+-1) = (h2/2 +- h1)/k
             h2 = round(k * (f1 + fm1))
             h1 = _half_odd(round(k * (f1 - fm1)), k)
-    else:  # A = Z_l; every other target has trivial groups and returned above
+    else:  # A = Z_l; every other target has trivial groups
         l, d = A.k, _gcd(k, A.k)
         if k % 2 == 0 and l % 2 == 0:
             # F(1) = s h2 and F(2) = 4 s h2 - 2 (l/d) h1 (mod l), with s = l / 2 gcd(k, l/2)
@@ -654,10 +688,7 @@ def quad_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> QuadCoeff:
             step = l // d
             h2 = ((int(f1) + int(fm1)) % l) // step
             h1 = _half_odd(((int(f1) - int(fm1)) % l) // step, d)
-    fit = QuadCoeff(G, A, h2, h1)
-    if all(A.eq(quad_apply(fit, g), vals[g]) for g in range(k)):
-        return fit
-    raise ValueError(f"no quadratic coefficient matches values {vals} on {G}->{A}")
+    return QuadCoeff(G, A, h2, h1)
 
 
 # ---------------------------------------------------------------------------

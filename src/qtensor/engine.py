@@ -36,7 +36,7 @@ from .coeff import (
     hom_zero,
     quad_apply,
     quad_as_hom,
-    quad_fit,
+    quad_descend,
     quad_to_bilinear,
 )
 from .functions import LinearFnData, QuadraticFnData, hom_data
@@ -210,8 +210,8 @@ def _extract_through_section(
     level.  Both functions must be invariant under the reduced subgroup;
     then every composite factors through Z -> Z_k, and the coefficients of
     the finite factors are moved down in closed form: an eps cell from its
-    value at 1, phi1 by ``quad_fit`` on its Z -> T coefficient, a phi cross
-    cell from B(1, 1).  The a-part cells of finite factors have trivial
+    value at 1, phi1 by ``quad_descend`` from its Z -> T coefficient, a phi
+    cross cell from B(1, 1).  The a-part cells of finite factors have trivial
     coefficient groups.
     """
     Qz = GroupProduct([Z if f.kind == "Zk" else f for f in Q])
@@ -223,7 +223,7 @@ def _extract_through_section(
     out_q = QuadraticFnData(Q, qz.a0, qz.phi0)
     for t in range(len(Q)):
         if fin[t]:
-            out_q.phi1[t] = quad_fit(Q[t], T, lambda u, c=qz.phi1[t]: quad_apply(c, u))
+            out_q.phi1[t] = quad_descend(Q[t], qz.phi1[t])
         else:
             out_q.a1[t], out_q.phi1[t] = qz.a1[t], qz.phi1[t]
     for (i, j), c in qz.a2.items():

@@ -26,6 +26,10 @@ class InfiniteGroup(ValueError):
     pass
 
 
+class BadSignature(ValueError):
+    """A group signature that names no elementary group."""
+
+
 @dataclass(frozen=True)
 class ElementaryGroup:
     kind: str  # "Zk" | "Z" | "T" | "R"
@@ -181,8 +185,13 @@ def parse_group(sig: str) -> ElementaryGroup:
     if sig == "R":
         return R
     if sig.startswith("Z"):
-        return Zk(int(sig[1:]))
-    raise ValueError(f"bad group signature {sig!r}")
+        try:
+            k = int(sig[1:])
+        except ValueError:
+            k = 0
+        if k >= 1:
+            return Zk(k)
+    raise BadSignature(f"bad group signature {sig!r}")
 
 
 def parse_product(sig: str) -> GroupProduct:

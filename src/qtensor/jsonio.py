@@ -174,13 +174,14 @@ def fermion_to_json(t: FermionTensorData) -> dict:
 
 
 def fermion_from_json(obj: dict) -> FermionTensorData:
-    eps = np.array([[_cplx_from(v) for v in row] for row in obj["eps1"]],
-                   dtype=complex) if obj["eps1"] else np.zeros((obj["n"], 0))
-    q2 = np.array([[_cplx_from(v) for v in row] for row in obj["q2"]],
-                  dtype=complex) if obj["q2"] else np.zeros((0, 0))
-    m = obj["n"] - 2 * obj["l"]
-    return FermionTensorData(obj["n"], obj["l"], eps.reshape(obj["n"], m),
-                             q2.reshape(m, m), _cplx_from(obj["q0"]))
+    n, l = obj["n"], obj["l"]
+    _require(isinstance(n, int) and isinstance(l, int) and 0 <= 2 * l <= n,
+             "fermion n and l must be integers with 0 <= 2 l <= n")
+    m = n - 2 * l
+    eps = [[_cplx_from(v) for v in row] for row in _matrix(obj["eps1"], n, m, "fermion eps1")]
+    q2 = [[_cplx_from(v) for v in row] for row in _matrix(obj["q2"], m, m, "fermion q2")]
+    return FermionTensorData(n, l, np.array(eps, dtype=complex).reshape(n, m),
+                             np.array(q2, dtype=complex).reshape(m, m), _cplx_from(obj["q0"]))
 
 
 def tableau_to_json(tab: StabTableau) -> dict:

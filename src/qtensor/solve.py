@@ -1,19 +1,26 @@
 """Kernels, preimages, and quotients of homomorphisms between products of
 elementary abelian groups.
 
-Discrete blocks (Z_k and Z factors) are lifted to integer lattices and
-handled by exact Smith normal form; real blocks use one Gauss-Jordan
-elimination, ``gauss_jordan`` (exact over rationals when possible,
-floating point with a pivot threshold of PIVOT_TOL times the largest
-entry otherwise), which also gives the engine its exact determinants.
-Circle-group targets are lifted through the covering R -> R/Z by
-introducing auxiliary integer unknowns.  Kernel shapes outside the
-supported classes raise UnsupportedKernel.  A kernel generator of a
-discrete block is read back into each factor by ``coeff.hom_from_image``.
+Discrete blocks (Z_k and Z factors) are lifted to integer systems, one
+row per codomain factor taken mod its order (T rows scaled to integers
+first, Z and R rows exact).  Each system is first eliminated on unit
+pivots (``_Elimination``): a cell whose column order equals its row's
+modulus and whose value is a unit there fixes that column as a function
+of the others, in the manner of a Schur complement.  Only the rows left
+without a pivot, the residual, go to exact Smith normal form; a zero
+residual makes the kernel the product of the free columns with no Smith
+form at all.  Real blocks use one Gauss-Jordan elimination,
+``gauss_jordan`` (exact over rationals when possible, floating point with
+a pivot threshold of PIVOT_TOL times the largest entry otherwise), which
+also gives the engine its exact determinants.  Circle-group targets are
+lifted through the covering R -> R/Z by introducing auxiliary integer
+unknowns.  Kernel shapes outside the supported classes raise
+UnsupportedKernel.  A kernel generator of a discrete block is read back
+into each factor by ``coeff.hom_from_image``.
 
-Each integer system is factored once: one Smith form U A V = S serves
-every kernel vector, solution, lattice basis and inverse read off it (U^-1
-is built alongside U), and
+Each system is factored once: one elimination and one Smith form
+U A V = S of its residual serve every kernel vector, solution, lattice
+basis and inverse read off it (U^-1 is built alongside U), and
 ``solve_with_kernel`` gives a solve and a kernel of the same homomorphism
 one factorization when they lift to the same system.
 """
@@ -176,11 +183,15 @@ def smith_normal_form(A: Sequence[Sequence[int]], inverse: bool = False):
 def _factor(A: Sequence[Sequence[int]], factored: Optional[dict]):
     """smith_normal_form(A), kept in ``factored`` (keyed by the matrix) when
     given, so a system met twice is factored once."""
+    return _cached(factored, tuple(map(tuple, A)), lambda: smith_normal_form(A))
+
+
+def _cached(factored: Optional[dict], key, make):
+    """make(), kept in ``factored`` under ``key`` when given."""
     if factored is None:
-        return smith_normal_form(A)
-    key = tuple(map(tuple, A))
+        return make()
     if key not in factored:
-        factored[key] = smith_normal_form(A)
+        factored[key] = make()
     return factored[key]
 
 
@@ -343,15 +354,14 @@ def _rational_cell(cell: HomCoeff, solving: bool) -> Fraction:
 
 
 def _lifted_system(eps: LinearFnData, cols: List[int], rows: List[int], b=None):
-    """The integer system [A | D] x = rhs that lifts eps on the discrete
-    columns ``cols`` and codomain ``rows``; ``b`` is the right-hand side of
-    a solve, None for a kernel.
+    """The integer system A x = rhs (row t mod mods[t], 0 for an exact row)
+    that lifts eps on the discrete columns ``cols`` and codomain ``rows``;
+    ``b`` is the right-hand side of a solve, None for a kernel.
 
     A row into Z_k or Z is integral as it stands.  A row into T or R has
     rational entries and is scaled by the lcm of their denominators and, in
-    a solve, of b's.  Each Z_k or T row gets one auxiliary integer unknown,
-    a column of D holding its modulus: k, or the scale of a T row.  Rows
-    into Z and R are exact equations, and a kernel skips zero R rows.
+    a solve, of b's; a T row is then taken mod that scale.  Rows into Z and
+    R are exact equations, and a kernel skips zero R rows.
     """
     G = eps.codomain
     A, mods, rhs = [], [], []
@@ -375,9 +385,168 @@ def _lifted_system(eps: LinearFnData, cols: List[int], rows: List[int], b=None):
         A.append([int(c * den) for c in vals])
         mods.append(den if Gi.kind == "T" else 0)
         rhs.append(int(bi * den))
-    aux = [t for t, mod in enumerate(mods) if mod]
-    full = [row + [mods[t] if t == a else 0 for a in aux] for t, row in enumerate(A)]
-    return full, rhs
+    return A, mods, rhs
+
+
+def _is_unit(x: int, mod: int) -> bool:
+    return x in (1, -1) if mod == 0 else mod > 1 and math.gcd(x, mod) == 1
+
+
+class _Elimination:
+    """A lifted system A x = rhs, row t taken mod mods[t] and unknown j in
+    Z_{orders[j]} (0 for an exact row and for a Z unknown), eliminated on
+    unit pivots before any Smith form.
+
+    A pivot is a cell (i, j) with orders[j] == mods[i] whose value is a
+    unit mod mods[i] (+-1 when both are 0).  Row i is scaled by the inverse
+    unit, so that it reads x_j = rhs_i - sum_l A_il x_l (mod mods[i]), and
+    A_rj times it is taken from every other row r, mod mods[r].  Both steps
+    are well defined on the group, because each lifted cell is a
+    homomorphism: A_rl orders[l] = 0 (mod mods[r]) for every row and
+    column, and the updated rows keep that property.  So x_j is a function
+    of the other unknowns, and the rows left without a pivot, on the
+    columns left without one (the residual), hold all that remains of the
+    system.  Pivot rows are kept reduced, each free of the other pivot
+    columns, so a solution of the residual completes in one pass.
+    """
+
+    def __init__(self, A: Sequence[Sequence[int]], mods: List[int], orders: List[int]):
+        rows = [[x % mod for x in row] if mod else list(row) for row, mod in zip(A, mods)]
+        self.mods, self.orders = mods, orders
+        # (pivot row, pivot column, unit, [(updated row, multiple of the pivot row)])
+        self.steps: List[Tuple[int, int, int, List[Tuple[int, int]]]] = []
+        left = list(range(len(rows)))
+        found = True
+        while found:
+            found = False
+            for i in list(left):
+                mod = mods[i]
+                j = next((j for j, x in enumerate(rows[i])
+                          if orders[j] == mod and _is_unit(x, mod)), None)
+                if j is None:
+                    continue
+                u = pow(rows[i][j], -1, mod) if mod else rows[i][j]
+                pivot = rows[i] = [u * x % mod if mod else u * x for x in rows[i]]
+                updates = []
+                for r, row in enumerate(rows):
+                    c = row[j]
+                    if r != i and c:
+                        rows[r] = [x - c * y for x, y in zip(row, pivot)]
+                        if mods[r]:
+                            rows[r] = [x % mods[r] for x in rows[r]]
+                        updates.append((r, c))
+                self.steps.append((i, j, u, updates))
+                left.remove(i)
+                found = True
+        pivoted = {j for _, j, _, _ in self.steps}
+        self.rows = rows
+        self.free = [j for j in range(len(orders)) if j not in pivoted]
+        self.zero_rows = [i for i in left if not any(rows[i][l] for l in self.free)]
+        self.residual = [i for i in left if i not in self.zero_rows]
+        self._snf = None
+
+    def residual_system(self) -> List[List[int]]:
+        """[R | D]: the residual R with one auxiliary unknown per modular
+        row, a column of D holding its modulus."""
+        aux = [i for i in self.residual if self.mods[i]]
+        return [[self.rows[i][l] for l in self.free] + [self.mods[i] if i == a else 0 for a in aux]
+                for i in self.residual]
+
+    def snf(self):
+        if self._snf is None:
+            self._snf = smith_normal_form(self.residual_system())
+        return self._snf
+
+    def _reduce_rhs(self, rhs: Sequence[int]) -> List[int]:
+        """rhs through the row operations of the elimination."""
+        b = list(rhs)
+        for i, _, u, updates in self.steps:
+            b[i] = u * b[i] % self.mods[i] if self.mods[i] else u * b[i]
+            for r, c in updates:
+                b[r] = (b[r] - c * b[i]) % self.mods[r] if self.mods[r] else b[r] - c * b[i]
+        return b
+
+    def _complete(self, x_free: Sequence[int], b: Sequence[int]) -> List[int]:
+        """All unknowns from the free ones, given the reduced rhs b."""
+        x = [0] * len(self.orders)
+        for l, v in zip(self.free, x_free):
+            x[l] = v
+        for i, j, _, _ in self.steps:
+            v = b[i] - sum(self.rows[i][l] * x[l] for l in self.free)
+            x[j] = v % self.mods[i] if self.mods[i] else v
+        return x
+
+    def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
+        """One solution of A x = rhs, or None."""
+        b = self._reduce_rhs(rhs)
+        if any(b[i] % self.mods[i] if self.mods[i] else b[i] for i in self.zero_rows):
+            return None
+        x_free = [0] * len(self.free)
+        if self.residual:
+            y = solve_integer(self.residual_system(), [b[i] for i in self.residual], self.snf())
+            if y is None:
+                return None
+            x_free = y[:len(self.free)]
+        return self._complete(x_free, b)
+
+    def kernel(self) -> List[Tuple[List[int], int]]:
+        """Generators of the solution group of A x = 0 with their orders
+        (0 for a Z factor); generators of order 1 are left out."""
+        orders = [self.orders[l] for l in self.free]
+        if self.residual:
+            gens = _lattice_kernel(self.residual_system(), orders, self.snf())
+        else:
+            gens = [([int(t == jj) for t in range(len(orders))], o) for jj, o in enumerate(orders)]
+        zero = [0] * len(self.mods)
+        return [(self._complete(g, zero), o) for g, o in gens if o != 1]
+
+
+def _eliminate(A, mods: List[int], orders: List[int], factored: Optional[dict]) -> _Elimination:
+    """_Elimination(A, mods, orders), kept in ``factored`` (keyed by the
+    system) when given."""
+    key = (tuple(map(tuple, A)), tuple(mods), tuple(orders))
+    return _cached(factored, key, lambda: _Elimination(A, mods, orders))
+
+
+def _lattice_kernel(full: List[List[int]], orders: List[int], snf) -> List[Tuple[List[int], int]]:
+    """Generators, with their orders, of the group of x in prod Z_{orders}
+    with [A | D] (x, y) = 0 for some integer y, from the Smith form ``snf``
+    of [A | D]."""
+    m = len(orders)
+    kgens = integer_kernel(full, snf)
+    # the solutions x, with the column relations k_j e_j, generate a lattice
+    rels = [(jj, k) for jj, k in enumerate(orders) if k]
+    gens = [g[:m] for g in kgens] + [[k if t == jj else 0 for t in range(m)] for jj, k in rels]
+    if not gens:
+        return []
+    # one Smith form U W V = S of the generator matrix W: the columns of
+    # W V = U^-1 S are a basis B of the lattice (the first r, nonzero), and
+    # a relation c has the unique coordinates S^-1 (U c) in it
+    W = [[g[i] for g in gens] for i in range(m)]
+    U, S, V = smith_normal_form(W)
+    rank = sum(1 for t in range(min(m, len(gens))) if S[t][t] != 0)
+    if not rank:
+        return []
+    Bmat = [row[:rank] for row in _matmul(W, V)]
+    M = [[0] * len(rels) for _ in range(rank)]
+    for t, (jj, k) in enumerate(rels):
+        for q in range(rank):
+            assert U[q][jj] * k % S[q][q] == 0, "column relations must lie in the solution lattice"
+            M[q][t] = U[q][jj] * k // S[q][q]
+    if rels:
+        _, S, _, Uinv = smith_normal_form(M, inverse=True)
+        # new basis B' = B U^{-1}: columns are generators of L with orders S
+        Bprime = _matmul(Bmat, Uinv)
+        orders_out = [S[t][t] if t < len(rels) else 0 for t in range(rank)]
+    else:
+        Bprime = Bmat
+        orders_out = [0] * rank
+    return [([Bprime[i][q] for i in range(m)], orders_out[q]) for q in range(rank)]
+
+
+def _order(f) -> int:
+    """The order of a discrete factor's generator, 0 for Z."""
+    return f.k if f.kind == "Zk" else 0
 
 
 def _split_cols(E: GroupProduct):
@@ -397,7 +566,8 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
     an explicit inclusion.  Supported classes: discrete-to-discrete (with
     rational circle couplings), circle-to-circle, real-to-real, and block
     combinations in which no codomain factor mixes source classes.
-    ``factored`` holds Smith forms already computed (see ``_factor``)."""
+    ``factored`` holds eliminations and Smith forms already computed (see
+    ``_eliminate`` and ``_factor``)."""
     assert eps.is_homomorphism
     E, G = eps.domain, eps.codomain
     disc, cont_t, cont_r = _split_cols(E)
@@ -449,50 +619,12 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
 
 def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
     E = eps.domain
-    m = len(cols)
-    full, _ = _lifted_system(eps, cols, rows)
-    kgens = integer_kernel(full, _factor(full, factored)) if full else [
-        [1 if t == j else 0 for t in range(m)] for j in range(m)
-    ]
-    # the solutions x, with the column relations k_j e_j, generate a lattice
-    rels = [(jj, E[j].k) for jj, j in enumerate(cols) if E[j].kind == "Zk"]
-    gens = [g[:m] for g in kgens] + [[k if t == jj else 0 for t in range(m)] for jj, k in rels]
-    if not gens:
-        return
-    # one Smith form U W V = S of the generator matrix W: the columns of
-    # W V = U^-1 S are a basis B of the lattice (the first r, nonzero), and
-    # a relation c has the unique coordinates S^-1 (U c) in it
-    W = [[g[i] for g in gens] for i in range(m)]
-    U, S, V = smith_normal_form(W)
-    rank = sum(1 for t in range(min(m, len(gens))) if S[t][t] != 0)
-    if not rank:
-        return
-    Bmat = [row[:rank] for row in _matmul(W, V)]
-    M = [[0] * len(rels) for _ in range(rank)]
-    for t, (jj, k) in enumerate(rels):
-        for q in range(rank):
-            assert U[q][jj] * k % S[q][q] == 0, "column relations must lie in the solution lattice"
-            M[q][t] = U[q][jj] * k // S[q][q]
-    if rels:
-        _, S, _, Uinv = smith_normal_form(M, inverse=True)
-        # new basis B' = B U^{-1}: columns are generators of L with orders S
-        Bprime = _matmul(Bmat, Uinv)
-        orders = [S[t][t] if t < len(rels) else 0 for t in range(rank)]
-    else:
-        Bprime = Bmat
-        orders = [0] * rank
-    for qcol in range(rank):
-        order = orders[qcol]
-        if order == 1:
-            continue
-        gen = [Bprime[i][qcol] for i in range(m)]
+    A, mods, _ = _lifted_system(eps, cols, rows)
+    for gen, order in _eliminate(A, mods, [_order(E[j]) for j in cols], factored).kernel():
         factor = Zk(order) if order else Z
-        col_cells = []
-        for j in range(len(E)):
-            if j in cols:
-                col_cells.append(hom_from_image(factor, E[j], gen[cols.index(j)]))
-            else:
-                col_cells.append(hom_zero(factor, E[j]))
+        col_cells = [hom_zero(factor, f) for f in E]
+        for jj, j in enumerate(cols):
+            col_cells[j] = hom_from_image(factor, E[j], gen[jj])
         emit(factor, col_cells)
 
 
@@ -577,8 +709,8 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
     """One solution e of eps(e) = target, or None.
 
     Solves the affine equation; the same class restrictions as
-    ``kernel_of_hom`` apply.  ``factored`` holds Smith forms already
-    computed (see ``_factor``).
+    ``kernel_of_hom`` apply.  ``factored`` holds eliminations and Smith
+    forms already computed (see ``_eliminate`` and ``_factor``).
     """
     E, G = eps.domain, eps.codomain
     b = G.sub(G.element(target), eps(E.identity()))
@@ -593,8 +725,8 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
     if disc:
         if any(not eps.eps1[i][j].is_zero() for i in rows_d for j in cont_t + cont_r):
             raise UnsupportedKernel("mixed-class solve")
-        full, rhs = _lifted_system(eps, disc, rows_d, b)
-        res = solve_integer(full, rhs, _factor(full, factored)) if full else [0] * len(disc)
+        A, mods, rhs = _lifted_system(eps, disc, rows_d, b)
+        res = _eliminate(A, mods, [_order(E[j]) for j in disc], factored).solve(rhs)
         if res is None:
             return None
         for jj, j in enumerate(disc):
@@ -672,7 +804,7 @@ def _solve_circle(mat: List[List[int]], rhs: List, snf) -> Optional[List]:
 def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, KernelPresentation]]:
     """``solve_hom(eps, target)`` and ``kernel_of_hom(eps)``, or None when
     there is no solution.  Where the two lift eps to the same integer
-    system, that system is factored once."""
+    system, that system is eliminated and its residual factored once."""
     factored: dict = {}
     e = solve_hom(eps, target, factored)
     if e is None:

@@ -71,6 +71,10 @@ class ConditionViolation(ValueError):
     pass
 
 
+class SpaceMismatch(ValueError):
+    """Clifford data on different Hilbert spaces."""
+
+
 def dual_factor(f) -> "ElementaryGroup":
     if f.kind == "Zk":
         return f
@@ -528,7 +532,8 @@ def clifford_identity(H: GroupProduct) -> CliffordData:
 
 def clifford_compose(cp: CliffordData, c: CliffordData) -> CliffordData:
     """Data of the product: apply ``c`` first, then ``cp``."""
-    assert cp.H == c.H
+    if cp.H != c.H:
+        raise SpaceMismatch(f"cannot compose Clifford data on {c.H} and {cp.H}")
     P = c.phase_space
     n2 = len(P)
     alpha = [

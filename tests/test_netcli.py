@@ -346,6 +346,27 @@ def test_cli_usage_errors(tmp_path):
         assert r.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("args, text", [
+    # a wire whose group signature names no group
+    (("contract",), "wire a: Q2\nopen a\n"),
+    # Clifford data on one qubit and on two
+    (("clifford", "compose", "H", "CX"), None),
+    # a fermion payload on n = 2 modes whose eps1 rows have lengths 3 and 2
+    (("fermion", "eval"), json.dumps(
+        {"type": "fermion", "n": 2, "l": 0, "eps1": [[[1, 0]] * 3, [[1, 0]] * 2],
+         "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
+], ids=["bad_group", "mismatched_clifford", "ragged_fermion"])
+def test_cli_invalid_input_exits_2(tmp_path, args, text):
+    extra = ()
+    if text is not None:
+        f = tmp_path / "input"
+        f.write_text(text)
+        extra = (str(f),) + (("01",) if args[0] == "fermion" else ())
+    r = run_cli(*args, *extra)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, r.stderr
+
+
 def _z4_payload(eps0, cell) -> dict:
     """A qtensor on G = Z4 with E = Z4, eps = eps0 + cell * e."""
     return {"type": "qtensor", "G": "Z4", "E": "Z4", "zero": False, "div_weight": 0,

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -114,6 +114,65 @@ def test_kernel_factors_each_matrix_once(monkeypatch):
     assert {pres.inclusion(r) for r in pres.group.enumerate()} == true_kernel
 
 
+def test_unit_pivot_systems_need_no_smith_form(monkeypatch):
+    # a full-rank all-Z2 system and the one-row Z2 delta of a single edge
+    # eliminate completely on unit pivots, so kernels and solves make no
+    # Smith form at all
+    calls = []
+    snf = solve.smith_normal_form
+    monkeypatch.setattr(solve, "smith_normal_form",
+                        lambda A, **kw: calls.append(A) or snf(A, **kw))
+    full_rank = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]]
+    for sigE, sigG, vals in (("Z2,Z2,Z2,Z2", "Z2,Z2,Z2", full_rank), ("Z2,Z2,Z2", "Z2", [[1, 1, 0]])):
+        eps = hom_from_values(sigE, sigG, vals)
+        E, G = eps.domain, eps.codomain
+        pres = kernel_of_hom(eps)
+        true_kernel = {e for e in E.enumerate() if G.is_identity(eps(e))}
+        assert {pres.inclusion(r) for r in pres.group.enumerate()} == true_kernel
+        assert pres.group.order == len(true_kernel)
+        for g in G.enumerate():
+            e, pres = solve.solve_with_kernel(eps, g)
+            assert G.eq(eps(e), g)
+    assert calls == []
+
+
+def hom_from_values(sigE, sigG, vals):
+    """The homomorphism with coefficient vals[i][j] from factor j of sigE
+    into factor i of sigG."""
+    E, G = parse_product(sigE), parse_product(sigG)
+    return hom_data(E, G, [[HomCoeff(E[j], G[i], vals[i][j]) for j in range(len(E))]
+                           for i in range(len(G))])
+
+
+# systems that eliminate on unit pivots and leave a non-unit residual for
+# the Smith form: a Z4 row holding 2 (and a Z2 column lifted to 2), Z6 ->
+# Z3 and Z9 -> Z3 cells beside a Z3 pivot, Z_k columns into T rows with
+# denominators 6 and 12 (the Z12 column pivots), and +-1 on Z columns in
+# Z rows
+PIVOT_CASES = [
+    ("Z4,Z4,Z2", "Z4,Z4", [[1, 2, 1], [2, 2, 0]]),
+    ("Z6,Z9,Z3", "Z3,Z3", [[1, 1, 1], [2, 1, 0]]),
+    ("Z4,Z3,Z12", "T,T", [[2, 1, 0], [1, 0, 5]]),
+    ("Z,Z,Z4", "Z,Z4", [[1, -2, 0], [1, 1, 2]]),
+    ("Z,Z", "Z,Z", [[-1, 2], [3, 1]]),
+]
+
+
+def test_pivot_cases_mix_pivots_and_residual():
+    for sigE, sigG, vals in PIVOT_CASES:
+        eps = hom_from_values(sigE, sigG, vals)
+        cols, rows = list(range(len(eps.domain))), list(range(len(eps.codomain)))
+        A, mods, _ = solve._lifted_system(eps, cols, rows)
+        elim = solve._Elimination(A, mods, [solve._order(f) for f in eps.domain])
+        assert elim.steps and elim.residual, (sigE, sigG)
+
+
+def box(G, radius):
+    """The elements of G with Z components in [-radius, radius]."""
+    return [G.element(v) for v in product(*[range(-radius, radius + 1) if f.kind == "Z"
+                                            else range(f.k) for f in G])]
+
+
 def random_hom(H, E, rng):
     cells = []
     for i in range(len(E)):
@@ -138,24 +197,35 @@ FINITE_SIGS = ["Z2,Z2", "Z4,Z2", "Z6", "Z3,Z3", "Z8,Z2", "Z2,Z3,Z4", "Z12,Z2"]
 CIRCLE_SIGS = ["T", "Z4,T", "T,Z2", "T,T"]
 
 
+def check_kernel(eps):
+    """kernel_of_hom(eps) against enumeration; Z factors of E run over
+    [-3, 3] and those of the kernel over [-9, 9]."""
+    E, G = eps.domain, eps.codomain
+    pres = kernel_of_hom(eps)
+    K, incl = pres.group, pres.inclusion
+    # every kernel-group element maps into the true kernel
+    imgs = set()
+    for r in box(K, 9):
+        e = incl(r)
+        assert G.is_identity(eps(e)), (E, G, r, e)
+        imgs.add(e)
+    true_kernel = {e for e in box(E, 3) if G.is_identity(eps(e))}
+    if E.finite:
+        assert imgs == true_kernel, (E, G)
+        assert K.order == len(true_kernel)
+    else:
+        assert true_kernel <= imgs, (E, G)
+
+
 def test_kernel_finite_exhaustive():
     rng = random.Random(3)
     for sigE in FINITE_SIGS:
         for sigG in ["Z2", "Z4", "Z2,Z2", "Z6", "Z3"] + CIRCLE_SIGS:
             E, G = parse_product(sigE), parse_product(sigG)
             for _ in range(4):
-                eps = random_hom(E, G, rng)
-                pres = kernel_of_hom(eps)
-                K, incl = pres.group, pres.inclusion
-                # every kernel-group element maps into the true kernel
-                imgs = set()
-                for r in K.enumerate():
-                    e = incl(r)
-                    assert G.is_identity(eps(e)), (sigE, sigG, r, e)
-                    imgs.add(e)
-                true_kernel = {e for e in E.enumerate() if G.is_identity(eps(e))}
-                assert imgs == true_kernel, (sigE, sigG)
-                assert K.order == len(true_kernel)
+                check_kernel(random_hom(E, G, rng))
+    for case in PIVOT_CASES:
+        check_kernel(hom_from_values(*case))
 
 
 def test_kernel_with_z_source():
@@ -232,14 +302,29 @@ def test_kernel_mixed_row_raises():
         kernel_of_hom(eps)
 
 
+def check_solve(eps, targets):
+    """solve_hom(eps, g) for each g against the image of E, whose Z
+    factors run over [-3, 3]: a target in that image must be solved, and a
+    target outside the image of a finite E must not."""
+    E, G = eps.domain, eps.codomain
+    image = {eps(e) for e in box(E, 3)}
+    for g in targets:
+        sol = solve_hom(eps, g)
+        if g in image:
+            assert sol is not None
+        if sol is not None:
+            assert G.eq(eps(E.element(sol)), g)
+        elif E.finite:
+            assert g not in image
+
+
 def test_solve_finite():
     rng = random.Random(5)
     for sigE in FINITE_SIGS:
         for sigG in ["Z2", "Z4", "Z2,Z2", "Z6"] + CIRCLE_SIGS:
             E, G = parse_product(sigE), parse_product(sigG)
             eps = random_hom(E, G, rng)
-            elems = list(E.enumerate())
-            image = {eps(e) for e in elems}
+            image = {eps(e) for e in E.enumerate()}
             if all(f.kind == "Zk" for f in G):
                 targets = list(G.enumerate())
             else:
@@ -251,12 +336,16 @@ def test_solve_finite():
                                for f in G])
                     for _ in range(12)]
                 assert any(g not in image for g in targets)
-            for g in targets:
-                sol = solve_hom(eps, g)
-                if g in image:
-                    assert sol is not None and G.eq(eps(E.element(sol)), g)
-                else:
-                    assert sol is None
+            check_solve(eps, targets)
+    for case in PIVOT_CASES:
+        eps = hom_from_values(*case)
+        G = eps.codomain
+        if any(f.kind == "T" for f in G):
+            targets = [G.element([Fraction(a, 12), Fraction(b, 12)])
+                       for a in range(12) for b in range(12)]
+        else:
+            targets = box(G, 3)
+        check_solve(eps, targets)
 
 
 def test_solve_real():
