@@ -146,6 +146,12 @@ def hom_from_image(G: ElementaryGroup, A: ElementaryGroup, v) -> HomCoeff:
     """
     if G.kind == "Z":
         return HomCoeff(G, A, v)
+    return HomCoeff(G, A, _finite_coefficient(G, A, v))
+
+
+def _finite_coefficient(G: ElementaryGroup, A: ElementaryGroup, v) -> int:
+    """The coefficient of the homomorphism G -> A (G = Z_k) sending 1 to v;
+    raises as ``hom_from_image`` does."""
     if G.kind != "Zk":
         raise DomainMismatch(f"{G} is not generated by 1")
     if A.kind == "Zk":
@@ -160,7 +166,63 @@ def hom_from_image(G: ElementaryGroup, A: ElementaryGroup, v) -> HomCoeff:
         c, ok = 0, A.eq(v, 0)
     if not ok:
         raise ValueError(f"{v} is not the image of 1 under a homomorphism {G} -> {A}")
-    return HomCoeff(G, A, c)
+    return c
+
+
+# ---------------------------------------------------------------------------
+# matrix entries of homomorphisms: generator images and multipliers
+
+
+@functools.lru_cache(maxsize=None)
+def image_group(G: ElementaryGroup, A: ElementaryGroup) -> ElementaryGroup:
+    """The group holding the matrix entry of a homomorphism G -> A.
+
+    For G = Z_k or Z the entry is the image of 1 in A (trivial into Z and
+    R from Z_k); for G = T or R it is the coefficient, the multiplier of
+    the map.  Composing homomorphisms multiplies their entries, and the
+    product is normalized in this group.
+    """
+    if G.kind == "Zk":
+        return A if A.kind in ("Zk", "T") else Z1
+    return hom_group(G, A)
+
+
+def hom_image(h: HomCoeff) -> Scalar:
+    """The matrix entry of ``h`` (see ``image_group``)."""
+    G = h.source
+    if G.kind in ("Zk", "Z"):
+        return image_group(G, h.target).normalize(hom_apply(h, 1))
+    return h.value
+
+
+def hom_of_image(G: ElementaryGroup, A: ElementaryGroup, v) -> HomCoeff:
+    """The coefficient of the homomorphism G -> A with matrix entry v."""
+    if G.kind == "Zk":
+        return HomCoeff(G, A, _finite_coefficient(G, A, v))
+    return HomCoeff(G, A, v)
+
+
+def image_fit(G: ElementaryGroup, A: ElementaryGroup, v) -> Scalar:
+    """The matrix entry of the homomorphism G -> A (G = Z_k or Z) sending
+    1 to v, normalized; raises as ``hom_from_image`` does."""
+    if G.kind == "Zk":
+        c = _finite_coefficient(G, A, v)
+        if A.kind == "Zk":
+            return A.k // _gcd(G.k, A.k) * c % A.k
+        return Fraction(c % G.k, G.k) if A.kind == "T" else 0
+    return image_group(G, A).normalize(v)
+
+
+#: (source kind, target kind) pairs with no nonzero homomorphism
+TRIVIAL_KINDS = frozenset([("Zk", "Z"), ("Zk", "R"), ("T", "Zk"), ("T", "Z"), ("T", "R"),
+                           ("R", "Zk"), ("R", "Z")])
+
+
+def image_apply(G: ElementaryGroup, A: ElementaryGroup, v, g) -> Scalar:
+    """``hom_apply`` of the homomorphism G -> A with matrix entry v at g."""
+    if (G.kind, A.kind) in TRIVIAL_KINDS:
+        return A.normalize(0)
+    return A.normalize(v * G.normalize(g))
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +479,35 @@ def compose(h: HomCoeff, hp: HomCoeff) -> HomCoeff:
     """Coefficient of the composite (apply ``h`` first, then ``hp``)."""
     if h.target != hp.source:
         raise TagMismatch(f"cannot compose {h.target} -> {hp.source}")
-    G0, G1, G2 = h.source, h.target, hp.target
-    out_grp = hom_group(G0, G2)
-    if out_grp == Z1 or h.group == Z1 or hp.group == Z1:
-        return hom_zero(G0, G2)
-    a, b = h.value, hp.value
+    G0, G2 = h.source, hp.target
+    v = _compose_value(G0, h.target, G2, h.value, hp.value)
+    return hom_zero(G0, G2) if v is None else HomCoeff(G0, G2, v)
+
+
+def _compose_value(G0, G1, G2, a, b):
+    """The coefficient, before normalization in hom[G0|G2], of the composite
+    of G0 -> G1 with coefficient a and G1 -> G2 with coefficient b; None
+    when the composite is zero whatever a and b are."""
+    if hom_group(G0, G2) == Z1 or hom_group(G0, G1) == Z1 or hom_group(G1, G2) == Z1:
+        return None
     if G0.kind == "Z":
         if G1.kind == "Z":
             # coefficient of hp applied to integer a
-            return HomCoeff(G0, G2, out_grp.normalize(a * b))
+            return hom_group(G0, G2).normalize(a * b)
         if G1.kind == "Zk":
             k = G1.k
             if G2.kind == "Zk":
                 l, d = G2.k, _gcd(G1.k, G2.k)
-                return HomCoeff(G0, G2, int(a) * int(b) * (l // d))
+                return int(a) * int(b) * (l // d)
             if G2.kind == "T":
-                return HomCoeff(G0, G2, Fraction(int(a) * int(b), k))
+                return Fraction(int(a) * int(b), k)
         if G1.kind == "T":
             # hp in hom[T|T] = Z
-            return HomCoeff(G0, G2, mod1(a * int(b)))
+            return mod1(a * int(b))
         if G1.kind == "R":
             if G2.kind == "T":
-                return HomCoeff(G0, G2, mod1(a * b))
-            return HomCoeff(G0, G2, a * b)
+                return mod1(a * b)
+            return a * b
     if G0.kind == "Zk":
         k = G0.k
         if G1.kind == "Zk":
@@ -449,43 +517,62 @@ def compose(h: HomCoeff, hp: HomCoeff) -> HomCoeff:
                 num = l * _gcd(k, m)
                 den = _gcd(k, l) * _gcd(l, m)
                 assert num % den == 0
-                return HomCoeff(G0, G2, int(a) * int(b) * (num // den))
+                return int(a) * int(b) * (num // den)
             if G2.kind == "T":
-                return HomCoeff(G0, G2, int(a) * int(b) * (k // _gcd(k, l)))
+                return int(a) * int(b) * (k // _gcd(k, l))
         if G1.kind == "T":
-            return HomCoeff(G0, G2, int(a) * int(b))
+            return int(a) * int(b)
     if G0.kind == "T":
         if G1.kind == "T" and G2.kind == "T":
-            return HomCoeff(G0, G2, int(a) * int(b))
+            return int(a) * int(b)
     if G0.kind == "R":
         if G1.kind in ("R", "T") and G2.kind in ("R", "T"):
             bb = int(b) if G1.kind == "T" else b
-            return HomCoeff(G0, G2, a * bb)
-    return hom_zero(G0, G2)
+            return a * bb
+    return None
+
+
+def _composite(G0, G1, G2, a, b) -> Scalar:
+    """The normalized value of ``compose`` on coefficients a and b."""
+    v = _compose_value(G0, G1, G2, a, b)
+    return hom_group(G0, G2).normalize(0 if v is None else v)
 
 
 def dual(h: HomCoeff, A: ElementaryGroup = T) -> HomCoeff:
     """Coefficient of the dual map hom[G|A] -> hom[H|A] for h: H -> G."""
-    H, G = h.source, h.target
+    D1, D2 = hom_group(h.target, A), hom_group(h.source, A)
+    v = _dual_value(h.source, h.target, A, h.value)
+    return hom_zero(D1, D2) if v is None else HomCoeff(D1, D2, v)
+
+
+def _dual_value(H, G, A, v):
+    """The coefficient, before normalization, of ``dual`` on the coefficient
+    v of H -> G; None when the dual map is zero whatever v is."""
     D1, D2 = hom_group(G, A), hom_group(H, A)
-    out_grp = hom_group(D1, D2)
-    if out_grp == Z1 or D1 == Z1 or D2 == Z1:
-        return hom_zero(D1, D2)
+    if hom_group(D1, D2) == Z1 or D1 == Z1 or D2 == Z1:
+        return None
     if D1.kind in ("Zk", "Z"):
         # the dual map sends the unit coefficient of hom[G|A] to its composite with h
-        return hom_from_image(D1, D2, compose(h, HomCoeff(G, A, 1)).value)
+        image = _composite(H, G, A, v, hom_group(G, A).normalize(1))
+        return image if D1.kind == "Z" else _finite_coefficient(D1, D2, image)
     # D1 continuous: the dual acts by multiplication with the raw value
-    return HomCoeff(D1, D2, h.value)
+    return v
 
 
-def conjugate_cell(left: HomCoeff, mid: Hom2Coeff, right: HomCoeff, A=None) -> Hom2Coeff:
-    """Coefficient of the bilinear form (x, y) -> B(left x, right y)."""
-    A = mid.target if A is None else A
+def conjugate_cell(left: HomCoeff, mid: Hom2Coeff, right: HomCoeff) -> Hom2Coeff:
+    """Coefficient of the bilinear form (x, y) -> B(left x, right y).
+
+    It is left, then mid read as G0 -> hom[G1|A], then the dual of right,
+    composed on coefficient values."""
+    A = mid.target
     if left.target != mid.g0 or right.target != mid.g1:
         raise TagMismatch("conjugation tags do not line up")
-    step1 = compose(left, mid.as_outer_hom())  # source(left) -> hom[g1|A]
-    step2 = compose(step1, dual(right, A))  # -> hom[source(right)|A]
-    return Hom2Coeff(left.source, right.source, A, step2.value)
+    H0, H1 = left.source, right.source
+    M, D2 = hom_group(mid.g1, A), hom_group(H1, A)
+    step1 = _composite(H0, mid.g0, M, left.value, mid.value)
+    dual_v = _dual_value(H1, mid.g1, A, right.value)
+    dual_v = hom_group(M, D2).normalize(0 if dual_v is None else dual_v)
+    return Hom2Coeff(H0, H1, A, _composite(H0, M, D2, step1, dual_v))
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def grid_materialize(t: QTensorData, spacing: float = 0.05, extent: float = 8.0,
         raise NotNormalizable("grid sampling supports R and Z factors only")
     if len(t.G) != 1 or len(rcols) != 1:
         raise NotNormalizable("grid sampling implemented for single-mode tensors")
-    c = t.eps.eps1[0][rcols[0]].value
+    c = t.eps.img[0][rcols[0]]
     if abs(float(c)) < 1e-12:
         raise NotNormalizable("embedding does not cover the output mode")
     # negative definiteness of the a-part across R and Z columns

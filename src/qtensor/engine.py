@@ -29,19 +29,21 @@ from .coeff import (
     dual,
     hom2_apply,
     hom2_group,
-    hom_apply,
-    hom_fit,
     hom_from_image,
     hom_group,
+    hom_image,
+    hom_of_image,
     hom_zero,
+    image_fit,
+    image_group,
     quad_apply,
     quad_as_hom,
     quad_descend,
     quad_to_bilinear,
 )
-from .functions import LinearFnData, QuadraticFnData, hom_data
+from .functions import LinearFnData, QuadraticFnData, hom_data, zero_row
 from .groups import GroupProduct, R, T, Z, Z1, Zk
-from .scalar import Scalar, is_exact, mod1, snap_rational
+from .scalar import Scalar, as_scalar, is_exact, mod1, snap_rational
 from .solve import (
     UnsupportedKernel,
     gauss_jordan,
@@ -122,20 +124,10 @@ def tensor_product(t: QTensorData, u: QTensorData) -> QTensorData:
     if t.is_zero or u.is_zero:
         return QTensorData.zero(G)
     E = t.E * u.E
-    nG_t, nE_t = len(t.G), len(t.E)
     eps0 = tuple(list(t.eps.eps0) + list(u.eps.eps0))
-    cells = []
-    for i in range(len(G)):
-        row = []
-        for j in range(len(E)):
-            if i < nG_t and j < nE_t:
-                row.append(t.eps.eps1[i][j])
-            elif i >= nG_t and j >= nE_t:
-                row.append(u.eps.eps1[i - nG_t][j - nE_t])
-            else:
-                row.append(hom_zero(E[j], G[i]))
-        cells.append(row)
-    eps = LinearFnData(E, G, eps0, cells)
+    img = [row + zero_row(u.E, Gi) for Gi, row in zip(t.G, t.eps.img)]
+    img += [zero_row(t.E, Gi) + row for Gi, row in zip(u.G, u.eps.img)]
+    eps = LinearFnData.of_images(E, G, eps0, img)
     q = t.q.direct_sum(u.q)
     mag2 = None if t.mag2 is None or u.mag2 is None else t.mag2 * u.mag2
     return QTensorData(G, E, eps, q, t.div_weight + u.div_weight, mag2)
@@ -144,8 +136,8 @@ def tensor_product(t: QTensorData, u: QTensorData) -> QTensorData:
 def permute_legs(t: QTensorData, perm: List[int]) -> QTensorData:
     """t with its index legs reordered: leg i of the result is leg perm[i] of t."""
     G = GroupProduct([t.G[p] for p in perm])
-    eps = LinearFnData(t.E, G, tuple(t.eps.eps0[p] for p in perm),
-                       [t.eps.eps1[p] for p in perm])
+    eps = LinearFnData.of_images(t.E, G, tuple(t.eps.eps0[p] for p in perm),
+                                 [t.eps.img[p] for p in perm])
     return QTensorData(G, t.E, eps, t.q, t.div_weight, t.mag2, t.is_zero)
 
 
@@ -159,18 +151,20 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     if t.is_zero:
         return QTensorData.zero(G_rest)
     Gc = GroupProduct([t.G[i]])
-    delta_cells = [[t.eps.eps1[i][k] + (-t.eps.eps1[j][k]) for k in range(len(t.E))]]
-    delta = hom_data(t.E, Gc, delta_cells)
+    # row i minus row j, the negation and the sum each normalized
+    delta_row = []
+    for Ek, a, b in zip(t.E, t.eps.img[i], t.eps.img[j]):
+        norm = image_group(Ek, Gc[0]).normalize
+        delta_row.append(norm(a + norm(-b)))
+    delta = LinearFnData.of_images(t.E, Gc, Gc.identity(), [delta_row])
     target = Gc.element([t.G[i].normalize(t.eps.eps0[j] - t.eps.eps0[i])])
     found = solve_with_kernel(delta, target)
     if found is None:
         return QTensorData.zero(G_rest)
     shift, pres = found
     Ep, kappa = pres.group, pres.inclusion
-    eps_rest = LinearFnData(
-        t.E, G_rest, tuple(t.eps.eps0[x] for x in rest),
-        [t.eps.eps1[x] for x in rest],
-    )
+    eps_rest = LinearFnData.of_images(t.E, G_rest, tuple(t.eps.eps0[x] for x in rest),
+                                      [t.eps.img[x] for x in rest])
     eps_new = eps_rest.compose_affine(kappa, shift)
     q_new = t.q.precompose_affine(kappa, shift)
     return QTensorData(G_rest, Ep, eps_new, q_new, t.div_weight, t.mag2)
@@ -180,19 +174,22 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
 # internals shared by the reductions
 
 
-def _beta_cells(t: QTensorData, rho_cells: List[HomCoeff], part: str, A) -> LinearFnData:
-    """The homomorphism beta: E -> A^dual with beta(e)(r) = q^(2)(rho r, e)."""
+def _beta_cells(t: QTensorData, rho: LinearFnData, part: str) -> List[HomCoeff]:
+    """The coefficients, one per factor of E, of the homomorphism
+    beta: E -> A^dual with beta(e)(r) = q^(2)(rho r, e)."""
+    A = rho.domain[0]
     tgt = T if part == "phi" else R
     Astar = hom_group(A, tgt)
     cells = [hom_zero(Ej, Astar) for Ej in t.E]
-    for k, nbrs in enumerate(t.q.neighbours(part)):
-        if rho_cells[k].is_zero():
+    support = set(_col_support(rho, 0))
+    for k, nbrs in enumerate(t.q.neighbours(part, support)):
+        if k not in support:
             continue
-        rho_dual = dual(rho_cells[k], tgt)
+        rho_dual = dual(hom_of_image(A, t.E[k], rho.img[k][0]), tgt)
         for j, cell in nbrs:
             m = cell.transpose().as_outer_hom()  # E_j -> hom[E_k|tgt]
             cells[j] = cells[j] + compose(m, rho_dual)
-    return hom_data(t.E, GroupProduct([Astar]), [cells])
+    return cells
 
 
 def _extract_through_section(
@@ -215,8 +212,10 @@ def _extract_through_section(
     coefficient groups.
     """
     Qz = GroupProduct([Z if f.kind == "Zk" else f for f in Q])
-    section = hom_data(Qz, E, [[HomCoeff(Qz[t], E[j], lifts[t][j]) for t in range(len(Q))]
-                               for j in range(len(E))])
+    section = LinearFnData.of_images(
+        Qz, E, E.identity(),
+        [[image_group(Qz[t], Ej).normalize(lifts[t][j]) for t in range(len(Q))]
+         for j, Ej in enumerate(E)])
     qz = qfun.precompose(section)
     ez = epsfun.compose_hom(section)
     fin = [f.kind == "Zk" for f in Q]
@@ -235,11 +234,10 @@ def _extract_through_section(
             b1 = hom_from_image(Q[j], T, hom2_apply(c, 1, 1))
             c = Hom2Coeff(Q[i], Q[j], T, hom_from_image(Q[i], b1.group, b1.value).value)
         out_q.set_cell("phi", i, j, c)
-    eps1 = [[hom_fit(Q[t], Gi, lambda _, c=c: c.value) if fin[t] else c
-             for t, c in enumerate(row)]
-            for Gi, row in zip(epsfun.codomain, ez.eps1)]
+    img = [[image_fit(Q[t], Gi, v) if fin[t] else v for t, v in enumerate(row)]
+           for Gi, row in zip(epsfun.codomain, ez.img)]
     eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
-    return out_q, LinearFnData(Q, epsfun.codomain, eps0, eps1)
+    return out_q, LinearFnData.of_images(Q, epsfun.codomain, eps0, img)
 
 
 def _compact(t: QTensorData) -> QTensorData:
@@ -284,21 +282,16 @@ def gauss_sum(q: QuadCoeff) -> Tuple[Fraction, Scalar]:
 
 
 def _check_rho_in_kernel(t: QTensorData, rho: LinearFnData) -> None:
-    for i in range(len(t.G)):
-        acc = hom_zero(rho.domain[0], t.G[i])
-        for k in range(len(t.E)):
-            acc = acc + compose(rho.eps1[k][0], t.eps.eps1[i][k])
-        if not acc.is_zero():
-            raise KernelViolation("rho does not land in kernel(eps1)")
+    composed = t.eps.compose_hom(rho)
+    if any(composed.nonzero(i, 0) for i in range(len(t.G))):
+        raise KernelViolation("rho does not land in kernel(eps1)")
 
 
 def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
     """Sum/integrate over a subgroup on which the bilinear form vanishes."""
     _check_rho_in_kernel(t, rho)
-    if rho.domain[0].kind == "R":
-        sup0 = [kk for kk in range(len(t.E)) if not rho.eps1[kk][0].is_zero()]
-        if len(sup0) > 1:
-            t, rho = _realign_real(t, rho)
+    if rho.domain[0].kind == "R" and len(_col_support(rho, 0)) > 1:
+        t, rho = _realign_real(t, rho)
     return _reduce_zero(t, rho, t.q.precompose(rho))
 
 
@@ -311,12 +304,10 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     if not qres.a1[0].is_zero():
         raise NotIntegrable("q_a does not vanish on the summed subgroup")
     chi = quad_as_hom(qres.phi1[0])  # in hom[A|T] = A*
-    rho_cells = [rho.eps1[k][0] for k in range(len(t.E))]
-    beta = _beta_cells(t, rho_cells, "phi", A)
-    beta_a = _beta_cells(t, rho_cells, "a", A)
-    if any(not c.is_zero() for c in beta_a.eps1[0]):
+    if any(not c.is_zero() for c in _beta_cells(t, rho, "a")):
         raise NotIntegrable("nonzero a-part pairing against a summed subgroup")
     Astar = hom_group(A, T)
+    beta = hom_data(t.E, GroupProduct([Astar]), [_beta_cells(t, rho, "phi")])
     target = GroupProduct([Astar]).element([Astar.neg(chi.value)])
     found = solve_with_kernel(beta, target)
     if found is None:
@@ -325,21 +316,20 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     K2, kappa2 = pres.group, pres.inclusion
 
     shifted_q = t.q.shift(e0)
-    shifted_eps = LinearFnData(t.E, t.G, t.eps(e0), t.eps.eps1)
+    shifted_eps = LinearFnData.of_images(t.E, t.G, t.eps(e0), t.eps.img)
 
     r_dims_before = sum(1 for f in t.E if f.kind == "R")
 
     if A.kind in ("T", "R"):
         # rho covers a full continuous factor of E; drop it from the kernel
-        sup = [k for k in range(len(t.E)) if not rho_cells[k].is_zero()]
+        sup = _col_support(rho, 0)
         assert len(sup) == 1, "continuous zero-reduction needs single-factor support"
-        j0 = sup[0]
         Qfactors, lifts = [], []
         for kk in range(len(K2)):
-            if K2[kk].kind == A.kind and _col_support(kappa2, kk) == [j0]:
+            if K2[kk].kind == A.kind and _col_support(kappa2, kk) == sup:
                 continue  # this is the integrated direction itself
             Qfactors.append(K2[kk])
-            lifts.append(_raw_column(kappa2, kk))
+            lifts.append(kappa2.column(kk))
         Q = GroupProduct(Qfactors)
     else:
         # find rho inside K2 and quotient it away
@@ -348,14 +338,12 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
         assert inside is not None, "summed subgroup must lie in the beta kernel"
         if any(f.kind in ("T", "R") and hom_group(A, f) != Z1 for f in K2):
             raise UnsupportedKernel("discrete subgroup meeting continuous kernel factors")
-        incl_cells = [[hom_from_image(A, f, x)] for f, x in zip(K2, inside)]
-        sub = hom_data(GroupProduct([A]), K2, incl_cells)
+        sub = LinearFnData.of_images(GroupProduct([A]), K2, K2.identity(),
+                                     [[image_fit(A, f, x)] for f, x in zip(K2, inside)])
         qpres = quotient_by_subgroup(K2, sub)
         Q = qpres.group
-        lifts = []
-        for lift_vec in qpres.lift:
-            # push the K2-coordinate lift down to raw E coordinates
-            lifts.append(_combine_raw(kappa2, lift_vec))
+        # each K2-coordinate lift pushed down to raw E coordinates
+        lifts = [_lift_through(kappa2, lift_vec) for lift_vec in qpres.lift]
     q_new, eps_new = _extract_through_section(t.E, Q, lifts, shifted_q, shifted_eps)
     out = QTensorData(t.G, Q, eps_new, q_new, t.div_weight, t.mag2)
     if A.kind == "Zk":
@@ -367,39 +355,19 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     return _compact(out)
 
 
-def _raw_column(lin: LinearFnData, col: int) -> List:
-    """Raw coordinate vector of an inclusion column.
-
-    For finite and Z source factors this is the image of the generator;
-    for T and R factors it is the vector of hom coefficients (integers
-    into circles, reals into reals).
-    """
-    src = lin.domain[col]
-    out = []
-    for jj in range(len(lin.codomain)):
-        cell = lin.eps1[jj][col]
-        if src.kind in ("Zk", "Z"):
-            out.append(hom_apply(cell, 1))
-        else:
-            out.append(cell.value)
-    return out
-
-
-def _combine_raw(lin: LinearFnData, coord_vec) -> List:
-    """Raw E-coordinates of an integer K2-coordinate vector."""
+def _lift_through(lin: LinearFnData, coord_vec) -> List:
+    """The raw codomain coordinates, sum_k coord_vec[k] img[.][k], of an
+    integer vector of domain coordinates."""
     out = [0] * len(lin.codomain)
-    for kk in range(len(lin.domain)):
-        c = coord_vec[kk]
-        if c == 0:
-            continue
-        raw = _raw_column(lin, kk)
-        for jj in range(len(out)):
-            out[jj] = out[jj] + c * raw[jj]
+    for kk, c in enumerate(coord_vec):
+        if c:
+            for jj, row in enumerate(lin.img):
+                out[jj] = out[jj] + c * row[kk]
     return out
 
 
 def _col_support(lin: LinearFnData, col: int) -> List[int]:
-    return [j for j in range(len(lin.codomain)) if not lin.eps1[j][col].is_zero()]
+    return [j for j in range(len(lin.codomain)) if lin.nonzero(j, col)]
 
 
 def reduce_invertible(t: QTensorData, rho: LinearFnData) -> QTensorData:
@@ -421,16 +389,12 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     if math.gcd(v, k) != 1:
         raise NotInvertible(f"restricted bilinear {v} not invertible mod {k}")
     vinv = pow(v, -1, k)
-    # gamma = rho qinv rho* q-phi^(2): one nonzero "row" through A
-    rho_cells = [rho.eps1[kk][0] for kk in range(len(t.E))]
-    beta = _beta_cells(t, rho_cells, "phi", A)  # E -> A*
-    inv_h = HomCoeff(hom_group(A, T), A, vinv)
-    gamma_cells = []
-    for j in range(len(t.E)):
-        to_A = compose(beta.eps1[0][j], inv_h)  # E_j -> A
-        gamma_cells.append([compose(to_A, rho_cells[kk]) for kk in range(len(t.E))])
-    gamma = hom_data(t.E, t.E, [[gamma_cells[j][kk] for j in range(len(t.E))]
-                                for kk in range(len(t.E))])
+    # gamma = rho qinv rho* q-phi^(2): E -> A* (= Z_k) -> A -> E, the middle
+    # step multiplication by vinv
+    to_A = [image_group(Ej, A).normalize(vinv * hom_image(c))
+            for Ej, c in zip(t.E, _beta_cells(t, rho, "phi"))]
+    A1 = GroupProduct([A])
+    gamma = rho.compose_hom(LinearFnData.of_images(t.E, A1, A1.identity(), [to_A]))
     p = t.q.precompose(gamma)
     p.a0, p.phi0 = 0, 0
     qtilde = t.q + (-p)
@@ -451,7 +415,7 @@ def _realign_real(t: QTensorData, rho: LinearFnData) -> Tuple[QTensorData, Linea
     single factor; the basis change has determinant +-1, preserving the
     integration measure."""
     rids = [j for j in range(len(t.E)) if t.E[j].kind == "R"]
-    v = [rho.eps1[j][0].value for j in rids]
+    v = [rho.img[j][0] for j in rids]
     exact = all(is_exact(x) for x in v)
     comp = real_kernel([v])
     B = [[v[i]] + [w[i] for w in comp] for i in range(len(rids))]  # columns
@@ -466,23 +430,16 @@ def _realign_real(t: QTensorData, rho: LinearFnData) -> Tuple[QTensorData, Linea
         d = float(np.linalg.det(np.array([[float(x) for x in row] for row in B])))
         B = [[row[0]] + [row[c] / d if c == len(rids) - 1 else row[c]
                          for c in range(1, len(rids))] for row in B]
-    cells = []
-    for jj in range(len(t.E)):
-        row = []
-        for kk in range(len(t.E)):
-            if t.E[jj].kind == "R" and t.E[kk].kind == "R":
-                row.append(HomCoeff(R, R, B[rids.index(jj)][rids.index(kk)]))
-            elif jj == kk:
-                row.append(HomCoeff(t.E[kk], t.E[jj], 1))
-            else:
-                row.append(hom_zero(t.E[kk], t.E[jj]))
-        cells.append(row)
-    M = hom_data(t.E, t.E, cells)
+    img = LinearFnData.identity(t.E).img
+    for a, jj in enumerate(rids):
+        for b, kk in enumerate(rids):
+            img[jj][kk] = as_scalar(B[a][b])
+    M = LinearFnData.of_images(t.E, t.E, t.E.identity(), img)
     t2 = QTensorData(t.G, t.E, t.eps.compose_hom(M), t.q.precompose(M),
                      t.div_weight, t.mag2)
-    rho_cells = [[HomCoeff(R, t.E[j], 1)] if j == rids[0] else [hom_zero(R, t.E[j])]
-                 for j in range(len(t.E))]
-    rho2 = hom_data(GroupProduct([R]), t.E, rho_cells)
+    rho2 = LinearFnData.of_images(GroupProduct([R]), t.E, t.E.identity(),
+                                  [[image_group(R, Ej).normalize(int(j == rids[0]))]
+                                   for j, Ej in enumerate(t.E)])
     return t2, rho2
 
 
@@ -491,8 +448,7 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     A = rho.domain[0]
     assert A.kind == "R"
     _check_rho_in_kernel(t, rho)
-    sup0 = [kk for kk in range(len(t.E)) if not rho.eps1[kk][0].is_zero()]
-    if len(sup0) > 1:
+    if len(_col_support(rho, 0)) > 1:
         t, rho = _realign_real(t, rho)
     qres = t.q.precompose(rho)
     za = qres.a1[0].h2
@@ -505,17 +461,12 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     if float(za) > 1e-9:
         raise NotIntegrable(f"positive real part {za} in Gaussian exponent")
     w = complex(float(wa), float(wphi))
-    rho_cells = [rho.eps1[kk][0] for kk in range(len(t.E))]
     # complex pairing row beta_j with beta(e)(r) = q2(rho r, e)
-    beta_a = _beta_cells(t, rho_cells, "a", A)
-    beta_phi = _beta_cells(t, rho_cells, "phi", A)
     exact = all(is_exact(x) for x in (za, zphi, wa, wphi))
     beta_vals = []
-    for j in range(len(t.E)):
-        ca = beta_a.eps1[0][j].value
-        cp = beta_phi.eps1[0][j].value
-        exact = exact and is_exact(ca) and is_exact(cp)
-        beta_vals.append((ca, cp))
+    for ca, cp in zip(_beta_cells(t, rho, "a"), _beta_cells(t, rho, "phi")):
+        exact = exact and is_exact(ca.value) and is_exact(cp.value)
+        beta_vals.append((ca.value, cp.value))
 
     def cnum(pair):
         return complex(float(pair[0]), float(pair[1]))
@@ -550,7 +501,7 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     out_mag = abs(pref)
     out_phase = cmath.phase(pref) / (2 * math.pi)
     # drop the integrated direction; complement the rest of the real block
-    sup = [kk for kk in range(m) if not rho_cells[kk].is_zero()]
+    sup = _col_support(rho, 0)
     if len(sup) == 1:
         keep = [kk for kk in range(m) if kk != sup[0]]
         E_new = GroupProduct([t.E[kk] for kk in keep])
@@ -608,14 +559,12 @@ def reduce_full(t: QTensorData) -> QTensorData:
         return cur
     measure = _reduction_measure(cur)
     while True:
-        lin = hom_data(cur.E, cur.G, cur.eps.eps1)
-        pres = kernel_of_hom(lin)
+        pres = kernel_of_hom(cur.eps.linear_part())
         K, incl = pres.group, pres.inclusion
         progress = False
         for kk in range(len(K)):
             A = K[kk]
-            col = hom_data(GroupProduct([A]), cur.E,
-                           [[incl.eps1[j][kk]] for j in range(len(cur.E))])
+            col = incl.restrict_cols([kk])
             if A.kind == "Z":
                 continue
             if A.kind == "Zk":
@@ -629,13 +578,11 @@ def reduce_full(t: QTensorData) -> QTensorData:
                     step = _reduce_zero if v == 0 else _reduce_invertible
                     cur = step(cur, col, qres)
                 else:
-                    # zero-reduce the order-g subgroup inside A
-                    sub = GroupProduct([Zk(g)])
-                    sub_cells = [
-                        [compose(HomCoeff(Zk(g), A, 1), incl.eps1[j][kk])]
-                        for j in range(len(cur.E))
-                    ]
-                    cur = reduce_zero(cur, hom_data(sub, cur.E, sub_cells))
+                    # zero-reduce the order-g subgroup inside A, generated by A.k / g
+                    sub = [[image_group(Zk(g), Ej).normalize(A.k // g * x)]
+                           for Ej, x in zip(cur.E, col.column(0))]
+                    cur = reduce_zero(cur, LinearFnData.of_images(
+                        GroupProduct([Zk(g)]), cur.E, cur.E.identity(), sub))
                 progress = True
                 break
             if A.kind == "T":
@@ -665,7 +612,7 @@ def residual_z_rank(t: QTensorData) -> int:
     left summed with infinite measure; 0 for the zero tensor."""
     if t.is_zero:
         return 0
-    K = kernel_of_hom(hom_data(t.E, t.G, t.eps.eps1)).group
+    K = kernel_of_hom(t.eps.linear_part()).group
     return sum(1 for f in K if f.kind == "Z")
 
 

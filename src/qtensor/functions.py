@@ -3,28 +3,39 @@
 A quadratic function q = (q_a, q_phi) into R x R/Z is stored as constants,
 a vector of normalized quadratic coefficients (one per domain factor), and
 a strictly upper triangular matrix of bilinear coefficients; the diagonal
-is folded into the vector and reconstructed on demand.  A linear function
-into a group product is a constant element plus a matrix of homomorphism
-coefficients.
+is folded into the vector and reconstructed on demand.
+
+A linear function into a group product is a constant element plus one
+matrix of generator images: each Z_k or Z column holds the image of its
+generator in every codomain factor, each T or R column its multiplier
+(``coeff.image_group``).  Composition is a product of these matrices,
+each entry normalized in its group, and application multiplies entries by
+element values; no coefficient object is built.  The ``HomCoeff`` cells
+of the table-level API are converted once on construction and rebuilt on
+demand by the read-only ``eps1`` view.  ``QuadraticFnData.precompose``
+builds a coefficient for each nonzero image it visits, because its
+pullbacks are coefficient tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .coeff import (
     DomainMismatch,
     Hom2Coeff,
     HomCoeff,
     QuadCoeff,
-    compose,
     conjugate_cell,
     hom2_apply,
     hom2_partial,
     hom2_zero,
-    hom_apply,
+    hom_image,
+    hom_of_image,
     hom_zero,
+    TRIVIAL_KINDS,
+    image_group,
     lam,
     linear_as_quad,
     phi,
@@ -38,50 +49,102 @@ from .scalar import Scalar, as_scalar, mod1
 Cell = Tuple[int, int]
 
 
-@dataclass
 class LinearFnData:
-    """An affine-linear function domain -> codomain."""
+    """An affine-linear function domain -> codomain, e -> eps0 + eps1 e.
 
-    domain: GroupProduct
-    codomain: GroupProduct
-    eps0: GroupElement
-    eps1: List[List[HomCoeff]]  # rows: codomain factors, cols: domain factors
+    The linear part is one matrix ``img`` of generator images: row i over
+    codomain factor i, column j over domain factor j.  A Z_k or Z column
+    holds the image of its generator in each codomain factor, a T or R
+    column the multiplier of its map (``coeff.image_group``).  The
+    constructor takes coefficient cells and converts them once;
+    ``of_images`` takes the matrix itself, and ``eps1`` builds the cells
+    again on demand.
+    """
 
-    def __post_init__(self):
-        n, m = len(self.codomain), len(self.domain)
-        assert len(self.eps0) == n
-        assert len(self.eps1) == n and all(len(row) == m for row in self.eps1)
+    __slots__ = ("domain", "codomain", "eps0", "img", "_support")
+
+    def __init__(self, domain: GroupProduct, codomain: GroupProduct, eps0: GroupElement,
+                 eps1: Sequence[Sequence[HomCoeff]]):
+        n, m = len(codomain), len(domain)
+        assert len(eps0) == n
+        assert len(eps1) == n and all(len(row) == m for row in eps1)
+        self.domain, self.codomain, self.eps0 = domain, codomain, eps0
+        self.img = [[hom_image(c) for c in row] for row in eps1]
+        self._support = None
+
+    @classmethod
+    def of_images(cls, domain: GroupProduct, codomain: GroupProduct, eps0: GroupElement,
+                  img: List[List[Scalar]]) -> "LinearFnData":
+        """The function with image matrix ``img``, whose entries are already
+        normalized; the matrix is shared, not copied, and never changed."""
+        out = cls.__new__(cls)
+        out.domain, out.codomain, out.eps0, out.img = domain, codomain, eps0, img
+        out._support = None
+        return out
+
+    @property
+    def eps1(self) -> Tuple[Tuple[HomCoeff, ...], ...]:
+        """The coefficient cells (rows over codomain factors), read-only."""
+        return tuple(tuple(hom_of_image(Dj, Ci, v) for Dj, v in zip(self.domain, row))
+                     for Ci, row in zip(self.codomain, self.img))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearFnData):
+            return NotImplemented
+        return (self.domain, self.codomain, self.eps0, self.img) == (
+            other.domain, other.codomain, other.eps0, other.img)
+
+    def __repr__(self) -> str:
+        return (f"LinearFnData({self.domain}, {self.codomain}, eps0={self.eps0!r}, "
+                f"img={self.img!r})")
 
     @staticmethod
     def zero(domain: GroupProduct, codomain: GroupProduct) -> "LinearFnData":
-        return LinearFnData(
-            domain,
-            codomain,
-            codomain.identity(),
-            [[hom_zero(domain[j], codomain[i]) for j in range(len(domain))]
-             for i in range(len(codomain))],
-        )
+        return LinearFnData.of_images(domain, codomain, codomain.identity(),
+                                      [zero_row(domain, Ci) for Ci in codomain])
 
     @staticmethod
     def identity(G: GroupProduct) -> "LinearFnData":
-        eps = LinearFnData.zero(G, G)
-        for i in range(len(G)):
-            eps.eps1[i][i] = HomCoeff(G[i], G[i], 1)
-        return eps
+        img = [zero_row(G, Gi) for Gi in G]
+        for i, Gi in enumerate(G):
+            img[i][i] = image_group(Gi, Gi).normalize(1)
+        return LinearFnData.of_images(G, G, G.identity(), img)
 
     @property
     def is_homomorphism(self) -> bool:
         return self.codomain.is_identity(self.eps0)
 
+    def linear_part(self) -> "LinearFnData":
+        """The homomorphism e -> eps1 e."""
+        out = LinearFnData.of_images(self.domain, self.codomain, self.codomain.identity(),
+                                     self.img)
+        out._support = self._support
+        return out
+
+    def nonzero(self, i: int, j: int) -> bool:
+        return _nonzero(self.img[i][j], self.domain[j], self.codomain[i])
+
+    def support(self) -> List[List[int]]:
+        """The columns of the nonzero entries of each row (computed once)."""
+        if self._support is None:
+            D = self.domain
+            self._support = [[j for j, x in enumerate(row) if _nonzero(x, D[j], Ci)]
+                             for Ci, row in zip(self.codomain, self.img)]
+        return self._support
+
     def __call__(self, e: GroupElement) -> GroupElement:
         if len(e) != len(self.domain):
             raise DomainMismatch("element does not match domain")
+        e = [Dj.normalize(x) for Dj, x in zip(self.domain, e)]
+        kinds = [Dj.kind for Dj in self.domain]
         out = []
-        for i, Gi in enumerate(self.codomain):
-            acc = self.eps0[i]
-            for j in range(len(self.domain)):
-                acc = acc + hom_apply(self.eps1[i][j], e[j])
-            out.append(Gi.normalize(acc))
+        for Gi, acc, row in zip(self.codomain, self.eps0, self.img):
+            norm, gk = Gi.normalize, Gi.kind
+            # each term as coeff.hom_apply gives it: an exact 0 where no
+            # nonzero homomorphism exists
+            for dk, v, x in zip(kinds, row, e):
+                acc = acc + norm(0 if (dk, gk) in TRIVIAL_KINDS else v * x)
+            out.append(norm(acc))
         return tuple(out)
 
     def compose_hom(self, gamma: "LinearFnData") -> "LinearFnData":
@@ -89,44 +152,60 @@ class LinearFnData:
         assert gamma.is_homomorphism
         if gamma.codomain != self.domain:
             raise DomainMismatch("composition domains do not line up")
-        H = gamma.domain
-        gamma_rows = _nonzero_rows(gamma.eps1)
-        eps1 = []
-        for i, Ci in enumerate(self.codomain):
-            row = [hom_zero(Hj, Ci) for Hj in H]
-            for k, c in enumerate(self.eps1[i]):
-                if c.is_zero():
-                    continue
-                for j, g in gamma_rows[k]:
-                    row[j] = row[j] + compose(g, c)
-            eps1.append(row)
-        return LinearFnData(H, self.codomain, self.eps0, eps1)
+        return LinearFnData.of_images(gamma.domain, self.codomain, self.eps0,
+                                      _image_product(self, gamma))
 
     def compose_affine(self, gamma: "LinearFnData", shift: GroupElement) -> "LinearFnData":
         """self(gamma(.) + shift), for a homomorphism gamma into the domain."""
         composed = self.compose_hom(gamma)
-        delta = []
-        for i, Gi in enumerate(self.codomain):
-            acc = self.eps0[i]
-            for j in range(len(self.domain)):
-                acc = acc + hom_apply(self.eps1[i][j], shift[j])
-            delta.append(Gi.normalize(acc))
-        return LinearFnData(gamma.domain, self.codomain, tuple(delta), composed.eps1)
+        return LinearFnData.of_images(gamma.domain, self.codomain, self(shift), composed.img)
 
-    def column(self, j: int) -> List[HomCoeff]:
-        return [self.eps1[i][j] for i in range(len(self.codomain))]
+    def column(self, j: int) -> List[Scalar]:
+        """The image column of domain factor j."""
+        return [row[j] for row in self.img]
 
     def restrict_cols(self, cols: List[int]) -> "LinearFnData":
         dom = GroupProduct([self.domain[j] for j in cols])
-        return LinearFnData(
-            dom, self.codomain, self.eps0,
-            [[self.eps1[i][j] for j in cols] for i in range(len(self.codomain))],
-        )
+        return LinearFnData.of_images(dom, self.codomain, self.eps0,
+                                      [[row[j] for j in cols] for row in self.img])
 
 
-def _nonzero_rows(cells: List[List[HomCoeff]]) -> List[List[Tuple[int, HomCoeff]]]:
-    """The (column, coefficient) pairs of each row's nonzero cells."""
-    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in cells]
+def zero_row(domain: GroupProduct, A) -> List[Scalar]:
+    """The image row of the zero homomorphism from ``domain`` into A."""
+    return [image_group(Dj, A).normalize(0) for Dj in domain]
+
+
+def _nonzero(v: Scalar, G, A) -> bool:
+    """Whether the matrix entry v of a homomorphism G -> A is nonzero, with
+    the float tolerance of its group (an exact entry is normalized)."""
+    if v.__class__ is float:
+        return not image_group(G, A).eq(v, 0)
+    return v != 0
+
+
+def _image_product(left: LinearFnData, right: LinearFnData) -> List[List[Scalar]]:
+    """The image matrix of left o right.
+
+    Entry (i, j) sums left[i][k] right[k][j] over the k where both entries
+    are nonzero, in order of k, each term and each partial sum normalized
+    in the entry's group, as the coefficient sums of ``coeff.compose``
+    would be.
+    """
+    H = right.domain
+    nz_right = [[(j, x) for j, x in enumerate(row) if _nonzero(x, H[j], Ek)]
+                for Ek, row in zip(left.domain, right.img)]
+    out = []
+    for Ci, row in zip(left.codomain, left.img):
+        grps = [image_group(Hj, Ci) for Hj in H]
+        acc = [g.normalize(0) for g in grps]
+        for k, (Ek, a) in enumerate(zip(left.domain, row)):
+            if not nz_right[k] or not _nonzero(a, Ek, Ci):
+                continue
+            for j, x in nz_right[k]:
+                norm = grps[j].normalize
+                acc[j] = norm(acc[j] + norm(a * x))
+        out.append(acc)
+    return out
 
 
 def hom_data(domain: GroupProduct, codomain: GroupProduct, cells) -> LinearFnData:
@@ -237,24 +316,33 @@ class QuadraticFnData:
                 out.set_cell(part, i, j, -c)
         return out
 
-    def neighbours(self, part: str) -> List[List[Tuple[int, Hom2Coeff]]]:
+    def _vanishes(self, part: str) -> bool:
+        """Whether the part ("a" or "phi") has no quadratic or bilinear term."""
+        return not getattr(self, part + "2") and all(c.is_zero() for c in self.vec(part))
+
+    def neighbours(self, part: str, rows=None) -> List[List[Tuple[int, Hom2Coeff]]]:
         """For each factor k, the nonzero cells (l, cell(k, l)) in order of l.
 
         The diagonal cell is the bilinear form of the factor's quadratic
         coefficient; the stored cells appear in both rows, transposed in
-        the row of their larger index.
+        the row of their larger index.  With ``rows`` (a set of factors),
+        the rows of all other factors are left empty.
         """
         m = len(self.domain)
+        rows = range(m) if rows is None else rows
         nbrs: List[List[Tuple[int, Hom2Coeff]]] = [[] for _ in range(m)]
         for k, q1k in enumerate(self.vec(part)):
-            diag = quad_to_bilinear(q1k)
-            if not diag.is_zero():
-                nbrs[k].append((k, diag))
+            if k in rows and not q1k.is_zero():
+                diag = quad_to_bilinear(q1k)
+                if not diag.is_zero():
+                    nbrs[k].append((k, diag))
         for (k, l), c in getattr(self, part + "2").items():
-            if c.is_zero():
+            if (k not in rows and l not in rows) or c.is_zero():
                 continue
-            nbrs[k].append((l, c))
-            nbrs[l].append((k, c.transpose()))
+            if k in rows:
+                nbrs[k].append((l, c))
+            if l in rows:
+                nbrs[l].append((k, c.transpose()))
         for row in nbrs:
             row.sort(key=lambda lc: lc[0])
         return nbrs
@@ -276,7 +364,9 @@ class QuadraticFnData:
             return out
         # linear correction q^(2)(e0, .)
         for part, tgt in (("a", R), ("phi", T)):
-            nbrs = self.neighbours(part)
+            if self._vanishes(part):
+                continue
+            nbrs = self.neighbours(part, set(support))
             lin: Dict[int, HomCoeff] = {}
             for k in support:
                 for i, cell in nbrs[k]:
@@ -299,19 +389,35 @@ class QuadraticFnData:
         if gamma.codomain != self.domain:
             raise DomainMismatch("precompose domains do not line up")
         H = gamma.domain
-        gamma_rows = _nonzero_rows(gamma.eps1)
+        # only the rows of gamma with a nonzero image contribute
+        live = {k for k, cols in enumerate(gamma.support()) if cols}
+        rows: Dict[int, List[Tuple[int, HomCoeff]]] = {}
+
+        def gamma_row(k: int) -> List[Tuple[int, HomCoeff]]:
+            """(j, coefficient) for the nonzero images of row k, built on first use."""
+            if k not in rows:
+                Ek, img = self.domain[k], gamma.img[k]
+                rows[k] = [(j, hom_of_image(H[j], Ek, img[j])) for j in gamma.support()[k]]
+            return rows[k]
+
         out = QuadraticFnData(H, self.a0, self.phi0)
         for part in ("a", "phi"):
+            if self._vanishes(part):
+                continue
             q1 = self.vec(part)
             vec = out.vec(part)
             cells: Dict[Cell, Hom2Coeff] = {}
-            for k, nbrs in enumerate(self.neighbours(part)):
-                rk = gamma_rows[k]
+            for k, nbrs in enumerate(self.neighbours(part, live)):
+                if k not in live:
+                    continue
+                rk = gamma_row(k)
                 if not q1[k].is_zero():
                     for i, g in rk:
                         vec[i] = vec[i] + phi(q1[k], g)
                 for l, cell in nbrs:
-                    rl = gamma_rows[l]
+                    if l not in live:
+                        continue
+                    rl = gamma_row(l)
                     if l < k:
                         # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
                         gl_of = dict(rl)

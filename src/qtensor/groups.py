@@ -134,7 +134,13 @@ class GroupProduct:
         return tuple(f.normalize(v) for f, v in zip(self.factors, values))
 
     def identity(self) -> GroupElement:
-        return tuple(f.normalize(0) for f in self.factors)
+        # kept on first use; the factors of a product never change
+        try:
+            return self._identity
+        except AttributeError:
+            ident = tuple(f.normalize(0) for f in self.factors)
+            object.__setattr__(self, "_identity", ident)
+            return ident
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
@@ -146,13 +152,18 @@ class GroupProduct:
         return tuple(f.neg(x) for f, x in zip(self.factors, a))
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.add(a, self.neg(b))
+        """a + (-b), the negation normalized first as ``neg`` does."""
+        self._check(a)
+        self._check(b)
+        return tuple(f.normalize(x + f.normalize(-y)) for f, x, y in zip(self.factors, a, b))
 
     def eq(self, a: GroupElement, b: GroupElement) -> bool:
         return all(f.eq(x, y) for f, x, y in zip(self.factors, a, b))
 
     def is_identity(self, a: GroupElement) -> bool:
-        return self.eq(a, self.identity())
+        ident = self.identity()
+        # an equal tuple is the identity; otherwise compare within tolerance
+        return a == ident or self.eq(a, ident)
 
     def enumerate(self) -> Iterator[GroupElement]:
         """All elements of a finite product, lexicographic order."""

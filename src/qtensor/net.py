@@ -14,6 +14,7 @@ is an open output index.  Fermionic and group wires never join.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
@@ -417,78 +418,105 @@ def run_contract(spec: NetworkSpec, order: Optional[List[str]] = None) -> Contra
     return res
 
 
-def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> QTensorData:
-    """Contract the group sector: user-specified wire order, else greedy
-    pairwise merging that minimizes the intermediate embedding size."""
-    users = spec.wire_users()
-    edges = [w for w, us in users.items() if len(us) == 2
-             and all(isinstance(spec.nodes[ni].payload, QTensorData) for ni, _ in us)]
-    if order:
-        missing = [w for w in edges if w not in order]
-        edge_seq = [w for w in order if w in edges] + missing
-    else:
-        edge_seq = None
-    # components: (tensor, legs) pairs merged as edges are consumed, keyed by
-    # the index of their first node so that they keep the node order
-    comps: Dict[int, Tuple[QTensorData, List[str]]] = {
-        ci: (node.payload, list(node.legs)) for ci, node in enumerate(nodes)
-    }
-    # wire -> the components holding it, in component order
-    holders: Dict[str, List[int]] = {}
-    for ci, (_, legs) in comps.items():
-        for w in legs:
-            if ci not in holders.setdefault(w, []):
-                holders[w].append(ci)
+def _group_edges(spec: NetworkSpec) -> List[str]:
+    """The wires joining two legs of group nodes, in declaration order."""
+    return [w for w, us in spec.wire_users().items() if len(us) == 2
+            and all(isinstance(spec.nodes[ni].payload, QTensorData) for ni, _ in us)]
 
-    def esize(t: QTensorData) -> int:
+
+def _esize(t: QTensorData) -> int:
+    n = 1
+    for f in t.E:
+        n *= f.k if f.kind == "Zk" else 4
+    return n
+
+
+class _GroupNet:
+    """The group sector of a network while its edges are contracted.
+
+    Components are (tensor, legs) pairs merged as edges are consumed, keyed
+    by the index of their first node so that they keep the node order;
+    ``holders`` maps each wire to the components holding it.  The greedy
+    planner contracts the edge of smallest combined embedding size first,
+    ties broken by declaration.  It keeps a heap of (cost, rank, wire)
+    entries: a contraction changes the cost only of the edges on the
+    merged component, which are pushed again, and an entry whose cost is
+    no longer current is skipped when it is popped.
+    """
+
+    def __init__(self, nodes: List[Node], edges: List[str]):
+        self.comps: Dict[int, Tuple[QTensorData, List[str]]] = {
+            ci: (node.payload, list(node.legs)) for ci, node in enumerate(nodes)
+        }
+        # wire -> the components holding it, in component order
+        self.holders: Dict[str, List[int]] = {}
+        for ci, (_, legs) in self.comps.items():
+            for w in legs:
+                if ci not in self.holders.setdefault(w, []):
+                    self.holders[w].append(ci)
+        self.sizes = {ci: _esize(t) for ci, (t, _) in self.comps.items()}
+        self.rank = {w: n for n, w in enumerate(edges)}
+        self.remaining = set(edges)
+        self.heap = [self.cost(w) + (w,) for w in edges]
+        heapq.heapify(self.heap)
+
+    def cost(self, w: str) -> Tuple[int, int]:
         n = 1
-        for f in t.E:
-            n *= f.k if f.kind == "Zk" else 4
-        return n
+        for ci in self.holders[w]:
+            n *= self.sizes[ci]
+        return n, self.rank[w]
 
-    sizes = {ci: esize(t) for ci, (t, _) in comps.items()}
+    def cheapest(self) -> str:
+        """The remaining edge of least cost."""
+        while True:
+            n, r, w = heapq.heappop(self.heap)
+            if w in self.remaining and self.cost(w) == (n, r):
+                return w
 
-    def contract_edge(w: str):
-        hs = holders.pop(w)
+    def contract(self, w: str) -> None:
+        self.remaining.remove(w)
+        hs = self.holders.pop(w)
         if len(hs) == 1:
             ci = hs[0]
-            t, legs = comps[ci]
+            t, legs = self.comps[ci]
         else:
             ci, c2 = hs
-            t1, l1 = comps[ci]
-            t2, l2 = comps.pop(c2)
+            t1, l1 = self.comps[ci]
+            t2, l2 = self.comps.pop(c2)
             t = tensor_product(t1, t2)
             legs = l1 + l2
-            del sizes[c2]
+            del self.sizes[c2]
             for lw in set(l2):
                 if lw != w:
-                    hl = holders[lw]
+                    hl = self.holders[lw]
                     hl.remove(c2)
                     if ci not in hl:
                         hl.append(ci)
                         hl.sort()
         pos = [i for i, lw in enumerate(legs) if lw == w]
         t = reduce_full(self_contract(t, pos[0], pos[1]))
-        comps[ci] = (t, [lw for i, lw in enumerate(legs) if i not in pos])
-        sizes[ci] = esize(t)
+        legs = [lw for i, lw in enumerate(legs) if i not in pos]
+        self.comps[ci] = (t, legs)
+        self.sizes[ci] = _esize(t)
+        for lw in set(legs):
+            if lw in self.remaining:
+                heapq.heappush(self.heap, self.cost(lw) + (lw,))
 
-    rank = {w: n for n, w in enumerate(edges)}
 
-    def cost(w):
-        # greedy: smallest combined embedding size, ties by declaration
-        n = 1
-        for ci in holders[w]:
-            n *= sizes[ci]
-        return n, rank[w]
-
-    remaining = list(edges)
-    while remaining:
-        if edge_seq is not None:
-            w = next(x for x in edge_seq if x in remaining)
-        else:
-            w = min(remaining, key=cost)
-        remaining.remove(w)
-        contract_edge(w)
+def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> QTensorData:
+    """Contract the group sector: user-specified wire order, else greedy
+    pairwise merging that minimizes the intermediate embedding size."""
+    edges = _group_edges(spec)
+    net = _GroupNet(nodes, edges)
+    if order:
+        # the listed edges first, then the others in declaration order
+        listed = set(order)
+        seq = iter([w for w in order if w in net.rank] + [w for w in edges if w not in listed])
+    while net.remaining:
+        # a wire passed over in seq is never remaining again, so seq is read once
+        w = next(x for x in seq if x in net.remaining) if order else net.cheapest()
+        net.contract(w)
+    comps = net.comps
     parts = list(comps.values())
     big = parts[0][0]
     legs = [(None, w) for w in parts[0][1]]

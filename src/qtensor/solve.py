@@ -27,15 +27,16 @@ one factorization when they lift to the same system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .coeff import HomCoeff, hom_apply, hom_from_image, hom_zero
-from .functions import LinearFnData, hom_data
+from .coeff import image_apply, image_group
+from .functions import LinearFnData
 from .groups import GroupProduct, R, T, Z, Zk
-from .scalar import is_exact, mod1
+from .scalar import as_scalar, is_exact, mod1
 
 PIVOT_TOL = 1e-12
 
@@ -333,46 +334,33 @@ class KernelPresentation:
     inclusion: LinearFnData  # homomorphism group -> E
 
 
-def _int_cell(cell: HomCoeff) -> int:
-    """Lifted integer image of the generator of a Z_k or Z source in Z_k or Z."""
-    src, tgt = cell.source, cell.target
-    if src.kind == "Zk":
-        return tgt.k // math.gcd(src.k, tgt.k) * int(cell.value) if tgt.kind == "Zk" else 0
-    return int(cell.value)
-
-
-def _rational_cell(cell: HomCoeff, solving: bool) -> Fraction:
-    """Lifted rational image of the generator of a Z_k or Z source in T or R."""
-    src, tgt, v = cell.source, cell.target, cell.value
-    if src.kind == "Zk":
-        return Fraction(int(v), src.k) if tgt.kind == "T" else Fraction(0)
-    if solving and tgt.kind == "R":
-        raise UnsupportedKernel("integer lattice into real target in a solve")
-    if not is_exact(v):
-        raise UnsupportedKernel(f"irrational coupling from {src} into {tgt}")
-    return Fraction(v)
-
-
 def _lifted_system(eps: LinearFnData, cols: List[int], rows: List[int], b=None):
     """The integer system A x = rhs (row t mod mods[t], 0 for an exact row)
     that lifts eps on the discrete columns ``cols`` and codomain ``rows``;
     ``b`` is the right-hand side of a solve, None for a kernel.
 
-    A row into Z_k or Z is integral as it stands.  A row into T or R has
-    rational entries and is scaled by the lcm of their denominators and, in
-    a solve, of b's; a T row is then taken mod that scale.  Rows into Z and
-    R are exact equations, and a kernel skips zero R rows.
+    The entries are the generator images of eps.  A row into Z_k or Z is
+    integral as it stands.  A row into T or R has rational entries (a Z
+    column's must be exact, and in a solve a Z column must not meet an R
+    row) and is scaled by the lcm of their denominators and, in a solve,
+    of b's; a T row is then taken mod that scale.  Rows into Z and R are
+    exact equations, and a kernel skips zero R rows.
     """
-    G = eps.codomain
+    E, G = eps.domain, eps.codomain
     A, mods, rhs = [], [], []
     for i in rows:
-        Gi, cells = G[i], [eps.eps1[i][j] for j in cols]
+        Gi, vals = G[i], [eps.img[i][j] for j in cols]
         if Gi.kind in ("Zk", "Z"):
-            A.append([_int_cell(c) for c in cells])
+            A.append(vals)
             mods.append(Gi.k if Gi.kind == "Zk" else 0)
             rhs.append(0 if b is None else int(b[i]))
             continue
-        vals = [_rational_cell(c, b is not None) for c in cells]
+        for j, v in zip(cols, vals):
+            if E[j].kind == "Z":
+                if b is not None and Gi.kind == "R":
+                    raise UnsupportedKernel("integer lattice into real target in a solve")
+                if not is_exact(v):
+                    raise UnsupportedKernel(f"irrational coupling from {E[j]} into {Gi}")
         if b is None:
             if Gi.kind == "R" and not any(vals):
                 continue
@@ -421,9 +409,10 @@ class _Elimination:
             found = False
             for i in list(left):
                 mod = mods[i]
-                j = next((j for j, x in enumerate(rows[i])
-                          if orders[j] == mod and _is_unit(x, mod)), None)
-                if j is None:
+                for j, x in enumerate(rows[i]):
+                    if x and orders[j] == mod and _is_unit(x, mod):
+                        break
+                else:
                     continue
                 u = pow(rows[i][j], -1, mod) if mod else rows[i][j]
                 pivot = rows[i] = [u * x % mod if mod else u * x for x in rows[i]]
@@ -572,29 +561,24 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
     E, G = eps.domain, eps.codomain
     disc, cont_t, cont_r = _split_cols(E)
     # classify rows by which column classes touch them
-    touch = {i: set() for i in range(len(G))}
-    for i in range(len(G)):
-        for j in range(len(E)):
-            if not eps.eps1[i][j].is_zero():
-                if j in disc:
-                    touch[i].add("d")
-                elif j in cont_t:
-                    touch[i].add("t")
-                else:
-                    touch[i].add("r")
-    for i, classes in touch.items():
+    kind = ["d" if f.kind in ("Zk", "Z") else "t" if f.kind == "T" else "r" for f in E]
+    touch = [{kind[j] for j in cols} for cols in eps.support()]
+    for i, classes in enumerate(touch):
         if len(classes) > 1:
             raise UnsupportedKernel(
                 f"codomain factor {i} couples source classes {sorted(classes)}"
             )
     # handle each class independently and splice the results back together
-    pieces = []  # (col_index, factor, column cells) triples via sub-presentations
     factors: List = []
-    incl_cols: List[List[HomCoeff]] = []  # one list of E-cells per kernel factor
+    incl_cols: List[List] = []  # one image column over E per kernel factor
 
-    def add_generator(factor, col_cells):
+    def add_generator(factor, images):
+        """Emit a kernel factor whose generator has the images {j: value} in E."""
+        col = list(_zero_column(factor, E))
+        for j, x in images.items():
+            col[j] = x
         factors.append(factor)
-        incl_cols.append(col_cells)
+        incl_cols.append(col)
 
     # --- discrete block ----------------------------------------------------
     if disc:
@@ -610,22 +594,25 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
         _real_block_kernel(eps, cont_r, rows_r, add_generator)
 
     K = GroupProduct(factors)
-    cells = [
-        [incl_cols[q][j] for q in range(len(factors))] for j in range(len(E))
-    ]
-    incl = hom_data(K, E, cells)
-    return KernelPresentation(K, incl)
+    img = [list(row) for row in zip(*incl_cols)] if incl_cols else [[] for _ in E]
+    return KernelPresentation(K, LinearFnData.of_images(K, E, E.identity(), img))
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_column(factor, E: GroupProduct) -> Tuple:
+    """The image column of the zero homomorphism from ``factor`` into E."""
+    return tuple(image_group(factor, El).normalize(0) for El in E)
 
 
 def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
+    """Emit the kernel generators of eps on its discrete columns: the
+    vectors of ``_Elimination.kernel``, each entry the image of the
+    generator in that factor of E."""
     E = eps.domain
     A, mods, _ = _lifted_system(eps, cols, rows)
     for gen, order in _eliminate(A, mods, [_order(E[j]) for j in cols], factored).kernel():
         factor = Zk(order) if order else Z
-        col_cells = [hom_zero(factor, f) for f in E]
-        for jj, j in enumerate(cols):
-            col_cells[j] = hom_from_image(factor, E[j], gen[jj])
-        emit(factor, col_cells)
+        emit(factor, {j: image_group(factor, E[j]).normalize(x) for j, x in zip(cols, gen) if x})
 
 
 def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
@@ -634,17 +621,13 @@ def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, fa
     mat = []
     for i in rows:
         if G[i].kind != "T":
-            if any(not eps.eps1[i][j].is_zero() for j in cols):
+            if any(eps.nonzero(i, j) for j in cols):
                 raise UnsupportedKernel("circle factors map only into circles")
             continue
-        mat.append([int(eps.eps1[i][j].value) for j in cols])
+        mat.append([eps.img[i][j] for j in cols])
     if not mat:
-        for jj, j in enumerate(cols):
-            col_cells = [
-                HomCoeff(T, E[l], 1) if l == j else hom_zero(T, E[l])
-                for l in range(len(E))
-            ]
-            emit(T, col_cells)
+        for j in cols:
+            emit(T, {j: 1})
         return
     U, S, V = _factor(mat, factored)
     r = min(len(mat), m)
@@ -652,57 +635,31 @@ def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, fa
         s = S[t][t] if t < r else 0
         if s == 1:
             continue
-        if s == 0:
-            factor = T
-            col_cells = []
-            for l in range(len(E)):
-                if l in cols:
-                    col_cells.append(HomCoeff(T, T, V[cols.index(l)][t]))
-                else:
-                    col_cells.append(hom_zero(T, E[l]))
-            emit(factor, col_cells)
-        else:
-            factor = Zk(s)
-            col_cells = []
-            for l in range(len(E)):
-                if l in cols:
-                    col_cells.append(HomCoeff(factor, T, V[cols.index(l)][t]))
-                else:
-                    col_cells.append(hom_zero(factor, E[l]))
-            emit(factor, col_cells)
+        # a T factor maps by integer multipliers, a Z_s factor sends 1 to V/s
+        factor = T if s == 0 else Zk(s)
+        emit(factor, {j: V[jj][t] if s == 0 else mod1(Fraction(V[jj][t], s))
+                      for jj, j in enumerate(cols)})
 
 
 def _real_block_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
     E, G = eps.domain, eps.codomain
     t_rows = [i for i in rows if G[i].kind == "T"
-              and any(not eps.eps1[i][j].is_zero() for j in cols)]
+              and any(eps.nonzero(i, j) for j in cols)]
     r_rows = [i for i in rows if G[i].kind == "R"]
     if t_rows:
         # single real source into a single circle target: kernel is a lattice
         if len(cols) == 1 and not r_rows and len(t_rows) == 1:
-            c = eps.eps1[t_rows[0]][cols[0]].value
-            col_cells = [
-                HomCoeff(Z, E[l], 1 / c if not is_exact(c) else Fraction(1) / Fraction(c))
-                if l == cols[0]
-                else hom_zero(Z, E[l])
-                for l in range(len(E))
-            ]
-            emit(Z, col_cells)
+            c = eps.img[t_rows[0]][cols[0]]
+            emit(Z, {cols[0]: 1 / c if not is_exact(c) else Fraction(1) / Fraction(c)})
             return
         raise UnsupportedKernel("real sources into circle targets beyond 1x1")
-    mat = [[eps.eps1[i][j].value for j in cols] for i in r_rows]
+    mat = [[eps.img[i][j] for j in cols] for i in r_rows]
     basis = real_kernel(mat) if mat else [
         [Fraction(1) if t == j else Fraction(0) for t in range(len(cols))]
         for j in range(len(cols))
     ]
     for vec in basis:
-        col_cells = []
-        for l in range(len(E)):
-            if l in cols:
-                col_cells.append(HomCoeff(R, R, vec[cols.index(l)]))
-            else:
-                col_cells.append(hom_zero(R, E[l]))
-        emit(R, col_cells)
+        emit(R, {j: as_scalar(x) for j, x in zip(cols, vec)})
 
 
 def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None) -> Optional[Tuple]:
@@ -713,17 +670,17 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
     forms already computed (see ``_eliminate`` and ``_factor``).
     """
     E, G = eps.domain, eps.codomain
-    b = G.sub(G.element(target), eps(E.identity()))
+    target = G.element(target)
+    b = G.sub(target, eps(E.identity()))
     disc, cont_t, cont_r = _split_cols(E)
     sol = [None] * len(E)
     # discrete part
-    rows_d = []
-    for i in range(len(G)):
-        cells = [eps.eps1[i][j] for j in disc]
-        if any(not c.is_zero() for c in cells) or (not cont_t and not cont_r):
-            rows_d.append(i)
+    supp = eps.support()
+    is_disc = [f.kind in ("Zk", "Z") for f in E]
+    rows_d = [i for i, cols in enumerate(supp)
+              if any(is_disc[j] for j in cols) or (not cont_t and not cont_r)]
     if disc:
-        if any(not eps.eps1[i][j].is_zero() for i in rows_d for j in cont_t + cont_r):
+        if any(not is_disc[j] for i in rows_d for j in supp[i]):
             raise UnsupportedKernel("mixed-class solve")
         A, mods, rhs = _lifted_system(eps, disc, rows_d, b)
         res = _eliminate(A, mods, [_order(E[j]) for j in disc], factored).solve(rhs)
@@ -734,8 +691,8 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
     # circle part
     if cont_t:
         rows_t = [i for i in range(len(G)) if G[i].kind == "T"
-                  and any(not eps.eps1[i][j].is_zero() for j in cont_t)]
-        mat = [[int(eps.eps1[i][j].value) for j in cont_t] for i in rows_t]
+                  and any(eps.nonzero(i, j) for j in cont_t)]
+        mat = [[eps.img[i][j] for j in cont_t] for i in rows_t]
         rhsv = [b[i] for i in rows_t]
         if mat:
             res = _solve_circle(mat, rhsv, _factor(mat, factored))
@@ -749,14 +706,14 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
     # real part
     if cont_r:
         rows_r = [i for i in range(len(G)) if G[i].kind == "R"]
-        mat = [[eps.eps1[i][j].value for j in cont_r] for i in rows_r]
+        mat = [[eps.img[i][j] for j in cont_r] for i in rows_r]
         rhsv = [b[i] for i in rows_r]
         # contribution of already-solved discrete columns into real targets
         for idx, i in enumerate(rows_r):
             for j in disc:
-                if not eps.eps1[i][j].is_zero():
-                    rhsv[idx] = rhsv[idx] - hom_apply(eps.eps1[i][j], sol[j])
-        if mat and any(any(not eps.eps1[i][j].is_zero() for j in cont_r) for i in rows_r):
+                if eps.nonzero(i, j):
+                    rhsv[idx] = rhsv[idx] - image_apply(E[j], G[i], eps.img[i][j], sol[j])
+        if mat and any(eps.nonzero(i, j) for i in rows_r for j in cont_r):
             res = real_solve(mat, rhsv)
             if res is None:
                 return None
@@ -771,7 +728,7 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
         if sol[j] is None:
             sol[j] = 0
     e = E.element(sol)
-    if not G.eq(eps(e), G.element(target)):
+    if not G.eq(eps(e), target):
         return None
     return e
 
@@ -831,17 +788,10 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
     """
     K = incl.domain
     disc, cont_t, cont_r = _split_cols(S)
-    for q in range(len(K)):
-        for j in cont_t + cont_r:
-            if not incl.eps1[j][q].is_zero():
-                raise UnsupportedKernel("quotient touching continuous factors")
+    if any(incl.nonzero(j, q) for q in range(len(K)) for j in cont_t + cont_r):
+        raise UnsupportedKernel("quotient touching continuous factors")
     m = len(disc)
-    gens = []
-    for q in range(len(K)):
-        vec = []
-        for j in disc:
-            vec.append(int(hom_apply(incl.eps1[j][q], 1)))
-        gens.append(vec)
+    gens = [[int(incl.img[j][q]) for j in disc] for q in range(len(K))]
     for jj, j in enumerate(disc):
         if S[j].kind == "Zk":
             v = [0] * m

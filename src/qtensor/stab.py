@@ -39,6 +39,7 @@ from .coeff import (
     dual,
     hom2_zero,
     hom_apply,
+    hom_of_image,
     hom_zero,
     linear_as_quad,
     quad_as_hom,
@@ -407,7 +408,8 @@ def _code_state(tab: StabTableau, cells) -> QTensorData:
     # sigma_z compose kappa_x, then dualize to get kappa_x^* sigma_z^*
     sz = hom_data(S, dual_product(H), tab.sigma_z)
     szkx = sz.compose_hom(kx)
-    M = _dual_hom_matrix([[szkx.eps1[i][q] for q in range(len(Kx))]
+    Hd = dual_product(H)
+    M = _dual_hom_matrix([[hom_of_image(Kx[q], Hd[i], szkx.img[i][q]) for q in range(len(Kx))]
                           for i in range(n)], Kx, H)
     pkx = tab.p.precompose(kx)
     target_vals = []
