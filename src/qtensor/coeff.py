@@ -188,10 +188,14 @@ def image_group(G: ElementaryGroup, A: ElementaryGroup) -> ElementaryGroup:
 
 
 def hom_image(h: HomCoeff) -> Scalar:
-    """The matrix entry of ``h`` (see ``image_group``)."""
-    G = h.source
-    if G.kind in ("Zk", "Z"):
-        return image_group(G, h.target).normalize(hom_apply(h, 1))
+    """The matrix entry of ``h`` (see ``image_group``): ``hom_apply(h, 1)``
+    for a Z_k source, the coefficient itself otherwise (for a Z source the
+    coefficient group hom[Z|A] is A)."""
+    G, A = h.source, h.target
+    if G.kind == "Zk":
+        if A.kind == "Zk":
+            return A.k // _gcd(G.k, A.k) * h.value % A.k
+        return Fraction(h.value, G.k) if A.kind == "T" else 0
     return h.value
 
 
@@ -488,7 +492,7 @@ def _compose_value(G0, G1, G2, a, b):
     """The coefficient, before normalization in hom[G0|G2], of the composite
     of G0 -> G1 with coefficient a and G1 -> G2 with coefficient b; None
     when the composite is zero whatever a and b are."""
-    if hom_group(G0, G2) == Z1 or hom_group(G0, G1) == Z1 or hom_group(G1, G2) == Z1:
+    if hom_group(G0, G2) is Z1 or hom_group(G0, G1) is Z1 or hom_group(G1, G2) is Z1:
         return None
     if G0.kind == "Z":
         if G1.kind == "Z":
@@ -549,7 +553,7 @@ def _dual_value(H, G, A, v):
     """The coefficient, before normalization, of ``dual`` on the coefficient
     v of H -> G; None when the dual map is zero whatever v is."""
     D1, D2 = hom_group(G, A), hom_group(H, A)
-    if hom_group(D1, D2) == Z1 or D1 == Z1 or D2 == Z1:
+    if hom_group(D1, D2) is Z1 or D1 is Z1 or D2 is Z1:
         return None
     if D1.kind in ("Zk", "Z"):
         # the dual map sends the unit coefficient of hom[G|A] to its composite with h

@@ -19,6 +19,7 @@ pullbacks are coefficient tables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -128,7 +129,9 @@ class LinearFnData:
         """The columns of the nonzero entries of each row (computed once)."""
         if self._support is None:
             D = self.domain
-            self._support = [[j for j, x in enumerate(row) if _nonzero(x, D[j], Ci)]
+            # an exact entry is normalized, so only a float needs its group's tolerance
+            self._support = [[j for j, x in enumerate(row)
+                              if (x != 0 if x.__class__ is not float else _nonzero(x, D[j], Ci))]
                              for Ci, row in zip(self.codomain, self.img)]
         return self._support
 
@@ -140,10 +143,16 @@ class LinearFnData:
         out = []
         for Gi, acc, row in zip(self.codomain, self.eps0, self.img):
             norm, gk = Gi.normalize, Gi.kind
-            # each term as coeff.hom_apply gives it: an exact 0 where no
-            # nonzero homomorphism exists
-            for dk, v, x in zip(kinds, row, e):
-                acc = acc + norm(0 if (dk, gk) in TRIVIAL_KINDS else v * x)
+            if gk in ("Zk", "Z"):
+                # integers: reducing the sum once is reducing each term
+                for dk, v, x in zip(kinds, row, e):
+                    if v and dk in ("Zk", "Z"):
+                        acc += v * x
+            else:
+                # each term as coeff.hom_apply gives it: an exact 0 where no
+                # nonzero homomorphism exists
+                for dk, v, x in zip(kinds, row, e):
+                    acc = acc + norm(0 if (dk, gk) in TRIVIAL_KINDS else v * x)
             out.append(norm(acc))
         return tuple(out)
 
@@ -172,7 +181,18 @@ class LinearFnData:
 
 def zero_row(domain: GroupProduct, A) -> List[Scalar]:
     """The image row of the zero homomorphism from ``domain`` into A."""
-    return [image_group(Dj, A).normalize(0) for Dj in domain]
+    return list(_zero_row(domain, A))
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_row(domain: GroupProduct, A) -> Tuple[Scalar, ...]:
+    return tuple(image_group(Dj, A).normalize(0) for Dj in domain)
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_vec(domain: GroupProduct, A) -> Tuple[QuadCoeff, ...]:
+    """The zero quadratic coefficient into A of each factor of ``domain``."""
+    return tuple(quad_zero(Dj, A) for Dj in domain)
 
 
 def _nonzero(v: Scalar, G, A) -> bool:
@@ -192,18 +212,15 @@ def _image_product(left: LinearFnData, right: LinearFnData) -> List[List[Scalar]
     would be.
     """
     H = right.domain
-    nz_right = [[(j, x) for j, x in enumerate(row) if _nonzero(x, H[j], Ek)]
-                for Ek, row in zip(left.domain, right.img)]
+    right_support = right.support()
     out = []
-    for Ci, row in zip(left.codomain, left.img):
-        grps = [image_group(Hj, Ci) for Hj in H]
-        acc = [g.normalize(0) for g in grps]
-        for k, (Ek, a) in enumerate(zip(left.domain, row)):
-            if not nz_right[k] or not _nonzero(a, Ek, Ci):
-                continue
-            for j, x in nz_right[k]:
-                norm = grps[j].normalize
-                acc[j] = norm(acc[j] + norm(a * x))
+    for Ci, row, cols in zip(left.codomain, left.img, left.support()):
+        acc = zero_row(H, Ci)
+        for k in cols:
+            a, rk = row[k], right.img[k]
+            for j in right_support[k]:
+                norm = image_group(H[j], Ci).normalize
+                acc[j] = norm(acc[j] + norm(a * rk[j]))
         out.append(acc)
     return out
 
@@ -230,11 +247,11 @@ class QuadraticFnData:
         self.a0 = as_scalar(self.a0)
         self.phi0 = mod1(as_scalar(self.phi0))
         if not self.a1:
-            self.a1 = [quad_zero(self.domain[i], R) for i in range(m)]
+            self.a1 = list(_zero_vec(self.domain, R))
         if not self.phi1:
-            self.phi1 = [quad_zero(self.domain[i], T) for i in range(m)]
-        self.a2 = {ij: c for ij, c in self.a2.items() if not c.is_zero()}
-        self.phi2 = {ij: c for ij, c in self.phi2.items() if not c.is_zero()}
+            self.phi1 = list(_zero_vec(self.domain, T))
+        self.a2 = {ij: c for ij, c in self.a2.items() if not c.is_zero()} if self.a2 else {}
+        self.phi2 = {ij: c for ij, c in self.phi2.items() if not c.is_zero()} if self.phi2 else {}
         for (i, j) in list(self.a2) + list(self.phi2):
             assert 0 <= i < j < m, "bilinear cells must be strictly upper triangular"
 

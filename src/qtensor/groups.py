@@ -47,6 +47,14 @@ class ElementaryGroup:
     def __hash__(self) -> int:
         return self._hash
 
+    # immutable, and Zk, Z, T and R hand out one object per group, which
+    # copies keep: the coefficient tables compare hom groups with Z1 by identity
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     @property
     def finite(self) -> bool:
         return self.kind == "Zk"
@@ -103,6 +111,15 @@ class GroupProduct:
     def __init__(self, factors: Sequence[ElementaryGroup] = ()):
         object.__setattr__(self, "factors", tuple(factors))
 
+    def __hash__(self) -> int:
+        # kept on first use, like the identity: products key the coefficient caches
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.factors)
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __len__(self) -> int:
         return len(self.factors)
 
@@ -134,7 +151,7 @@ class GroupProduct:
         return tuple(f.normalize(v) for f, v in zip(self.factors, values))
 
     def identity(self) -> GroupElement:
-        # kept on first use; the factors of a product never change
+        # kept on first use: the factors of a product never change
         try:
             return self._identity
         except AttributeError:

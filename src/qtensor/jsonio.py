@@ -75,6 +75,9 @@ def _cplx(z: complex):
 
 
 def _cplx_from(v) -> complex:
+    _require(isinstance(v, list) and len(v) == 2
+             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
+             f"complex value {json.dumps(v)} is not a [re, im] pair of numbers")
     return complex(v[0], v[1])
 
 
@@ -240,6 +243,7 @@ def to_json(obj) -> dict:
 
 
 def from_json(obj: dict):
+    _require(isinstance(obj, dict), "payload must be a JSON object")
     kind = obj.get("type")
     if kind == "qtensor":
         return qtensor_from_json(obj)
@@ -249,7 +253,7 @@ def from_json(obj: dict):
         return tableau_from_json(obj)
     if kind == "clifford":
         return clifford_from_json(obj)
-    raise TypeError(f"unknown payload type {kind!r}")
+    raise MalformedPayload(f"unknown payload type {kind!r}")
 
 
 def dumps(obj) -> str:

@@ -355,7 +355,16 @@ def test_cli_usage_errors(tmp_path):
     (("fermion", "eval"), json.dumps(
         {"type": "fermion", "n": 2, "l": 0, "eps1": [[[1, 0]] * 3, [[1, 0]] * 2],
          "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
-], ids=["bad_group", "mismatched_clifford", "ragged_fermion"])
+    # a fermion payload without "type"
+    (("fermion", "eval"), json.dumps(
+        {"n": 2, "l": 0, "eps1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+         "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
+    # a fermion payload whose eps1 cell is 7, not a [re, im] pair
+    (("fermion", "eval"), json.dumps(
+        {"type": "fermion", "n": 2, "l": 0, "eps1": [[7, [0, 0]], [[0, 0], [1, 0]]],
+         "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
+], ids=["bad_group", "mismatched_clifford", "ragged_fermion", "untyped_payload",
+        "scalar_complex_cell"])
 def test_cli_invalid_input_exits_2(tmp_path, args, text):
     extra = ()
     if text is not None:
