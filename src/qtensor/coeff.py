@@ -12,8 +12,14 @@ closed-form table lookups with explicit even/odd branching for cyclic
 groups; exhaustive pointwise verification lives in the test suite.
 A homomorphism out of Z_k or Z is read off the image of 1 by one
 function, ``hom_from_image``, which raises when the value is no such
-image; fitting, duals, the linear part of a quadratic coefficient and the
-engine's and solver's generator reads all go through it.  Fitting
+image; fitting, duals and the linear part of a quadratic coefficient go
+through it.  Linear functions hold no coefficients but one matrix entry
+per cell, the image of 1 or, out of T and R, the multiplier
+(``image_group``); ``hom_image`` and ``hom_of_image`` convert between an
+entry and its coefficient, and ``image_fit`` checks and reduces an image
+read off a section.  Composition, duals and the conjugation of bilinear
+cells work on values (``_compose_value``, ``_dual_value``), with no
+intermediate coefficient object.  Fitting
 quadratic coefficients to pointwise values on Z_k is closed-form too: the
 coefficients are read off one or two values and then checked against
 every point, so data that is not quadratic raises instead of fitting.
@@ -55,6 +61,12 @@ def _gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+def _is_zero(grp: ElementaryGroup, v) -> bool:
+    """Whether the normalized value v of ``grp`` is 0: an exact one is 0
+    exactly, a float within the group's tolerance."""
+    return grp.eq(v, 0) if isinstance(v, float) else v == 0
+
+
 def _half_odd(v: int, k: int) -> int:
     """The unique h/2 in Z_k for odd k (k+1)//2 is the inverse of doubling."""
     return (v * ((k + 1) // 2)) % k
@@ -94,7 +106,7 @@ class HomCoeff:
         object.__setattr__(self, "value", grp.normalize(self.value))
 
     def is_zero(self) -> bool:
-        return self.group.eq(self.value, 0)
+        return _is_zero(self.group, self.value)
 
     def __add__(self, other: "HomCoeff") -> "HomCoeff":
         if (self.source, self.target) != (other.source, other.target):
@@ -217,14 +229,14 @@ def image_fit(G: ElementaryGroup, A: ElementaryGroup, v) -> Scalar:
     return image_group(G, A).normalize(v)
 
 
-#: (source kind, target kind) pairs with no nonzero homomorphism
-TRIVIAL_KINDS = frozenset([("Zk", "Z"), ("Zk", "R"), ("T", "Zk"), ("T", "Z"), ("T", "R"),
+# (source kind, target kind) pairs with no nonzero homomorphism
+_TRIVIAL_KINDS = frozenset([("Zk", "Z"), ("Zk", "R"), ("T", "Zk"), ("T", "Z"), ("T", "R"),
                            ("R", "Zk"), ("R", "Z")])
 
 
 def image_apply(G: ElementaryGroup, A: ElementaryGroup, v, g) -> Scalar:
     """``hom_apply`` of the homomorphism G -> A with matrix entry v at g."""
-    if (G.kind, A.kind) in TRIVIAL_KINDS:
+    if (G.kind, A.kind) in _TRIVIAL_KINDS:
         return A.normalize(0)
     return A.normalize(v * G.normalize(g))
 
@@ -252,7 +264,7 @@ class Hom2Coeff:
         object.__setattr__(self, "value", grp.normalize(self.value))
 
     def is_zero(self) -> bool:
-        return self.group.eq(self.value, 0)
+        return _is_zero(self.group, self.value)
 
     def __add__(self, other: "Hom2Coeff") -> "Hom2Coeff":
         if (self.g0, self.g1, self.target) != (other.g0, other.g1, other.target):
@@ -335,7 +347,7 @@ class QuadCoeff:
 
     def is_zero(self) -> bool:
         g2, g1 = self.groups
-        return g2.eq(self.h2, 0) and g1.eq(self.h1, 0)
+        return _is_zero(g2, self.h2) and _is_zero(g1, self.h1)
 
     def __add__(self, other: "QuadCoeff") -> "QuadCoeff":
         return quad_add(self, other)

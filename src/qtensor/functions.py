@@ -35,7 +35,7 @@ from .coeff import (
     hom_image,
     hom_of_image,
     hom_zero,
-    TRIVIAL_KINDS,
+    image_apply,
     image_group,
     lam,
     linear_as_quad,
@@ -131,29 +131,26 @@ class LinearFnData:
             D = self.domain
             # an exact entry is normalized, so only a float needs its group's tolerance
             self._support = [[j for j, x in enumerate(row)
-                              if (x != 0 if x.__class__ is not float else _nonzero(x, D[j], Ci))]
+                              if (_nonzero(x, D[j], Ci) if isinstance(x, float) else x != 0)]
                              for Ci, row in zip(self.codomain, self.img)]
         return self._support
 
     def __call__(self, e: GroupElement) -> GroupElement:
         if len(e) != len(self.domain):
             raise DomainMismatch("element does not match domain")
-        e = [Dj.normalize(x) for Dj, x in zip(self.domain, e)]
-        kinds = [Dj.kind for Dj in self.domain]
+        D = self.domain
         out = []
         for Gi, acc, row in zip(self.codomain, self.eps0, self.img):
-            norm, gk = Gi.normalize, Gi.kind
-            if gk in ("Zk", "Z"):
-                # integers: reducing the sum once is reducing each term
-                for dk, v, x in zip(kinds, row, e):
-                    if v and dk in ("Zk", "Z"):
-                        acc += v * x
+            if Gi.kind in ("Zk", "Z"):
+                # integers: reducing the sum once is reducing each term, and a
+                # T or R factor maps to 0
+                for Dj, v, x in zip(D, row, e):
+                    if v and Dj.kind in ("Zk", "Z"):
+                        acc += v * Dj.normalize(x)
             else:
-                # each term as coeff.hom_apply gives it: an exact 0 where no
-                # nonzero homomorphism exists
-                for dk, v, x in zip(kinds, row, e):
-                    acc = acc + norm(0 if (dk, gk) in TRIVIAL_KINDS else v * x)
-            out.append(norm(acc))
+                for Dj, v, x in zip(D, row, e):
+                    acc = acc + image_apply(Dj, Gi, v, x)
+            out.append(Gi.normalize(acc))
         return tuple(out)
 
     def compose_hom(self, gamma: "LinearFnData") -> "LinearFnData":
@@ -184,12 +181,12 @@ def zero_row(domain: GroupProduct, A) -> List[Scalar]:
     return list(_zero_row(domain, A))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _zero_row(domain: GroupProduct, A) -> Tuple[Scalar, ...]:
     return tuple(image_group(Dj, A).normalize(0) for Dj in domain)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _zero_vec(domain: GroupProduct, A) -> Tuple[QuadCoeff, ...]:
     """The zero quadratic coefficient into A of each factor of ``domain``."""
     return tuple(quad_zero(Dj, A) for Dj in domain)
@@ -198,7 +195,7 @@ def _zero_vec(domain: GroupProduct, A) -> Tuple[QuadCoeff, ...]:
 def _nonzero(v: Scalar, G, A) -> bool:
     """Whether the matrix entry v of a homomorphism G -> A is nonzero, with
     the float tolerance of its group (an exact entry is normalized)."""
-    if v.__class__ is float:
+    if isinstance(v, float):
         return not image_group(G, A).eq(v, 0)
     return v != 0
 

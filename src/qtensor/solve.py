@@ -1,9 +1,13 @@
 """Kernels, preimages, and quotients of homomorphisms between products of
 elementary abelian groups.
 
-Discrete blocks (Z_k and Z factors) are lifted to integer systems, one
-row per codomain factor taken mod its order (T rows scaled to integers
-first, Z and R rows exact).  Each system is first eliminated on unit
+Every homomorphism arrives as one matrix of generator images
+(``LinearFnData.img``), and every presentation leaves as one: kernel
+inclusions, solutions and quotient lifts are image columns, with no
+coefficient object per cell.  Discrete blocks (Z_k and Z factors) are
+lifted to integer systems by reading those images, one row per codomain
+factor taken mod its order (T rows scaled to integers first, Z and R rows
+exact).  Each system is first eliminated on unit
 pivots (``_Elimination``): a cell whose column order equals its row's
 modulus and whose value is a unit there fixes that column as a function
 of the others, in the manner of a Schur complement.  Only the rows left
@@ -15,8 +19,9 @@ a pivot threshold of PIVOT_TOL times the largest entry otherwise), which
 also gives the engine its exact determinants.  Circle-group targets are
 lifted through the covering R -> R/Z by introducing auxiliary integer
 unknowns.  Kernel shapes outside the supported classes raise
-UnsupportedKernel.  A kernel generator of a discrete block is read back
-into each factor by ``coeff.hom_from_image``.
+UnsupportedKernel.  The kernel vectors of a discrete block, from
+``_Elimination.kernel``, are its inclusion's image columns as they stand,
+each entry reduced in its factor.
 
 Each system is factored once: one elimination and one Smith form
 U A V = S of its residual serve every kernel vector, solution, lattice
@@ -598,7 +603,7 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
     return KernelPresentation(K, LinearFnData.of_images(K, E, E.identity(), img))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _zero_column(factor, E: GroupProduct) -> Tuple:
     """The image column of the zero homomorphism from ``factor`` into E."""
     return tuple(image_group(factor, El).normalize(0) for El in E)
