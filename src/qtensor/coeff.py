@@ -504,7 +504,7 @@ def _compose_value(G0, G1, G2, a, b):
     """The coefficient, before normalization in hom[G0|G2], of the composite
     of G0 -> G1 with coefficient a and G1 -> G2 with coefficient b; None
     when the composite is zero whatever a and b are."""
-    if hom_group(G0, G2) is Z1 or hom_group(G0, G1) is Z1 or hom_group(G1, G2) is Z1:
+    if _zero_composite(G0, G1, G2):
         return None
     if G0.kind == "Z":
         if G1.kind == "Z":
@@ -546,6 +546,13 @@ def _compose_value(G0, G1, G2, a, b):
             bb = int(b) if G1.kind == "T" else b
             return a * bb
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_composite(G0, G1, G2) -> bool:
+    """Whether every composite G0 -> G1 -> G2 is zero: one of hom[G0|G1],
+    hom[G1|G2] and hom[G0|G2] is trivial."""
+    return Z1 in (hom_group(G0, G2), hom_group(G0, G1), hom_group(G1, G2))
 
 
 def _composite(G0, G1, G2, a, b) -> Scalar:

@@ -249,8 +249,9 @@ class QuadraticFnData:
             self.phi1 = list(_zero_vec(self.domain, T))
         self.a2 = {ij: c for ij, c in self.a2.items() if not c.is_zero()} if self.a2 else {}
         self.phi2 = {ij: c for ij, c in self.phi2.items() if not c.is_zero()} if self.phi2 else {}
-        for (i, j) in list(self.a2) + list(self.phi2):
-            assert 0 <= i < j < m, "bilinear cells must be strictly upper triangular"
+        for store in (self.a2, self.phi2):
+            for (i, j) in store:
+                assert 0 <= i < j < m, "bilinear cells must be strictly upper triangular"
 
     @staticmethod
     def zero(domain: GroupProduct) -> "QuadraticFnData":
@@ -358,7 +359,8 @@ class QuadraticFnData:
             if l in rows:
                 nbrs[l].append((k, c.transpose()))
         for row in nbrs:
-            row.sort(key=lambda lc: lc[0])
+            if len(row) > 1:
+                row.sort(key=lambda lc: lc[0])
         return nbrs
 
     def shift(self, e0: GroupElement) -> "QuadraticFnData":
@@ -422,10 +424,11 @@ class QuadraticFnData:
             vec = out.vec(part)
             cells: Dict[Cell, Hom2Coeff] = {}
             for k, nbrs in enumerate(self.neighbours(part, live)):
-                if k not in live:
+                quadratic = k in live and not q1[k].is_zero()
+                if not quadratic and not nbrs:
                     continue
                 rk = gamma_row(k)
-                if not q1[k].is_zero():
+                if quadratic:
                     for i, g in rk:
                         vec[i] = vec[i] + phi(q1[k], g)
                 for l, cell in nbrs:
