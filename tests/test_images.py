@@ -116,8 +116,8 @@ def test_images_read_back_as_cells():
 
 def test_brickwork_builds_few_coefficient_objects(monkeypatch):
     """One contraction of the seed-7 8 x 3 brickwork of the benchmark,
-    parsed beforehand, builds at most 950 HomCoeff objects (3802 when each
-    matrix cell was one)."""
+    parsed beforehand, builds at most 950 HomCoeff objects: linear maps
+    hold no coefficient per cell."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         import workloads
