@@ -23,14 +23,18 @@ intermediate coefficient object.  Fitting
 quadratic coefficients to pointwise values on Z_k is closed-form too: the
 coefficients are read off one or two values and then checked against
 every point, so data that is not quadratic raises instead of fitting.
-A quadratic coefficient on Z that factors through Z_k moves down to Z_k
-by the same closed form, checked at the two points it is read from
-(``quad_descend``).
+Quadratic functions into T and R hold no coefficients either but values:
+for Z_k or Z into T the value at the generator, q(1), and B(1, 1);
+otherwise the multipliers v and b of q(x) = v x + b x^2 / 2, and for a
+bilinear form B(1, 1) or its multiplier (``cell_group``).  ``quad_values``
+and ``quad_of_values``, ``cell_value`` and ``cell_of_value`` convert
+between values and coefficients.
 
 Values follow ``groups``: Z_k and Z coefficients and results are plain
 ``int``, T and R ones ``Fraction`` or ``float``.  The coefficient groups
-(``hom_group``, ``hom2_group``, ``quad_group``) depend only on their frozen
-group arguments; they are cached, and each coefficient keeps its own.
+(``hom_group``, ``hom2_group``, ``quad_group``) depend only on their group
+arguments, one object per group; they are cached, and each coefficient
+keeps its own.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def _gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def _is_zero(grp: ElementaryGroup, v) -> bool:
+def value_is_zero(grp: ElementaryGroup, v) -> bool:
     """Whether the normalized value v of ``grp`` is 0: an exact one is 0
     exactly, a float within the group's tolerance."""
     return grp.eq(v, 0) if isinstance(v, float) else v == 0
@@ -106,7 +110,7 @@ class HomCoeff:
         object.__setattr__(self, "value", grp.normalize(self.value))
 
     def is_zero(self) -> bool:
-        return _is_zero(self.group, self.value)
+        return value_is_zero(self.group, self.value)
 
     def __add__(self, other: "HomCoeff") -> "HomCoeff":
         if (self.source, self.target) != (other.source, other.target):
@@ -264,7 +268,7 @@ class Hom2Coeff:
         object.__setattr__(self, "value", grp.normalize(self.value))
 
     def is_zero(self) -> bool:
-        return _is_zero(self.group, self.value)
+        return value_is_zero(self.group, self.value)
 
     def __add__(self, other: "Hom2Coeff") -> "Hom2Coeff":
         if (self.g0, self.g1, self.target) != (other.g0, other.g1, other.target):
@@ -347,7 +351,7 @@ class QuadCoeff:
 
     def is_zero(self) -> bool:
         g2, g1 = self.groups
-        return _is_zero(g2, self.h2) and _is_zero(g1, self.h1)
+        return value_is_zero(g2, self.h2) and value_is_zero(g1, self.h1)
 
     def __add__(self, other: "QuadCoeff") -> "QuadCoeff":
         return quad_add(self, other)
@@ -485,6 +489,68 @@ def quad_as_hom(q: QuadCoeff) -> HomCoeff:
         return hom_from_image(G, A, quad_apply(q, 1))
     # T and R sources store the hom directly in h1
     return HomCoeff(G, A, q.h1)
+
+
+# ---------------------------------------------------------------------------
+# values of quadratic functions into T and R: generator values and multipliers
+
+
+def is_generated(G: ElementaryGroup, A: ElementaryGroup) -> bool:
+    """Whether a quadratic function G -> A (A = T or R) is held by its values
+    at the generator: G = Z_k or Z and A = T.  Otherwise it is held by its
+    multipliers, q(x) = v x + b x^2 / 2."""
+    return A.kind == "T" and G.kind in ("Zk", "Z")
+
+
+@functools.lru_cache(maxsize=None)
+def cell_group(G0: ElementaryGroup, G1: ElementaryGroup, A: ElementaryGroup) -> ElementaryGroup:
+    """The group holding the value of a bilinear form G0 x G1 -> A (A = T or
+    R): B(1, 1) in A when both factors are generated, else the coefficient,
+    the multiplier of the form."""
+    grp = hom2_group(G0, G1, A)
+    if grp is not Z1 and is_generated(G0, A) and is_generated(G1, A):
+        return A
+    return grp
+
+
+def quad_values(q: QuadCoeff) -> Tuple[Scalar, Scalar]:
+    """(v, b) of a quadratic coefficient into T or R: v = q(1) and
+    b = B(1, 1) for a generated source (``is_generated``), else the
+    multipliers v = h1 and b = h2.  Floats are carried over as they are."""
+    G, A = q.source, q.target
+    if not is_generated(G, A):
+        return q.h1, q.h2
+    if G.kind == "Z":
+        # q(1) = h2 on Z -> T
+        return q.h2, quad_to_bilinear(q).value
+    return quad_apply(q, 1), Fraction(quad_to_bilinear(q).value, G.k)
+
+
+def quad_of_values(G: ElementaryGroup, A: ElementaryGroup, v, b) -> QuadCoeff:
+    """The quadratic coefficient G -> A with values (v, b) (``quad_values``)."""
+    if not is_generated(G, A):
+        return QuadCoeff(G, A, b, v)
+    if G.kind == "Z":
+        return QuadCoeff(G, A, v, 2 * v - b)
+    # q(2) = 2 q(1) + B(1, 1) and q(-1) = B(1, 1) - q(1)
+    return _quad_closed_form(G, A, v, mod1(2 * v + b), mod1(b - v))
+
+
+def cell_value(c: Hom2Coeff) -> Scalar:
+    """The value of a bilinear coefficient in ``cell_group``."""
+    grp = cell_group(c.g0, c.g1, c.target)
+    if grp is not c.group and c.group.kind == "Zk":
+        # B(1, 1) = c / d on generated factors with hom^2 = Z_d
+        return Fraction(c.value, c.group.k)
+    return grp.normalize(c.value)
+
+
+def cell_of_value(G0: ElementaryGroup, G1: ElementaryGroup, A: ElementaryGroup, v) -> Hom2Coeff:
+    """The bilinear coefficient G0 x G1 -> A with value v (``cell_value``)."""
+    grp = hom2_group(G0, G1, A)
+    if grp is not cell_group(G0, G1, A) and grp.kind == "Zk":
+        return Hom2Coeff(G0, G1, A, int(v * grp.k))
+    return Hom2Coeff(G0, G1, A, v)
 
 
 # ---------------------------------------------------------------------------
@@ -749,28 +815,6 @@ def quad_fit(G: ElementaryGroup, A: ElementaryGroup, F: Callable) -> QuadCoeff:
     if all(A.eq(quad_apply(fit, g), vals[g]) for g in range(k)):
         return fit
     raise ValueError(f"no quadratic coefficient matches values {vals} on {G}->{A}")
-
-
-def quad_descend(G: ElementaryGroup, c: QuadCoeff) -> QuadCoeff:
-    """The coefficient on G = Z_k of the quadratic function F: Z -> A with
-    coefficient ``c``, for F that factors through Z -> Z_k.
-
-    The closed form of ``quad_fit`` is read off F(1) and F(2) (even k) or
-    F(1) and F(-1) (odd k), and the fit is checked against F at those
-    points only; a mismatch, so an F that does not factor, raises
-    ``ValueError``.  That check is as strong as one at every point: a
-    normalized quadratic D on Z is D(u) = u D(1) + u(u-1)/2 B(1, 1), with
-    B(1, 1) = D(2) - 2 D(1) = D(1) + D(-1).  So two quadratic functions
-    that agree at 0, 1 and 2 (or at 0 and +-1) agree on all of Z; for
-    A = T they differ by a u(u -+ 1) with 2a in Z, which is 0 mod 1.
-    """
-    A = c.target
-    pts = (1, 2) if G.k % 2 == 0 else (1, -1)
-    vals = {u: quad_apply(c, u) for u in pts}
-    fit = _quad_closed_form(G, A, vals[1], vals.get(2), vals.get(-1))
-    if all(A.eq(quad_apply(fit, u), vals[u]) for u in pts):
-        return fit
-    raise ValueError(f"{c} does not factor through {G}")
 
 
 def _quad_closed_form(G: ElementaryGroup, A: ElementaryGroup, f1, f2, fm1) -> QuadCoeff:

@@ -22,28 +22,18 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .coeff import (
-    Hom2Coeff,
-    HomCoeff,
     QuadCoeff,
-    compose,
-    dual,
-    hom2_apply,
+    cell_group,
     hom2_group,
-    hom_from_image,
     hom_group,
-    hom_image,
-    hom_of_image,
-    hom_zero,
     image_fit,
     image_group,
-    quad_apply,
-    quad_as_hom,
-    quad_descend,
-    quad_to_bilinear,
+    is_generated,
+    value_is_zero,
 )
-from .functions import LinearFnData, QuadraticFnData, hom_data, zero_row
+from .functions import PARTS, LinearFnData, QuadraticFnData, zero_row
 from .groups import GroupProduct, R, T, Z, Z1, Zk
-from .scalar import Scalar, as_scalar, is_exact, mod1, snap_rational
+from .scalar import Scalar, as_scalar, is_exact, mod1
 from .solve import (
     UnsupportedKernel,
     gauss_jordan,
@@ -174,22 +164,33 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
 # internals shared by the reductions
 
 
-def _beta_cells(t: QTensorData, rho: LinearFnData, part: str) -> List[HomCoeff]:
-    """The coefficients, one per factor of E, of the homomorphism
-    beta: E -> A^dual with beta(e)(r) = q^(2)(rho r, e)."""
+def _beta(t: QTensorData, rho: LinearFnData, part: str) -> LinearFnData:
+    """The homomorphism beta: E -> A^dual with beta(e)(r) = q^(2)(rho r, e)
+    for one part of q.
+
+    Factor j's entry is read off s_j = sum_k rho_k b_kj, the value of the
+    character r -> B(rho r, e_j) at the unit of A.
+    """
     A = rho.domain[0]
     tgt = T if part == "phi" else R
     Astar = hom_group(A, tgt)
-    cells = [hom_zero(Ej, Astar) for Ej in t.E]
-    support = set(_col_support(rho, 0))
-    for k, nbrs in enumerate(t.q.neighbours(part, support)):
-        if k not in support:
-            continue
-        rho_dual = dual(hom_of_image(A, t.E[k], rho.img[k][0]), tgt)
-        for j, cell in nbrs:
-            m = cell.transpose().as_outer_hom()  # E_j -> hom[E_k|tgt]
-            cells[j] = cells[j] + compose(m, rho_dual)
-    return cells
+    E, mat = t.E, t.q.mat[part]
+    sums: List[Scalar] = [0] * len(E)
+    for k in _col_support(rho, 0):
+        r, row = rho.img[k][0], mat[k]
+        diagonal = not value_is_zero(cell_group(E[k], E[k], tgt), row[k])
+        for j, b in enumerate(row):
+            if b != 0 and (j != k or diagonal):
+                sums[j] = sums[j] + b * r
+    return LinearFnData.of_images(E, GroupProduct([Astar]), (Astar.normalize(0),),
+                                  [[image_group(Ej, Astar).normalize(_dual_coefficient(A, s))
+                                    for Ej, s in zip(E, sums)]])
+
+
+def _dual_coefficient(A, s: Scalar) -> Scalar:
+    """The coefficient in hom[A|target] of the character with value s at the
+    unit of A: s k for A = Z_k, s itself otherwise."""
+    return s * A.k if A.kind == "Zk" else s
 
 
 def _extract_through_section(
@@ -199,17 +200,18 @@ def _extract_through_section(
     qfun: QuadraticFnData,
     epsfun: LinearFnData,
 ) -> Tuple[QuadraticFnData, LinearFnData]:
-    """Coefficients of q and eps pulled back to Q through the section
+    """q and eps pulled back to Q through the section
     sum x_t e_t -> sum x_t * lift_t.
 
     Reading each finite factor Z_k of Q as Z makes the section a
-    homomorphism, so q and eps are composed with it on the coefficient
-    level.  Both functions must be invariant under the reduced subgroup;
-    then every composite factors through Z -> Z_k, and the coefficients of
-    the finite factors are moved down in closed form: an eps cell from its
-    value at 1, phi1 by ``quad_descend`` from its Z -> T coefficient, a phi
-    cross cell from B(1, 1).  The a-part cells of finite factors have trivial
-    coefficient groups.
+    homomorphism, so q and eps are composed with it.  Both functions must be
+    invariant under the reduced subgroup; then every composite factors
+    through Z -> Z_k.  An eps entry of a finite factor is its image of 1,
+    checked by ``image_fit``.  The values of q on Z and on Z_k are the same
+    values at the generator, so they carry over once checked: a quadratic
+    term D factors through Z_k when D(k) = 0 and k B(1, 1) = 0, a cell when
+    its value is a multiple of 1/d on a hom^2 group Z_d.  The a part of a
+    finite factor has trivial groups.
     """
     Qz = GroupProduct([Z if f.kind == "Zk" else f for f in Q])
     section = LinearFnData.of_images(
@@ -219,25 +221,44 @@ def _extract_through_section(
     qz = qfun.precompose(section)
     ez = epsfun.compose_hom(section)
     fin = [f.kind == "Zk" for f in Q]
+    _check_descent(Q, Qz, fin, qz.vec["phi"], qz.mat["phi"])
     out_q = QuadraticFnData(Q, qz.a0, qz.phi0)
-    for t in range(len(Q)):
-        if fin[t]:
-            out_q.phi1[t] = quad_descend(Q[t], qz.phi1[t])
-        else:
-            out_q.a1[t], out_q.phi1[t] = qz.a1[t], qz.phi1[t]
-    for (i, j), c in qz.a2.items():
-        if not (fin[i] or fin[j]):
-            out_q.set_cell("a", i, j, c)
-    for (i, j), c in qz.phi2.items():
-        if fin[i] or fin[j]:
-            # B(1, 1) read into hom[Q_j|T], then that coefficient into Q_i
-            b1 = hom_from_image(Q[j], T, hom2_apply(c, 1, 1))
-            c = Hom2Coeff(Q[i], Q[j], T, hom_from_image(Q[i], b1.group, b1.value).value)
-        out_q.set_cell("phi", i, j, c)
+    for part, A in PARTS:
+        vec, mat = qz.vec[part], qz.mat[part]
+        for i, Qi in enumerate(Q):
+            out_q.vec[part][i] = image_group(Qi, A).normalize(vec[i])
+            out_q.mat[part][i] = [cell_group(Qi, Qj, A).normalize(b) for Qj, b in zip(Q, mat[i])]
     img = [[image_fit(Q[t], Gi, v) if fin[t] else v for t, v in enumerate(row)]
            for Gi, row in zip(epsfun.codomain, ez.img)]
     eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
     return out_q, LinearFnData.of_images(Q, epsfun.codomain, eps0, img)
+
+
+def _check_descent(Q: GroupProduct, Qz: GroupProduct, fin: List[bool], vec, mat) -> None:
+    """Raise ``ValueError`` unless the phase part of q, with values ``vec``
+    and ``mat`` over Qz, factors through each finite factor Z_k of Q: its
+    quadratic term D when D(k) = 0 and k B(1, 1) = 0, a cell when its value
+    is a multiple of 1/d on a hom^2 group Z_d, and 0 on a trivial one."""
+    for i, Qi in enumerate(Q):
+        if fin[i]:
+            k, v, b = Qi.k, vec[i], mat[i][i]
+            if not (_integral(k * b) and _integral(k * v + k * (k - 1) // 2 * b)):
+                raise ValueError(f"quadratic term ({v}, {b}) on Z does not factor through {Qi}")
+        for j in range(i + 1, len(Q)):
+            if fin[i] or fin[j]:
+                grp, b = hom2_group(Qi, Q[j], T), mat[i][j]
+                if grp is Z1:
+                    ok = value_is_zero(cell_group(Qz[i], Qz[j], T), b)
+                else:
+                    ok = _integral(b * grp.k)
+                if not ok:
+                    raise ValueError(f"bilinear value {b} on Z does not factor through "
+                                     f"{Qi} x {Q[j]}")
+
+
+def _integral(x: Scalar) -> bool:
+    """Whether x is 0 in T: an integer, or a float within tolerance of one."""
+    return T.eq(x, 0) if isinstance(x, float) else x.denominator == 1
 
 
 def _compact(t: QTensorData) -> QTensorData:
@@ -255,26 +276,58 @@ def _compact(t: QTensorData) -> QTensorData:
 # gauss sums
 
 
-def gauss_sum(q: QuadCoeff) -> Tuple[Fraction, Scalar]:
-    """(squared magnitude, phase) of sum over Z_k of exp(2 pi i q(g)).
+def gauss_sum(q: QuadCoeff) -> Tuple[Fraction, Fraction]:
+    """(squared magnitude, phase) of sum over Z_k of exp(2 pi i q(g)), in
+    closed form.
 
     Requires the bilinear part of q to be nondegenerate; the magnitude is
-    then exactly sqrt(k).  The phase is snapped to a rational when within
-    1e-9 of one with denominator at most 8k.
+    then exactly sqrt(k), and the phase is an exact rational.  With
+    e(x) = exp(2 pi i x) and the quadratic Gauss sums G(a; n) = sum over Z_n
+    of e(a g^2 / n):
+
+    * odd k: q(g) = (s g^2 + h1 g) / k with 2 s = h2.  Completing the
+      square, g -> g + u with 2 s u = h1, leaves e(-s u^2 / k) G(s; k), and
+      G(s; k) = (s/k) eps_k sqrt(k) with the Jacobi symbol (s/k) and
+      eps_k = 1 for k = 1 mod 4, i for k = 3 mod 4;
+    * even k: q(g) = (a g^2 + 2 h1 g) / 2k with a = h2 - 2 h1 odd, and the
+      summand has period k, so the sum is half of the one over Z_2k.  With
+      a u = h1 (mod k) it is e(-a u^2 / 2k) G(a; 2k) / 2, and
+      G(a; 2k) = (2k/a) (1 + i) eps_a^-1 sqrt(2k).
     """
     G = q.source
     assert G.kind == "Zk" and q.target.kind == "T"
-    k = G.k
-    b = quad_to_bilinear(q).value
-    if math.gcd(int(b), k) != 1:
-        raise Degenerate(f"bilinear coefficient {b} degenerate over Z_{k}")
-    total = 0j
-    for g in range(k):
-        total += cmath.exp(2j * math.pi * float(quad_apply(q, g)))
-    mag = abs(total)
-    assert abs(mag - math.sqrt(k)) < 1e-9 * math.sqrt(k), f"|sum| = {mag} != sqrt({k})"
-    phase = snap_rational(cmath.phase(total) / (2 * math.pi), 8 * k)
+    k, h2, h1 = G.k, int(q.h2), int(q.h1)
+    if k % 2:
+        s = h2 * ((k + 1) // 2) % k
+        if math.gcd(s, k) != 1:
+            raise Degenerate(f"bilinear coefficient {h2 % k} degenerate over Z_{k}")
+        u = h1 * pow(2 * s, -1, k) % k
+        phase = Fraction(-s * u * u, k) + Fraction(k % 4 == 3, 4)
+        phase += Fraction(_jacobi(s, k) == -1, 2)
+    else:
+        a = (h2 - 2 * h1) % (2 * k)
+        if math.gcd(a, k) != 1:
+            raise Degenerate(f"bilinear coefficient {a % k} degenerate over Z_{k}")
+        u = h1 * pow(a, -1, k) % k
+        phase = Fraction(-a * u * u, 2 * k) + Fraction(1, 8) - Fraction(a % 4 == 3, 4)
+        phase += Fraction(_jacobi(2 * k, a) == -1, 2)
     return Fraction(k), mod1(phase)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +351,18 @@ def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
 def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
     """``reduce_zero`` once rho is checked, with qres = q o rho."""
     A = rho.domain[0]
-    for part in ("a", "phi"):
-        if not quad_to_bilinear(qres.vec(part)[0]).is_zero():
+    for part, tgt in PARTS:
+        if not value_is_zero(cell_group(A, A, tgt), qres.mat[part][0][0]):
             raise KernelViolation("q^(2) does not vanish on rho")
-    if not qres.a1[0].is_zero():
+    if not value_is_zero(image_group(A, R), qres.vec["a"][0]):
         raise NotIntegrable("q_a does not vanish on the summed subgroup")
-    chi = quad_as_hom(qres.phi1[0])  # in hom[A|T] = A*
-    if any(not c.is_zero() for c in _beta_cells(t, rho, "a")):
+    if _beta(t, rho, "a").support()[0]:
         raise NotIntegrable("nonzero a-part pairing against a summed subgroup")
+    # q_phi is the character chi in hom[A|T] = A* on the summed subgroup
     Astar = hom_group(A, T)
-    beta = hom_data(t.E, GroupProduct([Astar]), [_beta_cells(t, rho, "phi")])
-    target = GroupProduct([Astar]).element([Astar.neg(chi.value)])
+    chi = Astar.normalize(_dual_coefficient(A, qres.vec["phi"][0]))
+    beta = _beta(t, rho, "phi")
+    target = GroupProduct([Astar]).element([Astar.neg(chi)])
     found = solve_with_kernel(beta, target)
     if found is None:
         return QTensorData.zero(t.G)
@@ -355,6 +409,12 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     return _compact(out)
 
 
+def _restricted_bilinear(qres: QuadraticFnData, A) -> int:
+    """The coefficient in Z_k of the bilinear form of q_phi restricted to
+    A = Z_k, k B(1, 1)."""
+    return int(qres.mat["phi"][0][0] * A.k)
+
+
 def _lift_through(lin: LinearFnData, coord_vec) -> List:
     """The raw codomain coordinates, sum_k coord_vec[k] img[.][k], of an
     integer vector of domain coordinates."""
@@ -382,22 +442,21 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     """``reduce_invertible`` once rho is checked, with qres = q o rho."""
     A = rho.domain[0]
     k = A.k
-    if not (qres.a1[0].is_zero() and quad_to_bilinear(qres.a1[0]).is_zero()):
+    if qres.vec["a"][0] != 0 or qres.mat["a"][0][0] != 0:
         raise NotIntegrable("q_a must vanish on the reduced subgroup")
-    bil = quad_to_bilinear(qres.phi1[0])
-    v = int(bil.value)
+    v = _restricted_bilinear(qres, A)
     if math.gcd(v, k) != 1:
         raise NotInvertible(f"restricted bilinear {v} not invertible mod {k}")
     vinv = pow(v, -1, k)
     # gamma = rho qinv rho* q-phi^(2): E -> A* (= Z_k) -> A -> E, the middle
     # step multiplication by vinv
-    to_A = [image_group(Ej, A).normalize(vinv * hom_image(c))
-            for Ej, c in zip(t.E, _beta_cells(t, rho, "phi"))]
+    to_A = [image_group(Ej, A).normalize(vinv * x)
+            for Ej, x in zip(t.E, _beta(t, rho, "phi").img[0])]
     A1 = GroupProduct([A])
     gamma = rho.compose_hom(LinearFnData.of_images(t.E, A1, A1.identity(), [to_A]))
     p = t.q.precompose(gamma)
     p.a0, p.phi0 = 0, 0
-    qtilde = t.q + (-p)
+    qtilde = t.q - p
     mag2, phase = gauss_sum(qres.phi1[0])
     # quotient E by the image of rho
     qpres = quotient_by_subgroup(t.E, rho)
@@ -451,10 +510,9 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     if len(_col_support(rho, 0)) > 1:
         t, rho = _realign_real(t, rho)
     qres = t.q.precompose(rho)
-    za = qres.a1[0].h2
-    zphi = qres.phi1[0].h2
-    wa = qres.a1[0].h1
-    wphi = qres.phi1[0].h1
+    # over R the values are the multipliers: q(x) = w x + z x^2 / 2
+    za, zphi = qres.mat["a"][0][0], qres.mat["phi"][0][0]
+    wa, wphi = qres.vec["a"][0], qres.vec["phi"][0]
     z = complex(float(za), float(zphi))
     if abs(z) < 1e-12:
         raise Degenerate("vanishing quadratic part; use the zero reduction")
@@ -464,16 +522,14 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     # complex pairing row beta_j with beta(e)(r) = q2(rho r, e)
     exact = all(is_exact(x) for x in (za, zphi, wa, wphi))
     beta_vals = []
-    for ca, cp in zip(_beta_cells(t, rho, "a"), _beta_cells(t, rho, "phi")):
-        exact = exact and is_exact(ca.value) and is_exact(cp.value)
-        beta_vals.append((ca.value, cp.value))
+    for ca, cp in zip(_beta(t, rho, "a").img[0], _beta(t, rho, "phi").img[0]):
+        exact = exact and is_exact(ca) and is_exact(cp)
+        beta_vals.append((ca, cp))
 
     def cnum(pair):
         return complex(float(pair[0]), float(pair[1]))
 
-    import copy as _copy
-
-    qtilde = _copy.deepcopy(t.q)
+    qtilde = t.q.copy()
     m = len(t.E)
     for j in range(m):
         bj = cnum(beta_vals[j])
@@ -516,36 +572,36 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
 
 
 def _add_complex_linear(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
+    """Add the linear term val e_j to the complex exponent q_a + i q_phi."""
     if Ej.kind in ("Zk", "T"):
         assert abs(val) < 1e-12, "complex linear correction on a finite factor"
         return
-    q.a1[j] = q.a1[j] + QuadCoeff(Ej, R, 0, val.real)
-    q.phi1[j] = q.phi1[j] + QuadCoeff(Ej, T, 0, val.imag)
+    for (part, A), x in zip(PARTS, (val.real, val.imag)):
+        # the value at the generator or the multiplier of the linear term is x
+        grp = image_group(Ej, A)
+        q.vec[part][j] = grp.normalize(q.vec[part][j] + grp.normalize(x))
 
 
 def _add_complex_h2(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
+    """Add val e_j^2 / 2 to the complex exponent q_a + i q_phi."""
     if Ej.kind in ("Zk", "T"):
         assert abs(val) < 1e-12
         return
-    # val is the coefficient of e_j^2, i.e. h2 += val in the 1/2 h2 g^2 form
-    q.a1[j] = q.a1[j] + QuadCoeff(Ej, R, val.real, 0)
-    q.phi1[j] = q.phi1[j] + QuadCoeff(Ej, T, val.imag, 0)
+    for (part, A), x in zip(PARTS, (val.real, val.imag)):
+        if is_generated(Ej, A):
+            # Z into T: q(1) gains x / 2 and B(1, 1) gains x
+            q.vec[part][j] = mod1(q.vec[part][j] + x / 2)
+        grp = cell_group(Ej, Ej, A)
+        q.mat[part][j][j] = grp.normalize(q.mat[part][j][j] + x)
 
 
 def _add_complex_cell(q: QuadraticFnData, j: int, l: int, Ej, El, val: complex) -> None:
-    grp_a = hom2_group(Ej, El, R)
-    grp_p = hom2_group(Ej, El, T)
-    if grp_a == Zk(1) and grp_p == Zk(1):
-        assert abs(val) < 1e-12
-        return
-    if grp_a != Zk(1):
-        q.set_cell("a", j, l, q.cell("a", j, l) + Hom2Coeff(Ej, El, R, val.real))
-    else:
-        assert abs(val.real) < 1e-12
-    if grp_p != Zk(1):
-        q.set_cell("phi", j, l, q.cell("phi", j, l) + Hom2Coeff(Ej, El, T, val.imag))
-    else:
-        assert abs(val.imag) < 1e-12
+    """Add val e_j e_l to the complex exponent q_a + i q_phi."""
+    for (part, A), x in zip(PARTS, (val.real, val.imag)):
+        if cell_group(Ej, El, A) is Z1:
+            assert abs(x) < 1e-12
+        else:
+            q.add_to_cell(part, j, l, x)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +627,7 @@ def reduce_full(t: QTensorData) -> QTensorData:
                 if A.k == 1:
                     continue
                 qres = cur.q.precompose(col)
-                v = int(quad_to_bilinear(qres.phi1[0]).value)
+                v = _restricted_bilinear(qres, A)
                 g = math.gcd(v, A.k)
                 if v == 0 or g == 1:
                     _check_rho_in_kernel(cur, col)
@@ -591,8 +647,7 @@ def reduce_full(t: QTensorData) -> QTensorData:
                 break
             if A.kind == "R":
                 qres = cur.q.precompose(col)
-                za = quad_to_bilinear(qres.a1[0]).value
-                zp = quad_to_bilinear(qres.phi1[0]).value
+                za, zp = qres.mat["a"][0][0], qres.mat["phi"][0][0]
                 if abs(complex(float(za), float(zp))) < 1e-12:
                     cur = reduce_zero(cur, col)
                 else:

@@ -1,50 +1,56 @@
-"""Whole-function objects over group products.
-
-A quadratic function q = (q_a, q_phi) into R x R/Z is stored as constants,
-a vector of normalized quadratic coefficients (one per domain factor), and
-a strictly upper triangular matrix of bilinear coefficients; the diagonal
-is folded into the vector and reconstructed on demand.
+"""Whole-function objects over group products, held as matrices of values.
 
 A linear function into a group product is a constant element plus one
 matrix of generator images: each Z_k or Z column holds the image of its
 generator in every codomain factor, each T or R column its multiplier
 (``coeff.image_group``).  Composition is a product of these matrices,
 each entry normalized in its group, and application multiplies entries by
-element values; no coefficient object is built.  The ``HomCoeff`` cells
-of the table-level API are converted once on construction and rebuilt on
-demand by the read-only ``eps1`` view.  ``QuadraticFnData.precompose``
-builds a coefficient for each nonzero image it visits, because its
-pullbacks are coefficient tables.
-"""
+element values.
 
+A quadratic function q = (q_a, q_phi) into R x R/Z is two constants plus,
+for each part, one vector of diagonal values and one symmetric matrix of
+bilinear values (``coeff.quad_values``, ``coeff.cell_group``).  A Z_k or
+Z factor into T holds values at its generator, q(e_k) and
+B(e_k, e_l) = q(e_k + e_l) - q(e_k) - q(e_l); every other factor holds its
+multipliers, so that q(x) = v x + b x^2 / 2 on it.  Floats are carried over
+as they are.  Precomposition with gamma is then b' = gamma^T b gamma, plus
+the diagonal values of the generated factors, summed over the nonzero rows
+of gamma; exact values on generated factors are summed as integer
+numerators over one common denominator.
+
+Neither kind of function holds a coefficient object.  The ``HomCoeff``,
+``QuadCoeff`` and ``Hom2Coeff`` cells of the table-level API are converted
+once on construction and rebuilt on demand by the views ``eps1``, ``a1``,
+``phi1``, ``a2`` and ``phi2``; assigning to ``a1[k]`` or ``phi1[k]`` and
+``set_cell`` write values.
+"""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+import math
+import operator
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import (
     DomainMismatch,
     Hom2Coeff,
     HomCoeff,
     QuadCoeff,
-    conjugate_cell,
-    hom2_apply,
-    hom2_partial,
-    hom2_zero,
+    TagMismatch,
+    cell_group,
+    cell_of_value,
+    cell_value,
     hom_image,
     hom_of_image,
-    hom_zero,
     image_apply,
     image_group,
-    lam,
-    linear_as_quad,
-    phi,
-    quad_apply,
-    quad_to_bilinear,
-    quad_zero,
+    is_generated,
+    quad_of_values,
+    quad_values,
+    value_is_zero,
 )
-from .groups import GroupElement, GroupProduct, R, T
+from .groups import GroupElement, GroupProduct, R, T, Z1
 from .scalar import Scalar, as_scalar, mod1
 
 Cell = Tuple[int, int]
@@ -186,12 +192,6 @@ def _zero_row(domain: GroupProduct, A) -> Tuple[Scalar, ...]:
     return tuple(image_group(Dj, A).normalize(0) for Dj in domain)
 
 
-@functools.lru_cache(maxsize=4096)
-def _zero_vec(domain: GroupProduct, A) -> Tuple[QuadCoeff, ...]:
-    """The zero quadratic coefficient into A of each factor of ``domain``."""
-    return tuple(quad_zero(Dj, A) for Dj in domain)
-
-
 def _nonzero(v: Scalar, G, A) -> bool:
     """Whether the matrix entry v of a homomorphism G -> A is nonzero, with
     the float tolerance of its group (an exact entry is normalized)."""
@@ -227,228 +227,266 @@ def hom_data(domain: GroupProduct, codomain: GroupProduct, cells) -> LinearFnDat
     return LinearFnData(domain, codomain, codomain.identity(), cells)
 
 
-@dataclass
+
+
+# the two parts of a quadratic function and their targets
+PARTS = (("a", R), ("phi", T))
+_TARGETS = dict(PARTS)
+
+
+@functools.lru_cache(maxsize=4096)
+def _part_groups(factors: Tuple, A) -> Tuple[Tuple, Tuple[Tuple, ...]]:
+    """The groups holding the vector and the matrix entries of a part into
+    A over a product of ``factors`` (``coeff.image_group``, ``coeff.cell_group``)."""
+    return (tuple(image_group(G, A) for G in factors),
+            tuple(tuple(cell_group(G, H, A) for H in factors) for G in factors))
+
+
+@functools.lru_cache(maxsize=4096)
+def _zero_values(factors: Tuple, A) -> Tuple[Tuple[Scalar, ...], Tuple[Tuple[Scalar, ...], ...]]:
+    """The zero vector and matrix of a part into A over a product of ``factors``."""
+    vgrps, cgrps = _part_groups(factors, A)
+    return (tuple(g.normalize(0) for g in vgrps),
+            tuple(tuple(g.normalize(0) for g in row) for row in cgrps))
+
+
+def _zero_parts(domain: GroupProduct) -> Tuple[Dict[str, List[Scalar]], Dict[str, List[List[Scalar]]]]:
+    """New zero vectors and matrices of both parts over ``domain``."""
+    vec, mat = {}, {}
+    for part, A in PARTS:
+        zv, zm = _zero_values(domain.factors, A)
+        vec[part] = list(zv)
+        mat[part] = [list(row) for row in zm]
+    return vec, mat
+
+
+def _off_diagonal(grp, v) -> Scalar:
+    """An off-diagonal matrix entry: a float within tolerance of 0 is 0."""
+    return grp.normalize(0) if isinstance(v, float) and grp.eq(v, 0) else v
+
+
 class QuadraticFnData:
-    """A quadratic function into R x R/Z over a group product."""
+    """A quadratic function q = (q_a, q_phi) into R x R/Z over a group product.
 
-    domain: GroupProduct
-    a0: Scalar = 0
-    phi0: Scalar = 0
-    a1: List[QuadCoeff] = field(default_factory=list)
-    phi1: List[QuadCoeff] = field(default_factory=list)
-    a2: Dict[Cell, Hom2Coeff] = field(default_factory=dict)
-    phi2: Dict[Cell, Hom2Coeff] = field(default_factory=dict)
+    Each part ("a" into R, "phi" into T) is held as plain values, with no
+    coefficient object: ``vec[part][k]`` and ``mat[part][k][k]`` are the
+    values (v, b) of factor k's quadratic term (``coeff.quad_values``), and
+    the symmetric ``mat[part][k][l]`` is the value of the bilinear form on
+    factors k and l (``coeff.cell_group``).  A Z_k or Z factor into T is
+    held by its values at the generator, q(e_k) and B(e_k, e_l) with
+    B(x, y) = q(x + y) - q(x) - q(y); every other factor by its multipliers.
+    An off-diagonal float within tolerance of 0 is stored as 0.
 
-    def __post_init__(self):
-        m = len(self.domain)
-        self.a0 = as_scalar(self.a0)
-        self.phi0 = mod1(as_scalar(self.phi0))
-        if not self.a1:
-            self.a1 = list(_zero_vec(self.domain, R))
-        if not self.phi1:
-            self.phi1 = list(_zero_vec(self.domain, T))
-        self.a2 = {ij: c for ij, c in self.a2.items() if not c.is_zero()} if self.a2 else {}
-        self.phi2 = {ij: c for ij, c in self.phi2.items() if not c.is_zero()} if self.phi2 else {}
-        for store in (self.a2, self.phi2):
-            for (i, j) in store:
-                assert 0 <= i < j < m, "bilinear cells must be strictly upper triangular"
+    The constructor takes coefficient cells and converts them once; ``a1``
+    and ``phi1`` (one ``QuadCoeff`` per factor) and ``a2`` and ``phi2``
+    (the nonzero ``Hom2Coeff`` cells above the diagonal) build them again
+    on access, and assigning to ``a1[k]``, ``phi1[k]`` or ``set_cell``
+    writes their values.
+    """
+
+    __slots__ = ("domain", "a0", "phi0", "vec", "mat")
+
+    def __init__(self, domain: GroupProduct, a0: Scalar = 0, phi0: Scalar = 0,
+                 a1: Sequence[QuadCoeff] = (), phi1: Sequence[QuadCoeff] = (),
+                 a2: Optional[Dict[Cell, Hom2Coeff]] = None,
+                 phi2: Optional[Dict[Cell, Hom2Coeff]] = None):
+        self.domain, self.a0, self.phi0 = domain, as_scalar(a0), mod1(as_scalar(phi0))
+        self.vec, self.mat = _zero_parts(domain)
+        if a1:
+            self.a1 = a1
+        if phi1:
+            self.phi1 = phi1
+        for part, cells in (("a", a2), ("phi", phi2)):
+            for (i, j), c in (cells or {}).items():
+                self.set_cell(part, i, j, c)
+
+    @classmethod
+    def _of_values(cls, domain: GroupProduct, a0: Scalar, phi0: Scalar,
+                   vec: Dict[str, List[Scalar]], mat: Dict[str, List[List[Scalar]]]):
+        """The function with the given constants and values, all already
+        normalized; they are taken over, not copied."""
+        out = cls.__new__(cls)
+        out.domain, out.a0, out.phi0, out.vec, out.mat = domain, a0, phi0, vec, mat
+        return out
+
+    def copy(self) -> "QuadraticFnData":
+        """An independent copy."""
+        return QuadraticFnData._of_values(
+            self.domain, self.a0, self.phi0, {part: list(v) for part, v in self.vec.items()},
+            {part: [list(row) for row in m] for part, m in self.mat.items()})
 
     @staticmethod
     def zero(domain: GroupProduct) -> "QuadraticFnData":
         return QuadraticFnData(domain)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadraticFnData):
+            return NotImplemented
+        return (self.domain, self.a0, self.phi0, self.vec, self.mat) == (
+            other.domain, other.a0, other.phi0, other.vec, other.mat)
+
+    def __repr__(self) -> str:
+        return (f"QuadraticFnData({self.domain}, a0={self.a0!r}, phi0={self.phi0!r}, "
+                f"vec={self.vec!r}, mat={self.mat!r})")
+
+    # -- coefficient views ---------------------------------------------------
+
+    @property
+    def a1(self) -> "QuadTerms":
+        return QuadTerms(self, "a", R)
+
+    @a1.setter
+    def a1(self, cells: Sequence[QuadCoeff]) -> None:
+        self.a1.assign(cells)
+
+    @property
+    def phi1(self) -> "QuadTerms":
+        return QuadTerms(self, "phi", T)
+
+    @phi1.setter
+    def phi1(self, cells: Sequence[QuadCoeff]) -> None:
+        self.phi1.assign(cells)
+
+    @property
+    def a2(self) -> Dict[Cell, Hom2Coeff]:
+        return self._cells("a")
+
+    @property
+    def phi2(self) -> Dict[Cell, Hom2Coeff]:
+        return self._cells("phi")
+
+    def _cells(self, part: str) -> Dict[Cell, Hom2Coeff]:
+        """The nonzero cells above the diagonal, in order."""
+        mat = self.mat[part]
+        return {(i, j): self.cell(part, i, j)
+                for i, row in enumerate(mat) for j in range(i + 1, len(row)) if row[j] != 0}
+
     def cell(self, part: str, i: int, j: int) -> Hom2Coeff:
-        """Full bilinear matrix cell, diagonal folded back in from q1."""
-        store = self.a2 if part == "a" else self.phi2
-        tgt = R if part == "a" else T
-        if i == j:
-            q1 = self.a1[i] if part == "a" else self.phi1[i]
-            return quad_to_bilinear(q1)
-        if i < j:
-            return store.get((i, j), hom2_zero(self.domain[i], self.domain[j], tgt))
-        return store.get((j, i), hom2_zero(self.domain[j], self.domain[i], tgt)).transpose()
+        """Full bilinear matrix cell, the diagonal included."""
+        D = self.domain
+        return cell_of_value(D[i], D[j], _TARGETS[part], self.mat[part][i][j])
 
     def set_cell(self, part: str, i: int, j: int, c: Hom2Coeff) -> None:
-        assert i < j
-        store = self.a2 if part == "a" else self.phi2
-        if c.is_zero():
-            store.pop((i, j), None)
-        else:
-            store[(i, j)] = c
+        assert i < j, "bilinear cells must be set above the diagonal"
+        D, A = self.domain, _TARGETS[part]
+        if (c.g0, c.g1, c.target) != (D[i], D[j], A):
+            raise TagMismatch("bilinear cell does not match the domain")
+        v = cell_group(D[i], D[j], A).normalize(0) if c.is_zero() else cell_value(c)
+        mat = self.mat[part]
+        mat[i][j] = mat[j][i] = v
 
-    def vec(self, part: str) -> List[QuadCoeff]:
-        return self.a1 if part == "a" else self.phi1
+    def add_to_cell(self, part: str, i: int, j: int, x: Scalar) -> None:
+        """Add x to the value of the bilinear cell (i, j), i != j."""
+        D, mat = self.domain, self.mat[part]
+        grp = cell_group(D[i], D[j], _TARGETS[part])
+        mat[i][j] = mat[j][i] = _off_diagonal(grp, grp.normalize(mat[i][j] + grp.normalize(x)))
+
+    # -- evaluation ----------------------------------------------------------
 
     def __call__(self, e: GroupElement) -> Tuple[Scalar, Scalar]:
         return self.eval(e)
 
     def eval(self, e: GroupElement) -> Tuple[Scalar, Scalar]:
-        if len(e) != len(self.domain):
+        D = self.domain
+        if len(e) != len(D):
             raise DomainMismatch("element does not match domain")
         # every term at a finite factor's 0 is an exact 0, so those are skipped
-        live = [x != 0 or G.kind != "Zk" for G, x in zip(self.domain, e)]
-        a = self.a0
-        ph = self.phi0
-        for i, x in enumerate(e):
-            if live[i]:
-                a = a + quad_apply(self.a1[i], x)
-                ph = ph + quad_apply(self.phi1[i], x)
-        for (i, j), c in self.a2.items():
-            if live[i] and live[j]:
-                a = a + hom2_apply(c, e[i], e[j])
-        for (i, j), c in self.phi2.items():
-            if live[i] and live[j]:
-                ph = ph + hom2_apply(c, e[i], e[j])
-        return as_scalar(a), mod1(ph)
+        live = [x != 0 or G.kind != "Zk" for G, x in zip(D, e)]
+        xs = [G.normalize(x) for G, x in zip(D, e)]
+        out = []
+        for (part, A), acc in zip(PARTS, (self.a0, self.phi0)):
+            vec, mat = self.vec[part], self.mat[part]
+            for i, (G, x) in enumerate(zip(D, xs)):
+                if live[i]:
+                    acc = acc + _quad_term(G, A, vec[i], mat[i][i], x)
+            for i, row in enumerate(mat):
+                if live[i]:
+                    for j in range(i + 1, len(row)):
+                        if row[j] != 0 and live[j]:
+                            acc = acc + A.normalize(row[j] * xs[i] * xs[j])
+            out.append(acc)
+        return as_scalar(out[0]), mod1(out[1])
+
+    # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QuadraticFnData") -> "QuadraticFnData":
-        if self.domain != other.domain:
-            raise DomainMismatch("cannot add functions over different domains")
-        m = len(self.domain)
-        out = QuadraticFnData(
-            self.domain,
-            self.a0 + other.a0,
-            mod1(self.phi0 + other.phi0),
-            [self.a1[i] + other.a1[i] for i in range(m)],
-            [self.phi1[i] + other.phi1[i] for i in range(m)],
-        )
-        for part in ("a", "phi"):
-            cells = set(getattr(self, part + "2")) | set(getattr(other, part + "2"))
-            for (i, j) in cells:
-                out.set_cell(part, i, j, self.cell(part, i, j) + other.cell(part, i, j))
-        return out
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "QuadraticFnData") -> "QuadraticFnData":
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "QuadraticFnData":
-        out = QuadraticFnData(
-            self.domain,
-            -self.a0,
-            mod1(-self.phi0),
-            [-c for c in self.a1],
-            [-c for c in self.phi1],
-        )
-        for part in ("a", "phi"):
-            for (i, j), c in getattr(self, part + "2").items():
-                out.set_cell(part, i, j, -c)
-        return out
+        return self._combine(self, lambda x, _: -x)
 
-    def _vanishes(self, part: str) -> bool:
-        """Whether the part ("a" or "phi") has no quadratic or bilinear term."""
-        return not getattr(self, part + "2") and all(c.is_zero() for c in self.vec(part))
-
-    def neighbours(self, part: str, rows=None) -> List[List[Tuple[int, Hom2Coeff]]]:
-        """For each factor k, the nonzero cells (l, cell(k, l)) in order of l.
-
-        The diagonal cell is the bilinear form of the factor's quadratic
-        coefficient; the stored cells appear in both rows, transposed in
-        the row of their larger index.  With ``rows`` (a set of factors),
-        the rows of all other factors are left empty.
-        """
-        m = len(self.domain)
-        rows = range(m) if rows is None else rows
-        nbrs: List[List[Tuple[int, Hom2Coeff]]] = [[] for _ in range(m)]
-        for k, q1k in enumerate(self.vec(part)):
-            if k in rows and not q1k.is_zero():
-                diag = quad_to_bilinear(q1k)
-                if not diag.is_zero():
-                    nbrs[k].append((k, diag))
-        for (k, l), c in getattr(self, part + "2").items():
-            if (k not in rows and l not in rows) or c.is_zero():
+    def _combine(self, other: "QuadraticFnData", op) -> "QuadraticFnData":
+        """The function whose every value is op(own value, other's value),
+        normalized in its group; a part where both are 0 stays 0."""
+        if self.domain != other.domain:
+            raise DomainMismatch("cannot add functions over different domains")
+        D = self.domain
+        vec, mat = {}, {}
+        for part, A in PARTS:
+            sv, sm, ov, om = self.vec[part], self.mat[part], other.vec[part], other.mat[part]
+            if not (any(sv) or any(map(any, sm)) or any(ov) or any(map(any, om))):
+                vec[part], mat[part] = list(sv), [list(row) for row in sm]
                 continue
-            if k in rows:
-                nbrs[k].append((l, c))
-            if l in rows:
-                nbrs[l].append((k, c.transpose()))
-        for row in nbrs:
-            if len(row) > 1:
-                row.sort(key=lambda lc: lc[0])
-        return nbrs
+            vgrps, cgrps = _part_groups(D.factors, A)
+            vec[part] = [g.normalize(op(x, y)) for g, x, y in zip(vgrps, sv, ov)]
+            mat[part] = [[g.normalize(op(x, y)) if i == j else _off_diagonal(g, g.normalize(op(x, y)))
+                          for j, (g, x, y) in enumerate(zip(grow, row, orow))]
+                         for i, (grow, row, orow) in enumerate(zip(cgrps, sm, om))]
+        return QuadraticFnData._of_values(D, as_scalar(op(self.a0, other.a0)),
+                                          mod1(op(self.phi0, other.phi0)), vec, mat)
 
     def shift(self, e0: GroupElement) -> "QuadraticFnData":
-        """The function e -> self(e + e0)."""
-        a_val, phi_val = self.eval(e0)
-        out = QuadraticFnData(
-            self.domain,
-            a_val,
-            phi_val,
-            list(self.a1),
-            list(self.phi1),
-            dict(self.a2),
-            dict(self.phi2),
-        )
+        """The function e -> self(e + e0): the constant is self(e0), and each
+        factor i gains the linear term B(e0, e_i)."""
+        out = self.copy()
+        out.a0, out.phi0 = self.eval(e0)
         support = [k for k, x in enumerate(e0) if x != 0]
         if not support:
             return out
-        # linear correction q^(2)(e0, .)
-        for part, tgt in (("a", R), ("phi", T)):
-            if self._vanishes(part):
-                continue
-            nbrs = self.neighbours(part, set(support))
-            lin: Dict[int, HomCoeff] = {}
+        D = self.domain
+        for part, A in PARTS:
+            mat, vec = self.mat[part], out.vec[part]
+            lin: Dict[int, Scalar] = {}
             for k in support:
-                for i, cell in nbrs[k]:
-                    h = lin.get(i, hom_zero(self.domain[i], tgt))
-                    lin[i] = h + hom2_partial(cell, e0[k])
-            vec = out.vec(part)
+                row, x = mat[k], e0[k]
+                for i, b in enumerate(row):
+                    if b != 0 and (i != k or not value_is_zero(cell_group(D[k], D[k], A), b)):
+                        lin[i] = lin.get(i, 0) + b * x
             for i in sorted(lin):
-                if not lin[i].is_zero():
-                    vec[i] = vec[i] + linear_as_quad(lin[i])
+                grp = image_group(D[i], A)
+                d = grp.normalize(lin[i])
+                if not value_is_zero(grp, d):
+                    vec[i] = grp.normalize(vec[i] + d)
         return out
 
     def precompose(self, gamma: LinearFnData) -> "QuadraticFnData":
         """The function h -> self(gamma(h)) for a homomorphism gamma.
 
-        Only nonzero cells of gamma and of the bilinear form are visited;
-        each output coefficient sums its terms in the order (k, l) of the
-        input cells, as a dense double loop would.
+        On values, b' = gamma^T b gamma, and a generated output factor i
+        gets v'_i = sum_k [g_ki v_k + C(g_ki, 2) b_kk] + sum_{k<l} g_ki g_li b_kl.
+        Only the nonzero rows of gamma are visited.  Exact values on
+        generated factors are summed as integer numerators over one common
+        denominator; otherwise each term is summed in the order (k, l) of
+        the input entries.
         """
         assert gamma.is_homomorphism
         if gamma.codomain != self.domain:
             raise DomainMismatch("precompose domains do not line up")
         H = gamma.domain
-        # only the rows of gamma with a nonzero image contribute
-        live = {k for k, cols in enumerate(gamma.support()) if cols}
-        rows: Dict[int, List[Tuple[int, HomCoeff]]] = {}
-
-        def gamma_row(k: int) -> List[Tuple[int, HomCoeff]]:
-            """(j, coefficient) for the nonzero images of row k, built on first use."""
-            if k not in rows:
-                Ek, img = self.domain[k], gamma.img[k]
-                rows[k] = [(j, hom_of_image(H[j], Ek, img[j])) for j in gamma.support()[k]]
-            return rows[k]
-
-        out = QuadraticFnData(H, self.a0, self.phi0)
-        for part in ("a", "phi"):
-            if self._vanishes(part):
+        support = gamma.support()
+        live = [k for k, cols in enumerate(support) if cols]
+        out = QuadraticFnData._of_values(H, self.a0, self.phi0, *_zero_parts(H))
+        for part, A in PARTS:
+            vec, mat = self.vec[part], self.mat[part]
+            if not any(vec[k] or any(mat[k]) for k in live):
                 continue
-            q1 = self.vec(part)
-            vec = out.vec(part)
-            cells: Dict[Cell, Hom2Coeff] = {}
-            for k, nbrs in enumerate(self.neighbours(part, live)):
-                quadratic = k in live and not q1[k].is_zero()
-                if not quadratic and not nbrs:
-                    continue
-                rk = gamma_row(k)
-                if quadratic:
-                    for i, g in rk:
-                        vec[i] = vec[i] + phi(q1[k], g)
-                for l, cell in nbrs:
-                    if l not in live:
-                        continue
-                    rl = gamma_row(l)
-                    if l < k:
-                        # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
-                        gl_of = dict(rl)
-                        for i, g in rk:
-                            gl = gl_of.get(i)
-                            if gl is not None:
-                                vec[i] = vec[i] + lam(conjugate_cell(g, cell, gl))
-                    for i, g in rk:
-                        for j, gl in rl:
-                            if j > i:
-                                c = conjugate_cell(g, cell, gl)
-                                cells[(i, j)] = cells[(i, j)] + c if (i, j) in cells else c
-            for i, j in sorted(cells):
-                out.set_cell(part, i, j, cells[(i, j)])
+            if not (A is T and _pullback_exact(self.domain, vec, mat, gamma.img, support, live,
+                                               out.vec[part], out.mat[part])):
+                _pullback(self.domain, H, A, vec, mat, gamma.img, support, live,
+                          out.vec[part], out.mat[part])
         return out
 
     def precompose_affine(self, gamma: LinearFnData, shift: GroupElement) -> "QuadraticFnData":
@@ -458,42 +496,208 @@ class QuadraticFnData:
     def restrict_cols(self, cols: List[int]) -> "QuadraticFnData":
         """Restriction to a subset of domain factors (others set to 0)."""
         dom = GroupProduct([self.domain[j] for j in cols])
-        pos = {j: i for i, j in enumerate(cols)}
-        out = QuadraticFnData(
+        return QuadraticFnData._of_values(
             dom, self.a0, self.phi0,
-            [self.a1[j] for j in cols],
-            [self.phi1[j] for j in cols],
-        )
-        for part in ("a", "phi"):
-            for (i, j), c in getattr(self, part + "2").items():
-                if i in pos and j in pos:
-                    out.set_cell(part, pos[i], pos[j], c)
-        return out
+            {part: [v[j] for j in cols] for part, v in self.vec.items()},
+            {part: [[m[i][j] for j in cols] for i in cols] for part, m in self.mat.items()})
 
     def direct_sum(self, other: "QuadraticFnData") -> "QuadraticFnData":
+        """The function (e, f) -> self(e) + other(f) on domain x other.domain."""
         dom = self.domain * other.domain
-        off = len(self.domain)
-        out = QuadraticFnData(
-            dom,
-            self.a0 + other.a0,
-            mod1(self.phi0 + other.phi0),
-            list(self.a1) + list(other.a1),
-            list(self.phi1) + list(other.phi1),
-        )
-        for part in ("a", "phi"):
-            for (i, j), c in getattr(self, part + "2").items():
-                out.set_cell(part, i, j, c)
-            for (i, j), c in getattr(other, part + "2").items():
-                out.set_cell(part, i + off, j + off, c)
-        return out
+        vec, mat = {}, {}
+        for part, A in PARTS:
+            vec[part] = self.vec[part] + other.vec[part]
+            zero = _zero_values(dom.factors, A)[1]
+            m = len(self.domain)
+            mat[part] = ([row + list(z[m:]) for row, z in zip(self.mat[part], zero)]
+                         + [list(z[:m]) + row for row, z in zip(other.mat[part], zero[m:])])
+        return QuadraticFnData._of_values(dom, as_scalar(self.a0 + other.a0),
+                                          mod1(self.phi0 + other.phi0), vec, mat)
 
     def is_zero(self) -> bool:
-        return (
-            self.domain.factors == ()
-            or (
-                not self.a2
-                and not self.phi2
-                and all(c.is_zero() for c in self.a1)
-                and all(c.is_zero() for c in self.phi1)
-            )
-        ) and as_scalar(self.a0) == 0 and mod1(self.phi0) == 0
+        if as_scalar(self.a0) != 0 or mod1(self.phi0) != 0:
+            return False
+        D = self.domain
+        for part, A in PARTS:
+            mat = self.mat[part]
+            for i, (G, v, row) in enumerate(zip(D, self.vec[part], mat)):
+                if not (value_is_zero(image_group(G, A), v)
+                        and value_is_zero(cell_group(G, G, A), row[i])):
+                    return False
+                if any(row[j] != 0 for j in range(i + 1, len(row))):
+                    return False
+        return True
+
+
+class QuadTerms:
+    """The quadratic coefficients of one part of a ``QuadraticFnData``, one
+    ``QuadCoeff`` per factor built from its values on access; assigning a
+    coefficient to an index writes its values."""
+
+    __slots__ = ("q", "part", "target")
+
+    def __init__(self, q: QuadraticFnData, part: str, target):
+        self.q, self.part, self.target = q, part, target
+
+    def __len__(self) -> int:
+        return len(self.q.domain)
+
+    def __getitem__(self, k: int) -> QuadCoeff:
+        q = self.q
+        return quad_of_values(q.domain[k], self.target, q.vec[self.part][k],
+                              q.mat[self.part][k][k])
+
+    def __setitem__(self, k: int, c: QuadCoeff) -> None:
+        q = self.q
+        if (c.source, c.target) != (q.domain[k], self.target):
+            raise TagMismatch("quadratic coefficient does not match the domain")
+        q.vec[self.part][k], q.mat[self.part][k][k] = quad_values(c)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def assign(self, cells: Sequence[QuadCoeff]) -> None:
+        """Set every factor's coefficient."""
+        if len(cells) != len(self):
+            raise DomainMismatch("one quadratic coefficient per factor is needed")
+        for k, c in enumerate(cells):
+            self[k] = c
+
+
+def _quad_term(G, A, v: Scalar, b: Scalar, x: Scalar) -> Scalar:
+    """The value at x of the quadratic term with values (v, b) of one factor
+    G into A, as ``coeff.quad_apply`` computes it."""
+    if is_generated(G, A):
+        return mod1(x * v + x * (x - 1) // 2 * b)
+    if image_group(G, A) is Z1:
+        return A.normalize(0)
+    if G.kind == "T":
+        return A.normalize(v * x)
+    return A.normalize(b * x * x / 2 + v * x)
+
+
+def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_mat) -> bool:
+    """``_pullback`` into T where every live factor is generated and every
+    live value exact; False, with nothing written, otherwise.
+
+    The images of generated factors are integers, so each output entry is
+    an integer combination of the input values: it is summed as integer
+    numerators over the lcm L of their denominators and built as one
+    Fraction.
+    """
+    terms = []
+    dens = set()
+    for k in live:
+        if D[k].kind not in ("Zk", "Z"):
+            return False
+        v, row = vec[k], mat[k]
+        cells = [(l, row[l]) for l in live if row[l]]
+        if isinstance(v, float) or any(isinstance(b, float) for _, b in cells):
+            return False
+        dens.add(v.denominator)
+        dens.update(b.denominator for _, b in cells)
+        terms.append((k, v, cells))
+    L = math.lcm(*dens)
+    h = len(out_vec)
+    vnum = [0] * h
+    bnum = [[0] * h for _ in range(h)]
+    for k, v, cells in terms:
+        # P[j] = sum_l b_kl g_lj, and low[j] its part over l < k
+        P = [0] * h
+        low = [0] * h
+        bkk = 0
+        for l, b in cells:
+            b = b.numerator * (L // b.denominator)
+            if l == k:
+                bkk = b
+            gl = img[l]
+            for j in support[l]:
+                x = b * gl[j]
+                P[j] += x
+                if l < k:
+                    low[j] += x
+        V = v.numerator * (L // v.denominator)
+        gk = img[k]
+        for i in support[k]:
+            g = gk[i]
+            vnum[i] += g * (V + low[i]) + g * (g - 1) // 2 * bkk
+            brow = bnum[i]
+            for j in range(i, h):
+                if P[j]:
+                    brow[j] += g * P[j]
+    for i in range(h):
+        n = vnum[i] % L
+        if n:
+            out_vec[i] = _fraction(n, L)
+        brow = bnum[i]
+        for j in range(i, h):
+            n = brow[j] % L
+            if n:
+                out_mat[i][j] = out_mat[j][i] = _fraction(n, L)
+    return True
+
+
+@functools.lru_cache(maxsize=4096)
+def _fraction(n: int, d: int) -> Fraction:
+    """n / d; the numerators and denominators of one network repeat."""
+    return Fraction(n, d)
+
+
+def _pullback(D: GroupProduct, H: GroupProduct, A, vec, mat, img, support, live,
+              out_vec, out_mat) -> None:
+    """Write the values of one part of q o gamma into ``out_vec`` and
+    ``out_mat`` (zero on entry), term by term.
+
+    Factor k's quadratic term counts when its values are not both 0 within
+    tolerance, and its diagonal bilinear value when that is not 0 within
+    tolerance; each term and each partial sum is normalized in its group.
+    """
+    quad = {k: not (value_is_zero(image_group(D[k], A), vec[k])
+                    and value_is_zero(cell_group(D[k], D[k], A), mat[k][k])) for k in live}
+    cells: Dict[Cell, Scalar] = {}
+    for k in live:
+        Dk, row, gk = D[k], mat[k], img[k]
+        if quad[k]:
+            for i in support[k]:
+                _add_quadratic_term(Dk, H[i], A, vec[k], row[k], gk[i], i, out_vec, out_mat)
+        for l in live:
+            b = row[l]
+            if l == k:
+                if not (quad[k] and not value_is_zero(cell_group(Dk, Dk, A), b)):
+                    continue
+            elif b == 0:
+                continue
+            gl, sl = img[l], support[l]
+            if l < k:
+                # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
+                for i in support[k]:
+                    if i in sl:
+                        grp = cell_group(H[i], H[i], A)
+                        t = grp.normalize(gk[i] * b * gl[i])
+                        if is_generated(H[i], A):
+                            out_vec[i] = mod1(out_vec[i] + t)
+                        out_mat[i][i] = grp.normalize(out_mat[i][i] + 2 * t)
+            for i in support[k]:
+                for j in sl:
+                    if j > i:
+                        grp = cell_group(H[i], H[j], A)
+                        t = grp.normalize(gk[i] * b * gl[j])
+                        cells[i, j] = grp.normalize(cells[i, j] + t) if (i, j) in cells else t
+    for (i, j), v in cells.items():
+        out_mat[i][j] = out_mat[j][i] = _off_diagonal(cell_group(H[i], H[j], A), v)
+
+
+def _add_quadratic_term(Dk, Hi, A, v: Scalar, b: Scalar, g: Scalar, i: int,
+                        out_vec, out_mat) -> None:
+    """Add to output factor i the pullback of input factor k's quadratic
+    term along its image g, as ``coeff.phi`` computes it."""
+    vgrp, bgrp = image_group(Hi, A), cell_group(Hi, Hi, A)
+    if is_generated(Hi, A):
+        dv, db = _quad_term(Dk, A, v, b, g), g * g * b
+    else:
+        # a continuous output factor sees continuous input factors only
+        dv = v * g
+        db = b * g * g if cell_group(Dk, Dk, A) is not Z1 else None
+    out_vec[i] = vgrp.normalize(out_vec[i] + vgrp.normalize(dv))
+    if db is not None:
+        out_mat[i][i] = bgrp.normalize(out_mat[i][i] + bgrp.normalize(db))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .scalar import Scalar, as_scalar, mod1, scalar_eq, scalar_eq_mod1
 
@@ -30,30 +30,49 @@ class BadSignature(ValueError):
     """A group signature that names no elementary group."""
 
 
-@dataclass(frozen=True)
 class ElementaryGroup:
-    kind: str  # "Zk" | "Z" | "T" | "R"
-    k: int = 0
+    """One elementary group; ``kind`` is "Zk", "Z", "T" or "R", and ``k``
+    the order of a Z_k.
 
-    def __post_init__(self):
-        if self.kind == "Zk":
-            if self.k < 1:
+    There is one object per group: ``ElementaryGroup("Zk", 6) is Zk(6)``,
+    and copies and unpickled groups are that object too.  So equality and
+    hash are the object's own, and the coefficient tables compare groups
+    by identity.
+    """
+
+    __slots__ = ("kind", "k")
+    _made: Dict[Tuple[str, int], "ElementaryGroup"] = {}
+
+    def __new__(cls, kind: str, k: int = 0):
+        try:
+            return cls._made[kind, k]
+        except KeyError:
+            pass
+        if kind == "Zk":
+            if k < 1:
                 raise ValueError("Z_k requires k >= 1")
-        elif self.kind not in ("Z", "T", "R"):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        # from ints alone, so that it does not change with the process's string hash seed
-        object.__setattr__(self, "_hash", hash((("Zk", "Z", "T", "R").index(self.kind), self.k)))
+        elif kind not in ("Z", "T", "R"):
+            raise ValueError(f"unknown group kind {kind!r}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        cls._made[kind, k] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError("elementary groups are immutable")
 
-    # immutable, and Zk, Z, T and R hand out one object per group, which
-    # copies keep: the coefficient tables compare hom groups with Z1 by identity
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce__(self):
+        return ElementaryGroup, (self.kind, self.k)
+
+    def __repr__(self) -> str:
+        return f"ElementaryGroup(kind={self.kind!r}, k={self.k})"
 
     @property
     def finite(self) -> bool:

@@ -67,20 +67,6 @@ def scalar_eq_mod1(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
     return min(d, 1.0 - d) <= tol
 
 
-def snap_rational(x: Scalar, max_den: int, tol: float = TOL) -> Scalar:
-    """Round a float to a nearby fraction with small denominator, if any.
-
-    Used to keep phases exact after operations (Gauss sums) whose results
-    are known to be rational with bounded denominator.
-    """
-    if is_exact(x):
-        return Fraction(x)
-    f = Fraction(float(x)).limit_denominator(max_den)
-    if abs(float(f) - float(x)) <= tol:
-        return f
-    return float(x)
-
-
 def scalar_json(x: Scalar):
     if is_exact(x):
         f = Fraction(x)

@@ -264,3 +264,24 @@ def test_rotor_css_two_mode():
     Hz = np.array([[1], [-1]])
     tab = rotor_tableau(Hx, Hz)
     assert tab.S.signature() == "T,Z"
+
+
+def test_complex_gaussian_correction_on_an_integer_factor():
+    """Integrating out x from exp(2 pi (z x^2 / 2 + i c x n)) over E = R x Z,
+    with complex z, leaves the phase of -(i c n)^2 / 2z on the Z factor:
+    a quadratic e_n^2 / 2 term with an imaginary part, checked at n = 1..3
+    against the closed-form integral."""
+    E, G = GroupProduct([R, Z]), GroupProduct([Z])
+    eps = LinearFnData(E, G, G.identity(), [[HomCoeff(R, Z, 0), HomCoeff(Z, Z, 1)]])
+    q = QuadraticFnData(E)
+    q.a1[0] = QuadCoeff(R, R, -1.0, 0)
+    q.phi1[0] = QuadCoeff(R, T, 0.3, 0)
+    q.set_cell("phi", 0, 1, Hom2Coeff(R, Z, T, 0.2))
+    red = reduce_full(QTensorData(G, E, eps, q, 0, None))
+    assert [f.kind for f in red.E] == ["Z"]
+    z = complex(-1.0, 0.3)
+    for n in (1, 2, 3):
+        want = cmath.exp(-2 * math.pi * (0.2j * n) ** 2 / (2 * z)) / cmath.sqrt(-z)
+        a, ph = red.q.eval(red.E.element([n]))
+        got = cmath.exp(2 * math.pi * (float(a) + 1j * float(ph)))
+        assert abs(got - want) < 1e-12, (n, got, want)

@@ -324,3 +324,38 @@ def test_reductions_do_not_sample_functions(monkeypatch):
         steps += calls["steps"]
     # the mirror returns |0> exactly
     assert steps >= 5 and len(t.E) == 0 and t.mag2 == 1 and t.q.phi0 == 0
+
+
+def test_gauss_sum_closed_form_against_brute_force():
+    """Every nondegenerate (h2, h1) on Z_k for k <= 64: the exact phase of
+    the closed form is the brute-force sum's phase, snapped to a fraction
+    with denominator at most 8k, and the magnitude is sqrt(k)."""
+    import numpy as np
+
+    from qtensor.coeff import quad_apply, quad_group
+
+    for k in range(1, 65):
+        g2, g1 = quad_group(Zk(k), T)
+        pairs = np.array([(h2, h1) for h2 in range(g2.k) for h1 in range(g1.k)])
+        h2, h1, g = pairs[:, :1], pairs[:, 1:], np.arange(k)
+        # quad_apply on Z_k -> T, for every pair and every point at once
+        if k % 2 == 0:
+            num, den = (h2 * g * g + 2 * h1 * (g - g * g)) % (2 * k), 2 * k
+            bil = (h2[:, 0] - 2 * h1[:, 0]) % k
+        else:
+            num, den = ((h2 * ((k + 1) // 2) % k) * g * g + h1 * g) % k, k
+            bil = h2[:, 0] % k
+        for row, (a, b) in zip(num[:5], pairs[:5]):
+            q = QuadCoeff(Zk(k), T, int(a), int(b))
+            assert [Fraction(int(n), den) for n in row] == [quad_apply(q, x) for x in range(k)]
+        sums = np.exp(2j * np.pi * num / den).sum(axis=1)
+        for (a, b), total, bv in zip(pairs, sums, bil):
+            q = QuadCoeff(Zk(k), T, int(a), int(b))
+            if math.gcd(int(bv), k) != 1:
+                with pytest.raises(Degenerate):
+                    gauss_sum(q)
+                continue
+            m2, ph = gauss_sum(q)
+            assert m2 == k and abs(abs(total) - math.sqrt(k)) < 1e-9
+            brute = Fraction(cmath.phase(total) / (2 * math.pi)).limit_denominator(8 * k) % 1
+            assert ph == brute, (k, a, b, ph, brute)

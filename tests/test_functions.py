@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from qtensor.groups import GroupProduct, T, R, Zk, parse_product
-from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff, hom2_group, hom_group, quad_group
+from qtensor.groups import GroupProduct, R, T, Z, Zk, parse_product
+from qtensor.coeff import (Hom2Coeff, HomCoeff, QuadCoeff, hom2_group, hom2_zero, hom_group,
+                           quad_group)
 from qtensor.functions import LinearFnData, QuadraticFnData, hom_data
 
 
@@ -219,3 +220,115 @@ def test_quadratic_eval_paper_examples():
     qh.set_cell("phi", 0, 1, Hom2Coeff(Zk(2), Zk(2), T, 1))
     assert qh.eval(E2.element([1, 1])) == (Fraction(0), Fraction(1, 2))
     assert qh.eval(E2.identity()) == (Fraction(0), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# every factor kind: Z_k, Z, T and R, both parts, exact values
+
+MIXED = [Zk(2), Zk(3), Zk(4), Zk(6), Z, T, R]
+
+
+def _exact_value(grp, rng):
+    """A random exact value of a coefficient group."""
+    if grp.kind == "Zk":
+        return rng.randrange(grp.k)
+    if grp.kind == "Z":
+        return rng.randint(-3, 3)
+    if grp.kind == "T":
+        return Fraction(rng.randrange(12), 12)
+    return Fraction(rng.randint(-6, 6), 4)
+
+
+def _sample_points(G):
+    """Sample elements: Z_k whole, Z in a box, T and R at rationals."""
+    if G.kind == "Zk":
+        return list(range(G.k))
+    if G.kind == "Z":
+        return [-2, -1, 0, 1, 3]
+    if G.kind == "T":
+        return [Fraction(0), Fraction(1, 3), Fraction(3, 4)]
+    return [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2)]
+
+
+def mixed_quadratic(E: GroupProduct, rng: random.Random) -> QuadraticFnData:
+    """Both parts, with a random coefficient for every factor and cell."""
+    m = len(E)
+    q = QuadraticFnData(E, Fraction(rng.randint(-4, 4), 4), Fraction(rng.randrange(8), 8))
+    for A, vec in ((R, q.a1), (T, q.phi1)):
+        for i in range(m):
+            g2, g1 = quad_group(E[i], A)
+            vec[i] = QuadCoeff(E[i], A, _exact_value(g2, rng), _exact_value(g1, rng))
+    for part, A in (("a", R), ("phi", T)):
+        for i in range(m):
+            for j in range(i + 1, m):
+                grp = hom2_group(E[i], E[j], A)
+                q.set_cell(part, i, j, Hom2Coeff(E[i], E[j], A, _exact_value(grp, rng)))
+    return q
+
+
+def mixed_hom(H: GroupProduct, E: GroupProduct, rng: random.Random) -> LinearFnData:
+    cells = [[HomCoeff(H[j], E[i], _exact_value(hom_group(H[j], E[i]), rng)
+                       if rng.random() < 0.7 else 0) for j in range(len(H))]
+             for i in range(len(E))]
+    return hom_data(H, E, cells)
+
+
+def _points(G: GroupProduct, rng: random.Random, n: int = 12):
+    return [G.element([rng.choice(_sample_points(f)) for f in G]) for _ in range(n)]
+
+
+def _sum(x, y):
+    return (R.normalize(x[0] + y[0]), T.normalize(x[1] + y[1]))
+
+
+def test_operations_pointwise_on_every_factor_kind():
+    rng = random.Random(29)
+    for _ in range(150):
+        E = GroupProduct([rng.choice(MIXED) for _ in range(rng.randint(1, 3))])
+        H = GroupProduct([rng.choice(MIXED) for _ in range(rng.randint(1, 3))])
+        q, p = mixed_quadratic(E, rng), mixed_quadratic(E, rng)
+        gam = mixed_hom(H, E, rng)
+        qc = q.precompose(gam)
+        for h in _points(H, rng):
+            assert qc.eval(h) == q.eval(gam(h)), (E, H, h)
+        e0 = _points(E, rng, 1)[0]
+        qs, qa, qd = q.shift(e0), q + p, q - p
+        for e in _points(E, rng):
+            assert qs.eval(e) == q.eval(E.add(e, e0)), (E, e0, e)
+            assert qa.eval(e) == _sum(q.eval(e), p.eval(e)), (E, e)
+            assert _sum(qd.eval(e), p.eval(e)) == q.eval(e), (E, e)
+        F = GroupProduct([rng.choice(MIXED) for _ in range(rng.randint(1, 2))])
+        r = mixed_quadratic(F, rng)
+        qr = q.direct_sum(r)
+        for e, f in zip(_points(E, rng), _points(F, rng)):
+            assert qr.eval(e + f) == _sum(q.eval(e), r.eval(f)), (E, F, e, f)
+        cols = sorted(rng.sample(range(len(E)), rng.randint(1, len(E))))
+        qk = q.restrict_cols(cols)
+        for e in _points(E, rng):
+            full = E.element([e[j] if j in cols else 0 for j in range(len(E))])
+            assert qk.eval(tuple(e[j] for j in cols)) == q.eval(full), (E, cols, e)
+
+
+def test_cells_round_trip_through_the_views():
+    """The cells given to the constructor come back from a1, phi1, a2 and
+    phi2, and assigning to phi1[i] or set_cell writes through."""
+    rng = random.Random(31)
+    for _ in range(100):
+        E = GroupProduct([rng.choice(MIXED) for _ in range(rng.randint(1, 4))])
+        q = mixed_quadratic(E, rng)
+        a1, phi1, a2, phi2 = list(q.a1), list(q.phi1), q.a2, q.phi2
+        again = QuadraticFnData(E, q.a0, q.phi0, a1, phi1, a2, phi2)
+        assert again == q
+        assert (list(again.a1), list(again.phi1), again.a2, again.phi2) == (a1, phi1, a2, phi2)
+        assert all(not c.is_zero() for c in list(a2.values()) + list(phi2.values()))
+        i = rng.randrange(len(E))
+        g2, g1 = quad_group(E[i], T)
+        c = QuadCoeff(E[i], T, _exact_value(g2, rng), _exact_value(g1, rng))
+        q.phi1[i] = c
+        assert q.phi1[i] == c
+        if len(E) > 1:
+            grp = hom2_group(E[0], E[1], R)
+            cell = Hom2Coeff(E[0], E[1], R, _exact_value(grp, rng))
+            q.set_cell("a", 0, 1, cell)
+            assert q.cell("a", 0, 1) == cell and q.cell("a", 1, 0) == cell.transpose()
+            assert q.a2.get((0, 1), hom2_zero(E[0], E[1], R)) == cell

@@ -88,3 +88,26 @@ def test_z1_trivial():
     G = parse_product("Z1,Z2")
     assert G.order == 2
     assert list(G.enumerate())[0] == G.identity()
+
+
+def test_one_object_per_group():
+    """Construction, parsing, copies and pickles all give the one object of
+    a group, so equality and hash are identity."""
+    import copy
+    import pickle
+
+    from qtensor.groups import ElementaryGroup, parse_group
+
+    assert ElementaryGroup("Zk", 6) is Zk(6)
+    assert ElementaryGroup("Z") is Z and ElementaryGroup("T") is T and ElementaryGroup("R") is R
+    for sig, G in [("Z6", Zk(6)), ("Z1", Zk(1)), ("Z", Z), ("T", T), ("R", R)]:
+        assert parse_group(sig) is G
+        assert copy.copy(G) is G and copy.deepcopy(G) is G
+        assert pickle.loads(pickle.dumps(G)) is G
+    prod = parse_product("Z4,T,R")
+    assert all(a is b for a, b in zip(copy.deepcopy(prod), prod))
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(prod)), prod))
+    with pytest.raises(AttributeError):
+        Zk(6).k = 7
+    with pytest.raises(ValueError):
+        ElementaryGroup("Zk", 0)

@@ -116,8 +116,11 @@ def test_images_read_back_as_cells():
 
 def test_brickwork_builds_few_coefficient_objects(monkeypatch):
     """One contraction of the seed-7 8 x 3 brickwork of the benchmark,
-    parsed beforehand, builds at most 950 HomCoeff objects: linear maps
-    hold no coefficient per cell."""
+    parsed beforehand, builds at most 300 coefficient objects (HomCoeff,
+    QuadCoeff and Hom2Coeff together) over its 9 reduction steps: linear
+    maps and quadratic functions hold values, not one coefficient per cell.
+    It builds 2, both for the Gauss sums; before quadratic functions were
+    held as values it built 1550."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         import workloads
@@ -128,12 +131,11 @@ def test_brickwork_builds_few_coefficient_objects(monkeypatch):
              for n, d in workloads.QUBIT_SIZES}
     spec = parse(texts[(8, 3)])
     made = []
-    plain = coeff.HomCoeff.__post_init__
+    for cls in (coeff.HomCoeff, coeff.QuadCoeff, coeff.Hom2Coeff):
+        def counted(self, plain=cls.__post_init__):
+            made.append(1)
+            plain(self)
 
-    def counted(self):
-        made.append(1)
-        plain(self)
-
-    monkeypatch.setattr(coeff.HomCoeff, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     run_contract(spec)
-    assert 0 < len(made) <= 950, len(made)
+    assert 0 < len(made) <= 300, len(made)
