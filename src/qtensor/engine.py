@@ -222,16 +222,19 @@ def _extract_through_section(
     ez = epsfun.compose_hom(section)
     fin = [f.kind == "Zk" for f in Q]
     _check_descent(Q, Qz, fin, qz.vec["phi"], qz.mat["phi"])
-    out_q = QuadraticFnData(Q, qz.a0, qz.phi0)
+    # the values carry over; an entry of a finite factor is normalized in its group on Q
+    qz.domain = Q
     for part, A in PARTS:
         vec, mat = qz.vec[part], qz.mat[part]
         for i, Qi in enumerate(Q):
-            out_q.vec[part][i] = image_group(Qi, A).normalize(vec[i])
-            out_q.mat[part][i] = [cell_group(Qi, Qj, A).normalize(b) for Qj, b in zip(Q, mat[i])]
+            if fin[i]:
+                vec[i] = image_group(Qi, A).normalize(vec[i])
+            mat[i] = [cell_group(Qi, Qj, A).normalize(b) if fin[i] or fin[j] else b
+                      for j, (Qj, b) in enumerate(zip(Q, mat[i]))]
     img = [[image_fit(Q[t], Gi, v) if fin[t] else v for t, v in enumerate(row)]
            for Gi, row in zip(epsfun.codomain, ez.img)]
     eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
-    return out_q, LinearFnData.of_images(Q, epsfun.codomain, eps0, img)
+    return qz, LinearFnData.of_images(Q, epsfun.codomain, eps0, img)
 
 
 def _check_descent(Q: GroupProduct, Qz: GroupProduct, fin: List[bool], vec, mat) -> None:

@@ -391,19 +391,18 @@ class QuadraticFnData:
         if len(e) != len(D):
             raise DomainMismatch("element does not match domain")
         # every term at a finite factor's 0 is an exact 0, so those are skipped
-        live = [x != 0 or G.kind != "Zk" for G, x in zip(D, e)]
-        xs = [G.normalize(x) for G, x in zip(D, e)]
+        live = [(i, G.normalize(x)) for i, (G, x) in enumerate(zip(D, e))
+                if x != 0 or G.kind != "Zk"]
         out = []
         for (part, A), acc in zip(PARTS, (self.a0, self.phi0)):
             vec, mat = self.vec[part], self.mat[part]
-            for i, (G, x) in enumerate(zip(D, xs)):
-                if live[i]:
-                    acc = acc + _quad_term(G, A, vec[i], mat[i][i], x)
-            for i, row in enumerate(mat):
-                if live[i]:
-                    for j in range(i + 1, len(row)):
-                        if row[j] != 0 and live[j]:
-                            acc = acc + A.normalize(row[j] * xs[i] * xs[j])
+            for i, x in live:
+                acc = acc + _quad_term(D[i], A, vec[i], mat[i][i], x)
+            for n, (i, x) in enumerate(live):
+                row = mat[i]
+                for j, y in live[n + 1:]:
+                    if row[j] != 0:
+                        acc = acc + A.normalize(row[j] * x * y)
             out.append(acc)
         return as_scalar(out[0]), mod1(out[1])
 
@@ -511,8 +510,13 @@ class QuadraticFnData:
             m = len(self.domain)
             mat[part] = ([row + list(z[m:]) for row, z in zip(self.mat[part], zero)]
                          + [list(z[:m]) + row for row, z in zip(other.mat[part], zero[m:])])
-        return QuadraticFnData._of_values(dom, as_scalar(self.a0 + other.a0),
-                                          mod1(self.phi0 + other.phi0), vec, mat)
+        # a gate's constants are mostly an exact 0, which needs no new Fraction
+        a0, phi0 = self.a0, self.phi0
+        if isinstance(other.a0, float) or other.a0:
+            a0 = as_scalar(a0 + other.a0)
+        if isinstance(other.phi0, float) or other.phi0:
+            phi0 = mod1(phi0 + other.phi0)
+        return QuadraticFnData._of_values(dom, a0, phi0, vec, mat)
 
     def is_zero(self) -> bool:
         if as_scalar(self.a0) != 0 or mod1(self.phi0) != 0:
@@ -588,14 +592,18 @@ def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_
     terms = []
     dens = set()
     for k in live:
-        if D[k].kind not in ("Zk", "Z"):
-            return False
         v, row = vec[k], mat[k]
-        cells = [(l, row[l]) for l in live if row[l]]
-        if isinstance(v, float) or any(isinstance(b, float) for _, b in cells):
+        if D[k].kind not in ("Zk", "Z") or isinstance(v, float):
             return False
         dens.add(v.denominator)
-        dens.update(b.denominator for _, b in cells)
+        cells = []
+        for l in live:
+            b = row[l]
+            if b:
+                if isinstance(b, float):
+                    return False
+                dens.add(b.denominator)
+                cells.append((l, b))
         terms.append((k, v, cells))
     L = math.lcm(*dens)
     h = len(out_vec)
