@@ -24,6 +24,7 @@ once on construction and rebuilt on demand by the views ``eps1``, ``a1``,
 ``phi1``, ``a2`` and ``phi2``; assigning to ``a1[k]`` or ``phi1[k]`` and
 ``set_cell`` write values.
 """
+
 from __future__ import annotations
 
 import functools
@@ -225,8 +226,6 @@ def _image_product(left: LinearFnData, right: LinearFnData) -> List[List[Scalar]
 def hom_data(domain: GroupProduct, codomain: GroupProduct, cells) -> LinearFnData:
     """A homomorphism given by coefficient cells (rows over codomain)."""
     return LinearFnData(domain, codomain, codomain.identity(), cells)
-
-
 
 
 # the two parts of a quadratic function and their targets
