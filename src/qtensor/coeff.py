@@ -531,7 +531,10 @@ def quad_of_values(G: ElementaryGroup, A: ElementaryGroup, v, b) -> QuadCoeff:
     if not is_generated(G, A):
         return QuadCoeff(G, A, b, v)
     if G.kind == "Z":
-        return QuadCoeff(G, A, v, 2 * v - b)
+        # h1 = 2 q(1) - B(1, 1); a float term h2 x^2 has v = h2 and b = mod1(2 h2),
+        # so a float h1 within tolerance of 0 is read back as the exact 0 it was
+        h1 = A.normalize(2 * v - b)
+        return QuadCoeff(G, A, v, 0 if value_is_zero(A, h1) else h1)
     # q(2) = 2 q(1) + B(1, 1) and q(-1) = B(1, 1) - q(1)
     return _quad_closed_form(G, A, v, mod1(2 * v + b), mod1(b - v))
 

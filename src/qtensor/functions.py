@@ -47,6 +47,7 @@ from .coeff import (
     image_apply,
     image_group,
     is_generated,
+    quad_apply,
     quad_of_values,
     quad_values,
     value_is_zero,
@@ -418,16 +419,13 @@ class QuadraticFnData:
 
     def _combine(self, other: "QuadraticFnData", op) -> "QuadraticFnData":
         """The function whose every value is op(own value, other's value),
-        normalized in its group; a part where both are 0 stays 0."""
+        normalized in its group."""
         if self.domain != other.domain:
             raise DomainMismatch("cannot add functions over different domains")
         D = self.domain
         vec, mat = {}, {}
         for part, A in PARTS:
             sv, sm, ov, om = self.vec[part], self.mat[part], other.vec[part], other.mat[part]
-            if not (any(sv) or any(map(any, sm)) or any(ov) or any(map(any, om))):
-                vec[part], mat[part] = list(sv), [list(row) for row in sm]
-                continue
             vgrps, cgrps = _part_groups(D.factors, A)
             vec[part] = [g.normalize(op(x, y)) for g, x, y in zip(vgrps, sv, ov)]
             mat[part] = [[g.normalize(op(x, y)) if i == j else _off_diagonal(g, g.normalize(op(x, y)))
@@ -509,13 +507,8 @@ class QuadraticFnData:
             m = len(self.domain)
             mat[part] = ([row + list(z[m:]) for row, z in zip(self.mat[part], zero)]
                          + [list(z[:m]) + row for row, z in zip(other.mat[part], zero[m:])])
-        # a gate's constants are mostly an exact 0, which needs no new Fraction
-        a0, phi0 = self.a0, self.phi0
-        if isinstance(other.a0, float) or other.a0:
-            a0 = as_scalar(a0 + other.a0)
-        if isinstance(other.phi0, float) or other.phi0:
-            phi0 = mod1(phi0 + other.phi0)
-        return QuadraticFnData._of_values(dom, a0, phi0, vec, mat)
+        return QuadraticFnData._of_values(dom, as_scalar(self.a0 + other.a0),
+                                          mod1(self.phi0 + other.phi0), vec, mat)
 
     def is_zero(self) -> bool:
         if as_scalar(self.a0) != 0 or mod1(self.phi0) != 0:
@@ -571,6 +564,9 @@ def _quad_term(G, A, v: Scalar, b: Scalar, x: Scalar) -> Scalar:
     """The value at x of the quadratic term with values (v, b) of one factor
     G into A, as ``coeff.quad_apply`` computes it."""
     if is_generated(G, A):
+        if G.kind == "Z" and (isinstance(v, float) or isinstance(b, float)):
+            # a float term keeps the formula of its coefficient, h2 x^2 for h1 = 0
+            return quad_apply(quad_of_values(G, A, v, b), x)
         return mod1(x * v + x * (x - 1) // 2 * b)
     if image_group(G, A) is Z1:
         return A.normalize(0)
@@ -635,19 +631,13 @@ def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_
     for i in range(h):
         n = vnum[i] % L
         if n:
-            out_vec[i] = _fraction(n, L)
+            out_vec[i] = Fraction(n, L)
         brow = bnum[i]
         for j in range(i, h):
             n = brow[j] % L
             if n:
-                out_mat[i][j] = out_mat[j][i] = _fraction(n, L)
+                out_mat[i][j] = out_mat[j][i] = Fraction(n, L)
     return True
-
-
-@functools.lru_cache(maxsize=4096)
-def _fraction(n: int, d: int) -> Fraction:
-    """n / d; the numerators and denominators of one network repeat."""
-    return Fraction(n, d)
 
 
 def _pullback(D: GroupProduct, H: GroupProduct, A, vec, mat, img, support, live,
@@ -675,20 +665,24 @@ def _pullback(D: GroupProduct, H: GroupProduct, A, vec, mat, img, support, live,
             elif b == 0:
                 continue
             gl, sl = img[l], support[l]
-            if l < k:
-                # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
-                for i in support[k]:
-                    if i in sl:
-                        grp = cell_group(H[i], H[i], A)
-                        t = grp.normalize(gk[i] * b * gl[i])
-                        if is_generated(H[i], A):
-                            out_vec[i] = mod1(out_vec[i] + t)
-                        out_mat[i][i] = grp.normalize(out_mat[i][i] + 2 * t)
+            # a float g_ki b_kl is reduced mod 1 first where coeff.conjugate_cell
+            # reduces it: into T with factors l and i generated
+            wrap = isinstance(b, float) and is_generated(D[l], A)
             for i in support[k]:
+                gb = gk[i] * b
+                if wrap and is_generated(H[i], A):
+                    gb = mod1(gb)
+                if l < k and i in sl:
+                    # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
+                    grp = cell_group(H[i], H[i], A)
+                    t = grp.normalize(gb * gl[i])
+                    if is_generated(H[i], A):
+                        out_vec[i] = mod1(out_vec[i] + t)
+                    out_mat[i][i] = grp.normalize(out_mat[i][i] + 2 * t)
                 for j in sl:
                     if j > i:
                         grp = cell_group(H[i], H[j], A)
-                        t = grp.normalize(gk[i] * b * gl[j])
+                        t = grp.normalize(gb * gl[j])
                         cells[i, j] = grp.normalize(cells[i, j] + t) if (i, j) in cells else t
     for (i, j), v in cells.items():
         out_mat[i][j] = out_mat[j][i] = _off_diagonal(cell_group(H[i], H[j], A), v)

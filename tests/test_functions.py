@@ -332,3 +332,14 @@ def test_cells_round_trip_through_the_views():
             q.set_cell("a", 0, 1, cell)
             assert q.cell("a", 0, 1) == cell and q.cell("a", 1, 0) == cell.transpose()
             assert q.a2.get((0, 1), hom2_zero(E[0], E[1], R)) == cell
+
+
+def test_float_term_on_z_round_trips():
+    """A float term h2 x^2 on Z into T comes back with h1 the exact 0 it
+    was, and is evaluated as h2 x^2."""
+    for h2 in (0.3, 0.7071067811865476, 0.9999999999999998, 1e-3):
+        q = QuadraticFnData(GroupProduct([Z]), phi1=[QuadCoeff(Z, T, h2, 0)])
+        c = q.phi1[0]
+        assert c.h2 == h2 and c.h1 == 0 and not isinstance(c.h1, float)
+        for x in range(-3, 4):
+            assert q.eval((x,))[1] == QuadCoeff(Z, T, h2, 0).h2 * x * x % 1.0
