@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error or invalid
-network, tableau or Clifford data, 3 unsupported case (kernel class,
-divergent data, or a dense evaluation past its size limit).
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, invalid
+network, tableau or Clifford data, or a payload of the wrong type,
+3 unsupported case (kernel class, divergent data, or a dense evaluation
+past its size limit).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import jsonio
 from .dense import DivergentPrefactor, InfiniteGroupError, TooLargeError, materialize
 from .engine import NotIntegrable, NotInvertible
 from .fermion import FermionTensorData, NontrivialEmbedding, SingularBlock, fermion_entry
-from .groups import BadSignature, parse_product
+from .groups import BadSignature
 from .net import (
     ContractionResult,
     NetSyntaxError,
@@ -29,16 +30,18 @@ from .net import (
 from .selftest import run_selftest
 from .solve import UnsupportedKernel
 from .stab import (
+    QUBIT_GATES,
     CliffordData,
     CocycleMismatch,
     ConditionViolation,
     NotSymplectic,
     OrthogonalityViolation,
     SpaceMismatch,
+    StabTableau,
     UnsolvableOffset,
     clifford_check,
     clifford_compose,
-    clifford_identity,
+    qubit_clifford,
     qubit_tableau,
     stab_projector,
     stab_state,
@@ -102,46 +105,19 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _load_clifford(specpath: str) -> CliffordData:
-    from .functions import QuadraticFnData
-    from .coeff import Hom2Coeff, HomCoeff, QuadCoeff
-    from .groups import GroupProduct, Zk
-    from .stab import dual_product
+def _load_payload(path: str, cls, what: str):
+    """The payload of the JSON file at ``path``, which must be a ``cls``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = jsonio.from_json(json.load(fh))
+    if not isinstance(obj, cls):
+        raise jsonio.MalformedPayload(f"payload is not {what}")
+    return obj
 
-    named = specpath.upper()
-    if named in ("H", "S", "I", "CX", "CZ"):
-        H1 = parse_product("Z2")
-        P = H1 * dual_product(H1)
-        if named == "I":
-            return clifford_identity(H1)
-        if named == "H":
-            alpha = [[HomCoeff(P[0], P[0], 0), HomCoeff(P[1], P[0], 1)],
-                     [HomCoeff(P[0], P[1], 1), HomCoeff(P[1], P[1], 0)]]
-            u = QuadraticFnData.zero(P)
-            u.set_cell("phi", 0, 1, Hom2Coeff(P[0], P[1], parse_product("T")[0], 1))
-            return CliffordData(H1, alpha, u)
-        if named == "S":
-            alpha = [[HomCoeff(P[0], P[0], 1), HomCoeff(P[1], P[0], 0)],
-                     [HomCoeff(P[0], P[1], 1), HomCoeff(P[1], P[1], 1)]]
-            u = QuadraticFnData.zero(P)
-            u.phi1[0] = QuadCoeff(Zk(2), parse_product("T")[0], 1, 0)
-            return CliffordData(H1, alpha, u)
-        H2 = parse_product("Z2,Z2")
-        P2 = H2 * dual_product(H2)
-        if named == "CX":
-            rows = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-            alpha = [[HomCoeff(P2[j], P2[i], rows[i][j]) for j in range(4)]
-                     for i in range(4)]
-            return CliffordData(H2, alpha, QuadraticFnData.zero(P2))
-        if named == "CZ":
-            rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
-            alpha = [[HomCoeff(P2[j], P2[i], rows[i][j]) for j in range(4)]
-                     for i in range(4)]
-            u = QuadraticFnData.zero(P2)
-            u.set_cell("phi", 0, 1, Hom2Coeff(P2[0], P2[1], parse_product("T")[0], 1))
-            return CliffordData(H2, alpha, u)
-    with open(specpath, "r", encoding="utf-8") as fh:
-        c = jsonio.from_json(json.load(fh))
+
+def _load_clifford(specpath: str) -> CliffordData:
+    if specpath.upper() in QUBIT_GATES:
+        return qubit_clifford(specpath.upper())
+    c = _load_payload(specpath, CliffordData, "Clifford data")
     clifford_check(c)
     return c
 
@@ -161,11 +137,10 @@ def cmd_clifford(args) -> int:
     return 0
 
 
-def _load_tableau(path: str):
+def _load_tableau(path: str) -> StabTableau:
     if path.startswith("gens:"):
         return qubit_tableau(path[len("gens:"):].split(","))
-    with open(path, "r", encoding="utf-8") as fh:
-        return jsonio.from_json(json.load(fh))
+    return _load_payload(path, StabTableau, "a stabilizer tableau")
 
 
 def cmd_stab(args) -> int:
@@ -179,11 +154,7 @@ def cmd_fermion(args) -> int:
     if args.action != "eval":
         print("usage: qtensor fermion eval DATA.json BITSTRING", file=sys.stderr)
         return 2
-    with open(args.data, "r", encoding="utf-8") as fh:
-        t = jsonio.from_json(json.load(fh))
-    if not isinstance(t, FermionTensorData):
-        print("payload is not fermionic tensor data", file=sys.stderr)
-        return 2
+    t = _load_payload(args.data, FermionTensorData, "fermionic tensor data")
     bits = [int(c) for c in args.bitstring]
     if len(bits) != t.n:
         print(f"bitstring length {len(bits)} != {t.n} modes", file=sys.stderr)

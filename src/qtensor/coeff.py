@@ -17,9 +17,9 @@ through it.  Linear functions hold no coefficients but one matrix entry
 per cell, the image of 1 or, out of T and R, the multiplier
 (``image_group``); ``hom_image`` and ``hom_of_image`` convert between an
 entry and its coefficient, and ``image_fit`` checks and reduces an image
-read off a section.  Composition, duals and the conjugation of bilinear
-cells work on values (``_compose_value``, ``_dual_value``), with no
-intermediate coefficient object.  Fitting
+read off a section.  Composition and duals work on values
+(``_compose_value``, ``_dual_value``), with no intermediate coefficient
+object.  Fitting
 quadratic coefficients to pointwise values on Z_k is closed-form too: the
 coefficients are read off one or two values and then checked against
 every point, so data that is not quadratic raises instead of fitting.
@@ -298,12 +298,6 @@ def hom2_apply(h: Hom2Coeff, g0, g1) -> Scalar:
     return hom_apply(HomCoeff(h.g1, h.target, inner), g1)
 
 
-def hom2_partial(h: Hom2Coeff, g0) -> HomCoeff:
-    """Partial evaluation b(g0, .) as a homomorphism G1 -> A."""
-    inner = hom_apply(h.as_outer_hom(), g0)
-    return HomCoeff(h.g1, h.target, inner)
-
-
 # ---------------------------------------------------------------------------
 # hom_2[G|A]: normalized quadratic functions
 
@@ -477,20 +471,6 @@ def linear_as_quad(h: HomCoeff) -> QuadCoeff:
     return QuadCoeff(G, A, 0, v)
 
 
-def quad_as_hom(q: QuadCoeff) -> HomCoeff:
-    """Extract the homomorphism a quadratic coefficient represents.
-
-    Only valid when the bilinear part vanishes; raises otherwise.
-    """
-    G, A = q.source, q.target
-    if not quad_to_bilinear(q).is_zero():
-        raise ValueError("quadratic coefficient is not linear")
-    if G.kind in ("Zk", "Z"):
-        return hom_from_image(G, A, quad_apply(q, 1))
-    # T and R sources store the hom directly in h1
-    return HomCoeff(G, A, q.h1)
-
-
 # ---------------------------------------------------------------------------
 # values of quadratic functions into T and R: generator values and multipliers
 
@@ -649,22 +629,6 @@ def _dual_value(H, G, A, v):
         return image if D1.kind == "Z" else _finite_coefficient(D1, D2, image)
     # D1 continuous: the dual acts by multiplication with the raw value
     return v
-
-
-def conjugate_cell(left: HomCoeff, mid: Hom2Coeff, right: HomCoeff) -> Hom2Coeff:
-    """Coefficient of the bilinear form (x, y) -> B(left x, right y).
-
-    It is left, then mid read as G0 -> hom[G1|A], then the dual of right,
-    composed on coefficient values."""
-    A = mid.target
-    if left.target != mid.g0 or right.target != mid.g1:
-        raise TagMismatch("conjugation tags do not line up")
-    H0, H1 = left.source, right.source
-    M, D2 = hom_group(mid.g1, A), hom_group(H1, A)
-    step1 = _composite(H0, mid.g0, M, left.value, mid.value)
-    dual_v = _dual_value(H1, mid.g1, A, right.value)
-    dual_v = hom_group(M, D2).normalize(0 if dual_v is None else dual_v)
-    return Hom2Coeff(H0, H1, A, _composite(H0, M, D2, step1, dual_v))
 
 
 # ---------------------------------------------------------------------------

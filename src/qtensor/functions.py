@@ -665,8 +665,8 @@ def _pullback(D: GroupProduct, H: GroupProduct, A, vec, mat, img, support, live,
             elif b == 0:
                 continue
             gl, sl = img[l], support[l]
-            # a float g_ki b_kl is reduced mod 1 first where coeff.conjugate_cell
-            # reduces it: into T with factors l and i generated
+            # a float g_ki b_kl is a coefficient of H_i -> hom[D_l|T], which is T
+            # itself when factors l and i are generated, so it is reduced mod 1 first
             wrap = isinstance(b, float) and is_generated(D[l], A)
             for i in support[k]:
                 gb = gk[i] * b

@@ -4,47 +4,43 @@ arbitrary products of elementary abelian groups, all realized as
 quadratic tensor data.
 
 The dual H* of an index group is materialized factorwise (Z_k <-> Z_k,
-R <-> R, T <-> Z, Z <-> T) so that the symplectic machinery is ordinary
-coefficient arithmetic.  Code states (and through them Clifford
-unitaries) come in closed form straight from the tableau for every
-index group; projectors and measurements assemble the unreduced tensor
-data and normalize through the generic reductions.
+R <-> R, T <-> Z, Z <-> T).  Every phase here is one quadratic function
+pulled back: the canonical pairing Omega(h, h*) = h*(h) on the phase
+space H x H*, whose only cells pair H_i with H_i*, built once per H.  A
+tableau holds its map sigma = (sigma_x; sigma_z): S -> H x H*, built
+once.  Its pairing (sigma_z s')(sigma_x s) is the cross block of Omega
+pulled back along sigma_x x sigma_z on S x S; the code state's phase is
+Omega o (sigma + (h0, 0)) - p, and the projector's is
+Omega(h + sigma_x s, sigma_z s) - p(s).  A Pauli operator's phase is
+Omega(h + h_shift, h*) and the symplectic form of the phase space is Omega
+itself.  Code states (and through them Clifford unitaries) come in closed
+form straight from the tableau for every index group; projectors and
+measurements assemble the unreduced tensor data and normalize through the
+generic reductions.
 
 Each object has one condition, checked once.  A tableau's is
-p^(2) = sigma_z^* J sigma_x, compared cell by cell with the pairing cells,
-which the constructions then reuse; p^(2) is symmetric, so the condition
-already gives sigma^* J sigma = 0.  Clifford data (alpha, u) is checked as
-its Choi tableau, whose pairing is alpha^* omega alpha - omega and whose
-code state is the unitary; the same symmetry gives alpha^* J alpha = J,
-so a non-symplectic alpha is a CocycleMismatch.  Qubit tableaux are read
-from Pauli strings: an optional sign + or -, then one letter of IXYZ per
-qubit, all strings of one length.
+p^(2) = sigma_z^* J sigma_x: the pairing block is compared with the cells
+of p^(2), each within its group's tolerance.  p^(2) is symmetric, so the
+condition already gives sigma^* J sigma = 0.  Clifford data (alpha, u) is
+checked as its Choi tableau, whose pairing is alpha^* omega alpha - omega
+and whose code state is the unitary; the same symmetry gives
+alpha^* J alpha = J, so a non-symplectic alpha is a CocycleMismatch.
+Qubit tableaux are read from Pauli strings: an optional sign + or -, then
+one letter of IXYZ per qubit, all strings of one length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coeff import (
-    Hom2Coeff,
-    HomCoeff,
-    QuadCoeff,
-    compose,
-    conjugate_cell,
-    dual,
-    hom2_zero,
-    hom_apply,
-    hom_of_image,
-    hom_zero,
-    linear_as_quad,
-    quad_as_hom,
-    quad_to_bilinear,
-)
+from .coeff import (Hom2Coeff, HomCoeff, QuadCoeff, cell_group, cell_of_value, hom_of_image,
+                    hom_zero, value_is_zero)
 from .engine import QTensorData, _extract_through_section, permute_legs, reduce_full, tensor_product
 from .functions import LinearFnData, QuadraticFnData, hom_data
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
@@ -90,14 +86,27 @@ def dual_product(H: GroupProduct) -> GroupProduct:
     return GroupProduct([dual_factor(f) for f in H])
 
 
-def pairing_cell(f) -> Hom2Coeff:
-    """The canonical pairing H_i x H_i* -> T as a bilinear coefficient."""
-    return Hom2Coeff(f, dual_factor(f), T, 1)
+@functools.lru_cache(maxsize=None)
+def _omega(H: GroupProduct) -> QuadraticFnData:
+    """The pairing Omega(h, h*) = h*(h) on H x H*: one cell per pair
+    (H_i, H_i*).  It is shared, so it is only ever read."""
+    n = len(H)
+    om = QuadraticFnData.zero(H * dual_product(H))
+    for i, f in enumerate(H):
+        om.set_cell("phi", i, n + i, Hom2Coeff(f, dual_factor(f), T, 1))
+    return om
 
 
-def character_apply(f, h, c) -> Scalar:
-    """Evaluate the character with dual coefficient c at h in the factor."""
-    return hom_apply(HomCoeff(f, T, c), h)
+def _block(*rows: Sequence[LinearFnData]) -> LinearFnData:
+    """The homomorphism whose block (r, c) is rows[r][c]: it maps the c-th
+    part of the domain into the r-th part of the codomain."""
+    dom = GroupProduct([f for g in rows[0] for f in g.domain])
+    cod = GroupProduct([f for row in rows for f in row[0].codomain])
+    img = [sum((g.img[i] for g in row), []) for row in rows for i in range(len(row[0].codomain))]
+    return LinearFnData.of_images(dom, cod, cod.identity(), img)
+
+
+_one, _zero = LinearFnData.identity, LinearFnData.zero
 
 
 # ---------------------------------------------------------------------------
@@ -122,56 +131,28 @@ def pauli_to_tensor(p: PauliLabel) -> QTensorData:
     """Tensor of e^{2 pi i alpha} rho(h, h') over (out, in) indices.
 
     The operator acts as (rho phi)(x) = e^{2 pi i h'(x)} phi(x - h), so the
-    entry at (e + h, e) carries the phase h'(e) + h'(h)."""
+    entry at (e + h, e) carries the phase alpha + Omega(e + h, h')."""
     H = p.H
-    n = len(H)
     G = H * H  # (output, input)
-    E = H
-    cells = [[HomCoeff(H[j], H[i % n], 1) if j == i % n else hom_zero(H[j], H[i % n])
-              for j in range(n)] for i in range(2 * n)]
-    eps0 = G.element(list(p.h) + [0] * n)
-    eps = LinearFnData(E, G, eps0, cells)
-    q = QuadraticFnData.zero(E)
-    extra = p.alpha
-    for i, f in enumerate(H):
-        q.phi1[i] = linear_as_quad(HomCoeff(f, T, p.hstar[i]))
-        extra = extra + character_apply(f, p.h[i], p.hstar[i])
-    q.phi0 = mod1(extra)
-    return QTensorData(G, E, eps, q)
+    eps = LinearFnData.of_images(H, G, G.element(list(p.h) + [0] * len(H)),
+                                 _block([_one(H)], [_one(H)]).img)
+    om = _omega(H).copy()
+    om.phi0 = p.alpha
+    q = om.precompose_affine(_block([_one(H)], [_zero(H, dual_product(H))]),
+                             p.h + tuple(p.hstar))
+    q.a0 = 0  # Omega has no a part, though its value at a float point has a0 = 0.0
+    return QTensorData(G, H, eps, q)
 
 
 def pauli_rep_tensor(H: GroupProduct) -> QTensorData:
-    """All Pauli operators as one tensor over (out, in, h, h*)."""
-    n = len(H)
+    """All Pauli operators as one tensor over (out, in, h, h*): the entry at
+    (e + h, e, h, h*) carries the phase Omega(e + h, h*)."""
     D = dual_product(H)
-    G = H * H * H * D
-    E = H * H * D
-    rows = []
-    for i in range(4 * n):
-        row = []
-        for j in range(3 * n):
-            val = 0
-            # output row: h_i + h
-            if i < n and (j == i or j == n + i):
-                val = 1
-            # input row: h_i
-            elif n <= i < 2 * n and j == i - n:
-                val = 1
-            # shift index row
-            elif 2 * n <= i < 3 * n and j == i - n:
-                val = 1
-            # dual index row
-            elif 3 * n <= i and j == i - n:
-                val = 1
-            row.append(HomCoeff(E[j], G[i], val) if val else hom_zero(E[j], G[i]))
-        rows.append(row)
-    eps = LinearFnData(E, G, G.identity(), rows)
-    q = QuadraticFnData.zero(E)
-    for m in range(n):
-        # h'(h_i) and h'(h) couplings
-        q.set_cell("phi", m, 2 * n + m, pairing_cell(H[m]))
-        q.set_cell("phi", n + m, 2 * n + m, pairing_cell(H[m]))
-    return QTensorData(G, E, eps, q)
+    one, zh, zd = _one(H), _zero(H, H), _zero(D, H)
+    dual = [_zero(H, D), _zero(H, D), _one(D)]
+    eps = _block([one, one, zd], [one, zh, zd], [zh, one, zd], dual)
+    q = _omega(H).precompose(_block([one, one, zd], dual))
+    return QTensorData(H * H * H * D, H * H * D, eps, q)
 
 
 # ---------------------------------------------------------------------------
@@ -192,56 +173,49 @@ class StabTableau:
         assert len(self.sigma_z) == n and all(len(r) == m for r in self.sigma_z)
         assert self.p.domain == self.S
 
-    def sigma_pair_cell(self, a: int, b: int) -> Hom2Coeff:
-        """(sigma_z s_b)(sigma_x s_a) as a bilinear coefficient on S_a x S_b."""
-        acc = hom2_zero(self.S[a], self.S[b], T)
-        for i, f in enumerate(self.H):
-            x, z = self.sigma_x[i][a], self.sigma_z[i][b]
-            if x.is_zero() or z.is_zero():
-                continue
-            acc = acc + conjugate_cell(x, pairing_cell(f), z)
-        return acc
+    @functools.cached_property
+    def maps(self) -> Tuple[LinearFnData, LinearFnData, LinearFnData]:
+        """sigma_x: S -> H, sigma_z: S -> H* and sigma = (sigma_x; sigma_z),
+        built from the cells on first use."""
+        sx = hom_data(self.S, self.H, self.sigma_x)
+        sz = hom_data(self.S, dual_product(self.H), self.sigma_z)
+        return sx, sz, _block([sx], [sz])
 
-    def validate(self) -> List[List[Hom2Coeff]]:
-        """Check the tableau condition and that sigma is injective; return
-        the pairing cells sigma_pair_cell(a, b) as an m x m list."""
-        cells = self._condition(ConditionViolation, "tableau condition")
+    def validate(self) -> None:
+        """Check the tableau condition and that sigma is injective."""
+        self._condition(ConditionViolation, "tableau condition")
         self._check_injective()
-        return cells
 
-    def _condition(self, error, what: str) -> List[List[Hom2Coeff]]:
-        """The pairing cells, each compared once with the cell of p^(2).
+    def _condition(self, error, what: str) -> None:
+        """Compare each cell (a, b) of p^(2) with the pairing
+        (sigma_z s_b)(sigma_x s_a), the cross block of Omega pulled back
+        along sigma_x x sigma_z on S x S, within the cell's tolerance.
 
         p^(2) is symmetric: its cell (b, a) is the transpose of its cell
-        (a, b), over the same coefficient group.  So the condition at (a, b)
-        and at (b, a) already makes the pairing symmetric, sigma^* J sigma = 0.
+        (a, b), over the same group.  So the condition at (a, b) and at
+        (b, a) already makes the pairing symmetric, sigma^* J sigma = 0.
         """
-        m = len(self.S)
-        cells = [[self.sigma_pair_cell(a, b) for b in range(m)] for a in range(m)]
+        S, m = self.S, len(self.S)
+        sx, sz, _ = self.maps
+        H, D = sx.codomain, sz.codomain
+        pair = _omega(H).precompose(_block([sx, _zero(S, H)], [_zero(S, D), sz])).mat["phi"]
         for a in range(m):
             for b in range(m):
-                want, got = cells[a][b], self.p.cell("phi", a, b)
-                grp = want.group
-                if not grp.eq(grp.normalize(got.value), want.value):
-                    raise error(f"{what} fails at cell ({a},{b}): "
-                                f"{got.value} != {want.value}")
-        return cells
+                got, want = self.p.mat["phi"][a][b], pair[a][m + b]
+                if not cell_group(S[a], S[b], T).eq(got, want):
+                    got, want = (cell_of_value(S[a], S[b], T, v).value for v in (got, want))
+                    raise error(f"{what} fails at cell ({a},{b}): {got} != {want}")
 
     def _check_injective(self) -> None:
-        D = dual_product(self.H)
-        cod = self.H * D
-        cells = [self.sigma_x[i] for i in range(len(self.H))] + [
-            self.sigma_z[i] for i in range(len(self.H))
-        ]
-        sigma = hom_data(self.S, cod, cells)
         try:
-            pres = kernel_of_hom(sigma)
+            pres = kernel_of_hom(self.maps[2])
         except UnsupportedKernel:
             return  # injectivity not checkable in this class; constructions guard
         if len(pres.group) and any(
             f.kind != "Zk" or f.k > 1 for f in pres.group
         ):
             raise ConditionViolation("sigma is not injective")
+
 
 def qubit_tableau(strings: Sequence[str]) -> StabTableau:
     """Tableau from signed qubit Pauli strings like "+XZZXI" or "-Y".
@@ -300,86 +274,28 @@ def css_tableau(Sx: GroupProduct, Sz: GroupProduct, sigma_x_cells, sigma_z_cells
     return tab
 
 
-def _sigma_quadratic(S: GroupProduct, cells) -> QuadraticFnData:
-    """The normalized quadratic function w(s) = (sigma_z s)(sigma_x s) from
-    the pairing cells of a tableau with stabilizer group S."""
-    from .coeff import lam
+def _unreduced_projector(tab: StabTableau) -> QTensorData:
+    """Projector data before reduction: E = H x S, entries from R(s).
 
-    m = len(S)
-    w = QuadraticFnData.zero(S)
-    for a in range(m):
-        cell = cells[a][a]
-        if not cell.is_zero():
-            w.phi1[a] = w.phi1[a] + lam(cell)
-        for b in range(a + 1, m):
-            c = cells[a][b] + cells[b][a].transpose()
-            if not c.is_zero():
-                w.set_cell("phi", a, b, w.cell("phi", a, b) + c)
-    return w
-
-
-def _unreduced_projector(tab: StabTableau, cells) -> QTensorData:
-    """Projector data before reduction: E = H x S, entries from R(s), with
-    the tableau's pairing cells.
-
-    <h_o| R(s) |h_i> = e^{2 pi i (-p(s) + (sigma_z s)(h_i) + (sigma_z s)(sigma_x s))}
+    <h_o| R(s) |h_i> = e^{2 pi i (Omega(h_i + sigma_x s, sigma_z s) - p(s))}
     at h_o = h_i + sigma_x s.
     """
     H, S = tab.H, tab.S
-    n, m = len(H), len(S)
-    G = H * H  # (out, in)
-    E = H * S
-    rows = []
-    for i in range(2 * n):
-        row = []
-        for j in range(n + m):
-            tgt = G[i]
-            if i < n:
-                if j == i:
-                    row.append(HomCoeff(E[j], tgt, 1))
-                elif j >= n:
-                    row.append(tab.sigma_x[i][j - n])
-                else:
-                    row.append(hom_zero(E[j], tgt))
-            else:
-                if j == i - n:
-                    row.append(HomCoeff(E[j], tgt, 1))
-                else:
-                    row.append(hom_zero(E[j], tgt))
-        rows.append(row)
-    eps = LinearFnData(E, G, G.identity(), rows)
-    q = QuadraticFnData.zero(E)
-    # phase (sigma_z s)(h_i) as cells between H part and S part
-    for i, f in enumerate(H):
-        for b in range(m):
-            zc = tab.sigma_z[i][b]
-            if zc.is_zero():
-                continue
-            cell = conjugate_cell(HomCoeff(f, f, 1), pairing_cell(f), zc)
-            q.set_cell("phi", i, n + b, q.cell("phi", i, n + b) + cell)
-    # phase w(s) - p(s) on the S part
-    sq = _sigma_quadratic(S, cells) + (-tab.p)
-    for b in range(m):
-        q.phi1[n + b] = q.phi1[n + b] + sq.phi1[b]
-    for (a, b), c in sq.phi2.items():
-        q.set_cell("phi", n + a, n + b, q.cell("phi", n + a, n + b) + c)
-    t = QTensorData(G, E, eps, q)
-    if S.finite:
-        t.mul_sqrt(Fraction(1, S.order * S.order))
-    else:
+    if not S.finite:
         raise UnsupportedKernel("projector needs a finite stabilizer group")
+    sx, sz, _ = tab.maps
+    top = [_one(H), sx]
+    eps = _block(top, [_one(H), _zero(S, H)])
+    q = (_omega(H).precompose(_block(top, [_zero(H, sz.codomain), sz]))
+         - QuadraticFnData.zero(H).direct_sum(tab.p))
+    t = QTensorData(H * H, H * S, eps, q)  # G = (out, in)
+    t.mul_sqrt(Fraction(1, S.order * S.order))
     return t
 
 
 def stab_projector(tab: StabTableau) -> QTensorData:
-    return reduce_full(_unreduced_projector(tab, tab.validate()))
-
-
-def _dual_hom_matrix(rows_cells, K: GroupProduct, H: GroupProduct) -> LinearFnData:
-    """Matrix of kappa^* sigma_z^*: H -> K^* from sigma_z compose kappa."""
-    Dk = dual_product(K)
-    cells = [[dual(rows_cells[i][q], T) for i in range(len(H))] for q in range(len(K))]
-    return hom_data(H, Dk, [[cells[q][i] for i in range(len(H))] for q in range(len(K))])
+    tab.validate()
+    return reduce_full(_unreduced_projector(tab))
 
 
 def stab_state(tab: StabTableau) -> QTensorData:
@@ -387,61 +303,48 @@ def stab_state(tab: StabTableau) -> QTensorData:
 
     With K_x = ker(sigma_x) and h0 solving kappa_x^* sigma_z^* h0 = p o kappa_x,
     the state lives on E = S / K_x with eps(s) = h0 + sigma_x s and
-    q(s) = (sigma_z s)(h0) + (sigma_z s)(sigma_x s) - p(s).  The cost is
+    q(s) = Omega(sigma_x s + h0, sigma_z s) - p(s)
+         = (sigma_z s)(h0) + (sigma_z s)(sigma_x s) - p(s).  The cost is
     polynomial in the number of factors.  eps is injective, so for finite
     groups the state has unit norm with exact mag2 = |K_x| / |S|, and its
     amplitude at eps0 = h0 is real and positive.  A complete tableau fixes
     the state up to a global phase; an incomplete one yields a unit code
     state, one among many.
     """
-    return _code_state(tab, tab.validate())
+    tab.validate()
+    return _code_state(tab)
 
 
-def _code_state(tab: StabTableau, cells) -> QTensorData:
+def _code_state(tab: StabTableau) -> QTensorData:
     """stab_state of a tableau whose condition holds and whose sigma is
-    injective, from its pairing cells."""
+    injective."""
     H, S = tab.H, tab.S
-    n, m = len(H), len(S)
-    sx = hom_data(S, H, tab.sigma_x)
+    sx, sz, sigma = tab.maps
     pres = kernel_of_hom(sx)
     Kx, kx = pres.group, pres.inclusion
-    # sigma_z compose kappa_x, then dualize to get kappa_x^* sigma_z^*
-    sz = hom_data(S, dual_product(H), tab.sigma_z)
-    szkx = sz.compose_hom(kx)
-    Hd = dual_product(H)
-    M = _dual_hom_matrix([[hom_of_image(Kx[q], Hd[i], szkx.img[i][q]) for q in range(len(Kx))]
-                          for i in range(n)], Kx, H)
-    pkx = tab.p.precompose(kx)
-    target_vals = []
-    for q in range(len(Kx)):
-        if not quad_to_bilinear(pkx.phi1[q]).is_zero():
+    h0 = H.identity()
+    if len(Kx):
+        # kappa_x^* sigma_z^* h0 is the pairing of H with K_x, curried: the
+        # cross cells of Omega pulled back along 1_H x sigma_z kappa_x
+        n, D = len(H), sz.codomain
+        pair = _omega(H).precompose(_block([_one(H), _zero(Kx, H)],
+                                           [_zero(H, D), sz.compose_hom(kx)]))
+        M = hom_data(H, dual_product(Kx), [[pair.cell("phi", i, n + c).as_outer_hom()
+                                            for i in range(n)] for c in range(len(Kx))])
+        pkx = tab.p.precompose(kx)
+        if not all(value_is_zero(cell_group(f, f, T), pkx.mat["phi"][c][c])
+                   for c, f in enumerate(Kx)):
             raise ConditionViolation("p restricted to kernel(sigma_x) is not linear")
-        target_vals.append(quad_as_hom(pkx.phi1[q]).value)
-    Dk = dual_product(Kx)
-    h0 = solve_hom(M, Dk.element(target_vals)) if len(Kx) else tuple(
-        H.identity()
-    )
-    if h0 is None:
-        raise UnsolvableOffset("no h0 solves kappa_x^* sigma_z^* h0 = p o kappa_x")
-    h0 = H.element(h0)
+        h0 = solve_hom(M, tuple(hom_of_image(f, T, v).value
+                                for f, v in zip(Kx, pkx.vec["phi"])))
+        if h0 is None:
+            raise UnsolvableOffset("no h0 solves kappa_x^* sigma_z^* h0 = p o kappa_x")
+        h0 = H.element(h0)
     qpres = quotient_by_subgroup(S, kx)
-    Q = qpres.group
-    # q over S: (sigma_z^*(h0) - p + w)(s), eps over S: sigma_x offset by h0
-    qS = _sigma_quadratic(S, cells) + (-tab.p)
-    for b in range(m):
-        acc = hom_zero(S[b], T)
-        for i, f in enumerate(H):
-            zc = tab.sigma_z[i][b]
-            if zc.is_zero():
-                continue
-            # character (sigma_z s)(h0): compose sigma_z cell with ev at h0
-            ev = HomCoeff(dual_factor(f), T, h0[i])
-            acc = acc + compose(zc, ev)
-        if not acc.is_zero():
-            qS.phi1[b] = qS.phi1[b] + linear_as_quad(acc)
-    epsS = LinearFnData(S, H, h0, tab.sigma_x)
-    q_new, eps_new = _extract_through_section(S, Q, qpres.lift, qS, epsS)
-    t = QTensorData(H, Q, eps_new, q_new, 0, Fraction(1))
+    qS = _omega(H).precompose_affine(sigma, h0 + sz.codomain.identity()) - tab.p
+    epsS = LinearFnData.of_images(S, H, h0, sx.img)
+    q_new, eps_new = _extract_through_section(S, qpres.group, qpres.lift, qS, epsS)
+    t = QTensorData(H, qpres.group, eps_new, q_new, 0, Fraction(1))
     if S.finite and Kx.finite:
         t.mul_sqrt(Fraction(Kx.order, S.order))
     else:
@@ -453,16 +356,17 @@ def pauli_measurement(tab: StabTableau) -> QTensorData:
     """Syndrome POVM as a 3-index tensor over (out, in, syndrome): the
     unreduced projector data times the identity on S*, with the syndrome
     phase u(s) pairing each S factor with its dual."""
-    cells = tab.validate()
+    tab.validate()
     H, S = tab.H, tab.S
     if not (H.finite and S.finite):
         raise UnsupportedKernel("measurement tensor needs finite groups")
     n, m = len(H), len(S)
     Ds = dual_product(S)
-    t = tensor_product(_unreduced_projector(tab, cells),
-                       QTensorData(Ds, Ds, LinearFnData.identity(Ds), QuadraticFnData.zero(Ds)))
+    t = tensor_product(_unreduced_projector(tab),
+                       QTensorData(Ds, Ds, _one(Ds), QuadraticFnData.zero(Ds)))
+    pair = _omega(S).mat["phi"]
     for b in range(m):
-        t.q.set_cell("phi", n + b, n + m + b, pairing_cell(S[b]))
+        t.q.add_to_cell("phi", n + b, n + m + b, pair[b][m + b])
     return reduce_full(t)
 
 
@@ -489,17 +393,45 @@ class CliffordData:
         return self.alpha_hom()(xi)
 
 
+def clifford_data(H: GroupProduct, rows, terms=(), cells=()) -> CliffordData:
+    """Clifford data on H with integer alpha rows over H x H*, the quadratic
+    terms (i, h2) of u and its bilinear cells (i, j, value), i < j."""
+    P = H * dual_product(H)
+    alpha = [[HomCoeff(P[j], P[i], v) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    u = QuadraticFnData.zero(P)
+    for i, h2 in terms:
+        u.phi1[i] = QuadCoeff(P[i], T, h2, 0)
+    for i, j, v in cells:
+        u.set_cell("phi", i, j, Hom2Coeff(P[i], P[j], T, v))
+    return CliffordData(H, alpha, u)
+
+
+# the named qubit gates: alpha rows, u terms and u cells
+QUBIT_GATES: Dict[str, tuple] = {
+    "I": ([[1, 0], [0, 1]], (), ()),
+    "H": ([[0, 1], [1, 0]], (), [(0, 1, 1)]),
+    "S": ([[1, 0], [1, 1]], [(0, 1)], ()),
+    "CX": ([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], (), ()),
+    "CZ": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]], (), [(0, 1, 1)]),
+}
+
+
+def qubit_clifford(name: str) -> CliffordData:
+    """Clifford data of a named qubit gate in ``QUBIT_GATES``: I, H or S on
+    one qubit, CX or CZ on two."""
+    rows = QUBIT_GATES[name][0]
+    return clifford_data(GroupProduct([Zk(2)] * (len(rows) // 2)), *QUBIT_GATES[name])
+
+
 def phase_space_omega(H: GroupProduct, x: GroupElement, y: GroupElement) -> Scalar:
+    """Omega(x_h, y_h*): the h* part of y paired with the h part of x."""
     n = len(H)
-    acc = 0
-    for m in range(n):
-        acc = acc + character_apply(H[m], x[m], y[n + m])
-    return mod1(acc)
+    return _omega(H).eval(tuple(x[:n]) + tuple(y[n:]))[1]
 
 
-def _choi_tableau(c: CliffordData) -> Tuple[StabTableau, List[List[Hom2Coeff]]]:
+def _choi_tableau(c: CliffordData) -> StabTableau:
     """The complete tableau over H(in) x H(out) whose code state is the Choi
-    state of ``c``, and its pairing cells, checked against u^(2).
+    state of ``c``, with its condition checked against u^(2).
 
     S is the phase space, sigma_x = (1 0; alpha_x), sigma_z = (0 -1; alpha_z)
     and p = u.  The pairing is then alpha^* omega alpha - omega, so the
@@ -516,7 +448,8 @@ def _choi_tableau(c: CliffordData) -> Tuple[StabTableau, List[List[Hom2Coeff]]]:
            else hom_zero(S[j], dual_factor(Hc[i])) for j in range(2 * n)]
           for i in range(n)] + c.alpha[n:]
     tab = StabTableau(Hc, S, sx, sz, c.u)
-    return tab, tab._condition(CocycleMismatch, "u^(2) = alpha^* omega alpha - omega")
+    tab._condition(CocycleMismatch, "u^(2) = alpha^* omega alpha - omega")
+    return tab
 
 
 def clifford_check(c: CliffordData) -> None:
@@ -536,35 +469,18 @@ def clifford_compose(cp: CliffordData, c: CliffordData) -> CliffordData:
     """Data of the product: apply ``c`` first, then ``cp``."""
     if cp.H != c.H:
         raise SpaceMismatch(f"cannot compose Clifford data on {c.H} and {cp.H}")
-    P = c.phase_space
-    n2 = len(P)
-    alpha = [
-        [
-            _sum_cells(P[j], P[i],
-                       [compose(c.alpha[k][j], cp.alpha[i][k]) for k in range(n2)])
-            for j in range(n2)
-        ]
-        for i in range(n2)
-    ]
-    u = c.u + cp.u.precompose(c.alpha_hom())
-    out = CliffordData(c.H, alpha, u)
+    a = c.alpha_hom()
+    alpha = cp.alpha_hom().compose_hom(a)
+    out = CliffordData(c.H, [list(row) for row in alpha.eps1], c.u + cp.u.precompose(a))
     clifford_check(out)
     return out
 
 
-def _sum_cells(src, tgt, cells):
-    acc = hom_zero(src, tgt)
-    for x in cells:
-        acc = acc + x
-    return acc
-
-
 def clifford_to_tensor(c: CliffordData) -> QTensorData:
     """The Clifford unitary as a tensor over (out, in), unit-normalized."""
-    tab, cells = _choi_tableau(c)
-    # the Choi tableau's condition is the Clifford condition, checked above;
+    # the Choi tableau's condition is the Clifford condition, checked here;
     # its sigma holds (s_x, -s_z) as rows, so it is injective
-    state = _code_state(tab, cells)
+    state = _code_state(_choi_tableau(c))
     H = c.H
     n = len(H)
     # reorder (in, out) -> (out, in)

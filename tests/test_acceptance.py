@@ -385,9 +385,9 @@ def mat_dagger(A):
 
 
 def test_criterion_6_clifford_conversion():
-    from tests_clifford_data import cx_data, cz_data, hadamard_data, s_gate_data
+    from qtensor.stab import qubit_clifford
 
-    h, s = hadamard_data(), s_gate_data()
+    h, s = qubit_clifford("H"), qubit_clifford("S")
     # generate the single-qubit Clifford group from H and S data
     seen = {}
 
@@ -443,7 +443,7 @@ def test_criterion_6_clifford_conversion():
             ok = False
             notes.append("single-qubit conjugation mismatch")
             break
-    for c in (cx_data(), cz_data()):
+    for c in (qubit_clifford("CX"), qubit_clifford("CZ")):
         if not conjugation_exact(c, H2):
             ok = False
             notes.append("two-qubit conjugation mismatch")

@@ -21,7 +21,7 @@ from qtensor.net import (
     run_contract,
     verify_against_dense,
 )
-from qtensor.stab import clifford_identity
+from qtensor.stab import clifford_identity, qubit_tableau, stab_state
 
 BELL = """
 wire q0: Z2
@@ -346,6 +346,11 @@ def test_cli_usage_errors(tmp_path):
         assert r.stderr.startswith("error:")
 
 
+_CLIFFORD = jsonio.dumps(clifford_identity(parse_product("Z2")))
+_TABLEAU = jsonio.dumps(qubit_tableau(["+X"]))
+_STATE = jsonio.dumps(stab_state(qubit_tableau(["+X"])))
+
+
 @pytest.mark.parametrize("args, text", [
     # a wire whose group signature names no group
     (("contract",), "wire a: Q2\nopen a\n"),
@@ -363,8 +368,17 @@ def test_cli_usage_errors(tmp_path):
     (("fermion", "eval"), json.dumps(
         {"type": "fermion", "n": 2, "l": 0, "eps1": [[7, [0, 0]], [[0, 0], [1, 0]]],
          "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
+    # payloads of the wrong type: Clifford data or a state where a tableau
+    # is expected, a tableau or a state where Clifford data is
+    (("stab", "state"), _CLIFFORD),
+    (("stab", "state"), _STATE),
+    (("stab", "projector"), _CLIFFORD),
+    (("stab", "projector"), _STATE),
+    (("clifford", "compose"), _TABLEAU),
+    (("clifford", "compose", "H"), _STATE),
 ], ids=["bad_group", "mismatched_clifford", "ragged_fermion", "untyped_payload",
-        "scalar_complex_cell"])
+        "scalar_complex_cell", "state_of_clifford", "state_of_state", "projector_of_clifford",
+        "projector_of_state", "compose_tableau", "compose_h_and_state"])
 def test_cli_invalid_input_exits_2(tmp_path, args, text):
     extra = ()
     if text is not None:

@@ -28,6 +28,7 @@ from qtensor.stab import (
     StabTableau,
     clifford_check,
     clifford_compose,
+    clifford_data,
     clifford_identity,
     clifford_to_tensor,
     css_tableau,
@@ -36,6 +37,7 @@ from qtensor.stab import (
     pauli_rep_tensor,
     pauli_to_tensor,
     phase_space_omega,
+    qubit_clifford,
     qubit_tableau,
     rotor_tableau,
     stab_projector,
@@ -283,31 +285,9 @@ def test_pauli_measurement_z_and_x():
         assert np.max(np.abs(P0 - np.outer(v, v.conj()))) < 1e-9, gen
 
 
-def hadamard_data() -> CliffordData:
-    H = parse_product("Z2")
-    P = H * dual_product(H)
-    alpha = [[HomCoeff(P[1], P[0], 1) if j == 1 else HomCoeff(P[0], P[0], 0)
-              for j in range(2)],
-             [HomCoeff(P[0], P[1], 1) if j == 0 else HomCoeff(P[1], P[1], 0)
-              for j in range(2)]]
-    u = QuadraticFnData.zero(P)
-    u.set_cell("phi", 0, 1, Hom2Coeff(P[0], P[1], T, 1))
-    return CliffordData(H, alpha, u)
-
-
-def s_gate_data() -> CliffordData:
-    H = parse_product("Z2")
-    P = H * dual_product(H)
-    alpha = [[HomCoeff(P[0], P[0], 1), HomCoeff(P[1], P[0], 0)],
-             [HomCoeff(P[0], P[1], 1), HomCoeff(P[1], P[1], 1)]]
-    u = QuadraticFnData.zero(P)
-    u.phi1[0] = QuadCoeff(Zk(2), T, 1, 0)
-    return CliffordData(H, alpha, u)
-
-
 def test_clifford_check_examples():
-    clifford_check(hadamard_data())
-    clifford_check(s_gate_data())
+    clifford_check(qubit_clifford("H"))
+    clifford_check(qubit_clifford("S"))
     bad = clifford_identity(parse_product("Z2"))
     bad.u.set_cell("phi", 0, 1, Hom2Coeff(Zk(2), Zk(2), T, 1))
     with pytest.raises(CocycleMismatch):
@@ -328,19 +308,19 @@ def test_clifford_check_examples():
 
 
 def test_clifford_to_tensor_h_s():
-    Hm = materialize_matrix(clifford_to_tensor(hadamard_data()), 1)
+    Hm = materialize_matrix(clifford_to_tensor(qubit_clifford("H")), 1)
     want = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     assert up_to_phase(want.reshape(-1), Hm.reshape(-1))
-    Sm = materialize_matrix(clifford_to_tensor(s_gate_data()), 1)
+    Sm = materialize_matrix(clifford_to_tensor(qubit_clifford("S")), 1)
     assert up_to_phase(np.diag([1, 1j]).reshape(-1), Sm.reshape(-1))
 
 
 def test_clifford_compose_hh_ss():
-    h = hadamard_data()
+    h = qubit_clifford("H")
     hh = clifford_compose(h, h)
     Um = materialize_matrix(clifford_to_tensor(hh), 1)
     assert up_to_phase(I2.reshape(-1), Um.reshape(-1))
-    s = s_gate_data()
+    s = qubit_clifford("S")
     ss = clifford_compose(s, s)
     Um = materialize_matrix(clifford_to_tensor(ss), 1)
     assert up_to_phase(Zm.reshape(-1), Um.reshape(-1))
@@ -348,7 +328,7 @@ def test_clifford_compose_hh_ss():
 
 def test_clifford_conjugation_action():
     # U rho(xi) U^dag = e^{-2 pi i u(xi)} rho(alpha xi) densely
-    for data in (hadamard_data(), s_gate_data()):
+    for data in (qubit_clifford("H"), qubit_clifford("S")):
         U = materialize_matrix(clifford_to_tensor(data), 1)
         H = data.H
         P = data.phase_space
@@ -364,21 +344,8 @@ def test_clifford_conjugation_action():
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def cx_data() -> CliffordData:
-    H = parse_product("Z2,Z2")
-    P = H * dual_product(H)
-    rows = [
-        [1, 0, 0, 0],
-        [1, 1, 0, 0],
-        [0, 0, 1, 1],
-        [0, 0, 0, 1],
-    ]
-    alpha = [[HomCoeff(P[j], P[i], rows[i][j]) for j in range(4)] for i in range(4)]
-    return CliffordData(H, alpha, QuadraticFnData.zero(P))
-
-
 def test_cx_clifford():
-    c = cx_data()
+    c = qubit_clifford("CX")
     clifford_check(c)
     U = materialize_matrix(clifford_to_tensor(c), 2)
     CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -388,7 +355,7 @@ def test_cx_clifford():
 
 def test_clifford_compose_random_vs_dense():
     rng = random.Random(9)
-    h, s = hadamard_data(), s_gate_data()
+    h, s = qubit_clifford("H"), qubit_clifford("S")
     pool = [h, s, clifford_identity(parse_product("Z2"))]
     # grow a few words
     for _ in range(12):
@@ -402,32 +369,32 @@ def test_clifford_compose_random_vs_dense():
 
 
 def test_each_pairing_cell_is_computed_once(monkeypatch):
-    """stab_state, stab_projector and pauli_measurement compute the m x m
-    pairing cells once; clifford_to_tensor computes its (2n)^2 cells once
-    and one kernel, that of the code state."""
-    calls = {"cell": 0, "kernel": 0}
-    cell, kernel = StabTableau.sigma_pair_cell, stab.kernel_of_hom
+    """stab_state, stab_projector and pauli_measurement pull the pairing
+    back onto S x S once, in the tableau check; clifford_to_tensor pulls
+    back its (2n)^2 cells once and takes one kernel, that of the code state."""
+    calls = {"pairing": 0, "kernel": 0}
+    condition, kernel = StabTableau._condition, stab.kernel_of_hom
 
-    def counted_cell(self, a, b):
-        calls["cell"] += 1
-        return cell(self, a, b)
+    def counted_condition(self, *args):
+        calls["pairing"] += 1
+        return condition(self, *args)
 
     def counted_kernel(h):
         calls["kernel"] += 1
         return kernel(h)
 
-    monkeypatch.setattr(StabTableau, "sigma_pair_cell", counted_cell)
+    monkeypatch.setattr(StabTableau, "_condition", counted_condition)
     monkeypatch.setattr(stab, "kernel_of_hom", counted_kernel)
     for gens in (["+XX", "+ZZ"], FIVE_QUBIT, STEANE):
         tab = qubit_tableau(gens)
         for fn in (stab_state, stab_projector, pauli_measurement):
-            calls["cell"] = 0
+            calls["pairing"] = 0
             fn(tab)
-            assert calls["cell"] == len(gens) ** 2, (fn.__name__, gens)
-    for c in (hadamard_data(), cx_data()):
-        calls["cell"] = calls["kernel"] = 0
+            assert calls["pairing"] == 1, (fn.__name__, gens)
+    for c in (qubit_clifford("H"), qubit_clifford("CX")):
+        calls["pairing"] = calls["kernel"] = 0
         clifford_to_tensor(c)
-        assert calls["cell"] == len(c.phase_space) ** 2
+        assert calls["pairing"] == 1
         assert calls["kernel"] == 1
 
 
@@ -453,18 +420,54 @@ def pinned_tableaux() -> dict:
 
 
 def pinned_cliffords() -> dict:
-    from tests_clifford_data import cz_data
-
-    h, s, cx, cz = hadamard_data(), s_gate_data(), cx_data(), cz_data()
+    h, s, cx, cz = qubit_clifford("H"), qubit_clifford("S"), qubit_clifford("CX"), qubit_clifford("CZ")
     return {"H": h, "S": s, "CX": cx, "CZ": cz, "HH": clifford_compose(h, h),
             "SS": clifford_compose(s, s), "HS": clifford_compose(h, s),
             "SH": clifford_compose(s, h), "CX_CZ": clifford_compose(cx, cz)}
 
 
+def pinned_qudit_cliffords() -> dict:
+    """The Z3 Fourier and phase gates, the two-qudit Z3 sum gate, and some
+    of their products."""
+    f = clifford_data(parse_product("Z3"), [[0, 2], [1, 0]], cells=[(0, 1, 2)])
+    p = clifford_data(parse_product("Z3"), [[1, 0], [1, 1]], terms=[(0, 1)])
+    csum = clifford_data(parse_product("Z3,Z3"),
+                         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+    return {"Z3_F": f, "Z3_P": p, "Z3_CSUM": csum, "Z3_FF": clifford_compose(f, f),
+            "Z3_FP": clifford_compose(f, p), "Z3_PF": clifford_compose(p, f),
+            "Z3_CSUM_CSUM": clifford_compose(csum, csum)}
+
+
+def pinned_paulis() -> dict:
+    """Pauli labels over Z3 (every (h, h*) and one phase) and over Z2 x Z4."""
+    Z3, Z24 = parse_product("Z3"), parse_product("Z2,Z4")
+    out = {f"Z3/{h},{hs}": PauliLabel(Z3, [h], [hs]) for h in range(3) for hs in range(3)}
+    out["Z3/1,2,alpha"] = PauliLabel(Z3, [1], [2], Fraction(1, 6))
+    for h, hs in (([1, 0], [0, 0]), ([0, 3], [1, 1]), ([1, 2], [1, 3]), ([1, 1], [0, 2])):
+        out[f"Z2,Z4/{h},{hs}"] = PauliLabel(Z24, h, hs)
+    out["Z2,Z4/1,3,1,1,alpha"] = PauliLabel(Z24, [1, 3], [1, 1], Fraction(3, 8))
+    return out
+
+
+def omega_box() -> dict:
+    """phase_space_omega(H, x, y) for x, y on a box of phase-space points."""
+    out = {}
+    for sig, box in (("Z3", [range(3)] * 2), ("Z2,Z4", [range(2), range(3)] * 2),
+                     ("Z,T", [[1, -2], [Fraction(1, 3), Fraction(3, 4)],
+                              [Fraction(1, 2), Fraction(2, 3)], [1, 3]])):
+        H = parse_product(sig)
+        P = H * dual_product(H)
+        pts = [P.element(list(x)) for x in product(*box)]
+        out[sig] = [str(phase_space_omega(H, x, y)) for x in pts for y in pts]
+    return out
+
+
 def stab_outputs() -> dict:
     """The JSON of every stab_state, stab_projector and pauli_measurement of
-    the pinned tableaux (or the name of the error it raises), and of
-    clifford_to_tensor on the pinned Clifford data.
+    the pinned tableaux (or the name of the error it raises), of
+    clifford_to_tensor on the pinned Clifford data, of the qudit Clifford
+    products, of pauli_to_tensor and pauli_rep_tensor over Z3 and Z2 x Z4,
+    and the phase_space_omega values of ``omega_box``.
 
     After a change that alters these outputs on purpose, rewrite the pinned
     file from the repository root with
@@ -484,6 +487,15 @@ def stab_outputs() -> dict:
                 out[f"{fn.__name__}/{name}"] = type(exc).__name__
     for name, c in pinned_cliffords().items():
         out[f"clifford_to_tensor/{name}"] = json.loads(jsonio.dumps(clifford_to_tensor(c)))
+    for name, c in pinned_qudit_cliffords().items():
+        out[f"clifford_compose/{name}"] = json.loads(jsonio.dumps(c))
+        out[f"clifford_to_tensor/{name}"] = json.loads(jsonio.dumps(clifford_to_tensor(c)))
+    for name, label in pinned_paulis().items():
+        out[f"pauli_to_tensor/{name}"] = json.loads(jsonio.dumps(pauli_to_tensor(label)))
+    for sig in ("Z3", "Z2,Z4"):
+        out[f"pauli_rep_tensor/{sig}"] = json.loads(jsonio.dumps(pauli_rep_tensor(parse_product(sig))))
+    for sig, values in omega_box().items():
+        out[f"phase_space_omega/{sig}"] = values
     return out
 
 
