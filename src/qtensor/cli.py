@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, invalid
-network, tableau or Clifford data, or a payload of the wrong type,
-3 unsupported case (kernel class, divergent data, or a dense evaluation
-past its size limit).
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, an input
+that cannot be read, or any error derived from ``errors.InvalidInput``
+(a malformed network or payload, data that breaks its conditions, a bad
+argument), 3 any error derived from ``errors.Unsupported`` (a kernel
+class, divergent data, or a dense evaluation past its size limit).  The
+class that is raised decides the code; nothing here lists error classes.
 """
 
 from __future__ import annotations
@@ -15,30 +17,15 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .dense import DivergentPrefactor, InfiniteGroupError, TooLargeError, materialize
-from .engine import NotIntegrable, NotInvertible
-from .fermion import FermionTensorData, NontrivialEmbedding, SingularBlock, fermion_entry
-from .groups import BadSignature
-from .net import (
-    ContractionResult,
-    NetSyntaxError,
-    NetTypeError,
-    parse_file,
-    run_contract,
-    verify_against_dense,
-)
+from .dense import materialize
+from .errors import InvalidInput, Unsupported
+from .fermion import FermionTensorData, fermion_entry
+from .net import ContractionResult, parse_file, run_contract, verify_against_dense, wire_list
 from .selftest import run_selftest
-from .solve import UnsupportedKernel
 from .stab import (
     QUBIT_GATES,
     CliffordData,
-    CocycleMismatch,
-    ConditionViolation,
-    NotSymplectic,
-    OrthogonalityViolation,
-    SpaceMismatch,
     StabTableau,
-    UnsolvableOffset,
     clifford_check,
     clifford_compose,
     qubit_clifford,
@@ -47,22 +34,18 @@ from .stab import (
     stab_state,
 )
 
-INVALID_INPUT = (NetSyntaxError, NetTypeError, ConditionViolation, OrthogonalityViolation,
-                 NotSymplectic, CocycleMismatch, UnsolvableOffset, SpaceMismatch, BadSignature,
-                 jsonio.NonIntegralValue, jsonio.MalformedPayload)
-UNSUPPORTED = (UnsupportedKernel, NotIntegrable, NotInvertible, InfiniteGroupError,
-               TooLargeError, DivergentPrefactor, SingularBlock, NontrivialEmbedding)
+
+def _dense_json(d) -> list:
+    """The entries of a dense tensor as [index, [re, im]] pairs."""
+    return [[list(idx), [float(np.real(d.arr[idx])), float(np.imag(d.arr[idx]))]]
+            for idx in np.ndindex(*d.dims)]
 
 
 def _print_result(res: ContractionResult, as_dense: bool) -> None:
     out = {"open_wires": res.open_wires}
     if res.group_part is not None:
         if as_dense:
-            d = materialize(res.group_part)
-            out["group_dense"] = [
-                [list(idx), [float(np.real(d.arr[idx])), float(np.imag(d.arr[idx]))]]
-                for idx in np.ndindex(*d.dims)
-            ]
+            out["group_dense"] = _dense_json(materialize(res.group_part))
         else:
             out["group"] = jsonio.to_json(res.group_part)
         if res.residual_z_rank:
@@ -74,18 +57,14 @@ def _print_result(res: ContractionResult, as_dense: bool) -> None:
     if res.fermion_part is not None:
         out["fermion"] = jsonio.to_json(res.fermion_part)
     if res.dense_part is not None:
-        d = res.dense_part
-        out["dense"] = [
-            [list(idx), [float(np.real(d.arr[idx])), float(np.imag(d.arr[idx]))]]
-            for idx in np.ndindex(*d.dims)
-        ]
+        out["dense"] = _dense_json(res.dense_part)
     json.dump(out, sys.stdout, sort_keys=True, indent=2)
     print()
 
 
 def cmd_contract(args) -> int:
     spec = parse_file(args.file)
-    order = args.order.split(",") if args.order else None
+    order = wire_list(args.order, spec) if args.order else None
     res = run_contract(spec, order)
     if args.verify:
         ok, dev = verify_against_dense(spec, res)
@@ -107,11 +86,8 @@ def cmd_verify(args) -> int:
 
 def _load_payload(path: str, cls, what: str):
     """The payload of the JSON file at ``path``, which must be a ``cls``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = jsonio.from_json(json.load(fh))
-    if not isinstance(obj, cls):
-        raise jsonio.MalformedPayload(f"payload is not {what}")
-    return obj
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return jsonio.loads(fh.read(), cls, what)
 
 
 def _load_clifford(specpath: str) -> CliffordData:
@@ -123,9 +99,6 @@ def _load_clifford(specpath: str) -> CliffordData:
 
 
 def cmd_clifford(args) -> int:
-    if args.action != "compose":
-        print("usage: qtensor clifford compose SPEC...", file=sys.stderr)
-        return 2
     data = [_load_clifford(p) for p in args.specs]
     if not data:
         print("need at least one Clifford spec", file=sys.stderr)
@@ -151,10 +124,9 @@ def cmd_stab(args) -> int:
 
 
 def cmd_fermion(args) -> int:
-    if args.action != "eval":
-        print("usage: qtensor fermion eval DATA.json BITSTRING", file=sys.stderr)
-        return 2
     t = _load_payload(args.data, FermionTensorData, "fermionic tensor data")
+    if set(args.bitstring) - {"0", "1"}:
+        raise InvalidInput(f"bitstring {args.bitstring!r} is not made of the digits 0 and 1")
     bits = [int(c) for c in args.bitstring]
     if len(bits) != t.n:
         print(f"bitstring length {len(bits)} != {t.n} modes", file=sys.stderr)
@@ -165,9 +137,8 @@ def cmd_fermion(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    if args.action != "selftest":
-        print("usage: qtensor tables selftest [--max-k K]", file=sys.stderr)
-        return 2
+    if args.max_k < 1:
+        raise InvalidInput(f"--max-k {args.max_k} is not a positive integer")
     ok = run_selftest(args.max_k, log=lambda s: print(s, file=sys.stderr))
     if ok:
         print(f"all tables consistent (k,l,m <= {args.max_k})")
@@ -222,15 +193,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except INVALID_INPUT as exc:
+    except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UNSUPPORTED as exc:
+    except Unsupported as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

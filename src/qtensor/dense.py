@@ -19,19 +19,20 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import QTensorData
+from .errors import Unsupported
 from .scalar import is_exact, mod1
 
 
-class InfiniteGroupError(ValueError):
+class InfiniteGroupError(Unsupported):
     pass
 
 
-class TooLargeError(ValueError):
+class TooLargeError(Unsupported):
     """A dense tensor or enumeration past a fixed size limit; the case is
     valid but the oracle refuses it."""
 
 
-class DivergentPrefactor(ValueError):
+class DivergentPrefactor(Unsupported):
     pass
 
 

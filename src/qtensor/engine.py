@@ -31,6 +31,7 @@ from .coeff import (
     is_generated,
     value_is_zero,
 )
+from .errors import Unsupported
 from .functions import PARTS, LinearFnData, QuadraticFnData, zero_row
 from .groups import GroupProduct, R, T, Z, Z1, Zk
 from .scalar import Scalar, as_scalar, is_exact, mod1
@@ -45,11 +46,11 @@ from .solve import (
 )
 
 
-class NotInvertible(ValueError):
+class NotInvertible(Unsupported):
     pass
 
 
-class NotIntegrable(ValueError):
+class NotIntegrable(Unsupported):
     pass
 
 

@@ -24,17 +24,18 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .dense import DenseTensor, TooLargeError
+from .errors import InvalidInput, Unsupported
 
 
-class NotAntisymmetric(ValueError):
+class NotAntisymmetric(InvalidInput):
     pass
 
 
-class SingularBlock(ValueError):
+class SingularBlock(Unsupported):
     pass
 
 
-class NontrivialEmbedding(ValueError):
+class NontrivialEmbedding(Unsupported):
     """An operation that needs l = 0 and eps1 = I was given other data."""
 
 

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
+from .errors import InvalidInput
 from .scalar import Scalar, as_scalar, mod1, scalar_eq, scalar_eq_mod1
 
 
@@ -26,7 +27,7 @@ class InfiniteGroup(ValueError):
     pass
 
 
-class BadSignature(ValueError):
+class BadSignature(InvalidInput):
     """A group signature that names no elementary group."""
 
 
@@ -242,6 +243,8 @@ def parse_group(sig: str) -> ElementaryGroup:
 
 
 def parse_product(sig: str) -> GroupProduct:
+    if not isinstance(sig, str):
+        raise BadSignature(f"bad group signature {sig!r}")
     sig = sig.strip()
     if sig in ("", "0"):
         return GroupProduct()

@@ -4,7 +4,8 @@ The exact field layouts are documented in docs/format.md; serialization
 is stable-key-ordered so outputs diff cleanly.  Z_k and Z values must be
 integers on input; any other value there raises ``NonIntegralValue``.  Row
 and column counts, the lengths of a1/phi1 and the a2/phi2 cell keys must
-fit the signatures; a payload that does not raises ``MalformedPayload``.
+fit the signatures, and every required key must be present; a payload
+that does not, or text that is not JSON, raises ``MalformedPayload``.
 """
 
 from __future__ import annotations
@@ -15,24 +16,49 @@ import numpy as np
 
 from .coeff import Hom2Coeff, HomCoeff, QuadCoeff, hom2_group, hom_group, quad_group
 from .engine import QTensorData
+from .errors import InvalidInput
 from .fermion import FermionTensorData
 from .functions import LinearFnData, QuadraticFnData
 from .groups import parse_product
-from .scalar import is_exact, scalar_from_json, scalar_json
+from .scalar import Scalar, is_exact, scalar_json
 from .stab import CliffordData, StabTableau, dual_factor, dual_product
 
 
-class NonIntegralValue(ValueError):
+class NonIntegralValue(InvalidInput):
     pass
 
 
-class MalformedPayload(ValueError):
+class MalformedPayload(InvalidInput):
     pass
 
 
 def _require(cond: bool, what: str) -> None:
     if not cond:
         raise MalformedPayload(what)
+
+
+def _get(obj, key: str, *default):
+    """``obj[key]``, or the one ``default`` when the key is absent; ``obj``
+    must be a JSON object, and it must hold ``key`` if no default is given."""
+    _require(isinstance(obj, dict), f"expected a JSON object, got {json.dumps(obj)}")
+    _require(key in obj or default, f"payload has no {key!r}")
+    return obj.get(key, *default)
+
+
+def _int(obj) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _scalar(obj) -> Scalar:
+    """The exact or float value that ``obj`` encodes."""
+    if _int(obj):
+        return Fraction(obj)
+    if isinstance(obj, float):
+        return obj
+    _require(isinstance(obj, dict) and set(obj) == {"num", "den"}
+             and _int(obj["num"]) and _int(obj["den"]) and obj["den"] != 0,
+             f"not a scalar encoding: {json.dumps(obj)}")
+    return Fraction(obj["num"], obj["den"])
 
 
 def _matrix(obj, rows: int, cols: int, what: str) -> list:
@@ -55,7 +81,7 @@ def _cell_key(key: str, m: int):
 
 def _value(grp, obj):
     """The value ``obj`` encodes, in the group ``grp``."""
-    v = scalar_from_json(obj)
+    v = _scalar(obj)
     if grp.kind in ("Zk", "Z") and not (is_exact(v) and v == int(v)):
         raise NonIntegralValue(f"{grp} value {json.dumps(obj)} is not an integer")
     return v
@@ -96,19 +122,21 @@ def quadratic_to_json(q: QuadraticFnData) -> dict:
 def quadratic_from_json(obj: dict) -> QuadraticFnData:
     from .groups import R as Rg, T as Tg
 
-    E = parse_product(obj["domain"])
+    E = parse_product(_get(obj, "domain"))
     m = len(E)
-    a1 = _matrix(obj.get("a1", [[0, 0]] * m), m, 2, "a1")
-    phi1 = _matrix(obj.get("phi1", [[0, 0]] * m), m, 2, "phi1")
+    a1 = _matrix(_get(obj, "a1", [[0, 0]] * m), m, 2, "a1")
+    phi1 = _matrix(_get(obj, "phi1", [[0, 0]] * m), m, 2, "phi1")
     q = QuadraticFnData(
         E,
-        scalar_from_json(obj.get("a0", 0)),
-        scalar_from_json(obj.get("phi0", 0)),
+        _scalar(_get(obj, "a0", 0)),
+        _scalar(_get(obj, "phi0", 0)),
         [_quad(E[i], Rg, v) for i, v in enumerate(a1)],
         [_quad(E[i], Tg, v) for i, v in enumerate(phi1)],
     )
     for part, A in (("a", Rg), ("phi", Tg)):
-        for key, v in obj.get(part + "2", {}).items():
+        cells = _get(obj, part + "2", {})
+        _require(isinstance(cells, dict), f"{part}2 must be a JSON object")
+        for key, v in cells.items():
             i, j = _cell_key(key, m)
             grp = hom2_group(E[i], E[j], A)
             q.set_cell(part, i, j, Hom2Coeff(E[i], E[j], A, _value(grp, v)))
@@ -125,13 +153,13 @@ def linear_to_json(eps: LinearFnData) -> dict:
 
 
 def linear_from_json(obj: dict) -> LinearFnData:
-    E = parse_product(obj["domain"])
-    G = parse_product(obj["codomain"])
-    raw = obj["eps0"]
+    E = parse_product(_get(obj, "domain"))
+    G = parse_product(_get(obj, "codomain"))
+    raw = _get(obj, "eps0")
     _require(isinstance(raw, list) and len(raw) == len(G), f"eps0 must have {len(G)} entries")
     eps0 = G.element([_value(Gi, x) for Gi, x in zip(G, raw)])
     cells = [[_hom(E[j], G[i], v) for j, v in enumerate(row)]
-             for i, row in enumerate(_matrix(obj["eps1"], len(G), len(E), "eps1"))]
+             for i, row in enumerate(_matrix(_get(obj, "eps1"), len(G), len(E), "eps1"))]
     return LinearFnData(E, G, eps0, cells)
 
 
@@ -151,18 +179,22 @@ def qtensor_to_json(t: QTensorData) -> dict:
 
 
 def qtensor_from_json(obj: dict) -> QTensorData:
-    G = parse_product(obj["G"])
-    if obj.get("zero"):
+    G = parse_product(_get(obj, "G"))
+    zero = _get(obj, "zero", False)
+    _require(isinstance(zero, bool), "zero must be true or false")
+    if zero:
         return QTensorData.zero(G)
-    eps = linear_from_json(obj["eps"])
-    q = quadratic_from_json(obj["q"])
+    eps = linear_from_json(_get(obj, "eps"))
+    q = quadratic_from_json(_get(obj, "q"))
     _require(eps.codomain == G and q.domain == eps.domain,
              "eps must map the domain of q into G")
-    mag2 = obj.get("mag2")
-    return QTensorData(
-        G, eps.domain, eps, q, obj.get("div_weight", 0),
-        Fraction(scalar_from_json(mag2)) if mag2 is not None else None,
-    )
+    div_weight = _get(obj, "div_weight", 0)
+    _require(_int(div_weight), "div_weight must be an integer")
+    mag2 = _get(obj, "mag2", None)
+    if mag2 is not None:
+        mag2 = Fraction(_scalar(mag2))
+        _require(mag2 >= 0, "mag2 must not be negative")
+    return QTensorData(G, eps.domain, eps, q, div_weight, mag2)
 
 
 def fermion_to_json(t: FermionTensorData) -> dict:
@@ -177,14 +209,16 @@ def fermion_to_json(t: FermionTensorData) -> dict:
 
 
 def fermion_from_json(obj: dict) -> FermionTensorData:
-    n, l = obj["n"], obj["l"]
-    _require(isinstance(n, int) and isinstance(l, int) and 0 <= 2 * l <= n,
+    n, l = _get(obj, "n"), _get(obj, "l")
+    _require(_int(n) and _int(l) and 0 <= 2 * l <= n,
              "fermion n and l must be integers with 0 <= 2 l <= n")
     m = n - 2 * l
-    eps = [[_cplx_from(v) for v in row] for row in _matrix(obj["eps1"], n, m, "fermion eps1")]
-    q2 = [[_cplx_from(v) for v in row] for row in _matrix(obj["q2"], m, m, "fermion q2")]
+    eps = [[_cplx_from(v) for v in row]
+           for row in _matrix(_get(obj, "eps1"), n, m, "fermion eps1")]
+    q2 = [[_cplx_from(v) for v in row] for row in _matrix(_get(obj, "q2"), m, m, "fermion q2")]
     return FermionTensorData(n, l, np.array(eps, dtype=complex).reshape(n, m),
-                             np.array(q2, dtype=complex).reshape(m, m), _cplx_from(obj["q0"]))
+                             np.array(q2, dtype=complex).reshape(m, m),
+                             _cplx_from(_get(obj, "q0")))
 
 
 def tableau_to_json(tab: StabTableau) -> dict:
@@ -199,14 +233,14 @@ def tableau_to_json(tab: StabTableau) -> dict:
 
 
 def tableau_from_json(obj: dict) -> StabTableau:
-    H = parse_product(obj["H"])
-    S = parse_product(obj["S"])
+    H = parse_product(_get(obj, "H"))
+    S = parse_product(_get(obj, "S"))
     n, m = len(H), len(S)
     sx = [[_hom(S[a], H[i], v) for a, v in enumerate(row)]
-          for i, row in enumerate(_matrix(obj["sigma_x"], n, m, "sigma_x"))]
+          for i, row in enumerate(_matrix(_get(obj, "sigma_x"), n, m, "sigma_x"))]
     sz = [[_hom(S[a], dual_factor(H[i]), v) for a, v in enumerate(row)]
-          for i, row in enumerate(_matrix(obj["sigma_z"], n, m, "sigma_z"))]
-    p = quadratic_from_json(obj["p"])
+          for i, row in enumerate(_matrix(_get(obj, "sigma_z"), n, m, "sigma_z"))]
+    p = quadratic_from_json(_get(obj, "p"))
     _require(p.domain == S, "p must be a function on S")
     return StabTableau(H, S, sx, sz, p)
 
@@ -221,11 +255,11 @@ def clifford_to_json(c: CliffordData) -> dict:
 
 
 def clifford_from_json(obj: dict) -> CliffordData:
-    H = parse_product(obj["H"])
+    H = parse_product(_get(obj, "H"))
     P = H * dual_product(H)
     alpha = [[_hom(P[j], P[i], v) for j, v in enumerate(row)]
-             for i, row in enumerate(_matrix(obj["alpha"], len(P), len(P), "alpha"))]
-    u = quadratic_from_json(obj["u"])
+             for i, row in enumerate(_matrix(_get(obj, "alpha"), len(P), len(P), "alpha"))]
+    u = quadratic_from_json(_get(obj, "u"))
     _require(u.domain == P, "u must be a function on H x H*")
     return CliffordData(H, alpha, u)
 
@@ -254,6 +288,17 @@ def from_json(obj: dict):
     if kind == "clifford":
         return clifford_from_json(obj)
     raise MalformedPayload(f"unknown payload type {kind!r}")
+
+
+def loads(text: str, cls=object, what: str = "a payload"):
+    """The payload that the JSON ``text`` encodes, which must be a ``cls``."""
+    try:
+        obj = from_json(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise MalformedPayload(f"payload is not JSON: {exc}") from None
+    if not isinstance(obj, cls):
+        raise MalformedPayload(f"payload is not {what}")
+    return obj
 
 
 def dumps(obj) -> str:

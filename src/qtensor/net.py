@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .coeff import Hom2Coeff, HomCoeff, QuadCoeff
 from .dense import DenseTensor, TooLargeError, dense_contract, materialize
 from .engine import (
     QTensorData,
@@ -42,8 +42,9 @@ from .fermion import (
     fermion_tensor_product,
     permute_modes,
 )
+from .errors import InvalidInput
 from .functions import LinearFnData, QuadraticFnData
-from .groups import GroupProduct, Zk, parse_group, parse_product
+from .groups import GroupProduct, T, Zk, parse_product
 from .higher import (
     OrderTensorData,
     ccx_gate,
@@ -58,13 +59,13 @@ from . import jsonio
 from .stab import qubit_tableau, stab_state
 
 
-class NetSyntaxError(ValueError):
+class NetSyntaxError(InvalidInput):
     def __init__(self, msg, line=None):
         super().__init__(f"line {line}: {msg}" if line else msg)
         self.line = line
 
 
-class NetTypeError(ValueError):
+class NetTypeError(InvalidInput):
     def __init__(self, msg, line=None):
         super().__init__(f"line {line}: {msg}" if line else msg)
         self.line = line
@@ -155,92 +156,50 @@ def _leg_signatures(payload) -> List[str]:
 # gate library
 
 
-def _ident_eps(G: GroupProduct) -> LinearFnData:
-    return LinearFnData.identity(G)
+# The named Z_k gates: name -> (eps0, the image rows of eps1, the (v, b) of
+# q_phi on factors of E, the bilinear values of q_phi on pairs of them, and
+# whether the gate carries 1/sqrt(k)).  The legs are the rows and E the
+# columns.  Phase values are in units of 1/k: Z is e^{2 pi i g / k}, S (a
+# qubit gate) is i^g, and F = H is the Fourier transform
+# e^{2 pi i g g' / k} / sqrt(k), whose E holds the two legs.
+QUDIT_GATES = {
+    "I": ((0, 0), ((1,), (1,)), {}, {}, False),
+    "X": ((1, 0), ((1,), (1,)), {}, {}, False),
+    "Z": ((0, 0), ((1,), (1,)), {0: (1, 0)}, {}, False),
+    "S": ((0, 0), ((1,), (1,)), {0: (Fraction(1, 2), 1)}, {}, False),
+    "F": ((0, 0), ((1, 0), (0, 1)), {}, {(0, 1): 1}, True),
+    "KET0": ((0,), ((),), {}, {}, False),
+    "PLUS": ((0,), ((1,),), {}, {}, True),
+    "CX": ((0, 0, 0, 0), ((1, 0), (0, 1), (1, 0), (1, 1)), {}, {}, False),
+    "CZ": ((0, 0, 0, 0), ((1, 0), (0, 1), (1, 0), (0, 1)), {}, {(0, 1): 1}, False),
+    "SWAP": ((0, 0, 0, 0), ((1, 0), (0, 1), (0, 1), (1, 0)), {}, {}, False),
+}
+GATE_ALIASES = {"ID": "I", "H": "F", "ZERO": "KET0", "KETPLUS": "PLUS"}
 
 
-def _qudit_gate(name: str, k: int) -> Optional[QTensorData]:
+def _qudit_gate(name: str, k: int, nwires: int) -> Optional[QTensorData]:
+    """The named gate on Z_k wires; None if there is none with that name
+    (a gate of one or two legs is looked up on at most two wires)."""
+    gate = QUDIT_GATES.get(GATE_ALIASES.get(name, name))
+    if gate is None or (name == "S" and k != 2):
+        return None
+    eps0, rows, terms, cells, fourier = gate
+    if len(rows) <= 2 < nwires:
+        return None
     Gk = Zk(k)
-    if name in ("I", "ID"):
-        G = parse_product(f"Z{k},Z{k}")
-        E = parse_product(f"Z{k}")
-        eps = LinearFnData(E, G, G.identity(),
-                           [[HomCoeff(Gk, Gk, 1)], [HomCoeff(Gk, Gk, 1)]])
-        return QTensorData(G, E, eps, QuadraticFnData.zero(E))
-    if name == "X":
-        G = parse_product(f"Z{k},Z{k}")
-        E = parse_product(f"Z{k}")
-        eps = LinearFnData(E, G, G.element([1, 0]),
-                           [[HomCoeff(Gk, Gk, 1)], [HomCoeff(Gk, Gk, 1)]])
-        return QTensorData(G, E, eps, QuadraticFnData.zero(E))
-    if name == "Z":
-        G = parse_product(f"Z{k},Z{k}")
-        E = parse_product(f"Z{k}")
-        eps = LinearFnData(E, G, G.identity(),
-                           [[HomCoeff(Gk, Gk, 1)], [HomCoeff(Gk, Gk, 1)]])
-        q = QuadraticFnData.zero(E)
-        from .coeff import linear_as_quad
-
-        q.phi1[0] = linear_as_quad(HomCoeff(Gk, parse_group("T"), 1))
-        return QTensorData(G, E, eps, q)
-    if name in ("H", "F"):
-        # Fourier transform: entries e^{2 pi i g g' / k} / sqrt(k)
-        G = parse_product(f"Z{k},Z{k}")
-        E = parse_product(f"Z{k},Z{k}")
-        q = QuadraticFnData.zero(E)
-        q.set_cell("phi", 0, 1, Hom2Coeff(Gk, Gk, parse_group("T"), 1))
-        t = QTensorData(G, E, _ident_eps(G), q)
+    G, E = GroupProduct([Gk] * len(rows)), GroupProduct([Gk] * len(rows[0]))
+    eps = LinearFnData.of_images(E, G, G.element(eps0),
+                                 [[Gk.normalize(x) for x in row] for row in rows])
+    q = QuadraticFnData.zero(E)
+    for i, (v, b) in terms.items():
+        q.vec["phi"][i] = T.normalize(Fraction(v, k))
+        q.mat["phi"][i][i] = T.normalize(Fraction(b, k))
+    for (i, j), b in cells.items():
+        q.add_to_cell("phi", i, j, Fraction(b, k))
+    t = QTensorData(G, E, eps, q)
+    if fourier:
         t.mul_sqrt(Fraction(1, k))
-        return t
-    if name == "S" and k == 2:
-        G = parse_product("Z2,Z2")
-        E = parse_product("Z2")
-        eps = LinearFnData(E, G, G.identity(),
-                           [[HomCoeff(Gk, Gk, 1)], [HomCoeff(Gk, Gk, 1)]])
-        q = QuadraticFnData.zero(E)
-        q.phi1[0] = QuadCoeff(Gk, parse_group("T"), 1, 0)
-        return QTensorData(G, E, eps, q)
-    if name in ("KET0", "ZERO"):
-        G = parse_product(f"Z{k}")
-        E = GroupProduct()
-        eps = LinearFnData(E, G, G.identity(), [[]])
-        return QTensorData(G, E, eps, QuadraticFnData.zero(E))
-    if name in ("PLUS", "KETPLUS"):
-        G = parse_product(f"Z{k}")
-        E = parse_product(f"Z{k}")
-        t = QTensorData(G, E, _ident_eps(G), QuadraticFnData.zero(E))
-        t.mul_sqrt(Fraction(1, k))
-        return t
-    return None
-
-
-def _two_qudit_gate(name: str, k: int) -> Optional[QTensorData]:
-    Gk = Zk(k)
-    Tg = parse_group("T")
-    if name == "CX":
-        G = parse_product(",".join([f"Z{k}"] * 4))
-        E = parse_product(f"Z{k},Z{k}")
-        rows = [[1, 0], [0, 1], [1, 0], [1, 1]]
-        cells = [[HomCoeff(E[j], G[i], rows[i][j]) for j in range(2)] for i in range(4)]
-        eps = LinearFnData(E, G, G.identity(), cells)
-        return QTensorData(G, E, eps, QuadraticFnData.zero(E))
-    if name == "CZ":
-        G = parse_product(",".join([f"Z{k}"] * 4))
-        E = parse_product(f"Z{k},Z{k}")
-        rows = [[1, 0], [0, 1], [1, 0], [0, 1]]
-        cells = [[HomCoeff(E[j], G[i], rows[i][j]) for j in range(2)] for i in range(4)]
-        eps = LinearFnData(E, G, G.identity(), cells)
-        q = QuadraticFnData.zero(E)
-        q.set_cell("phi", 0, 1, Hom2Coeff(Gk, Gk, Tg, 1))
-        return QTensorData(G, E, eps, q)
-    if name == "SWAP":
-        G = parse_product(",".join([f"Z{k}"] * 4))
-        E = parse_product(f"Z{k},Z{k}")
-        rows = [[1, 0], [0, 1], [0, 1], [1, 0]]
-        cells = [[HomCoeff(E[j], G[i], rows[i][j]) for j in range(2)] for i in range(4)]
-        eps = LinearFnData(E, G, G.identity(), cells)
-        return QTensorData(G, E, eps, QuadraticFnData.zero(E))
-    return None
+    return t
 
 
 HIGHER_GATES = {
@@ -259,10 +218,11 @@ def build_gate(name: str, args: List, wire_sigs: List[str], line=0):
     if uname == "FBS":
         if len(args) != 1:
             raise NetSyntaxError("fbs takes one angle argument", line)
-        return beam_splitter(float(args[0]))
+        return beam_splitter(_gate_arg(args[0], float, math.isfinite, line))
     if uname == "FID":
-        n = int(args[0]) if args else 1
-        return fermion_identity(n)
+        if len(args) > 1:
+            raise NetSyntaxError("fid takes at most one mode count", line)
+        return fermion_identity(_gate_arg(args[0], int, lambda n: n >= 0, line) if args else 1)
     if uname in HIGHER_GATES:
         return HIGHER_GATES[uname]()
     if uname == "STAB":
@@ -270,17 +230,24 @@ def build_gate(name: str, args: List, wire_sigs: List[str], line=0):
     if uname == "BELL":
         return stab_state(qubit_tableau(["+XX", "+ZZ"]))
     ks = {s for s in wire_sigs if s != FERMION_WIRE}
-    if len(ks) != 1 or not next(iter(ks)).startswith("Z") or next(iter(ks)) == "Z":
+    G = parse_product(ks.pop()) if len(ks) == 1 else None
+    if G is None or len(G) != 1 or G[0].kind != "Zk":
         raise NetTypeError(f"gate {name} needs uniform qudit wires, got {wire_sigs}", line)
-    k = int(next(iter(ks))[1:])
-    if len(wire_sigs) <= 2:
-        t = _qudit_gate(uname, k)
-        if t is not None:
-            return t
-    t = _two_qudit_gate(uname, k)
-    if t is not None:
-        return t
-    raise NetSyntaxError(f"unknown gate {name} on wires {wire_sigs}", line)
+    t = _qudit_gate(uname, G[0].k, len(wire_sigs))
+    if t is None:
+        raise NetSyntaxError(f"unknown gate {name} on wires {wire_sigs}", line)
+    return t
+
+
+def _gate_arg(arg: str, convert, valid, line):
+    """The gate argument ``arg`` converted, which must be ``valid``."""
+    try:
+        x = convert(arg)
+    except ValueError:
+        x = None
+    if x is None or not valid(x):
+        raise NetSyntaxError(f"bad gate argument {arg!r}", line)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -346,34 +313,34 @@ def _parse_node(name: str, rhs: str, spec: NetworkSpec, lineno: int) -> Node:
                     break
         if end is None:
             raise NetSyntaxError("unterminated JSON payload", lineno)
-        payload = jsonio.from_json(json.loads(body[:end]))
+        payload = jsonio.loads(body[:end], (QTensorData, FermionTensorData),
+                               "a qtensor or fermion tensor")
         legs_part = body[end:].strip()
         m = re.match(r"^\(([^()]*)\)$", legs_part)
         if not m:
             raise NetSyntaxError("expected (wire, ...) after JSON payload", lineno)
-        legs = [w.strip() for w in m.group(1).split(",") if w.strip()]
-        return Node(name, payload, legs, lineno)
+        return Node(name, payload, wire_list(m.group(1), spec, lineno), lineno)
     m = _CALL_RE.match(rhs)
     if not m:
         raise NetSyntaxError(f"cannot parse node expression {rhs!r}", lineno)
     gate = m.group(1)
-    if m.group(2) is not None:
-        args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-        legs = [w.strip() for w in m.group(3).split(",") if w.strip()]
-    else:
-        args = []
-        legs = [w.strip() for w in m.group(3).split(",") if w.strip()]
-    sigs = []
-    for w in legs:
-        if w not in spec.wires:
-            raise NetTypeError(f"unknown wire {w}", lineno)
-        sigs.append(spec.wires[w])
-    payload = build_gate(gate, args, sigs, lineno)
+    args = [a.strip() for a in m.group(2).split(",") if a.strip()] if m.group(2) is not None else []
+    legs = wire_list(m.group(3), spec, lineno)
+    payload = build_gate(gate, args, [spec.wires[w] for w in legs], lineno)
     return Node(name, payload, legs, lineno)
 
 
+def wire_list(text: str, spec: NetworkSpec, lineno=None) -> List[str]:
+    """The wires that the comma-separated ``text`` lists, each declared in ``spec``."""
+    wires = [w.strip() for w in text.split(",") if w.strip()]
+    for w in wires:
+        if w not in spec.wires:
+            raise NetTypeError(f"unknown wire {w}", lineno)
+    return wires
+
+
 def parse_file(path: str) -> NetworkSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse(fh.read())
 
 

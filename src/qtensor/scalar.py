@@ -74,15 +74,3 @@ def scalar_json(x: Scalar):
             return int(f)
         return {"num": f.numerator, "den": f.denominator}
     return float(x)
-
-
-def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, dict) and set(obj) == {"num", "den"}:
-        return Fraction(obj["num"], obj["den"])
-    raise TypeError(f"not a scalar encoding: {obj!r}")

@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .coeff import image_apply, image_group
+from .errors import Unsupported
 from .functions import LinearFnData
 from .groups import GroupProduct, R, T, Z, Zk
 from .scalar import as_scalar, is_exact, mod1
@@ -46,7 +47,7 @@ from .scalar import as_scalar, is_exact, mod1
 PIVOT_TOL = 1e-12
 
 
-class UnsupportedKernel(ValueError):
+class UnsupportedKernel(Unsupported):
     pass
 
 

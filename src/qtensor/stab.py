@@ -42,33 +42,34 @@ import numpy as np
 from .coeff import (Hom2Coeff, HomCoeff, QuadCoeff, cell_group, cell_of_value, hom_of_image,
                     hom_zero, value_is_zero)
 from .engine import QTensorData, _extract_through_section, permute_legs, reduce_full, tensor_product
+from .errors import InvalidInput
 from .functions import LinearFnData, QuadraticFnData, hom_data
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
 from .scalar import Scalar, is_exact, mod1, scalar_eq
 from .solve import UnsupportedKernel, kernel_of_hom, quotient_by_subgroup, solve_hom
 
 
-class OrthogonalityViolation(ValueError):
+class OrthogonalityViolation(InvalidInput):
     pass
 
 
-class NotSymplectic(ValueError):
+class NotSymplectic(InvalidInput):
     pass
 
 
-class CocycleMismatch(ValueError):
+class CocycleMismatch(InvalidInput):
     pass
 
 
-class UnsolvableOffset(ValueError):
+class UnsolvableOffset(InvalidInput):
     pass
 
 
-class ConditionViolation(ValueError):
+class ConditionViolation(InvalidInput):
     pass
 
 
-class SpaceMismatch(ValueError):
+class SpaceMismatch(InvalidInput):
     """Clifford data on different Hilbert spaces."""
 
 

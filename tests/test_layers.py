@@ -1,15 +1,22 @@
-"""The engine layers hold no coefficient arithmetic.
+"""The engine layers hold no coefficient arithmetic, and the error classes
+hold the exit-code policy.
 
-``stab``, ``engine``, ``solve`` and ``functions`` work on matrices of
-values.  From ``coeff`` they may import only the coefficient classes and
+``stab``, ``engine``, ``solve``, ``functions`` and ``net`` work on matrices
+of values.  From ``coeff`` they may import only the coefficient classes and
 ``hom_zero`` (the data of the table-level API), the groups that hold
 values and the conversions between values and coefficients, the error
 classes, and ``quad_apply``/``quad_of_values``, which a float quadratic
 term on Z keeps its formula through.  Composition, duals, pullbacks and
 the other coefficient operations stay with the tables.
+
+Every exception class of the package derives from ``errors.InvalidInput``
+(exit 2) or ``errors.Unsupported`` (exit 3), or states an internal
+invariant and is listed in ``INTERNAL``; ``cli`` names no exception class
+but the two bases.
 """
 
 import ast
+import builtins
 import os
 
 import pytest
@@ -44,7 +51,89 @@ def coeff_imports(module: str):
                     yield alias.name, node.lineno
 
 
-@pytest.mark.parametrize("module", ["stab", "engine", "solve", "functions"])
+@pytest.mark.parametrize("module", ["stab", "engine", "solve", "functions", "net"])
 def test_layer_imports_only_values_from_coeff(module):
     bad = [(name, line) for name, line in coeff_imports(module) if name not in ALLOWED]
     assert not bad, f"{module}.py imports coefficient arithmetic from coeff: {bad}"
+
+
+BASES = {"InvalidInput", "Unsupported"}
+
+# exception classes that state internal invariants, so that a fault there
+# shows its traceback; no input that the CLI reads is known to reach them
+INTERNAL = {
+    "KernelViolation": "a reduction given rho outside ker eps1, or q^(2) not vanishing on it",
+    "Degenerate": "a reduction applied to a bilinear part it does not handle",
+    "DomainMismatch": "an element or function on another domain than the one given",
+    "TagMismatch": "coefficient cells whose groups do not line up",
+    "UnsupportedTarget": "a coefficient table asked for a target it has no entry for",
+    "ArityMismatch": "a group element with the wrong number of components",
+    "InfiniteGroup": "enumeration of an infinite group, which the callers rule out",
+    "ShapeMismatch": "the dense oracle comparing tensors of different shapes",
+    "BasisMismatch": "the dense oracle joining legs of different dimensions",
+    "OrientationMismatch": "the dense oracle joining two graded legs of one orientation",
+    "NotNormalizable": "grid_materialize, a spot check no command runs, off its domain",
+}
+
+
+def class_bases():
+    """Class name -> the names of its bases, over every module of the package."""
+    out = {}
+    for fn in sorted(os.listdir(SRC)):
+        if fn.endswith(".py"):
+            with open(os.path.join(SRC, fn), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    out[node.name] = [b.id if isinstance(b, ast.Name) else b.attr
+                                      for b in node.bases]
+    return out
+
+
+def ancestors(name, bases):
+    """Every base of ``name``, by name, up to the builtins."""
+    out = set()
+    todo = list(bases.get(name, []))
+    while todo:
+        b = todo.pop()
+        if b not in out:
+            out.add(b)
+            todo += bases.get(b, [])
+    return out
+
+
+def exception_classes():
+    bases = class_bases()
+    return {name: ancestors(name, bases) for name in bases
+            if any(isinstance(getattr(builtins, b, None), type)
+                   and issubclass(getattr(builtins, b), BaseException)
+                   for b in ancestors(name, bases))}
+
+
+def test_every_error_class_has_an_exit_code_or_is_internal():
+    classes = exception_classes()
+    assert BASES <= set(classes)
+    for name, anc in classes.items():
+        if name in BASES:
+            continue
+        assert bool(anc & BASES) != (name in INTERNAL), (
+            f"{name} must derive from InvalidInput or Unsupported, or be listed as internal")
+    assert set(INTERNAL) <= set(classes), "INTERNAL lists a class that is gone"
+
+
+def test_cli_names_no_error_class_but_the_bases():
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    classes = exception_classes()
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names & set(classes) == BASES
+    caught = {n.id for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+              for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert caught == BASES | {"OSError"}

@@ -349,43 +349,95 @@ def test_cli_usage_errors(tmp_path):
 _CLIFFORD = jsonio.dumps(clifford_identity(parse_product("Z2")))
 _TABLEAU = jsonio.dumps(qubit_tableau(["+X"]))
 _STATE = jsonio.dumps(stab_state(qubit_tableau(["+X"])))
+_FERMION = json.dumps({"type": "fermion", "n": 2, "l": 0,
+                       "eps1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                       "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})
+# where a case's input file, or the directory holding it, goes on the command line
+FILE, DIR = object(), object()
+
+
+def _edited(text: str, edit) -> str:
+    """The JSON ``text`` with ``edit`` applied to the object it encodes."""
+    obj = json.loads(text)
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _json_node(payload: str) -> str:
+    """One inline json node with ``payload`` on a Z2 wire."""
+    return f"wire w: Z2\nnode n = json {payload} (w)\nopen w\n"
 
 
 @pytest.mark.parametrize("args, text", [
     # a wire whose group signature names no group
-    (("contract",), "wire a: Q2\nopen a\n"),
+    (("contract", FILE), "wire a: Q2\nopen a\n"),
     # Clifford data on one qubit and on two
     (("clifford", "compose", "H", "CX"), None),
     # a fermion payload on n = 2 modes whose eps1 rows have lengths 3 and 2
-    (("fermion", "eval"), json.dumps(
+    (("fermion", "eval", FILE, "01"), json.dumps(
         {"type": "fermion", "n": 2, "l": 0, "eps1": [[[1, 0]] * 3, [[1, 0]] * 2],
          "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
     # a fermion payload without "type"
-    (("fermion", "eval"), json.dumps(
+    (("fermion", "eval", FILE, "01"), json.dumps(
         {"n": 2, "l": 0, "eps1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
          "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
     # a fermion payload whose eps1 cell is 7, not a [re, im] pair
-    (("fermion", "eval"), json.dumps(
+    (("fermion", "eval", FILE, "01"), json.dumps(
         {"type": "fermion", "n": 2, "l": 0, "eps1": [[7, [0, 0]], [[0, 0], [1, 0]]],
          "q2": [[[0, 0]] * 2] * 2, "q0": [1, 0]})),
     # payloads of the wrong type: Clifford data or a state where a tableau
     # is expected, a tableau or a state where Clifford data is
-    (("stab", "state"), _CLIFFORD),
-    (("stab", "state"), _STATE),
-    (("stab", "projector"), _CLIFFORD),
-    (("stab", "projector"), _STATE),
-    (("clifford", "compose"), _TABLEAU),
-    (("clifford", "compose", "H"), _STATE),
+    (("stab", "state", FILE), _CLIFFORD),
+    (("stab", "state", FILE), _STATE),
+    (("stab", "projector", FILE), _CLIFFORD),
+    (("stab", "projector", FILE), _STATE),
+    (("clifford", "compose", FILE), _TABLEAU),
+    (("clifford", "compose", "H", FILE), _STATE),
+    # a payload file and a json node that are not JSON
+    (("stab", "state", FILE), "{not json"),
+    (("contract", FILE), _json_node('{"type": }')),
+    # payloads without a required key
+    (("contract", FILE), _json_node('{"type": "qtensor"}')),
+    (("stab", "state", FILE), _edited(_TABLEAU, lambda t: t.pop("sigma_x"))),
+    (("clifford", "compose", FILE), _edited(_CLIFFORD, lambda c: c.pop("u"))),
+    # a string where a scalar, or an integer, goes
+    (("contract", FILE), _json_node(_edited(_STATE, lambda t: t["q"].update(a0="x")))),
+    (("contract", FILE), _json_node(_edited(_STATE, lambda t: t.update(div_weight="x")))),
+    # a negative mag2, which has no square root when the tensor is materialized
+    (("contract", "--dense", FILE), _json_node(_edited(_STATE, lambda t: t.update(mag2=-1)))),
+    # a tableau as a network node
+    (("contract", FILE), _json_node(json.dumps(json.loads(_TABLEAU)))),
+    # gate arguments that are not numbers
+    (("contract", FILE), "wire a: F\nwire b: F\nwire c: F\nwire d: F\n"
+                         "node u = fbs(x)(a, b, c, d)\n"),
+    (("contract", FILE), "wire a: F\nwire b: F\nnode u = fid(x)(a, b)\n"),
+    # a named qudit gate on wires of two factors
+    (("contract", FILE), "wire a: Z2,Z2\nwire b: Z2,Z2\nnode h = H(a, b)\n"),
+    # a contraction order naming a wire that is not declared
+    (("contract", "--order", "zz", FILE), BELL2),
+    # bitstrings with digits other than 0 and 1
+    (("fermion", "eval", FILE, "02"), _FERMION),
+    (("fermion", "eval", FILE, "0x"), _FERMION),
+    # a fermion payload whose q2 is symmetric
+    (("fermion", "eval", FILE, "00"), _edited(_FERMION, lambda t: t.update(
+        q2=[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]))),
+    # a directory where a payload file goes
+    (("stab", "state", DIR), None),
+    # a table bound below 1
+    (("tables", "selftest", "--max-k", "-3"), None),
 ], ids=["bad_group", "mismatched_clifford", "ragged_fermion", "untyped_payload",
         "scalar_complex_cell", "state_of_clifford", "state_of_state", "projector_of_clifford",
-        "projector_of_state", "compose_tableau", "compose_h_and_state"])
+        "projector_of_state", "compose_tableau", "compose_h_and_state", "payload_not_json",
+        "node_not_json", "node_without_g", "tableau_without_sigma_x", "clifford_without_u",
+        "string_a0", "string_div_weight", "negative_mag2", "tableau_node", "fbs_not_a_number",
+        "fid_not_a_number", "gate_on_two_factor_wires", "order_undeclared_wire",
+        "bitstring_digit_2", "bitstring_digit_x", "symmetric_fermion_q2", "directory_payload",
+        "selftest_negative_max_k"])
 def test_cli_invalid_input_exits_2(tmp_path, args, text):
-    extra = ()
+    f = tmp_path / "input"
     if text is not None:
-        f = tmp_path / "input"
         f.write_text(text)
-        extra = (str(f),) + (("01",) if args[0] == "fermion" else ())
-    r = run_cli(*args, *extra)
+    r = run_cli(*(str(f) if a is FILE else str(tmp_path) if a is DIR else a for a in args))
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, r.stderr
 
