@@ -20,7 +20,7 @@ from . import jsonio
 from .dense import materialize
 from .errors import InvalidInput, Unsupported
 from .fermion import FermionTensorData, fermion_entry
-from .net import ContractionResult, parse_file, run_contract, verify_against_dense, wire_list
+from .net import ContractionResult, _read_utf8, parse_file, run_contract, verify_against_dense
 from .selftest import run_selftest
 from .stab import (
     QUBIT_GATES,
@@ -64,7 +64,7 @@ def _print_result(res: ContractionResult, as_dense: bool) -> None:
 
 def cmd_contract(args) -> int:
     spec = parse_file(args.file)
-    order = wire_list(args.order, spec) if args.order else None
+    order = [w.strip() for w in args.order.split(",") if w.strip()] if args.order else None
     res = run_contract(spec, order)
     if args.verify:
         ok, dev = verify_against_dense(spec, res)
@@ -84,16 +84,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _load_payload(path: str, cls, what: str):
-    """The payload of the JSON file at ``path``, which must be a ``cls``."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return jsonio.loads(fh.read(), cls, what)
-
-
 def _load_clifford(specpath: str) -> CliffordData:
     if specpath.upper() in QUBIT_GATES:
         return qubit_clifford(specpath.upper())
-    c = _load_payload(specpath, CliffordData, "Clifford data")
+    c = jsonio.loads(_read_utf8(specpath), CliffordData, "Clifford data")
     clifford_check(c)
     return c
 
@@ -113,7 +107,7 @@ def cmd_clifford(args) -> int:
 def _load_tableau(path: str) -> StabTableau:
     if path.startswith("gens:"):
         return qubit_tableau(path[len("gens:"):].split(","))
-    return _load_payload(path, StabTableau, "a stabilizer tableau")
+    return jsonio.loads(_read_utf8(path), StabTableau, "a stabilizer tableau")
 
 
 def cmd_stab(args) -> int:
@@ -124,7 +118,7 @@ def cmd_stab(args) -> int:
 
 
 def cmd_fermion(args) -> int:
-    t = _load_payload(args.data, FermionTensorData, "fermionic tensor data")
+    t = jsonio.loads(_read_utf8(args.data), FermionTensorData, "fermionic tensor data")
     if set(args.bitstring) - {"0", "1"}:
         raise InvalidInput(f"bitstring {args.bitstring!r} is not made of the digits 0 and 1")
     bits = [int(c) for c in args.bitstring]

@@ -283,10 +283,6 @@ class Hom2Coeff:
         # evaluation formulas are symmetric, so the value carries over
         return Hom2Coeff(self.g1, self.g0, self.target, self.value)
 
-    def as_outer_hom(self) -> HomCoeff:
-        """View as a homomorphism G0 -> hom[G1|A]."""
-        return HomCoeff(self.g0, hom_group(self.g1, self.target), self.value)
-
 
 @functools.lru_cache(maxsize=None)
 def hom2_zero(G0, G1, A) -> Hom2Coeff:
@@ -294,7 +290,8 @@ def hom2_zero(G0, G1, A) -> Hom2Coeff:
 
 
 def hom2_apply(h: Hom2Coeff, g0, g1) -> Scalar:
-    inner = hom_apply(h.as_outer_hom(), g0)
+    # h is a homomorphism G0 -> hom[G1|A] with the same coefficient
+    inner = hom_apply(HomCoeff(h.g0, hom_group(h.g1, h.target), h.value), g0)
     return hom_apply(HomCoeff(h.g1, h.target, inner), g1)
 
 

@@ -381,7 +381,8 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     if A.kind in ("T", "R"):
         # rho covers a full continuous factor of E; drop it from the kernel
         sup = _col_support(rho, 0)
-        assert len(sup) == 1, "continuous zero-reduction needs single-factor support"
+        if len(sup) != 1:
+            raise UnsupportedKernel("continuous zero-reduction with support on several factors")
         Qfactors, lifts = [], []
         for kk in range(len(K2)):
             if K2[kk].kind == A.kind and _col_support(kappa2, kk) == sup:

@@ -21,7 +21,7 @@ from .fermion import FermionTensorData
 from .functions import LinearFnData, QuadraticFnData
 from .groups import parse_product
 from .scalar import Scalar, is_exact, scalar_json
-from .stab import CliffordData, StabTableau, dual_factor, dual_product
+from .stab import CliffordData, StabTableau, dual_product
 
 
 class NonIntegralValue(InvalidInput):
@@ -226,8 +226,8 @@ def tableau_to_json(tab: StabTableau) -> dict:
         "type": "tableau",
         "H": tab.H.signature(),
         "S": tab.S.signature(),
-        "sigma_x": [[scalar_json(c.value) for c in row] for row in tab.sigma_x],
-        "sigma_z": [[scalar_json(c.value) for c in row] for row in tab.sigma_z],
+        "sigma_x": [[scalar_json(c.value) for c in row] for row in tab.sigma_x.eps1],
+        "sigma_z": [[scalar_json(c.value) for c in row] for row in tab.sigma_z.eps1],
         "p": quadratic_to_json(tab.p),
     }
 
@@ -236,20 +236,22 @@ def tableau_from_json(obj: dict) -> StabTableau:
     H = parse_product(_get(obj, "H"))
     S = parse_product(_get(obj, "S"))
     n, m = len(H), len(S)
+    D = dual_product(H)
     sx = [[_hom(S[a], H[i], v) for a, v in enumerate(row)]
           for i, row in enumerate(_matrix(_get(obj, "sigma_x"), n, m, "sigma_x"))]
-    sz = [[_hom(S[a], dual_factor(H[i]), v) for a, v in enumerate(row)]
+    sz = [[_hom(S[a], D[i], v) for a, v in enumerate(row)]
           for i, row in enumerate(_matrix(_get(obj, "sigma_z"), n, m, "sigma_z"))]
     p = quadratic_from_json(_get(obj, "p"))
     _require(p.domain == S, "p must be a function on S")
-    return StabTableau(H, S, sx, sz, p)
+    return StabTableau(H, S, LinearFnData(S, H, H.identity(), sx),
+                       LinearFnData(S, D, D.identity(), sz), p)
 
 
 def clifford_to_json(c: CliffordData) -> dict:
     return {
         "type": "clifford",
         "H": c.H.signature(),
-        "alpha": [[scalar_json(x.value) for x in row] for row in c.alpha],
+        "alpha": [[scalar_json(x.value) for x in row] for row in c.alpha.eps1],
         "u": quadratic_to_json(c.u),
     }
 
@@ -261,7 +263,7 @@ def clifford_from_json(obj: dict) -> CliffordData:
              for i, row in enumerate(_matrix(_get(obj, "alpha"), len(P), len(P), "alpha"))]
     u = quadratic_from_json(_get(obj, "u"))
     _require(u.domain == P, "u must be a function on H x H*")
-    return CliffordData(H, alpha, u)
+    return CliffordData(H, LinearFnData(P, P, P.identity(), alpha), u)
 
 
 def to_json(obj) -> dict:

@@ -71,6 +71,10 @@ class NetTypeError(InvalidInput):
         self.line = line
 
 
+class NotUTF8(InvalidInput):
+    """An input file whose bytes are not UTF-8 text."""
+
+
 FERMION_WIRE = "F"
 
 
@@ -339,9 +343,18 @@ def wire_list(text: str, spec: NetworkSpec, lineno=None) -> List[str]:
     return wires
 
 
+def _read_utf8(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUTF8(f"{path} is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from None
+
+
 def parse_file(path: str) -> NetworkSpec:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse(fh.read())
+    return parse(_read_utf8(path))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +372,14 @@ class ContractionResult:
 
 
 def run_contract(spec: NetworkSpec, order: Optional[List[str]] = None) -> ContractionResult:
+    """Contract ``spec``; ``order`` lists wires between two group nodes to
+    contract first, in that order (repeats are skipped)."""
     spec.validate()
+    if order:
+        edges = set(_group_edges(spec))
+        for w in order:
+            if w not in edges:
+                raise NetTypeError(f"contraction order: {w} is not a wire between two group nodes")
     users = spec.wire_users()
     group_nodes = [n for n in spec.nodes if isinstance(n.payload, QTensorData)]
     fermi_nodes = [n for n in spec.nodes if isinstance(n.payload, FermionTensorData)]
@@ -478,7 +498,7 @@ def _contract_group(spec: NetworkSpec, nodes: List[Node], order) -> QTensorData:
     if order:
         # the listed edges first, then the others in declaration order
         listed = set(order)
-        seq = iter([w for w in order if w in net.rank] + [w for w in edges if w not in listed])
+        seq = iter(list(order) + [w for w in edges if w not in listed])
     while net.remaining:
         # a wire passed over in seq is never remaining again, so seq is read once
         w = next(x for x in seq if x in net.remaining) if order else net.cheapest()

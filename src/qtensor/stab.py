@@ -4,26 +4,30 @@ arbitrary products of elementary abelian groups, all realized as
 quadratic tensor data.
 
 The dual H* of an index group is materialized factorwise (Z_k <-> Z_k,
-R <-> R, T <-> Z, Z <-> T).  Every phase here is one quadratic function
-pulled back: the canonical pairing Omega(h, h*) = h*(h) on the phase
-space H x H*, whose only cells pair H_i with H_i*, built once per H.  A
-tableau holds its map sigma = (sigma_x; sigma_z): S -> H x H*, built
-once.  Its pairing (sigma_z s')(sigma_x s) is the cross block of Omega
-pulled back along sigma_x x sigma_z on S x S; the code state's phase is
-Omega o (sigma + (h0, 0)) - p, and the projector's is
-Omega(h + sigma_x s, sigma_z s) - p(s).  A Pauli operator's phase is
-Omega(h + h_shift, h*) and the symplectic form of the phase space is Omega
-itself.  Code states (and through them Clifford unitaries) come in closed
-form straight from the tableau for every index group; projectors and
-measurements assemble the unreduced tensor data and normalize through the
-generic reductions.
+R <-> R, T <-> Z, Z <-> T).  A tableau holds its maps sigma_x: S -> H and
+sigma_z: S -> H*, and Clifford data their map alpha on H x H*, each as one
+``LinearFnData`` matrix of generator images; p and u hold values.  Every
+constructor writes these directly; coefficient cells appear only where
+``jsonio`` reads and writes JSON.  Every phase here is one quadratic
+function pulled back: the canonical pairing Omega(h, h*) = h*(h) on the
+phase space H x H*, built once per H.  A tableau's pairing
+(sigma_z s')(sigma_x s) is the cross block of Omega pulled back along
+sigma_x x sigma_z on S x S; the code state's phase is
+Omega o (sigma + (h0, 0)) - p with sigma = (sigma_x; sigma_z), and the
+projector's is Omega(h + sigma_x s, sigma_z s) - p(s).  A Pauli
+operator's phase is Omega(h + h_shift, h*) and the symplectic form of the
+phase space is Omega itself.  Code states (and through them Clifford
+unitaries) come in closed form straight from the tableau for every index
+group; projectors and measurements assemble the unreduced tensor data and
+normalize through the generic reductions.
 
 Each object has one condition, checked once.  A tableau's is
-p^(2) = sigma_z^* J sigma_x: the pairing block is compared with the cells
-of p^(2), each within its group's tolerance.  p^(2) is symmetric, so the
-condition already gives sigma^* J sigma = 0.  Clifford data (alpha, u) is
-checked as its Choi tableau, whose pairing is alpha^* omega alpha - omega
-and whose code state is the unitary; the same symmetry gives
+p^(2) = sigma_z^* J sigma_x: the pairing block is compared with the
+bilinear values of p, each within its group's tolerance.  p^(2) is
+symmetric, so the condition already gives sigma^* J sigma = 0.  Clifford
+data (alpha, u) is checked as its Choi tableau, whose pairing is
+alpha^* omega alpha - omega and whose code state is the unitary, where it
+becomes a tensor or is composed; the same symmetry gives
 alpha^* J alpha = J, so a non-symplectic alpha is a CocycleMismatch.
 Qubit tableaux are read from Pauli strings: an optional sign + or -, then
 one letter of IXYZ per qubit, all strings of one length.
@@ -39,11 +43,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coeff import (Hom2Coeff, HomCoeff, QuadCoeff, cell_group, cell_of_value, hom_of_image,
-                    hom_zero, value_is_zero)
-from .engine import QTensorData, _extract_through_section, permute_legs, reduce_full, tensor_product
+from .coeff import cell_group, hom_group, image_group, value_is_zero
+from .engine import (QTensorData, _dual_coefficient, _extract_through_section, permute_legs,
+                     reduce_full, tensor_product)
 from .errors import InvalidInput
-from .functions import LinearFnData, QuadraticFnData, hom_data
+from .functions import LinearFnData, QuadraticFnData
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
 from .scalar import Scalar, is_exact, mod1, scalar_eq
 from .solve import UnsupportedKernel, kernel_of_hom, quotient_by_subgroup, solve_hom
@@ -73,29 +77,37 @@ class SpaceMismatch(InvalidInput):
     """Clifford data on different Hilbert spaces."""
 
 
-def dual_factor(f) -> "ElementaryGroup":
-    if f.kind == "Zk":
-        return f
-    if f.kind == "Z":
-        return T
-    if f.kind == "T":
-        return Z
-    return R
-
-
 def dual_product(H: GroupProduct) -> GroupProduct:
-    return GroupProduct([dual_factor(f) for f in H])
+    """H*, whose factors hom[H_i|T] are Z_k, T, Z and R for Z_k, Z, T and R."""
+    return GroupProduct([hom_group(f, T) for f in H])
 
 
 @functools.lru_cache(maxsize=None)
 def _omega(H: GroupProduct) -> QuadraticFnData:
-    """The pairing Omega(h, h*) = h*(h) on H x H*: one cell per pair
-    (H_i, H_i*).  It is shared, so it is only ever read."""
+    """The pairing Omega(h, h*) = h*(h) on H x H*: one bilinear value per
+    pair (H_i, H_i*), B(1, 1) = 1/k on Z_k and the multiplier 1 otherwise.
+    It is shared, so it is only ever read."""
     n = len(H)
     om = QuadraticFnData.zero(H * dual_product(H))
     for i, f in enumerate(H):
-        om.set_cell("phi", i, n + i, Hom2Coeff(f, dual_factor(f), T, 1))
+        om.add_to_cell("phi", i, n + i, Fraction(1, f.k) if f.kind == "Zk" else 1)
     return om
+
+
+def _of_entries(domain: GroupProduct, codomain: GroupProduct, rows) -> LinearFnData:
+    """The homomorphism with matrix entries ``rows`` (``coeff.image_group``),
+    one row per codomain factor, each entry normalized in its group."""
+    return LinearFnData.of_images(domain, codomain, codomain.identity(),
+                                  [[image_group(Dj, Ci).normalize(v) for Dj, v in zip(domain, row)]
+                                   for Ci, row in zip(codomain, rows)])
+
+
+def _zk_term(k: int, h2: int) -> Tuple[Fraction, Fraction]:
+    """The values (q(1), B(1, 1)) of the quadratic term of Z_k into T with
+    coefficient h2: q(x) = h2 x^2 / 2k for even k, (h2 / 2 mod k) x^2 / k
+    for odd k."""
+    v = mod1(Fraction(h2 * (k + 1 if k % 2 else 1), 2 * k))
+    return v, mod1(2 * v)
 
 
 def _block(*rows: Sequence[LinearFnData]) -> LinearFnData:
@@ -164,23 +176,15 @@ def pauli_rep_tensor(H: GroupProduct) -> QTensorData:
 class StabTableau:
     H: GroupProduct
     S: GroupProduct
-    sigma_x: List[List[HomCoeff]]  # rows over H factors
-    sigma_z: List[List[HomCoeff]]  # rows over H* factors (dual coordinates)
+    sigma_x: LinearFnData  # S -> H
+    sigma_z: LinearFnData  # S -> H* (dual coordinates)
     p: QuadraticFnData  # over S, phi part only
 
     def __post_init__(self):
-        n, m = len(self.H), len(self.S)
-        assert len(self.sigma_x) == n and all(len(r) == m for r in self.sigma_x)
-        assert len(self.sigma_z) == n and all(len(r) == m for r in self.sigma_z)
+        sx, sz = self.sigma_x, self.sigma_z
+        assert (sx.domain, sx.codomain) == (self.S, self.H)
+        assert (sz.domain, sz.codomain) == (self.S, dual_product(self.H))
         assert self.p.domain == self.S
-
-    @functools.cached_property
-    def maps(self) -> Tuple[LinearFnData, LinearFnData, LinearFnData]:
-        """sigma_x: S -> H, sigma_z: S -> H* and sigma = (sigma_x; sigma_z),
-        built from the cells on first use."""
-        sx = hom_data(self.S, self.H, self.sigma_x)
-        sz = hom_data(self.S, dual_product(self.H), self.sigma_z)
-        return sx, sz, _block([sx], [sz])
 
     def validate(self) -> None:
         """Check the tableau condition and that sigma is injective."""
@@ -196,20 +200,18 @@ class StabTableau:
         (a, b), over the same group.  So the condition at (a, b) and at
         (b, a) already makes the pairing symmetric, sigma^* J sigma = 0.
         """
-        S, m = self.S, len(self.S)
-        sx, sz, _ = self.maps
-        H, D = sx.codomain, sz.codomain
-        pair = _omega(H).precompose(_block([sx, _zero(S, H)], [_zero(S, D), sz])).mat["phi"]
+        S, m, H, D = self.S, len(self.S), self.H, self.sigma_z.codomain
+        pair = _omega(H).precompose(_block([self.sigma_x, _zero(S, H)],
+                                           [_zero(S, D), self.sigma_z])).mat["phi"]
         for a in range(m):
             for b in range(m):
                 got, want = self.p.mat["phi"][a][b], pair[a][m + b]
                 if not cell_group(S[a], S[b], T).eq(got, want):
-                    got, want = (cell_of_value(S[a], S[b], T, v).value for v in (got, want))
                     raise error(f"{what} fails at cell ({a},{b}): {got} != {want}")
 
     def _check_injective(self) -> None:
         try:
-            pres = kernel_of_hom(self.maps[2])
+            pres = kernel_of_hom(_block([self.sigma_x], [self.sigma_z]))
         except UnsupportedKernel:
             return  # injectivity not checkable in this class; constructions guard
         if len(pres.group) and any(
@@ -240,34 +242,30 @@ def qubit_tableau(strings: Sequence[str]) -> StabTableau:
     S = GroupProduct([Zk(2)] * m)
     xbits = [[1 if c in "XY" else 0 for c in body] for _, body in gens]
     zbits = [[1 if c in "ZY" else 0 for c in body] for _, body in gens]
-    sx = [[HomCoeff(Zk(2), Zk(2), xbits[a][i]) for a in range(m)] for i in range(n)]
-    sz = [[HomCoeff(Zk(2), Zk(2), zbits[a][i]) for a in range(m)] for i in range(n)]
+    sx = LinearFnData.of_images(S, H, H.identity(), [list(col) for col in zip(*xbits)])
+    sz = LinearFnData.of_images(S, H, H.identity(), [list(col) for col in zip(*zbits)])
     p = QuadraticFnData.zero(S)
+    vec, mat = p.vec["phi"], p.mat["phi"]
     for a, (sign, body) in enumerate(gens):
-        ny = body.count("Y")
         sa = 1 if sign < 0 else 0
-        p.phi1[a] = QuadCoeff(Zk(2), T, (ny + 2 * sa) % 4, 0)
+        vec[a], mat[a][a] = _zk_term(2, body.count("Y") + 2 * sa)
     for a in range(m):
         for b in range(a + 1, m):
             val = sum(xbits[a][i] * zbits[b][i] for i in range(n)) % 2
             if val:
-                p.set_cell("phi", a, b, Hom2Coeff(Zk(2), Zk(2), T, val))
+                p.add_to_cell("phi", a, b, Fraction(val, 2))
     tab = StabTableau(H, S, sx, sz, p)
     tab.validate()
     return tab
 
 
-def css_tableau(Sx: GroupProduct, Sz: GroupProduct, sigma_x_cells, sigma_z_cells,
-                H: GroupProduct) -> StabTableau:
-    """CSS tableau: S = Sx x Sz, block-diagonal sigma, p = 0."""
+def css_tableau(sigma_x: LinearFnData, sigma_z: LinearFnData) -> StabTableau:
+    """CSS tableau from sigma_x: Sx -> H and sigma_z: Sz -> H*: S = Sx x Sz,
+    block-diagonal sigma, p = 0."""
+    Sx, Sz, H, D = sigma_x.domain, sigma_z.domain, sigma_x.codomain, sigma_z.codomain
     S = Sx * Sz
-    n = len(H)
-    mx, mz = len(Sx), len(Sz)
-    sx = [[sigma_x_cells[i][a] if a < mx else hom_zero(S[a], H[i])
-           for a in range(mx + mz)] for i in range(n)]
-    sz = [[sigma_z_cells[i][a - mx] if a >= mx else hom_zero(S[a], dual_factor(H[i]))
-           for a in range(mx + mz)] for i in range(n)]
-    tab = StabTableau(H, S, sx, sz, QuadraticFnData.zero(S))
+    tab = StabTableau(H, S, _block([sigma_x, _zero(Sz, H)]), _block([_zero(Sx, D), sigma_z]),
+                      QuadraticFnData.zero(S))
     # the pairing vanishes off the (Sx, Sz) block, so with p = 0 the tableau
     # condition is the orthogonality sigma_z^* sigma_x = 0
     tab._condition(OrthogonalityViolation, "orthogonality sigma_z^* sigma_x = 0")
@@ -284,7 +282,7 @@ def _unreduced_projector(tab: StabTableau) -> QTensorData:
     H, S = tab.H, tab.S
     if not S.finite:
         raise UnsupportedKernel("projector needs a finite stabilizer group")
-    sx, sz, _ = tab.maps
+    sx, sz = tab.sigma_x, tab.sigma_z
     top = [_one(H), sx]
     eps = _block(top, [_one(H), _zero(S, H)])
     q = (_omega(H).precompose(_block(top, [_zero(H, sz.codomain), sz]))
@@ -320,29 +318,30 @@ def _code_state(tab: StabTableau) -> QTensorData:
     """stab_state of a tableau whose condition holds and whose sigma is
     injective."""
     H, S = tab.H, tab.S
-    sx, sz, sigma = tab.maps
+    sx, sz = tab.sigma_x, tab.sigma_z
     pres = kernel_of_hom(sx)
     Kx, kx = pres.group, pres.inclusion
     h0 = H.identity()
     if len(Kx):
         # kappa_x^* sigma_z^* h0 is the pairing of H with K_x, curried: the
-        # cross cells of Omega pulled back along 1_H x sigma_z kappa_x
-        n, D = len(H), sz.codomain
+        # cross values of Omega pulled back along 1_H x sigma_z kappa_x, each
+        # read as the character of K_x it gives at a generator of H
+        n, D, Kd = len(H), sz.codomain, dual_product(Kx)
         pair = _omega(H).precompose(_block([_one(H), _zero(Kx, H)],
-                                           [_zero(H, D), sz.compose_hom(kx)]))
-        M = hom_data(H, dual_product(Kx), [[pair.cell("phi", i, n + c).as_outer_hom()
-                                            for i in range(n)] for c in range(len(Kx))])
+                                           [_zero(H, D), sz.compose_hom(kx)])).mat["phi"]
+        M = LinearFnData.of_images(H, Kd, Kd.identity(), [
+            [image_group(Hi, Kd[c]).normalize(_dual_coefficient(f, pair[i][n + c]))
+             for i, Hi in enumerate(H)] for c, f in enumerate(Kx)])
         pkx = tab.p.precompose(kx)
         if not all(value_is_zero(cell_group(f, f, T), pkx.mat["phi"][c][c])
                    for c, f in enumerate(Kx)):
             raise ConditionViolation("p restricted to kernel(sigma_x) is not linear")
-        h0 = solve_hom(M, tuple(hom_of_image(f, T, v).value
-                                for f, v in zip(Kx, pkx.vec["phi"])))
+        h0 = solve_hom(M, tuple(_dual_coefficient(f, v) for f, v in zip(Kx, pkx.vec["phi"])))
         if h0 is None:
             raise UnsolvableOffset("no h0 solves kappa_x^* sigma_z^* h0 = p o kappa_x")
         h0 = H.element(h0)
     qpres = quotient_by_subgroup(S, kx)
-    qS = _omega(H).precompose_affine(sigma, h0 + sz.codomain.identity()) - tab.p
+    qS = _omega(H).precompose_affine(_block([sx], [sz]), h0 + sz.codomain.identity()) - tab.p
     epsS = LinearFnData.of_images(S, H, h0, sx.img)
     q_new, eps_new = _extract_through_section(S, qpres.group, qpres.lift, qS, epsS)
     t = QTensorData(H, qpres.group, eps_new, q_new, 0, Fraction(1))
@@ -378,33 +377,28 @@ def pauli_measurement(tab: StabTableau) -> QTensorData:
 @dataclass
 class CliffordData:
     H: GroupProduct
-    alpha: List[List[HomCoeff]]  # (H x H*) -> (H x H*) cells, 2n x 2n
+    alpha: LinearFnData  # H x H* -> H x H*
     u: QuadraticFnData  # over H x H*, phi only
 
     def __post_init__(self):
         self.phase_space = self.H * dual_product(self.H)
-        n2 = len(self.phase_space)
-        assert len(self.alpha) == n2 and all(len(r) == n2 for r in self.alpha)
+        assert self.alpha.domain == self.alpha.codomain == self.phase_space
         assert self.u.domain == self.phase_space
-
-    def alpha_hom(self) -> LinearFnData:
-        return hom_data(self.phase_space, self.phase_space, self.alpha)
-
-    def apply_alpha(self, xi: GroupElement) -> GroupElement:
-        return self.alpha_hom()(xi)
 
 
 def clifford_data(H: GroupProduct, rows, terms=(), cells=()) -> CliffordData:
-    """Clifford data on H with integer alpha rows over H x H*, the quadratic
-    terms (i, h2) of u and its bilinear cells (i, j, value), i < j."""
+    """Clifford data on a product H of Z_k factors from integers: the rows of
+    alpha over H x H* (generator images), the quadratic terms (i, h2) of u
+    (``_zk_term``) and its bilinear cells (i, j, c), i < j, whose value is
+    B(e_i, e_j) = c / gcd(k_i, k_j)."""
     P = H * dual_product(H)
-    alpha = [[HomCoeff(P[j], P[i], v) for j, v in enumerate(row)] for i, row in enumerate(rows)]
     u = QuadraticFnData.zero(P)
+    vec, mat = u.vec["phi"], u.mat["phi"]
     for i, h2 in terms:
-        u.phi1[i] = QuadCoeff(P[i], T, h2, 0)
-    for i, j, v in cells:
-        u.set_cell("phi", i, j, Hom2Coeff(P[i], P[j], T, v))
-    return CliffordData(H, alpha, u)
+        vec[i], mat[i][i] = _zk_term(P[i].k, h2)
+    for i, j, c in cells:
+        u.add_to_cell("phi", i, j, Fraction(c, math.gcd(P[i].k, P[j].k)))
+    return CliffordData(H, _of_entries(P, P, rows), u)
 
 
 # the named qubit gates: alpha rows, u terms and u cells
@@ -439,15 +433,13 @@ def _choi_tableau(c: CliffordData) -> StabTableau:
     tableau condition is the Clifford condition.  As u^(2) is symmetric, it
     also gives alpha^* J alpha = J: a non-symplectic alpha fails it too.
     """
-    H = c.H
+    H, S = c.H, c.phase_space
     n = len(H)
-    S = c.phase_space
     Hc = H * H  # (in, out) ordering per the defining derivation
-    sx = [[HomCoeff(S[j], Hc[i], 1) if j == i else hom_zero(S[j], Hc[i])
-           for j in range(2 * n)] for i in range(n)] + c.alpha[:n]
-    sz = [[-HomCoeff(S[j], dual_factor(Hc[i]), 1) if j == n + i
-           else hom_zero(S[j], dual_factor(Hc[i])) for j in range(2 * n)]
-          for i in range(n)] + c.alpha[n:]
+    sx = _of_entries(S, Hc, [[int(j == i) for j in range(2 * n)] for i in range(n)]
+                     + c.alpha.img[:n])
+    sz = _of_entries(S, dual_product(Hc), [[-int(j == n + i) for j in range(2 * n)]
+                                           for i in range(n)] + c.alpha.img[n:])
     tab = StabTableau(Hc, S, sx, sz, c.u)
     tab._condition(CocycleMismatch, "u^(2) = alpha^* omega alpha - omega")
     return tab
@@ -460,19 +452,14 @@ def clifford_check(c: CliffordData) -> None:
 
 def clifford_identity(H: GroupProduct) -> CliffordData:
     P = H * dual_product(H)
-    n2 = len(P)
-    alpha = [[HomCoeff(P[j], P[i], 1) if i == j else hom_zero(P[j], P[i])
-              for j in range(n2)] for i in range(n2)]
-    return CliffordData(H, alpha, QuadraticFnData.zero(P))
+    return CliffordData(H, _one(P), QuadraticFnData.zero(P))
 
 
 def clifford_compose(cp: CliffordData, c: CliffordData) -> CliffordData:
     """Data of the product: apply ``c`` first, then ``cp``."""
     if cp.H != c.H:
         raise SpaceMismatch(f"cannot compose Clifford data on {c.H} and {cp.H}")
-    a = c.alpha_hom()
-    alpha = cp.alpha_hom().compose_hom(a)
-    out = CliffordData(c.H, [list(row) for row in alpha.eps1], c.u + cp.u.precompose(a))
+    out = CliffordData(c.H, cp.alpha.compose_hom(c.alpha), c.u + cp.u.precompose(c.alpha))
     clifford_check(out)
     return out
 
@@ -534,44 +521,45 @@ def gaussian_clifford(L: np.ndarray, d: Optional[Sequence[float]] = None) -> Cli
     Lpi_inv = pi_inv @ np.linalg.inv(L) @ pi_m
     H = GroupProduct([R] * n)
     P = H * dual_product(H)
-    alpha = [[HomCoeff(P[j], P[i], float(Lpi_inv[i, j])) if abs(Lpi_inv[i, j]) > 1e-14
-              else hom_zero(P[j], P[i]) for j in range(n2)] for i in range(n2)]
+    alpha = _of_entries(P, P, [[float(x) if abs(x) > 1e-14 else 0 for x in row]
+                               for row in Lpi_inv])
     omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
     W = Lpi_inv.T @ omega_t @ Lpi_inv - omega_t
     assert np.max(np.abs(W - W.T)) < 1e-9, "u^(2) matrix must be symmetric"
     u = QuadraticFnData.zero(P)
+    vec, mat = u.vec["phi"], u.mat["phi"]
     lin = d @ pi_inv @ Jt
     for i in range(n2):
-        h2 = W[i, i]
-        h1 = lin[i]
-        if abs(h2) > 1e-14 or abs(h1) > 1e-14:
-            u.phi1[i] = QuadCoeff(P[i], T, h2, h1)
+        # an R factor holds the multipliers (h1, h2) of h1 x + h2 x^2 / 2
+        if abs(W[i, i]) > 1e-14 or abs(lin[i]) > 1e-14:
+            vec[i], mat[i][i] = lin[i], W[i, i]
         for j in range(i + 1, n2):
             if abs(W[i, j]) > 1e-14:
-                u.set_cell("phi", i, j, Hom2Coeff(P[i], P[j], T, W[i, j]))
-    c = CliffordData(H, alpha, u)
-    clifford_check(c)
-    return c
+                u.add_to_cell("phi", i, j, W[i, j])
+    return CliffordData(H, alpha, u)
 
 
 def _gkp_data(L: np.ndarray):
-    """(n, sigma_x cells, p) of a GKP lattice basis L over S = Z^2n:
-    sigma_x = L_x as Z -> R cells and p(s) = (L_z s)(L_x s) / 2 pi, whose
-    matrix M = L^T omega L / 2 pi gives h2 = M_aa / 2 and the cells M_ab."""
+    """(n, sigma_x, p) of a GKP lattice basis L over S = Z^2n:
+    sigma_x = L_x: S -> R^n and p(s) = (L_z s)(L_x s) / 2 pi, whose matrix
+    M = L^T omega L / 2 pi gives p(e_a) = M_aa / 2 and B(e_a, e_b) = M_ab."""
     n2 = L.shape[0]
     n = n2 // 2
-    sx = [[HomCoeff(Z, R, float(L[i, j])) if abs(L[i, j]) > 1e-14 else hom_zero(Z, R)
-           for j in range(n2)] for i in range(n)]
+    S = GroupProduct([Z] * n2)
+    sx = _of_entries(S, GroupProduct([R] * n), [[float(x) if abs(x) > 1e-14 else 0 for x in row]
+                                                for row in L[:n]])
     omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
     M = L.T @ omega_t @ L / (2 * math.pi)
-    p = QuadraticFnData.zero(GroupProduct([Z] * n2))
+    p = QuadraticFnData.zero(S)
+    vec, mat = p.vec["phi"], p.mat["phi"]
     for a in range(n2):
         if abs(M[a, a]) > 1e-14:
-            p.phi1[a] = QuadCoeff(Z, T, mod1(M[a, a] / 2), 0)
+            vec[a] = mod1(M[a, a] / 2)
+            mat[a][a] = mod1(2 * vec[a])
         for b in range(a + 1, n2):
             val = mod1(M[a, b])
             if not scalar_eq(val, 0) and not scalar_eq(val, 1.0):
-                p.set_cell("phi", a, b, Hom2Coeff(Z, Z, T, val))
+                p.add_to_cell("phi", a, b, val)
     return n, sx, p
 
 
@@ -588,32 +576,28 @@ def gkp_tableau(L: np.ndarray) -> StabTableau:
     gram = L.T @ Jt @ L / (2 * math.pi)
     if np.max(np.abs(gram - np.round(gram))) > 1e-9:
         raise NotSymplectic("L^T J L is not an integer multiple of 2 pi")
-    sz = [[HomCoeff(Z, R, float(L[n + i, j]) / (2 * math.pi))
-           if abs(L[n + i, j]) > 1e-14 else hom_zero(Z, R)
-           for j in range(2 * n)] for i in range(n)]
-    tab = StabTableau(GroupProduct([R] * n), p.domain, sx, sz, p)
+    sz = _of_entries(p.domain, sx.codomain, [[float(x) / (2 * math.pi) if abs(x) > 1e-14 else 0
+                                              for x in row] for row in L[n:]])
+    tab = StabTableau(sx.codomain, p.domain, sx, sz, p)
     tab.validate()
     return tab
 
 
 def gkp_state_data(L: np.ndarray) -> QTensorData:
     """Code-state data of a GKP code with trivial kernel(L_x)."""
-    n, sx, p = _gkp_data(np.asarray(L, dtype=float))
-    H = GroupProduct([R] * n)
-    return QTensorData(H, p.domain, LinearFnData(p.domain, H, H.identity(), sx), p, 0, None)
+    _, sx, p = _gkp_data(np.asarray(L, dtype=float))
+    return QTensorData(sx.codomain, p.domain, sx, p, 0, None)
 
 
 def approx_gkp_state(a: float, b: float) -> QTensorData:
     """Approximate single-mode square-lattice GKP state."""
     G = GroupProduct([R])
     E = GroupProduct([R, Z])
-    eps = LinearFnData(E, G, G.identity(),
-                       [[HomCoeff(R, R, 1), hom_zero(Z, R)]])
     q = QuadraticFnData.zero(E)
-    q.a1[0] = QuadCoeff(R, R, -a - b, 0)
-    q.a1[1] = QuadCoeff(Z, R, -a, 0)
-    q.set_cell("a", 0, 1, Hom2Coeff(R, Z, R, a))
-    return QTensorData(G, E, eps, q, 0, None)
+    # a factor into R holds the multipliers of its quadratic term
+    q.mat["a"][0][0], q.mat["a"][1][1] = R.normalize(-a - b), R.normalize(-a)
+    q.add_to_cell("a", 0, 1, a)
+    return QTensorData(G, E, _of_entries(E, G, [[1, 0]]), q, 0, None)
 
 
 def rotor_tableau(Hx: np.ndarray, Hz: np.ndarray, h_xz=None) -> StabTableau:
@@ -638,21 +622,22 @@ def rotor_tableau(Hx: np.ndarray, Hz: np.ndarray, h_xz=None) -> StabTableau:
             vb = sum(Fraction(h_xz[i][b]) * int(Hz[i][a]) for i in range(n))
             if mod1(va - vb) != 0:
                 raise ConditionViolation("h_xz^T H_z is not symmetric mod 1")
-    sx = [[HomCoeff(T, T, int(Hx[i, a])) if a < k and Hx.size else
-           (HomCoeff(Z, T, h_xz[i][a - k]) if a >= k else hom_zero(S[a], T))
-           for a in range(k + l)] for i in range(n)]
-    sz = [[hom_zero(S[a], Z) if a < k else HomCoeff(Z, Z, int(Hz[i, a - k]))
-           for a in range(k + l)] for i in range(n)]
+    sx = _of_entries(S, H, [[int(Hx[i, a]) for a in range(k)] + [h_xz[i][b] for b in range(l)]
+                            for i in range(n)])
+    sz = _of_entries(S, dual_product(H), [[0] * k + [int(Hz[i, b]) for b in range(l)]
+                                          for i in range(n)])
     p = QuadraticFnData.zero(S)
+    vec, mat = p.vec["phi"], p.mat["phi"]
     for a in range(l):
         v = sum(Fraction(h_xz[i][a]) * int(Hz[i][a]) for i in range(n))
         if mod1(v) != 0:
-            p.phi1[k + a] = QuadCoeff(Z, T, mod1(Fraction(v) / 2), 0)
+            vec[k + a] = mod1(Fraction(v) / 2)
+            mat[k + a][k + a] = mod1(2 * vec[k + a])
         for b in range(a + 1, l):
             v = sum(Fraction(h_xz[i][a]) * int(Hz[i][b]) for i in range(n))
             vb = sum(Fraction(h_xz[i][b]) * int(Hz[i][a]) for i in range(n))
             if mod1(v + vb) != 0:
-                p.set_cell("phi", k + a, k + b, Hom2Coeff(Z, Z, T, mod1(v)))
+                p.add_to_cell("phi", k + a, k + b, mod1(v))
     tab = StabTableau(H, S, sx, sz, p)
     tab.validate()
     return tab

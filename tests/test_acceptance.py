@@ -392,7 +392,7 @@ def test_criterion_6_clifford_conversion():
     seen = {}
 
     def key(c):
-        ak = tuple(tuple(int(x.value) for x in row) for row in c.alpha)
+        ak = tuple(tuple(int(x.value) for x in row) for row in c.alpha.eps1)
         uk = (tuple((int(q.h2), int(q.h1)) for q in c.u.phi1),
               tuple(sorted((ij, int(v.value)) for ij, v in c.u.phi2.items())))
         return ak, uk
@@ -429,7 +429,7 @@ def test_criterion_6_clifford_conversion():
                 pauli_to_tensor(PauliLabel(Hgrp, xi[:n], xi[n:], 0)), n
             )
             lhs = mat_mul(mat_mul(U, rho), Ud)
-            axi = c.apply_alpha(xi)
+            axi = c.alpha(xi)
             _, uval = c.u.eval(xi)
             rho2 = exact_matrix(
                 pauli_to_tensor(PauliLabel(Hgrp, axi[:n], axi[n:], -uval)), n

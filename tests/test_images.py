@@ -13,6 +13,7 @@ from qtensor.coeff import HomCoeff, compose, hom_apply, hom_group, hom_zero
 from qtensor.functions import LinearFnData
 from qtensor.groups import GroupProduct, R, T, Z, Zk
 from qtensor.net import parse, run_contract
+from qtensor.stab import qubit_tableau, stab_projector, stab_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GROUPS = [Zk(k) for k in range(2, 13)] + [Z, T, R]
@@ -114,22 +115,18 @@ def test_images_read_back_as_cells():
                         (HomCoeff(Zk(4), T, 1), HomCoeff(Zk(6), T, 5)))
 
 
-def test_brickwork_builds_few_coefficient_objects(monkeypatch):
-    """One contraction of the seed-7 8 x 3 brickwork of the benchmark,
-    parsed beforehand, builds at most 300 coefficient objects (HomCoeff,
-    QuadCoeff and Hom2Coeff together) over its 9 reduction steps: linear
-    maps and quadratic functions hold values, not one coefficient per cell.
-    It builds 2, both for the Gauss sums; before quadratic functions were
-    held as values it built 1550."""
+def _workloads():
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    rng = random.Random(7)
-    texts = {(n, d): workloads.circuit_net(n, workloads.brickwork_circuit(rng, n, d))
-             for n, d in workloads.QUBIT_SIZES}
-    spec = parse(texts[(8, 3)])
+    return workloads
+
+
+def _count_coefficient_objects(monkeypatch) -> list:
+    """A list that gains one entry per HomCoeff, QuadCoeff or Hom2Coeff built
+    from now on."""
     made = []
     for cls in (coeff.HomCoeff, coeff.QuadCoeff, coeff.Hom2Coeff):
         def counted(self, plain=cls.__post_init__):
@@ -137,5 +134,41 @@ def test_brickwork_builds_few_coefficient_objects(monkeypatch):
             plain(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return made
+
+
+def test_brickwork_builds_few_coefficient_objects(monkeypatch):
+    """One contraction of the seed-7 8 x 3 brickwork of the benchmark,
+    parsed beforehand, builds at most 300 coefficient objects (HomCoeff,
+    QuadCoeff and Hom2Coeff together) over its 9 reduction steps: linear
+    maps and quadratic functions hold values, not one coefficient per cell.
+    It builds 2, both for the Gauss sums; before quadratic functions were
+    held as values it built 1550."""
+    workloads = _workloads()
+    rng = random.Random(7)
+    texts = {(n, d): workloads.circuit_net(n, workloads.brickwork_circuit(rng, n, d))
+             for n, d in workloads.QUBIT_SIZES}
+    spec = parse(texts[(8, 3)])
+    made = _count_coefficient_objects(monkeypatch)
     run_contract(spec)
     assert 0 < len(made) <= 300, len(made)
+
+
+def test_tableaux_and_clifford_data_build_no_coefficient_objects(monkeypatch):
+    """Tableaux and Clifford data hold their maps as image matrices and
+    their phases as values: a Steane tableau with signs drawn as Z twists,
+    as in the benchmark's stabilizer_states, is built with qubit_tableau
+    and gives its code state and a projector, and the first Gaussian chain
+    of the seed-7 free_modes is built from gaussian_clifford and
+    contracted, with no coefficient object at all.
+    With tableaux and Clifford data held as cells they built 1789 in one
+    states_and_modes pass."""
+    workloads = _workloads()
+    rng = random.Random(7)
+    steane = workloads._z_twist(rng, ["+" + b for b in workloads.STEANE])
+    gauss = next(inst for inst in workloads.free_modes(7) if inst.name.startswith("gauss"))
+    made = _count_coefficient_objects(monkeypatch)
+    stab_state(qubit_tableau(steane))
+    stab_projector(qubit_tableau(steane[:6]))
+    gauss.run()
+    assert len(made) == 0, len(made)

@@ -7,7 +7,10 @@ of values.  From ``coeff`` they may import only the coefficient classes and
 values and the conversions between values and coefficients, the error
 classes, and ``quad_apply``/``quad_of_values``, which a float quadratic
 term on Z keeps its formula through.  Composition, duals, pullbacks and
-the other coefficient operations stay with the tables.
+the other coefficient operations stay with the tables.  ``stab`` holds
+tableaux and Clifford data as maps and values, so it imports no
+coefficient cell and no conversion to or from one: cells are read and
+written only at the JSON boundary.
 
 Every exception class of the package derives from ``errors.InvalidInput``
 (exit 2) or ``errors.Unsupported`` (exit 3), or states an internal
@@ -55,6 +58,16 @@ def coeff_imports(module: str):
 def test_layer_imports_only_values_from_coeff(module):
     bad = [(name, line) for name, line in coeff_imports(module) if name not in ALLOWED]
     assert not bad, f"{module}.py imports coefficient arithmetic from coeff: {bad}"
+
+
+# coefficient cells, and the conversions between a cell and its value
+CELLS = {"HomCoeff", "Hom2Coeff", "QuadCoeff", "hom_zero", "cell_of_value", "hom_of_image",
+         "hom_image"}
+
+
+def test_stab_imports_no_coefficient_cells():
+    bad = [(name, line) for name, line in coeff_imports("stab") if name in CELLS]
+    assert not bad, f"stab.py builds coefficient cells: {bad}"
 
 
 BASES = {"InvalidInput", "Unsupported"}

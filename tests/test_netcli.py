@@ -1,5 +1,7 @@
 """Network DSL parsing, evaluation, and CLI subcommands."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from qtensor import jsonio
+from qtensor import cli, jsonio
 from qtensor.coeff import Hom2Coeff
 from qtensor.dense import materialize
 from qtensor.fermion import beam_splitter, fermion_matrix
@@ -248,12 +250,25 @@ def test_inline_json_node(tmp_path):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
+    """``cli.main`` on ``args`` in this process, as a finished process: the
+    exit code (argparse's ``SystemExit`` included) and the captured output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def test_cli_entry_point():
+    """``python -m qtensor.cli`` runs ``cli.main`` and exits with its code."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "qtensor.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-    )
+    args = ("stab", "state", "gens:+XX,+ZZ")
+    r = subprocess.run([sys.executable, "-m", "qtensor.cli", *args], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (r.returncode, r.stdout, r.stderr) == (0, run_cli(*args).stdout, "")
 
 
 def test_cli_tables_selftest():
@@ -413,8 +428,9 @@ def _json_node(payload: str) -> str:
     (("contract", FILE), "wire a: F\nwire b: F\nnode u = fid(x)(a, b)\n"),
     # a named qudit gate on wires of two factors
     (("contract", FILE), "wire a: Z2,Z2\nwire b: Z2,Z2\nnode h = H(a, b)\n"),
-    # a contraction order naming a wire that is not declared
+    # a contraction order naming a wire that is not declared, and one that is open
     (("contract", "--order", "zz", FILE), BELL2),
+    (("contract", "--order", "c,q0", FILE), BELL2),
     # bitstrings with digits other than 0 and 1
     (("fermion", "eval", FILE, "02"), _FERMION),
     (("fermion", "eval", FILE, "0x"), _FERMION),
@@ -430,7 +446,7 @@ def _json_node(payload: str) -> str:
         "projector_of_state", "compose_tableau", "compose_h_and_state", "payload_not_json",
         "node_not_json", "node_without_g", "tableau_without_sigma_x", "clifford_without_u",
         "string_a0", "string_div_weight", "negative_mag2", "tableau_node", "fbs_not_a_number",
-        "fid_not_a_number", "gate_on_two_factor_wires", "order_undeclared_wire",
+        "fid_not_a_number", "gate_on_two_factor_wires", "order_undeclared_wire", "order_open_wire",
         "bitstring_digit_2", "bitstring_digit_x", "symmetric_fermion_q2", "directory_payload",
         "selftest_negative_max_k"])
 def test_cli_invalid_input_exits_2(tmp_path, args, text):
@@ -440,6 +456,18 @@ def test_cli_invalid_input_exits_2(tmp_path, args, text):
     r = run_cli(*(str(f) if a is FILE else str(tmp_path) if a is DIR else a for a in args))
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("args, text", [
+    (("contract", FILE), "wire a: Z2\nnode k = ket0(a)  # \xff\nopen a\n"),
+    (("stab", "state", FILE), _TABLEAU.replace('"tableau"', '"tableau\xff"')),
+], ids=["net_file", "json_payload"])
+def test_cli_input_that_is_not_utf8_exits_2(tmp_path, args, text):
+    f = tmp_path / "input"
+    f.write_bytes(text.encode("latin-1"))
+    r = run_cli(*(str(f) if a is FILE else a for a in args))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and "not UTF-8" in r.stderr, r.stderr
 
 
 def _z4_payload(eps0, cell) -> dict:
@@ -511,6 +539,30 @@ def test_residual_z_rank_does_not_depend_on_order(tmp_path):
         r = run_cli("contract", str(net), "--order", order)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["residual_z_rank"] == 1, order
+
+
+# a node on (Z, T) with E = T x T beside a node on Z: contracting the Z wire
+# leaves a zero-reduction over T whose kernel column meets both T factors
+TWO_FACTOR_CIRCLE_SUPPORT = (
+    "wire s : Z\n"
+    "wire a : T\n"
+    'node x = json {"type": "qtensor", "G": "Z,T", "E": "T,T", "eps": {"domain": "T,T", '
+    '"codomain": "Z,T", "eps0": [0, 0], "eps1": [[0, 0], [2, 1]]}, "q": {"domain": "T,T", '
+    '"a0": 0, "phi0": 0, "a1": [[0, 0], [0, 0]], "phi1": [[0, 0], [0, 0]], "a2": {}, '
+    '"phi2": {}}, "div_weight": 0, "mag2": 1, "zero": false} (s, a)\n'
+    'node y = json {"type": "qtensor", "G": "Z", "E": "Z", "eps": {"domain": "Z", '
+    '"codomain": "Z", "eps0": [0], "eps1": [[1]]}, "q": {"domain": "Z", "a0": 0, "phi0": 0, '
+    '"a1": [[0, 0]], "phi1": [[0, 0]], "a2": {}, "phi2": {}}, "div_weight": 0, "mag2": 1, '
+    '"zero": false} (s)\n'
+)
+
+
+def test_cli_zero_reduction_over_two_circle_factors_is_unsupported(tmp_path):
+    net = tmp_path / "circle.net"
+    net.write_text(TWO_FACTOR_CIRCLE_SUPPORT)
+    r = run_cli("contract", str(net))
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert r.stderr.startswith("unsupported case:") and "Traceback" not in r.stderr
 
 
 def _self_loop_net(theta: float) -> str:

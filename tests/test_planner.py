@@ -11,7 +11,7 @@ import pytest
 
 from qtensor.engine import QTensorData
 from qtensor.higher import OrderTensorData
-from qtensor.net import _GroupNet, _group_edges, parse, parse_file, run_contract
+from qtensor.net import NetTypeError, _GroupNet, _group_edges, parse, parse_file, run_contract
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # networks with a higher-order node are evaluated densely, with no planner
@@ -62,10 +62,13 @@ def test_heap_planner_matches_rescan_on_brickworks():
 
 def test_order_override_is_followed(monkeypatch):
     """With an order, the listed edges go first in the listed order (repeats
-    and unknown names ignored), then the rest in declaration order."""
+    ignored), then the rest in declaration order; a name that is not an
+    edge between two group nodes is an error."""
     text = _brickwork_texts()["brickwork_n4_d3"]
     edges = _group_edges(parse(text))
-    order = [edges[5], "nowire", edges[2], edges[5], edges[0]]
+    with pytest.raises(NetTypeError, match="nowire"):
+        run_contract(parse(text), [edges[5], "nowire", edges[2]])
+    order = [edges[5], edges[2], edges[5], edges[0]]
     seen = []
     plain = _GroupNet.contract
 

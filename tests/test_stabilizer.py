@@ -17,7 +17,7 @@ from qtensor import jsonio
 from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff
 from qtensor.dense import materialize, materialize_matrix
 from qtensor.engine import QTensorData, reduce_full, self_contract, tensor_product
-from qtensor.functions import QuadraticFnData
+from qtensor.functions import QuadraticFnData, hom_data
 from qtensor.groups import GroupProduct, T, Z, Zk, parse_product
 from qtensor.solve import UnsupportedKernel
 from qtensor import stab
@@ -33,6 +33,7 @@ from qtensor.stab import (
     clifford_to_tensor,
     css_tableau,
     dual_product,
+    gaussian_clifford,
     pauli_measurement,
     pauli_rep_tensor,
     pauli_to_tensor,
@@ -217,7 +218,7 @@ def qudit_css(k_of: Sequence[int], sx_group: str, sx, sz_group: str, sz):
                 for i in range(len(H))]
     sz_cells = [[HomCoeff(Sz[b], H[i], sz[i][b]) for b in range(len(Sz))]
                 for i in range(len(H))]
-    return css_tableau(Sx, Sz, sx_cells, sz_cells, H)
+    return css_tableau(hom_data(Sx, H, sx_cells), hom_data(Sz, dual_product(H), sz_cells))
 
 
 def test_qudit_css_states_match_oracle():
@@ -253,7 +254,7 @@ def test_css_repetition_code():
     sx = [[HomCoeff(Zk(2), Zk(2), 1)] for _ in range(3)]
     zc = [[1, 0], [1, 1], [0, 1]]
     sz = [[HomCoeff(Zk(2), Zk(2), zc[i][a]) for a in range(2)] for i in range(3)]
-    tab = css_tableau(Sx, Sz, sx, sz, H)
+    tab = css_tableau(hom_data(Sx, H, sx), hom_data(Sz, H, sz))
     proj = materialize_matrix(stab_projector(tab), 3)
     # <XXX, ZZI, IZZ> has three independent generators: rank 2^(3-3) = 1
     assert abs(np.trace(proj).real - 1) < 1e-9
@@ -264,7 +265,7 @@ def test_css_repetition_code():
     # violation raises
     sz_bad = [[HomCoeff(Zk(2), Zk(2), 1) for _ in range(2)] for _ in range(3)]
     with pytest.raises(Exception):
-        css_tableau(Sx, Sz, sx, sz_bad, H)
+        css_tableau(hom_data(Sx, H, sx), hom_data(Sz, H, sz_bad))
 
 
 def test_pauli_measurement_z_and_x():
@@ -304,7 +305,21 @@ def test_clifford_check_examples():
             u.phi1 = [QuadCoeff(P[0], T, a, b), QuadCoeff(P[1], T, c, d)]
             u.set_cell("phi", 0, 1, Hom2Coeff(P[0], P[1], T, e))
             with pytest.raises(CocycleMismatch):
-                clifford_check(CliffordData(H, alpha, u))
+                clifford_check(CliffordData(H, hom_data(P, P, alpha), u))
+
+
+def test_altered_gaussian_data_fail_their_condition():
+    """gaussian_clifford leaves the Clifford condition to clifford_to_tensor
+    and clifford_compose, which check it before they use the data."""
+    c, s = math.cos(0.7), math.sin(0.7)
+    rot = np.array([[c, s], [-s, c]]) @ np.diag([1.3, 1 / 1.3])
+    clifford_to_tensor(gaussian_clifford(rot))
+    bad = gaussian_clifford(rot)
+    bad.u.add_to_cell("phi", 0, 1, 0.125)
+    with pytest.raises(CocycleMismatch):
+        clifford_to_tensor(bad)
+    with pytest.raises(CocycleMismatch):
+        clifford_compose(gaussian_clifford(rot), bad)
 
 
 def test_clifford_to_tensor_h_s():
@@ -336,7 +351,7 @@ def test_clifford_conjugation_action():
             xi = P.element(list(xi_vals))
             rho = pauli_matrix(H, [xi[0]], [xi[1]])
             lhs = U @ rho @ U.conj().T
-            axi = data.apply_alpha(xi)
+            axi = data.alpha(xi)
             _, uval = data.u.eval(xi)
             rhs = cmath.exp(-2j * math.pi * float(uval)) * pauli_matrix(
                 H, [axi[0]], [axi[1]]
