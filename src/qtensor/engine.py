@@ -133,7 +133,16 @@ def permute_legs(t: QTensorData, perm: List[int]) -> QTensorData:
 
 
 def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
-    """Contract index positions i and j of t (equal elementary factors)."""
+    """Contract index positions i and j of t (equal elementary factors).
+
+    The solutions of eps_i(e) = eps_j(e) form a coset shift + kernel(delta)
+    of the one-row delta = eps1_i - eps1_j, and E becomes that kernel, with
+    eps and q composed with its inclusion after the shift.  Both come from
+    ``solve_with_kernel``: on a Z_k or Z wire whose delta row has a unit
+    entry on a column of the wire's order, one substitution on the first
+    such column, which stays out of the new E while every other column
+    stays as it is; otherwise the general elimination.
+    """
     assert i != j
     if t.G[i] != t.G[j]:
         raise ValueError(f"contracted factors differ: {t.G[i]} vs {t.G[j]}")
@@ -204,16 +213,23 @@ def _extract_through_section(
     """q and eps pulled back to Q through the section
     sum x_t e_t -> sum x_t * lift_t.
 
-    Reading each finite factor Z_k of Q as Z makes the section a
-    homomorphism, so q and eps are composed with it.  Both functions must be
-    invariant under the reduced subgroup; then every composite factors
-    through Z -> Z_k.  An eps entry of a finite factor is its image of 1,
-    checked by ``image_fit``.  The values of q on Z and on Z_k are the same
-    values at the generator, so they carry over once checked: a quadratic
-    term D factors through Z_k when D(k) = 0 and k B(1, 1) = 0, a cell when
-    its value is a multiple of 1/d on a hom^2 group Z_d.  The a part of a
-    finite factor has trivial groups.
+    When every lift is the unit vector of a factor of E that is Q's factor
+    itself (``_coordinate_lifts``), as after ``quotient_by_subgroup``
+    drops a unit pivot, the section is a coordinate inclusion: q and eps
+    are restricted to those columns, and there is nothing to check.
+    Otherwise, reading each finite factor Z_k of Q as Z makes the
+    section a homomorphism, so q and eps are composed with it.  Both
+    functions must be invariant under the reduced subgroup; then every
+    composite factors through Z -> Z_k.  An eps entry of a finite factor is
+    its image of 1, checked by ``image_fit``.  The values of q on Z and on
+    Z_k are the same values at the generator, so they carry over once
+    checked: a quadratic term D factors through Z_k when D(k) = 0 and
+    k B(1, 1) = 0, a cell when its value is a multiple of 1/d on a hom^2
+    group Z_d.  The a part of a finite factor has trivial groups.
     """
+    cols = _coordinate_lifts(E, Q, lifts)
+    if cols is not None:
+        return qfun.restrict_cols(cols), epsfun.restrict_cols(cols)
     Qz = GroupProduct([Z if f.kind == "Zk" else f for f in Q])
     section = LinearFnData.of_images(
         Qz, E, E.identity(),
@@ -236,6 +252,22 @@ def _extract_through_section(
            for Gi, row in zip(epsfun.codomain, ez.img)]
     eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
     return qz, LinearFnData.of_images(Q, epsfun.codomain, eps0, img)
+
+
+def _coordinate_lifts(E: GroupProduct, Q: GroupProduct, lifts: List[List]) -> Optional[List[int]]:
+    """The column j_t of each lift when lift t is the unit vector e_{j_t}
+    of a factor E_{j_t} that is Q_t itself, with an exact 1; None when some
+    lift is not."""
+    cols = []
+    for Qt, lift in zip(Q, lifts):
+        nonzero = [j for j, x in enumerate(lift) if x != 0]
+        if len(nonzero) != 1:
+            return None
+        j = nonzero[0]
+        if E[j] is not Qt or lift[j] != 1 or isinstance(lift[j], float):
+            return None
+        cols.append(j)
+    return cols
 
 
 def _check_descent(Q: GroupProduct, Qz: GroupProduct, fin: List[bool], vec, mat) -> None:

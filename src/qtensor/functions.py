@@ -568,7 +568,9 @@ def _quad_term(G, A, v: Scalar, b: Scalar, x: Scalar) -> Scalar:
             # a float term keeps the formula of its coefficient, h2 x^2 for h1 = 0
             return quad_apply(quad_of_values(G, A, v, b), x)
         return mod1(x * v + x * (x - 1) // 2 * b)
-    if image_group(G, A) is Z1:
+    exact_zero = v == 0 and b == 0 and not (isinstance(v, float) or isinstance(b, float))
+    if exact_zero or image_group(G, A) is Z1:
+        # an exact zero term is an exact 0, also at a float point
         return A.normalize(0)
     if G.kind == "T":
         return A.normalize(v * x)
@@ -582,14 +584,15 @@ def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_
     The images of generated factors are integers, so each output entry is
     an integer combination of the input values: it is summed as integer
     numerators over the lcm L of their denominators and built as one
-    Fraction.
+    Fraction.  The kinds of the live factors are checked before any cell
+    is read.
     """
+    if any(D[k].kind not in ("Zk", "Z") or isinstance(vec[k], float) for k in live):
+        return False
     terms = []
     dens = set()
     for k in live:
         v, row = vec[k], mat[k]
-        if D[k].kind not in ("Zk", "Z") or isinstance(v, float):
-            return False
         dens.add(v.denominator)
         cells = []
         for l in live:

@@ -28,6 +28,10 @@ U A V = S of its residual serve every kernel vector, solution, lattice
 basis and inverse read off it (U^-1 is built alongside U), and
 ``solve_with_kernel`` gives a solve and a kernel of the same homomorphism
 one factorization when they lift to the same system.
+
+The commonest systems of a contraction skip all of that: a one-row unit
+pivot is one substitution (``_substitute``), and a cyclic quotient with a
+unit pivot drops a factor (``_drop_pivot``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 from .coeff import image_apply, image_group
 from .errors import Unsupported
 from .functions import LinearFnData
-from .groups import GroupProduct, R, T, Z, Zk
+from .groups import GroupProduct, R, T, Z, Z1, Zk
 from .scalar import as_scalar, is_exact, mod1
 
 PIVOT_TOL = 1e-12
@@ -575,33 +579,39 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
                 f"codomain factor {i} couples source classes {sorted(classes)}"
             )
     # handle each class independently and splice the results back together
-    factors: List = []
-    incl_cols: List[List] = []  # one image column over E per kernel factor
-
-    def add_generator(factor, images):
-        """Emit a kernel factor whose generator has the images {j: value} in E."""
-        col = list(_zero_column(factor, E))
-        for j, x in images.items():
-            col[j] = x
-        factors.append(factor)
-        incl_cols.append(col)
-
-    # --- discrete block ----------------------------------------------------
+    gens = _Generators(E)
     if disc:
         rows_d = [i for i in range(len(G)) if touch[i] == {"d"}]
-        _discrete_kernel(eps, disc, rows_d, add_generator, factored)
-    # --- circle block ------------------------------------------------------
+        _discrete_kernel(eps, disc, rows_d, gens.emit, factored)
     if cont_t:
         rows_t = [i for i in range(len(G)) if touch[i] == {"t"}]
-        _circle_kernel(eps, cont_t, rows_t, add_generator, factored)
-    # --- real block ----------------------------------------------------------
+        _circle_kernel(eps, cont_t, rows_t, gens.emit, factored)
     if cont_r:
         rows_r = [i for i in range(len(G)) if touch[i] == {"r"}]
-        _real_block_kernel(eps, cont_r, rows_r, add_generator)
+        _real_block_kernel(eps, cont_r, rows_r, gens.emit)
+    return gens.presentation()
 
-    K = GroupProduct(factors)
-    img = [list(row) for row in zip(*incl_cols)] if incl_cols else [[] for _ in E]
-    return KernelPresentation(K, LinearFnData.of_images(K, E, E.identity(), img))
+
+class _Generators:
+    """Kernel generators over E, collected one factor at a time."""
+
+    def __init__(self, E: GroupProduct):
+        self.E = E
+        self.factors: List = []
+        self.cols: List[List] = []  # one image column over E per kernel factor
+
+    def emit(self, factor, images) -> None:
+        """Add a kernel factor whose generator has the images {j: value} in E."""
+        col = list(_zero_column(factor, self.E))
+        for j, x in images.items():
+            col[j] = x
+        self.factors.append(factor)
+        self.cols.append(col)
+
+    def presentation(self) -> KernelPresentation:
+        E, K = self.E, GroupProduct(self.factors)
+        img = [list(row) for row in zip(*self.cols)] if self.cols else [[] for _ in E]
+        return KernelPresentation(K, LinearFnData.of_images(K, E, E.identity(), img))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -766,13 +776,62 @@ def _solve_circle(mat: List[List[int]], rhs: List, snf) -> Optional[List]:
 
 def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, KernelPresentation]]:
     """``solve_hom(eps, target)`` and ``kernel_of_hom(eps)``, or None when
-    there is no solution.  Where the two lift eps to the same integer
-    system, that system is eliminated and its residual factored once."""
+    there is no solution.
+
+    A one-row system into Z_k or Z is solved by substitution
+    (``_substitute``) when a discrete column of the row's order has a unit
+    entry: the first such column p is the pivot, as in ``_Elimination``,
+    and the kernel is presented by e_l - u r_l e_p for every other discrete
+    column l, then the T and R columns, as on the general path.  Every
+    other system (several rows, no such unit, a T or R row) takes the
+    general path: where the solve and the kernel lift eps to the same
+    integer system, it is eliminated and its residual factored once."""
+    found = _substitute(eps, target)
+    if found is not None:
+        return found
     factored: dict = {}
     e = solve_hom(eps, target, factored)
     if e is None:
         return None
     return e, kernel_of_hom(eps, factored)
+
+
+def _substitute(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, KernelPresentation]]:
+    """``solve_with_kernel`` of a one-row system into Z_k (modulus k) or Z
+    (modulus 0) by one substitution, or None without a pivot.
+
+    With u the inverse of the pivot entry r_p, x_p = u (c - sum_{j != p}
+    r_j x_j) solves r x = c: the solution is u c on p and 0 elsewhere.
+    The kernel generators, columns of order 1 left out, come in the order
+    and with the value types of ``_Elimination.kernel`` and
+    ``kernel_of_hom``.
+    """
+    G, E = eps.codomain, eps.domain
+    if len(G) != 1 or G[0].kind not in ("Zk", "Z"):
+        return None
+    assert eps.is_homomorphism
+    mod, row = G[0].k, eps.img[0]
+    disc, cont_t, cont_r = _split_cols(E)
+    r = [row[j] % mod if mod else row[j] for j in disc]
+    for j, x in zip(disc, r):
+        if x and E[j].k == mod and _is_unit(x, mod):
+            p, u = j, pow(x, -1, mod) if mod else x
+            break
+    else:
+        return None
+    sol = list(E.identity())
+    sol[p] = E[p].normalize(u * int(G[0].normalize(target[0])))
+    gens = _Generators(E)
+    for l, x in zip(disc, r):
+        if l != p and E[l] is not Z1:
+            images = {l: E[l].normalize(1)}
+            y = -u * x % mod if mod else -u * x
+            if y:
+                images[p] = image_group(E[l], E[p]).normalize(y)
+            gens.emit(E[l], images)
+    _circle_kernel(eps, cont_t, [], gens.emit, None)
+    _real_block_kernel(eps, cont_r, [], gens.emit)
+    return tuple(sol), gens.presentation()
 
 
 # ---------------------------------------------------------------------------
@@ -790,12 +849,22 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
     """Present S / image(incl) with canonical integer lifts.
 
     Supports subgroups of the discrete part of S; continuous factors must
-    not meet the subgroup.
+    not meet the subgroup.  A cyclic subgroup Z_k whose generator has a
+    unit entry on a Z_k factor of S is quotiented by dropping that factor
+    (``_drop_pivot``), with no Smith form.  Every other subgroup takes the
+    general path: one Smith form of [generators | column relations] gives
+    the quotient's cyclic factors, with lifts read off U^-1, followed by
+    the continuous factors of S as they stand.
     """
     K = incl.domain
     disc, cont_t, cont_r = _split_cols(S)
     if any(incl.nonzero(j, q) for q in range(len(K)) for j in cont_t + cont_r):
         raise UnsupportedKernel("quotient touching continuous factors")
+    if len(K) == 1 and K[0].kind == "Zk":
+        k = K[0].k
+        for p in disc:
+            if S[p] is K[0] and _is_unit(int(incl.img[p][0]) % k, k):
+                return _drop_pivot(S, incl, p, disc, cont_t + cont_r)
     m = len(disc)
     gens = [[int(incl.img[j][q]) for j in disc] for q in range(len(K))]
     for jj, j in enumerate(disc):
@@ -841,5 +910,29 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
         for j in cont_t + cont_r:
             out.append(s[j])
         return Q.element(out)
+
+    return QuotientPresentation(Q, lifts, project)
+
+
+def _drop_pivot(S: GroupProduct, incl: LinearFnData, p: int, disc: List[int],
+                cont: List[int]) -> QuotientPresentation:
+    """S / <g> for a generator g of order dividing k whose entry g_p on the
+    factor S_p = Z_k is a unit with inverse u.
+
+    The other factors of S, discrete first and continuous last as on the
+    general path, present the quotient with unit-vector lifts: u g lies
+    in the subgroup, so e_p = -u sum_{j != p} g_j e_j modulo it, and a
+    multiple m g that vanishes on p has k | m, so it is 0.  s projects to
+    s_j - u g_j s_p on each discrete factor j != p.
+    """
+    u = pow(int(incl.img[p][0]), -1, S[p].k)
+    ug = {j: u * int(incl.img[j][0]) for j in disc if j != p}
+    rest = list(ug) + cont
+    Q = GroupProduct([S[j] for j in rest])
+    lifts = [[int(i == j) for i in range(len(S))] for j in rest]
+
+    def project(s):
+        sp = int(s[p])
+        return Q.element([int(s[j]) - ug[j] * sp if j in ug else s[j] for j in rest])
 
     return QuotientPresentation(Q, lifts, project)

@@ -153,7 +153,6 @@ def pauli_to_tensor(p: PauliLabel) -> QTensorData:
     om.phi0 = p.alpha
     q = om.precompose_affine(_block([_one(H)], [_zero(H, dual_product(H))]),
                              p.h + tuple(p.hstar))
-    q.a0 = 0  # Omega has no a part, though its value at a float point has a0 = 0.0
     return QTensorData(G, H, eps, q)
 
 

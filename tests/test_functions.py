@@ -343,3 +343,18 @@ def test_float_term_on_z_round_trips():
         assert c.h2 == h2 and c.h1 == 0 and not isinstance(c.h1, float)
         for x in range(-3, 4):
             assert q.eval((x,))[1] == QuadCoeff(Z, T, h2, 0).h2 * x * x % 1.0
+
+
+def test_exact_zero_terms_stay_exact_at_a_float_point():
+    # a zero function on continuous factors is an exact 0 everywhere, so a
+    # shift to a float point keeps exact constants
+    for sig, point in (("R,R", (0.5, 1.25)), ("T,R", (0.5, 1.25)), ("Z,T", (3, 0.75))):
+        q = QuadraticFnData(parse_product(sig))
+        shifted = q.shift(point)
+        for value in (q.eval(point), (shifted.a0, shifted.phi0)):
+            assert value == (0, 0) and not any(isinstance(x, float) for x in value), (sig, value)
+    # a nonzero term at a float point is a float, as before
+    q = QuadraticFnData(GroupProduct([R, R]), 0, 0, [QuadCoeff(R, R, 0.5, 0), QuadCoeff(R, R, 0, 0)],
+                        [QuadCoeff(R, T, 0, 0), QuadCoeff(R, T, 0, 0)])
+    a, phi = q.eval((0.5, 1.25))
+    assert isinstance(a, float) and a != 0 and phi == 0 and not isinstance(phi, float)

@@ -1,5 +1,6 @@
 """Brute-force verification of the kernel / solve / quotient machinery."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -424,6 +425,30 @@ def test_solve_circle():
     assert sol is not None and G.eq(eps(sol), (Fraction(1, 3),))
 
 
+def check_quotient(S, incl, pres):
+    """pres presents S / image(incl): the right order, project a
+    surjective homomorphism whose kernel is the image, and lifts that
+    project to the generators of the quotient."""
+    K, Q = incl.domain, pres.group
+    img = {incl(r) for r in K.enumerate()}
+    assert Q.order * len(img) == S.order
+    # projection is a homomorphism with kernel = img
+    for s in S.enumerate():
+        for t in list(S.enumerate())[:6]:
+            lhs = pres.project(S.add(s, t))
+            rhs = Q.add(pres.project(s), pres.project(t))
+            assert Q.eq(lhs, rhs)
+    kernel_of_proj = {s for s in S.enumerate() if Q.is_identity(pres.project(s))}
+    assert kernel_of_proj == img
+    # lifts are sections: project(lift(q)) == q
+    for qi, lif in enumerate(pres.lift):
+        image_q = pres.project(S.element(lif))
+        expected = Q.identity()
+        expected = list(expected)
+        expected[qi] = Q[qi].normalize(1)
+        assert Q.eq(image_q, tuple(expected))
+
+
 def test_quotient_finite():
     rng = random.Random(7)
     for sigS in ["Z4,Z2", "Z2,Z2,Z2", "Z8", "Z6,Z2"]:
@@ -431,23 +456,85 @@ def test_quotient_finite():
         for sigK in ["Z2", "Z2,Z2"]:
             K = parse_product(sigK)
             incl = random_hom(K, S, rng)
-            # make an honest subgroup: image of incl
-            img = {incl(r) for r in K.enumerate()}
+            check_quotient(S, incl, quotient_by_subgroup(S, incl))
+
+
+def test_cyclic_quotient_with_a_unit_pivot_needs_no_smith_form(monkeypatch):
+    # a Z_k subgroup whose generator has a unit entry on a Z_k factor of S
+    # is quotiented by dropping that factor: the first such factor goes,
+    # the others stay in order with unit-vector lifts
+    calls = []
+    snf = solve.smith_normal_form
+    monkeypatch.setattr(solve, "smith_normal_form",
+                        lambda A, **kw: calls.append(A) or snf(A, **kw))
+    rng = random.Random(17)
+    for sigS in ["Z4,Z2", "Z2,Z2,Z2", "Z6,Z2,Z3", "Z3,Z9,Z3", "Z2,Z4,Z4", "Z6,Z6", "Z5"]:
+        S = parse_product(sigS)
+        for _ in range(6):
+            p = rng.randrange(len(S))
+            k = S[p].k
+            K = GroupProduct([S[p]])
+            img = [list(row) for row in random_hom(K, S, rng).img]
+            img[p][0] = rng.choice([u for u in range(1, k) if math.gcd(u, k) == 1])
+            incl = LinearFnData.of_images(K, S, S.identity(), img)
             pres = quotient_by_subgroup(S, incl)
-            Q = pres.group
-            assert Q.order * len(img) == S.order
-            # projection is a homomorphism with kernel = img
-            for s in S.enumerate():
-                for t in list(S.enumerate())[:6]:
-                    lhs = pres.project(S.add(s, t))
-                    rhs = Q.add(pres.project(s), pres.project(t))
-                    assert Q.eq(lhs, rhs)
-            kernel_of_proj = {s for s in S.enumerate() if Q.is_identity(pres.project(s))}
-            assert kernel_of_proj == img
-            # lifts are sections: project(lift(q)) == q
-            for qi, lif in enumerate(pres.lift):
-                image_q = pres.project(S.element(lif))
-                expected = Q.identity()
-                expected = list(expected)
-                expected[qi] = Q[qi].normalize(1)
-                assert Q.eq(image_q, tuple(expected))
+            check_quotient(S, incl, pres)
+            first = next(j for j in range(len(S)) if S[j] is S[p]
+                         and math.gcd(img[j][0], k) == 1)
+            kept = [j for j in range(len(S)) if j != first]
+            assert pres.group == GroupProduct([S[j] for j in kept])
+            assert pres.lift == [[int(i == j) for i in range(len(S))] for j in kept]
+    assert calls == []
+
+
+# one-row discrete systems: Z_k and Z rows over Z_k, Z, T and R columns
+ROW_SIGS = ["Z6", "Z4", "Z2", "Z3", "Z"]
+COLUMN_SIGS = ["Z2", "Z3", "Z4", "Z6", "Z", "T", "R"]
+# mixed orders: a Z6 row over Z2, Z3 and Z6 columns, which only the Z6
+# column can pivot; the Z2 and Z3 entries are 3 and 2 times a unit
+MIXED_ROWS = [
+    ("Z2,Z3,Z6", "Z6", [[3, 2, 5]]),
+    ("Z6,Z2,Z3", "Z6", [[2, 3, 4]]),
+    ("Z3,Z6,Z2,Z6", "Z6", [[4, 3, 3, 1]]),
+    ("Z2,Z3,Z6", "Z6", [[3, 2, 4]]),
+    ("Z,Z4,Z", "Z", [[2, 0, -1]]),
+]
+
+
+def one_row_systems(rng):
+    """Random one-row systems, a tenth of them zero rows, then MIXED_ROWS."""
+    for _ in range(300):
+        E = parse_product(",".join(rng.choice(COLUMN_SIGS) for _ in range(rng.randrange(1, 5))))
+        G = parse_product(rng.choice(ROW_SIGS))
+        eps = random_hom(E, G, rng)
+        if rng.random() < 0.1:
+            eps = LinearFnData.zero(E, G)
+        yield eps
+    for case in MIXED_ROWS:
+        yield hom_from_values(*case)
+
+
+def test_substitution_matches_the_general_elimination():
+    rng = random.Random(11)
+    seen = {"pivot": 0, "no pivot": 0, "unsolvable": 0}
+    for eps in one_row_systems(rng):
+        E, G = eps.domain, eps.codomain
+        disc = [j for j, f in enumerate(E) if f.kind in ("Zk", "Z")]
+        A, mods, _ = solve._lifted_system(eps, disc, [0])
+        pivots = solve._Elimination(A, mods, [solve._order(E[j]) for j in disc]).steps
+        targets = list(G.enumerate()) if G.finite else [(c,) for c in range(-3, 4)]
+        for g in targets:
+            factored = {}
+            e = solve_hom(eps, g, factored)
+            general = None if e is None else (e, kernel_of_hom(eps, factored))
+            found = solve._substitute(eps, g)
+            if pivots:
+                seen["pivot"] += 1
+                # the same solution and presentation, value types included
+                assert general is not None and repr(found) == repr(general), (E, G, eps.img, g)
+            else:
+                seen["no pivot"] += 1
+                seen["unsolvable"] += general is None
+                assert found is None
+            assert repr(solve.solve_with_kernel(eps, g)) == repr(general)
+    assert min(seen.values()) > 20, seen
