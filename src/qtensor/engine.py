@@ -34,13 +34,12 @@ from .coeff import (
 from .errors import Unsupported
 from .functions import PARTS, LinearFnData, QuadraticFnData, zero_row
 from .groups import GroupProduct, R, T, Z, Z1, Zk
-from .scalar import Scalar, as_scalar, is_exact, mod1
+from .scalar import Scalar, mod1
 from .solve import (
+    KernelPresentation,
     UnsupportedKernel,
-    gauss_jordan,
     kernel_of_hom,
     quotient_by_subgroup,
-    real_kernel,
     solve_hom,
     solve_with_kernel,
 )
@@ -136,12 +135,12 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     """Contract index positions i and j of t (equal elementary factors).
 
     The solutions of eps_i(e) = eps_j(e) form a coset shift + kernel(delta)
-    of the one-row delta = eps1_i - eps1_j, and E becomes that kernel, with
-    eps and q composed with its inclusion after the shift.  Both come from
-    ``solve_with_kernel``: on a Z_k or Z wire whose delta row has a unit
-    entry on a column of the wire's order, one substitution on the first
-    such column, which stays out of the new E while every other column
-    stays as it is; otherwise the general elimination.
+    of the one-row delta = eps1_i - eps1_j, and t is restricted to it
+    (``_restrict_to_coset``).  Both come from ``solve_with_kernel``: on a
+    Z_k or Z wire whose delta row has a unit entry on a column of the
+    wire's order, one substitution on the first such column, which stays
+    out of the new E while every other column stays as it is; otherwise
+    the general elimination.
     """
     assert i != j
     if t.G[i] != t.G[j]:
@@ -161,13 +160,19 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     found = solve_with_kernel(delta, target)
     if found is None:
         return QTensorData.zero(G_rest)
-    shift, pres = found
-    Ep, kappa = pres.group, pres.inclusion
     eps_rest = LinearFnData.of_images(t.E, G_rest, tuple(t.eps.eps0[x] for x in rest),
                                       [t.eps.img[x] for x in rest])
-    eps_new = eps_rest.compose_affine(kappa, shift)
-    q_new = t.q.precompose_affine(kappa, shift)
-    return QTensorData(G_rest, Ep, eps_new, q_new, t.div_weight, t.mag2)
+    return _restrict_to_coset(QTensorData(G_rest, t.E, eps_rest, t.q, t.div_weight, t.mag2),
+                              *found)
+
+
+def _restrict_to_coset(t: QTensorData, shift: Tuple, pres: KernelPresentation) -> QTensorData:
+    """t summed only over the coset shift + kappa(K) of E, for the kernel
+    presentation (K, kappa) of ``pres``: E becomes K, and eps and q are
+    composed with h -> kappa(h) + shift."""
+    kappa = pres.inclusion
+    return QTensorData(t.G, pres.group, t.eps.compose_affine(kappa, shift),
+                       t.q.precompose_affine(kappa, shift), t.div_weight, t.mag2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,9 @@ def _extract_through_section(
     epsfun: LinearFnData,
 ) -> Tuple[QuadraticFnData, LinearFnData]:
     """q and eps pulled back to Q through the section
-    sum x_t e_t -> sum x_t * lift_t.
+    sum x_t e_t -> sum x_t * lift_t, for a quotient Q of the domain E of q
+    and eps: E itself in ``reduce_invertible``, the kernel K2 that a zero
+    reduction without a pivot has restricted t to.
 
     When every lift is the unit vector of a factor of E that is Q's factor
     itself (``_coordinate_lifts``), as after ``quotient_by_subgroup``
@@ -299,13 +306,14 @@ def _integral(x: Scalar) -> bool:
 
 def _compact(t: QTensorData) -> QTensorData:
     """Drop trivial Z1 factors from E."""
-    keep = [j for j in range(len(t.E)) if not (t.E[j].kind == "Zk" and t.E[j].k == 1)]
-    if len(keep) == len(t.E):
-        return t
-    E = GroupProduct([t.E[j] for j in keep])
-    eps = t.eps.restrict_cols(keep)
-    q = t.q.restrict_cols(keep)
-    return QTensorData(t.G, E, eps, q, t.div_weight, t.mag2, t.is_zero)
+    keep = [j for j, f in enumerate(t.E) if f is not Z1]
+    return t if len(keep) == len(t.E) else _keep_factors(t, keep)
+
+
+def _keep_factors(t: QTensorData, keep: List[int]) -> QTensorData:
+    """t with E cut down to the factors ``keep``, the others set to 0."""
+    return QTensorData(t.G, GroupProduct([t.E[j] for j in keep]), t.eps.restrict_cols(keep),
+                       t.q.restrict_cols(keep), t.div_weight, t.mag2, t.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +385,25 @@ def _check_rho_in_kernel(t: QTensorData, rho: LinearFnData) -> None:
 
 
 def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
-    """Sum/integrate over a subgroup on which the bilinear form vanishes."""
+    """Sum or integrate t over the image of rho: A -> E, a subgroup of the
+    kernel of eps^(1) on which the bilinear form of q vanishes, by
+    dropping a pivot factor of rho from E (``_reduce_zero``)."""
     _check_rho_in_kernel(t, rho)
-    if rho.domain[0].kind == "R" and len(_col_support(rho, 0)) > 1:
-        t, rho = _realign_real(t, rho)
     return _reduce_zero(t, rho, t.q.precompose(rho))
 
 
 def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
-    """``reduce_zero`` once rho is checked, with qres = q o rho."""
+    """``reduce_zero`` once rho is checked, with qres = q o rho.
+
+    Summed over a in A, exp(2 pi q(e + rho a)) gives |A| exp(2 pi q(e)) on
+    the solutions of beta(e) = -chi, chi = q_phi o rho, and 0 elsewhere.
+    With a pivot p, every coset of rho(A) meets e_p = 0 exactly once
+    (x = y + a rho), so E drops factor p and t is restricted to the
+    solutions of beta = -chi on the other factors.  A discrete rho without
+    a pivot restricts t to the solutions K2 in E first, then quotients K2
+    by rho's K2 coordinates through a section in K2.  A continuous rho
+    without one raises ``UnsupportedKernel``.
+    """
     A = rho.domain[0]
     for part, tgt in PARTS:
         if not value_is_zero(cell_group(A, A, tgt), qres.mat[part][0][0]):
@@ -399,68 +417,57 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     chi = Astar.normalize(_dual_coefficient(A, qres.vec["phi"][0]))
     beta = _beta(t, rho, "phi")
     target = GroupProduct([Astar]).element([Astar.neg(chi)])
+    r_dims_before = sum(1 for f in t.E if f.kind == "R")
+    p = _pivot(t.E, rho)
+    if p is not None:
+        keep = [j for j in range(len(t.E)) if j != p]
+        t, beta = _keep_factors(t, keep), beta.restrict_cols(keep)
+    elif A.kind in ("T", "R"):
+        raise UnsupportedKernel(f"zero reduction over {A} with no unit entry in its direction")
     found = solve_with_kernel(beta, target)
     if found is None:
         return QTensorData.zero(t.G)
     e0, pres = found
-    K2, kappa2 = pres.group, pres.inclusion
-
-    shifted_q = t.q.shift(e0)
-    shifted_eps = LinearFnData.of_images(t.E, t.G, t.eps(e0), t.eps.img)
-
-    r_dims_before = sum(1 for f in t.E if f.kind == "R")
-
-    if A.kind in ("T", "R"):
-        # rho covers a full continuous factor of E; drop it from the kernel
-        sup = _col_support(rho, 0)
-        if len(sup) != 1:
-            raise UnsupportedKernel("continuous zero-reduction with support on several factors")
-        Qfactors, lifts = [], []
-        for kk in range(len(K2)):
-            if K2[kk].kind == A.kind and _col_support(kappa2, kk) == sup:
-                continue  # this is the integrated direction itself
-            Qfactors.append(K2[kk])
-            lifts.append(kappa2.column(kk))
-        Q = GroupProduct(Qfactors)
-    else:
-        # find rho inside K2 and quotient it away
-        rho_gen = rho(rho.domain.element([1]))
-        inside = solve_hom(kappa2, rho_gen)
+    out = _restrict_to_coset(t, e0, pres)
+    if p is None:
+        K2 = pres.group
+        inside = solve_hom(pres.inclusion, rho(rho.domain.element([1])))
         assert inside is not None, "summed subgroup must lie in the beta kernel"
         if any(f.kind in ("T", "R") and hom_group(A, f) != Z1 for f in K2):
             raise UnsupportedKernel("discrete subgroup meeting continuous kernel factors")
         sub = LinearFnData.of_images(GroupProduct([A]), K2, K2.identity(),
                                      [[image_fit(A, f, x)] for f, x in zip(K2, inside)])
         qpres = quotient_by_subgroup(K2, sub)
-        Q = qpres.group
-        # each K2-coordinate lift pushed down to raw E coordinates
-        lifts = [_lift_through(kappa2, lift_vec) for lift_vec in qpres.lift]
-    q_new, eps_new = _extract_through_section(t.E, Q, lifts, shifted_q, shifted_eps)
-    out = QTensorData(t.G, Q, eps_new, q_new, t.div_weight, t.mag2)
+        q_new, eps_new = _extract_through_section(K2, qpres.group, qpres.lift, out.q, out.eps)
+        out = QTensorData(t.G, qpres.group, eps_new, q_new, t.div_weight, t.mag2)
     if A.kind == "Zk":
         out.mul_sqrt(Fraction(A.k * A.k))
     elif A.kind in ("Z", "R"):
         out.div_weight += 1
-    r_dims_after = sum(1 for f in Q if f.kind == "R") + (1 if A.kind == "R" else 0)
+    r_dims_after = sum(1 for f in out.E if f.kind == "R") + (1 if A.kind == "R" else 0)
     out.div_weight -= r_dims_before - r_dims_after
     return _compact(out)
+
+
+def _pivot(E: GroupProduct, rho: LinearFnData) -> Optional[int]:
+    """The factor of E at which a reduction over rho: A -> E drops its
+    direction, or None: for A = R the R factor with the largest |rho_p|;
+    otherwise the first factor that is A itself with a unit entry, a unit
+    mod k on Z_k and +-1 on Z and T."""
+    A, col = rho.domain[0], rho.column(0)
+    if A.kind == "R":
+        return max((j for j in _col_support(rho, 0) if E[j] is R),
+                   key=lambda j: abs(col[j]), default=None)
+    for j, (Ej, x) in enumerate(zip(E, col)):
+        if Ej is A and (math.gcd(int(x), A.k) == 1 if A.kind == "Zk" else abs(x) == 1):
+            return j
+    return None
 
 
 def _restricted_bilinear(qres: QuadraticFnData, A) -> int:
     """The coefficient in Z_k of the bilinear form of q_phi restricted to
     A = Z_k, k B(1, 1)."""
     return int(qres.mat["phi"][0][0] * A.k)
-
-
-def _lift_through(lin: LinearFnData, coord_vec) -> List:
-    """The raw codomain coordinates, sum_k coord_vec[k] img[.][k], of an
-    integer vector of domain coordinates."""
-    out = [0] * len(lin.codomain)
-    for kk, c in enumerate(coord_vec):
-        if c:
-            for jj, row in enumerate(lin.img):
-                out[jj] = out[jj] + c * row[kk]
-    return out
 
 
 def _col_support(lin: LinearFnData, col: int) -> List[int]:
@@ -506,46 +513,19 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     return _compact(out)
 
 
-def _realign_real(t: QTensorData, rho: LinearFnData) -> Tuple[QTensorData, LinearFnData]:
-    """Change coordinates on the real block so the reduction direction is a
-    single factor; the basis change has determinant +-1, preserving the
-    integration measure."""
-    rids = [j for j in range(len(t.E)) if t.E[j].kind == "R"]
-    v = [rho.img[j][0] for j in rids]
-    exact = all(is_exact(x) for x in v)
-    comp = real_kernel([v])
-    B = [[v[i]] + [w[i] for w in comp] for i in range(len(rids))]  # columns
-    det = gauss_jordan(B, True)[2] if exact else None
-    if exact:
-        assert det != 0
-        B = [[row[0]] + [row[c] / det if c == len(rids) - 1 else row[c]
-                         for c in range(1, len(rids))] for row in B]
-    else:
-        import numpy as np
-
-        d = float(np.linalg.det(np.array([[float(x) for x in row] for row in B])))
-        B = [[row[0]] + [row[c] / d if c == len(rids) - 1 else row[c]
-                         for c in range(1, len(rids))] for row in B]
-    img = LinearFnData.identity(t.E).img
-    for a, jj in enumerate(rids):
-        for b, kk in enumerate(rids):
-            img[jj][kk] = as_scalar(B[a][b])
-    M = LinearFnData.of_images(t.E, t.E, t.E.identity(), img)
-    t2 = QTensorData(t.G, t.E, t.eps.compose_hom(M), t.q.precompose(M),
-                     t.div_weight, t.mag2)
-    rho2 = LinearFnData.of_images(GroupProduct([R]), t.E, t.E.identity(),
-                                  [[image_group(R, Ej).normalize(int(j == rids[0]))]
-                                   for j, Ej in enumerate(t.E)])
-    return t2, rho2
-
-
 def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
-    """Complex Gaussian integration over one real direction of E."""
-    A = rho.domain[0]
-    assert A.kind == "R"
+    """Complex Gaussian integration over the real direction rho: R -> E.
+
+    As in ``reduce_zero``, x = y + a rho with y_p = 0 at the pivot p of
+    rho (``_pivot``): the integral over a corrects q on the other factors,
+    which stay as they are, and factor p is dropped.  A rho with no R
+    entry raises ``UnsupportedKernel``.
+    """
+    assert rho.domain[0].kind == "R"
     _check_rho_in_kernel(t, rho)
-    if len(_col_support(rho, 0)) > 1:
-        t, rho = _realign_real(t, rho)
+    p = _pivot(t.E, rho)
+    if p is None:
+        raise UnsupportedKernel("real reduction over a direction with no R entry")
     qres = t.q.precompose(rho)
     # over R the values are the multipliers: q(x) = w x + z x^2 / 2
     za, zphi = qres.mat["a"][0][0], qres.mat["phi"][0][0]
@@ -556,20 +536,13 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     if float(za) > 1e-9:
         raise NotIntegrable(f"positive real part {za} in Gaussian exponent")
     w = complex(float(wa), float(wphi))
-    # complex pairing row beta_j with beta(e)(r) = q2(rho r, e)
-    exact = all(is_exact(x) for x in (za, zphi, wa, wphi))
-    beta_vals = []
-    for ca, cp in zip(_beta(t, rho, "a").img[0], _beta(t, rho, "phi").img[0]):
-        exact = exact and is_exact(ca) and is_exact(cp)
-        beta_vals.append((ca, cp))
-
-    def cnum(pair):
-        return complex(float(pair[0]), float(pair[1]))
-
+    # complex pairing row beta_j with beta(e)(r) = q2(rho r, e) on the factors kept
+    betas = [complex(float(ca), float(cp)) for j, (ca, cp) in
+             enumerate(zip(_beta(t, rho, "a").img[0], _beta(t, rho, "phi").img[0])) if j != p]
+    t = _keep_factors(t, [j for j in range(len(t.E)) if j != p])
     qtilde = t.q.copy()
     m = len(t.E)
-    for j in range(m):
-        bj = cnum(beta_vals[j])
+    for j, bj in enumerate(betas):
         if bj == 0 and w == 0:
             continue
         # linear correction: -w beta_j / z
@@ -581,30 +554,17 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
         if dia != 0:
             _add_complex_h2(qtilde, j, t.E[j], dia)
         for l in range(j + 1, m):
-            bl = cnum(beta_vals[l])
-            cross = -(bj * bl) / z
+            cross = -(bj * betas[l]) / z
             if cross != 0:
                 _add_complex_cell(qtilde, j, l, t.E[j], t.E[l], cross)
     const = -(w * w) / (2 * z)
     qtilde.a0 = qtilde.a0 + const.real
     qtilde.phi0 = mod1(qtilde.phi0 + const.imag)
+    out = QTensorData(t.G, t.E, t.eps, qtilde, t.div_weight, None)
     # integral prefactor 1 / sqrt(-z)
-    root = cmath.sqrt(-z)
-    pref = 1 / root
-    out_mag = abs(pref)
-    out_phase = cmath.phase(pref) / (2 * math.pi)
-    # drop the integrated direction; complement the rest of the real block
-    sup = _col_support(rho, 0)
-    if len(sup) == 1:
-        keep = [kk for kk in range(m) if kk != sup[0]]
-        E_new = GroupProduct([t.E[kk] for kk in keep])
-        eps_new = t.eps.restrict_cols(keep)
-        q_new = qtilde.restrict_cols(keep)
-        out = QTensorData(t.G, E_new, eps_new, q_new, t.div_weight, None)
-    else:
-        raise UnsupportedKernel("real reduction needs a single-factor direction")
-    out.mul_magnitude_float(out_mag)
-    out.mul_phase(out_phase)
+    pref = 1 / cmath.sqrt(-z)
+    out.mul_magnitude_float(abs(pref))
+    out.mul_phase(cmath.phase(pref) / (2 * math.pi))
     return _compact(out)
 
 

@@ -15,11 +15,10 @@ without a pivot, the residual, go to exact Smith normal form; a zero
 residual makes the kernel the product of the free columns with no Smith
 form at all.  Real blocks use one Gauss-Jordan elimination,
 ``gauss_jordan`` (exact over rationals when possible, floating point with
-a pivot threshold of PIVOT_TOL times the largest entry otherwise), which
-also gives the engine its exact determinants.  Circle-group targets are
-lifted through the covering R -> R/Z by introducing auxiliary integer
-unknowns.  Kernel shapes outside the supported classes raise
-UnsupportedKernel.  The kernel vectors of a discrete block, from
+a pivot threshold of PIVOT_TOL times the largest entry otherwise).
+Circle-group targets are lifted through the covering R -> R/Z by
+introducing auxiliary integer unknowns.  Kernel shapes outside the
+supported classes raise UnsupportedKernel.  The kernel vectors of a discrete block, from
 ``_Elimination.kernel``, are its inclusion's image columns as they stand,
 each entry reduced in its factor.
 

@@ -6,7 +6,8 @@ stabilizer tableau, Clifford data, a fermion tensor and a qtensor, and runs
 replaces a group signature with a malformed token or another Z_k, makes a
 row ragged, puts a string or another number where a number goes, or adds
 or drops a leg.  Another number keeps a payload well formed, so that the
-mutated data reaches the engine.
+mutated data reaches the engine.  Valid qtensor payloads over Z, T, Z2 and
+Z3 joined by one Z or T wire end in exit 0 or 3.
 """
 
 import contextlib
@@ -20,7 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qtensor import cli, jsonio
+from qtensor.coeff import hom2_group, hom_group, quad_group
 from qtensor.fermion import beam_splitter
+from qtensor.groups import T, Z1, parse_product
 from qtensor.net import build_gate
 from qtensor.stab import qubit_clifford, qubit_tableau
 
@@ -188,3 +191,54 @@ def test_mutated_payloads_exit_0_2_or_3(workdir, data):
                 "clifford": ["clifford", "compose", str(path), str(path)],
                 "fermion": ["fermion", "eval", str(path), "0110"]}[kind]
     assert run(argv) in (0, 2, 3)
+
+
+FACTORS = ["Z", "T", "Z2", "Z3"]
+
+
+def _value(draw, grp):
+    """A value in the coefficient group ``grp``: an integer in a discrete
+    group, a fraction with a small denominator in T."""
+    n = draw(st.integers(-3, 3))
+    if grp.kind in ("Zk", "Z"):
+        return n
+    return {"num": n, "den": draw(st.sampled_from([1, 2, 3, 4, 6]))}
+
+
+def valid_qtensor(draw, G: str):
+    """A well-formed qtensor payload on the legs ``G`` with 0-2 E factors from
+    Z, T, Z2 and Z3, integer images and a phase part q_phi."""
+    E = ",".join(draw(st.lists(st.sampled_from(FACTORS), max_size=2)))
+    Gp, Ep = parse_product(G), parse_product(E)
+    eps1 = [[draw(st.integers(-2, 2)) if hom_group(Ej, Gi) is not Z1 else 0 for Ej in Ep]
+            for Gi in Gp]
+    phi1 = [[_value(draw, grp) for grp in quad_group(Ej, T)] for Ej in Ep]
+    phi2 = {f"{i},{j}": _value(draw, hom2_group(Ep[i], Ep[j], T))
+            for i in range(len(Ep)) for j in range(i + 1, len(Ep)) if draw(st.booleans())}
+    return {"type": "qtensor", "G": G, "E": E, "zero": False, "div_weight": 0, "mag2": 1,
+            "eps": {"domain": E, "codomain": G, "eps0": [draw(st.integers(-1, 1)) for _ in Gp],
+                    "eps1": eps1},
+            "q": {"domain": E, "a0": 0, "phi0": 0, "a1": [[0, 0]] * len(Ep), "phi1": phi1,
+                  "a2": {}, "phi2": phi2}}
+
+
+def valid_pair_net(draw) -> str:
+    """Two json qtensor nodes that share one Z or T wire s, each with 0-1
+    more open legs."""
+    shared = draw(st.sampled_from(["Z", "T"]))
+    lines, nodes = [f"wire s: {shared}"], []
+    for name in ("x", "y"):
+        legs = [("s", shared)] + [(f"{name}o", f) for f in
+                                  draw(st.lists(st.sampled_from(FACTORS), max_size=1))]
+        lines += [f"wire {w}: {f}" for w, f in legs[1:]]
+        payload = valid_qtensor(draw, ",".join(f for _, f in legs))
+        nodes.append(f"node {name} = json {json.dumps(payload)} ({', '.join(w for w, _ in legs)})")
+    return "\n".join(lines + nodes) + "\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_valid_z_and_t_payloads_exit_0_or_3(workdir, data):
+    path = workdir / "pair.net"
+    path.write_text(valid_pair_net(data.draw))
+    assert run(["contract", str(path)]) in (0, 3)

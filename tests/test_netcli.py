@@ -542,7 +542,8 @@ def test_residual_z_rank_does_not_depend_on_order(tmp_path):
 
 
 # a node on (Z, T) with E = T x T beside a node on Z: contracting the Z wire
-# leaves a zero-reduction over T whose kernel column meets both T factors
+# leaves a zero-reduction over T whose kernel column (1, -2) meets both T
+# factors
 TWO_FACTOR_CIRCLE_SUPPORT = (
     "wire s : Z\n"
     "wire a : T\n"
@@ -557,9 +558,27 @@ TWO_FACTOR_CIRCLE_SUPPORT = (
 )
 
 
-def test_cli_zero_reduction_over_two_circle_factors_is_unsupported(tmp_path):
+def test_cli_zero_reduction_over_two_circle_factors(tmp_path):
+    """x is 1 at s = 0 for every a and y is 1 on Z, so the sum over s is the
+    constant 1 on T: the reduction drops the T factor where the kernel
+    column has its entry 1."""
     net = tmp_path / "circle.net"
     net.write_text(TWO_FACTOR_CIRCLE_SUPPORT)
+    r = run_cli("contract", str(net))
+    assert r.returncode == 0, r.stdout + r.stderr
+    out = json.loads(r.stdout)["group"]
+    assert (out["G"], out["E"], out["div_weight"], out["mag2"]) == ("T", "T", 0, 1)
+    assert out["eps"]["eps0"] == [0] and out["eps"]["eps1"] == [[1]]
+    q = out["q"]
+    assert (q["a0"], q["phi0"], q["a2"], q["phi2"]) == (0, 0, {}, {})
+    assert q["a1"] == q["phi1"] == [[0, 0]]
+
+
+def test_cli_zero_reduction_over_two_circle_factors_is_unsupported(tmp_path):
+    # the row (3, -2) on leg a has the kernel column (2, 3), with no entry +-1
+    net = tmp_path / "circle.net"
+    net.write_text(TWO_FACTOR_CIRCLE_SUPPORT.replace('"eps1": [[0, 0], [2, 1]]',
+                                                     '"eps1": [[0, 0], [3, -2]]'))
     r = run_cli("contract", str(net))
     assert r.returncode == 3, r.stdout + r.stderr
     assert r.stderr.startswith("unsupported case:") and "Traceback" not in r.stderr
