@@ -37,6 +37,7 @@ from .groups import GroupProduct, R, T, Z, Z1, Zk
 from .scalar import Scalar, mod1
 from .solve import (
     KernelPresentation,
+    Substitution,
     UnsupportedKernel,
     kernel_of_hom,
     quotient_by_subgroup,
@@ -138,9 +139,10 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     of the one-row delta = eps1_i - eps1_j, and t is restricted to it
     (``_restrict_to_coset``).  Both come from ``solve_with_kernel``: on a
     Z_k or Z wire whose delta row has a unit entry on a column of the
-    wire's order, one substitution on the first such column, which stays
-    out of the new E while every other column stays as it is; otherwise
-    the general elimination.
+    wire's order, the substitution x_p = sigma + sum_l a_l x_l on the
+    first such column, which leaves E and rewrites only the eps rows and
+    q values it touches; otherwise the general elimination and
+    composition.
     """
     assert i != j
     if t.G[i] != t.G[j]:
@@ -169,7 +171,17 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
 def _restrict_to_coset(t: QTensorData, shift: Tuple, pres: KernelPresentation) -> QTensorData:
     """t summed only over the coset shift + kappa(K) of E, for the kernel
     presentation (K, kappa) of ``pres``: E becomes K, and eps and q are
-    composed with h -> kappa(h) + shift."""
+    composed with h -> kappa(h) + shift.
+
+    A ``Substitution`` x_p = sigma + sum_l a_l x_l is applied to eps and q
+    directly (``substitute``), rewriting only the values it touches; with a
+    float value, or a T or R factor paired with p, the general composition
+    runs instead."""
+    if isinstance(pres, Substitution):
+        q = t.q.substitute(pres)
+        eps = None if q is None else t.eps.substitute(pres)
+        if eps is not None:
+            return QTensorData(t.G, pres.group, eps, q, t.div_weight, t.mag2)
     kappa = pres.inclusion
     return QTensorData(t.G, pres.group, t.eps.compose_affine(kappa, shift),
                        t.q.precompose_affine(kappa, shift), t.div_weight, t.mag2)
@@ -483,7 +495,12 @@ def reduce_invertible(t: QTensorData, rho: LinearFnData) -> QTensorData:
 
 
 def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
-    """``reduce_invertible`` once rho is checked, with qres = q o rho."""
+    """``reduce_invertible`` once rho is checked, with qres = q o rho.
+
+    q o gamma factors as qres o phi through phi: E -> A = Z_k, so q - q o
+    gamma is the rank-one update ``minus_pullback`` over phi's support;
+    with a float value the general precomposition and difference run.
+    """
     A = rho.domain[0]
     k = A.k
     if qres.vec["a"][0] != 0 or qres.mat["a"][0][0] != 0:
@@ -493,14 +510,16 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
         raise NotInvertible(f"restricted bilinear {v} not invertible mod {k}")
     vinv = pow(v, -1, k)
     # gamma = rho qinv rho* q-phi^(2): E -> A* (= Z_k) -> A -> E, the middle
-    # step multiplication by vinv
+    # step multiplication by vinv; q o gamma = qres o to_A
     to_A = [image_group(Ej, A).normalize(vinv * x)
             for Ej, x in zip(t.E, _beta(t, rho, "phi").img[0])]
-    A1 = GroupProduct([A])
-    gamma = rho.compose_hom(LinearFnData.of_images(t.E, A1, A1.identity(), [to_A]))
-    p = t.q.precompose(gamma)
-    p.a0, p.phi0 = 0, 0
-    qtilde = t.q - p
+    qtilde = t.q.minus_pullback(to_A, qres.vec["phi"][0], qres.mat["phi"][0][0])
+    if qtilde is None:
+        A1 = GroupProduct([A])
+        gamma = rho.compose_hom(LinearFnData.of_images(t.E, A1, A1.identity(), [to_A]))
+        p = t.q.precompose(gamma)
+        p.a0, p.phi0 = 0, 0
+        qtilde = t.q - p
     mag2, phase = gauss_sum(qres.phi1[0])
     # quotient E by the image of rho
     qpres = quotient_by_subgroup(t.E, rho)

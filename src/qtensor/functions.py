@@ -16,7 +16,12 @@ multipliers, so that q(x) = v x + b x^2 / 2 on it.  Floats are carried over
 as they are.  Precomposition with gamma is then b' = gamma^T b gamma, plus
 the diagonal values of the generated factors, summed over the nonzero rows
 of gamma; exact values on generated factors are summed as integer
-numerators over one common denominator.
+numerators over one common denominator.  Two steps of a contraction
+rewrite only the values they touch, with exact values on Z_k and Z
+factors, also as integer numerators: a unit-pivot substitution
+x_p = sigma + sum_l a_l x_l (``substitute``), and the rank-one update
+q - r o phi for phi: E -> Z_k (``minus_pullback``).  Floats, and T or R
+factors in their reach, take the general composition.
 
 Neither kind of function holds a coefficient object.  The ``HomCoeff``,
 ``QuadCoeff`` and ``Hom2Coeff`` cells of the table-level API are converted
@@ -28,6 +33,7 @@ once on construction and rebuilt on demand by the views ``eps1``, ``a1``,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -173,6 +179,31 @@ class LinearFnData:
         """self(gamma(.) + shift), for a homomorphism gamma into the domain."""
         composed = self.compose_hom(gamma)
         return LinearFnData.of_images(gamma.domain, self.codomain, self(shift), composed.img)
+
+    def substitute(self, sub) -> Optional["LinearFnData"]:
+        """``compose_affine`` through the kernel inclusion and shift of a
+        ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, or None when a
+        value is a float.
+
+        Only a row with a nonzero entry r at p changes: its constant gains
+        r sigma and each moved column l gains r a_l.  The other entries
+        are shared; column p goes.
+        """
+        if not _exact_rows(self.eps0, *self.img):
+            return None
+        p, sigma, take, D = sub.p, sub.sigma, sub.take, self.domain
+        eps0 = list(self.eps0)
+        img = []
+        for i, (Gi, row) in enumerate(zip(self.codomain, self.img)):
+            new = take(row)
+            r = row[p]
+            if r:
+                if sigma:
+                    eps0[i] = Gi.normalize(eps0[i] + r * sigma)
+                for j, l, a in sub.moved:
+                    new[j] = image_group(D[l], Gi).normalize(new[j] + r * a)
+            img.append(new)
+        return LinearFnData.of_images(sub.group, self.codomain, tuple(eps0), img)
 
     def column(self, j: int) -> List[Scalar]:
         """The image column of domain factor j."""
@@ -489,6 +520,74 @@ class QuadraticFnData:
         """The function h -> self(gamma(h) + shift)."""
         return self.shift(shift).precompose(gamma)
 
+    def substitute(self, sub) -> Optional["QuadraticFnData"]:
+        """``precompose_affine`` through the kernel inclusion and shift of a
+        ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, or None when a
+        value is a float or a factor with a nonzero cell against p is T or R.
+
+        The constants gain q_p(sigma), as in ``eval``.  Only the values of
+        the moved factors and, with sigma != 0, of the factors paired with
+        p change (``_substitute_part``); the others are shared.
+        """
+        D, p, sigma, take = self.domain, sub.p, sub.sigma, sub.take
+        if not self._exact():
+            return None
+        a0, phi0 = as_scalar(self.a0), mod1(self.phi0)
+        vec, mat = {}, {}
+        for part, A in PARTS:
+            v, m = self.vec[part], self.mat[part]
+            near = [k for k, b in enumerate(m[p]) if b and k != p]
+            if any(D[k].kind not in ("Zk", "Z") for k in near):
+                return None
+            if sigma:
+                t = _quad_term(D[p], A, v[p], m[p][p], sigma)
+                if A is R:
+                    a0 = as_scalar(a0 + t)
+                else:
+                    phi0 = mod1(phi0 + t)
+            vec[part] = take(v)
+            mat[part] = [take(row) for row in take(m)]
+            if near or v[p] or m[p][p]:
+                _substitute_part(v, m, vec[part], mat[part], sub, near, A is T)
+        return QuadraticFnData._of_values(sub.group, a0, phi0, vec, mat)
+
+    def _exact(self) -> bool:
+        """Whether no value of either part is a float."""
+        vec, mat = self.vec, self.mat
+        return _exact_rows(vec["a"], vec["phi"], *mat["a"], *mat["phi"])
+
+    def minus_pullback(self, phi: List[int], v: Scalar, b: Scalar) -> Optional["QuadraticFnData"]:
+        """self - r o phi, constants kept, for a homomorphism phi: E -> Z_k
+        with integer images ``phi`` and the function r on Z_k with
+        r(1) = v and B(1, 1) = b; None when a value is a float or a factor
+        with phi_j != 0 is T or R.
+
+        Only the phase values over phi's support change:
+        v_j -= phi_j v + C(phi_j, 2) b and B_jl -= phi_j phi_l b, summed as
+        integer numerators over one denominator.
+        """
+        supp = [(j, f) for j, f in enumerate(phi) if f]
+        if any(self.domain[j].kind not in ("Zk", "Z") for j, _ in supp):
+            return None
+        if not (_exact_rows((v, b)) and self._exact()):
+            return None
+        out = self.copy()
+        out.a0, out.phi0 = as_scalar(self.a0), mod1(self.phi0)
+        vec, mat = self.vec["phi"], self.mat["phi"]
+        L = math.lcm(v.denominator, b.denominator, *(vec[j].denominator for j, _ in supp),
+                     *(mat[j][l].denominator for j, _ in supp for l, _ in supp))
+        V, B = v.numerator * (L // v.denominator), b.numerator * (L // b.denominator)
+        ovec, omat = out.vec["phi"], out.mat["phi"]
+        for j, f in supp:
+            x = vec[j]
+            n = x.numerator * (L // x.denominator) - f * V - f * (f - 1) // 2 * B
+            ovec[j] = _over(x, n % L, L)
+            row = mat[j]
+            for l, g in supp:
+                x = row[l]
+                omat[j][l] = _over(x, (x.numerator * (L // x.denominator) - f * g * B) % L, L)
+        return out
+
     def restrict_cols(self, cols: List[int]) -> "QuadraticFnData":
         """Restriction to a subset of domain factors (others set to 0)."""
         dom = GroupProduct([self.domain[j] for j in cols])
@@ -575,6 +674,73 @@ def _quad_term(G, A, v: Scalar, b: Scalar, x: Scalar) -> Scalar:
     if G.kind == "T":
         return A.normalize(v * x)
     return A.normalize(b * x * x / 2 + v * x)
+
+
+def _exact_rows(*rows) -> bool:
+    """Whether no entry of the rows is a float."""
+    return float not in map(type, itertools.chain(*rows))
+
+
+def _over(old: Scalar, n: int, L: int) -> Scalar:
+    """The value n / L of an entry that held ``old``; a zero keeps the zero
+    of the entry's group."""
+    if n:
+        return Fraction(n, L)
+    return old if not old else Fraction(0)
+
+
+def _substitute_part(vec, mat, out_vec, out_mat, sub, near: List[int], generated: bool) -> None:
+    """Write into ``out_vec`` and ``out_mat``, one part of q restricted to
+    the kept columns, the values that the substitution
+    x_p = sigma + sum_l a_l x_l changes; every factor met is Z_k or Z and
+    every value exact, and ``near`` lists the factors with a cell against p.
+
+    With w = v_p + sigma b_pp and B the cells of the input, a moved factor
+    l gets v_l + sigma B_pl + a_l w, plus C(a_l, 2) b_pp + a_l B_pl for a
+    generated part (into T, held by values at the generator), and
+    b_ll + a_l^2 b_pp + 2 a_l B_pl; a cell of two moved factors gains
+    a_l a_m b_pp + a_m B_pl + a_l B_pm, one of a moved factor and another
+    factor m of ``near`` gains a_l B_pm, and with sigma != 0 such an m gets
+    v_m + sigma B_pm.  All sums are integer numerators over the lcm L of
+    the denominators read, taken mod L for a part into T.
+    """
+    p, sigma, pos, moved = sub.p, sub.sigma, sub.pos, sub.moved
+    prow = mat[p]
+    moved_cols = {l for _, l, _ in moved}
+    others = [(pos[m], m) for m in near if m not in moved_cols]
+    read = [vec[p], prow[p]]
+    for _, l, _ in moved:
+        row = mat[l]
+        read += [vec[l], prow[l], row[l]]
+        read += [row[m] for m in moved_cols]
+        read += [row[m] for _, m in others]
+    for _, m in others:
+        read += [vec[m], prow[m]]
+    L = math.lcm(*[x.denominator for x in read])
+
+    def num(x) -> int:
+        return x.numerator * (L // x.denominator)
+
+    def value(old, n):
+        return _over(old, n % L if generated else n, L)
+
+    bpp = num(prow[p])
+    w = num(vec[p]) + sigma * bpp
+    for idx, (j, l, a) in enumerate(moved):
+        row, bpl = mat[l], num(prow[l])
+        n = num(vec[l]) + sigma * bpl + a * w
+        if generated:
+            n += a * (a - 1) // 2 * bpp + a * bpl
+        out_vec[j] = value(vec[l], n)
+        out_mat[j][j] = value(row[l], num(row[l]) + a * a * bpp + 2 * a * bpl)
+        for j2, m, a2 in moved[idx + 1:]:
+            out_mat[j][j2] = out_mat[j2][j] = value(
+                row[m], num(row[m]) + a * a2 * bpp + a2 * bpl + a * num(prow[m]))
+        for j2, m in others:
+            out_mat[j][j2] = out_mat[j2][j] = value(row[m], num(row[m]) + a * num(prow[m]))
+    if sigma:
+        for j2, m in others:
+            out_vec[j2] = value(vec[m], num(vec[m]) + sigma * num(prow[m]))
 
 
 def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_mat) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import InvalidInput
@@ -124,21 +123,43 @@ Z1 = Zk(1)
 GroupElement = Tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
 class GroupProduct:
-    factors: Tuple[ElementaryGroup, ...]
+    """An ordered product of elementary groups.
 
-    def __init__(self, factors: Sequence[ElementaryGroup] = ()):
-        object.__setattr__(self, "factors", tuple(factors))
+    As with ``ElementaryGroup`` there is one object per factor tuple, so
+    equality and hash are the object's own, and copies and unpickled
+    products are that object too.  The identity is built with the object.
+    """
 
-    def __hash__(self) -> int:
-        # kept on first use, like the identity: products key the coefficient caches
+    __slots__ = ("factors", "_identity")
+    _made: Dict[Tuple[ElementaryGroup, ...], "GroupProduct"] = {}
+
+    def __new__(cls, factors: Sequence[ElementaryGroup] = ()):
+        factors = tuple(factors)
         try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.factors)
-            object.__setattr__(self, "_hash", h)
-            return h
+            return cls._made[factors]
+        except KeyError:
+            pass
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_identity", tuple(f.normalize(0) for f in factors))
+        cls._made[factors] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("group products are immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return GroupProduct, (self.factors,)
+
+    def __repr__(self) -> str:
+        return f"GroupProduct(factors={self.factors!r})"
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -171,13 +192,7 @@ class GroupProduct:
         return tuple(f.normalize(v) for f, v in zip(self.factors, values))
 
     def identity(self) -> GroupElement:
-        # kept on first use: the factors of a product never change
-        try:
-            return self._identity
-        except AttributeError:
-            ident = tuple(f.normalize(0) for f in self.factors)
-            object.__setattr__(self, "_identity", ident)
-            return ident
+        return self._identity
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)

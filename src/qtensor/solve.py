@@ -29,8 +29,9 @@ basis and inverse read off it (U^-1 is built alongside U), and
 one factorization when they lift to the same system.
 
 The commonest systems of a contraction skip all of that: a one-row unit
-pivot is one substitution (``_substitute``), and a cyclic quotient with a
-unit pivot drops a factor (``_drop_pivot``).
+pivot is one substitution x_p = sigma + sum_l a_l x_l (``Substitution``),
+which the engine applies to eps and q directly, and a cyclic quotient
+with a unit pivot drops a factor (``_drop_pivot``).
 """
 
 from __future__ import annotations
@@ -777,14 +778,12 @@ def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple,
     """``solve_hom(eps, target)`` and ``kernel_of_hom(eps)``, or None when
     there is no solution.
 
-    A one-row system into Z_k or Z is solved by substitution
-    (``_substitute``) when a discrete column of the row's order has a unit
-    entry: the first such column p is the pivot, as in ``_Elimination``,
-    and the kernel is presented by e_l - u r_l e_p for every other discrete
-    column l, then the T and R columns, as on the general path.  Every
-    other system (several rows, no such unit, a T or R row) takes the
-    general path: where the solve and the kernel lift eps to the same
-    integer system, it is eliminated and its residual factored once."""
+    A one-row system into Z_k or Z with a unit entry on a discrete column
+    of the row's order is solved by substitution (``_substitute``): the
+    presentation is then a ``Substitution``, whose ``group`` and
+    ``inclusion`` are those of ``kernel_of_hom``.  Every other system
+    takes the general path: where the solve and the kernel lift eps to the
+    same integer system, it is eliminated and its residual factored once."""
     found = _substitute(eps, target)
     if found is not None:
         return found
@@ -795,15 +794,56 @@ def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple,
     return e, kernel_of_hom(eps, factored)
 
 
-def _substitute(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, KernelPresentation]]:
+class Substitution:
+    """The solutions of a one-row system r x = c into Z_k or Z with a unit
+    pivot r_p: x_p = sigma + sum_l a_l x_l, every other column free.
+
+    ``keep`` lists the free columns in the order of ``kernel_of_hom``
+    (discrete, then T, then R, with Z1 columns left out), ``group`` is their
+    product K, ``pos`` maps a kept column to its place in K, and ``moved``
+    holds (place in K, column l, integer a_l) for every a_l != 0.  The
+    kernel inclusion K -> E, ``inclusion``, is built on first use.
+    """
+
+    __slots__ = ("E", "p", "sigma", "keep", "group", "pos", "moved", "_plain", "_inclusion")
+
+    def __init__(self, E: GroupProduct, p: int, sigma: int, a: dict, keep: List[int]):
+        self.E, self.p, self.sigma, self.keep = E, p, sigma, keep
+        self.group = GroupProduct([E[l] for l in keep])
+        self.pos = {l: j for j, l in enumerate(keep)}
+        self.moved = [(j, l, a[l]) for j, l in enumerate(keep) if l in a]
+        self._plain = keep == [j for j in range(len(E)) if j != p]
+        self._inclusion = None
+
+    def take(self, row: Sequence) -> Sequence:
+        """The entries of a row over E at the kept columns, in order."""
+        p = self.p
+        return row[:p] + row[p + 1:] if self._plain else [row[l] for l in self.keep]
+
+    @property
+    def inclusion(self) -> LinearFnData:
+        """e_l + a_l e_p for a discrete column l, e_l for a T or R column."""
+        if self._inclusion is None:
+            E, a = self.E, {l: x for _, l, x in self.moved}
+            gens = _Generators(E)
+            for l in self.keep:
+                f = E[l]
+                images = {l: 1 if f is T else Fraction(1) if f is R else f.normalize(1)}
+                if l in a:
+                    images[self.p] = a[l]
+                gens.emit(f, images)
+            self._inclusion = gens.presentation().inclusion
+        return self._inclusion
+
+
+def _substitute(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, Substitution]]:
     """``solve_with_kernel`` of a one-row system into Z_k (modulus k) or Z
     (modulus 0) by one substitution, or None without a pivot.
 
-    With u the inverse of the pivot entry r_p, x_p = u (c - sum_{j != p}
-    r_j x_j) solves r x = c: the solution is u c on p and 0 elsewhere.
-    The kernel generators, columns of order 1 left out, come in the order
-    and with the value types of ``_Elimination.kernel`` and
-    ``kernel_of_hom``.
+    The pivot p is the first discrete column of the row's order with a unit
+    entry, as in ``_Elimination``.  With u the inverse of r_p,
+    x_p = u (c - sum_{l != p} r_l x_l): the solution is sigma = u c on p
+    and 0 elsewhere, and a_l = -u r_l.
     """
     G, E = eps.codomain, eps.domain
     if len(G) != 1 or G[0].kind not in ("Zk", "Z"):
@@ -819,18 +859,14 @@ def _substitute(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, Kerne
     else:
         return None
     sol = list(E.identity())
-    sol[p] = E[p].normalize(u * int(G[0].normalize(target[0])))
-    gens = _Generators(E)
+    sol[p] = sigma = E[p].normalize(u * int(G[0].normalize(target[0])))
+    keep = [l for l in disc if l != p and E[l] is not Z1]
+    a = {}
     for l, x in zip(disc, r):
-        if l != p and E[l] is not Z1:
-            images = {l: E[l].normalize(1)}
-            y = -u * x % mod if mod else -u * x
-            if y:
-                images[p] = image_group(E[l], E[p]).normalize(y)
-            gens.emit(E[l], images)
-    _circle_kernel(eps, cont_t, [], gens.emit, None)
-    _real_block_kernel(eps, cont_r, [], gens.emit)
-    return tuple(sol), gens.presentation()
+        y = -u * x % mod if mod else -u * x
+        if y and l != p and E[l] is not Z1:
+            a[l] = image_group(E[l], E[p]).normalize(y)
+    return tuple(sol), Substitution(E, p, sigma, a, keep + cont_t + cont_r)
 
 
 # ---------------------------------------------------------------------------

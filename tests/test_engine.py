@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from gen import random_qtensor
+from test_functions import mixed_hom, mixed_quadratic
+from test_solve import one_row_systems, random_hom
 
+from qtensor import engine, solve
 from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff
 from qtensor.dense import dense_compare, materialize
 from qtensor.engine import (
@@ -22,7 +25,7 @@ from qtensor.engine import (
     tensor_product,
 )
 from qtensor.functions import LinearFnData, QuadraticFnData
-from qtensor.groups import GroupProduct, T, Zk, parse_product
+from qtensor.groups import GroupProduct, R, T, Z, Zk, parse_product
 
 
 def plus_state() -> QTensorData:
@@ -359,3 +362,104 @@ def test_gauss_sum_closed_form_against_brute_force():
             assert m2 == k and abs(abs(total) - math.sqrt(k)) < 1e-9
             brute = Fraction(cmath.phase(total) / (2 * math.pi)).limit_denominator(8 * k) % 1
             assert ph == brute, (k, a, b, ph, brute)
+
+
+# ---------------------------------------------------------------------------
+# a unit-pivot substitution and the rank-one update of the invertible
+# reduction rewrite values in place; both must give what the general
+# composition gives, value types included
+
+
+def _substitution_systems(rng):
+    """The one-row systems of the solver's tests, then rows over columns
+    that include Z1."""
+    yield from one_row_systems(random.Random(11))
+    for _ in range(80):
+        sig = rng.choice(["Z6", "Z2", "Z3", "Z"])
+        E = parse_product(",".join([sig, "Z1"] + [rng.choice(["Z1", "Z2", "Z3", "Z6", "Z", "T", "R"])
+                                                  for _ in range(rng.randrange(3))]))
+        yield random_hom(GroupProduct(rng.sample(E.factors, len(E))), parse_product(sig), rng)
+
+
+def _paired_with_pivot(q, p):
+    """The kinds of the factors with a nonzero cell against factor p."""
+    return {q.domain[m].kind for part in ("a", "phi") for m, b in enumerate(q.mat[part][p])
+            if b and m != p}
+
+
+def test_substitution_rewrites_match_the_general_composition():
+    rng = random.Random(5)
+    seen = dict(sigma=0, moved=0, z1=0, continuous=0, declined=0, floats=0)
+    for row in _substitution_systems(rng):
+        E, G = row.domain, row.codomain
+        targets = list(G.enumerate()) if G.finite else [(0,), (1,), (-2,)]
+        for g in rng.sample(targets, min(3, len(targets))):
+            found = solve._substitute(row, g)
+            if found is None:
+                continue
+            shift, sub = found
+            kappa = sub.inclusion
+            H = GroupProduct([rng.choice([Zk(2), Zk(3), Zk(6), Z, T, R])
+                              for _ in range(rng.randrange(3))] + [T, R])
+            eps, q = mixed_hom(E, H, rng), mixed_quadratic(E, rng)
+            assert repr(eps.substitute(sub)) == repr(eps.compose_affine(kappa, shift)), (E, g)
+            got, want = q.substitute(sub), q.precompose_affine(kappa, shift)
+            if got is None:
+                assert _paired_with_pivot(q, sub.p) & {"T", "R"}, (E, g)
+                seen["declined"] += 1
+            else:
+                assert repr(got) == repr(want), (E, g, q)
+            seen["sigma"] += sub.sigma != 0
+            seen["moved"] += bool(sub.moved)
+            seen["z1"] += any(f is Zk(1) for f in E)
+            seen["continuous"] += any(f.kind in ("T", "R") for f in E)
+            # a float value anywhere sends both to the general composition
+            eps_f = LinearFnData.of_images(E, H, eps.eps0[:-1] + (0.25,), eps.img)
+            q_f = q.copy()
+            q_f.vec["phi"][sub.p] = float(q_f.vec["phi"][sub.p])
+            assert eps_f.substitute(sub) is None and q_f.substitute(sub) is None
+            for t in (QTensorData(H, E, eps_f, q), QTensorData(H, E, eps, q_f)):
+                general = solve.KernelPresentation(sub.group, kappa)
+                assert repr(engine._restrict_to_coset(t, shift, sub)) == repr(
+                    engine._restrict_to_coset(t, shift, general))
+                seen["floats"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_rank_one_update_matches_q_minus_its_pullback():
+    rng = random.Random(23)
+    for _ in range(300):
+        A = GroupProduct([Zk(rng.choice([2, 3, 4, 6]))])
+        E = GroupProduct([rng.choice([Zk(2), Zk(3), Zk(4), Zk(6), Z])
+                          for _ in range(rng.randint(1, 4))])
+        q, r = mixed_quadratic(E, rng), mixed_quadratic(A, rng)
+        phi = mixed_hom(E, A, rng)
+        p = r.precompose(phi)
+        p.a0, p.phi0 = 0, 0
+        got = q.minus_pullback(phi.img[0], r.vec["phi"][0], r.mat["phi"][0][0])
+        assert repr(got) == repr(q - p), (E, A, phi.img, r)
+
+
+def test_rewrites_leave_contractions_unchanged(monkeypatch):
+    """Random contractions and full reductions give the same tensors, value
+    types included, when the substitution and the rank-one update are
+    switched off."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        d = rng.choice([2, 3, 4, 6])
+        t = random_qtensor(GroupProduct([Zk(d), Zk(rng.choice([2, 3]))]), rng, max_e=3)
+        u = random_qtensor(GroupProduct([Zk(d), Zk(rng.choice([2, 3, 6]))]), rng, max_e=3)
+        cases.append((t, u))
+
+    def run():
+        out = []
+        for t, u in cases:
+            c = self_contract(tensor_product(t, u), 0, 2)
+            out.append(repr(c) + repr(reduce_full(c)))
+        return out
+
+    fast = run()
+    monkeypatch.setattr(QuadraticFnData, "substitute", lambda self, sub: None)
+    monkeypatch.setattr(QuadraticFnData, "minus_pullback", lambda self, phi, v, b: None)
+    assert run() == fast

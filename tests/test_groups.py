@@ -111,3 +111,23 @@ def test_one_object_per_group():
         Zk(6).k = 7
     with pytest.raises(ValueError):
         ElementaryGroup("Zk", 0)
+
+
+def test_one_object_per_product():
+    """Products of the same factors are one object, however they are made,
+    copied or unpickled; the identity is built with it."""
+    import copy
+    import pickle
+
+    prod = GroupProduct([Zk(4), T, R])
+    assert parse_product("Z4,T,R") is prod and GroupProduct((Zk(4), T, R)) is prod
+    assert GroupProduct([Zk(4)]) * GroupProduct([T, R]) is prod
+    assert GroupProduct() is parse_product("0")
+    assert copy.copy(prod) is prod and copy.deepcopy(prod) is prod
+    assert pickle.loads(pickle.dumps(prod)) is prod
+    assert prod.identity() == (0, Fraction(0), Fraction(0)) and prod.identity() is prod.identity()
+    assert prod != GroupProduct([Zk(4), R, T]) and len({prod, parse_product("Z4,T,R")}) == 1
+    assert repr(prod) == ("GroupProduct(factors=(ElementaryGroup(kind='Zk', k=4), "
+                          "ElementaryGroup(kind='T', k=0), ElementaryGroup(kind='R', k=0)))")
+    with pytest.raises(AttributeError):
+        prod.factors = ()

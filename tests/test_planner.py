@@ -155,3 +155,26 @@ def test_greedy_and_declaration_order_agree():
             results.append(got)
         greedy, declared = results
         assert dense_compare(greedy, declared, "exact").equal, name
+
+
+def test_zk_contractions_take_the_substitution(monkeypatch):
+    """On networks of Z_k wires every unit-pivot wire contraction and zero
+    reduction rewrites eps and q by substitution: with the general
+    compositions patched to raise, the results are the same."""
+    from qtensor.functions import LinearFnData, QuadraticFnData
+
+    workloads = _workloads()
+    texts = [open(os.path.join(ROOT, "nets", name)).read()
+             for name in ("ghz.net", "five_qubit_encoder.net")]
+    texts.append(workloads.circuit_net(6, workloads.brickwork_circuit(random.Random(7), 6, 4)))
+    want = [repr(run_contract(parse(text)).group_part) for text in texts]
+    # parsing builds the nodes, a stabilizer code's through the general
+    # composition, so the specs are parsed before the patch
+    specs = [parse(text) for text in texts]
+
+    def general(*args):
+        raise AssertionError("general composition on Z_k data")
+
+    monkeypatch.setattr(QuadraticFnData, "precompose_affine", general)
+    monkeypatch.setattr(LinearFnData, "compose_affine", general)
+    assert [repr(run_contract(spec).group_part) for spec in specs] == want
