@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .coeff import (
-    QuadCoeff,
     cell_group,
     hom2_group,
     hom_group,
@@ -229,13 +228,12 @@ def _extract_through_section(
 ) -> Tuple[QuadraticFnData, LinearFnData]:
     """q and eps pulled back to Q through the section
     sum x_t e_t -> sum x_t * lift_t, for a quotient Q of the domain E of q
-    and eps: E itself in ``reduce_invertible``, the kernel K2 that a zero
-    reduction without a pivot has restricted t to.
+    and eps (``_quotient``).
 
     When every lift is the unit vector of a factor of E that is Q's factor
-    itself (``_coordinate_lifts``), as after ``quotient_by_subgroup``
-    drops a unit pivot, the section is a coordinate inclusion: q and eps
-    are restricted to those columns, and there is nothing to check.
+    itself (``_coordinate_lifts``), the section is a coordinate inclusion:
+    q and eps are restricted to those columns, and there is nothing to
+    check.
     Otherwise, reading each finite factor Z_k of Q as Z makes the
     section a homomorphism, so q and eps are composed with it.  Both
     functions must be invariant under the reduced subgroup; then every
@@ -332,41 +330,38 @@ def _keep_factors(t: QTensorData, keep: List[int]) -> QTensorData:
 # gauss sums
 
 
-def gauss_sum(q: QuadCoeff) -> Tuple[Fraction, Fraction]:
-    """(squared magnitude, phase) of sum over Z_k of exp(2 pi i q(g)), in
-    closed form.
+def gauss_sum(A, v: Scalar, b: Scalar) -> Tuple[Fraction, Fraction]:
+    """(squared magnitude, phase) of sum over A = Z_k of exp(2 pi i q(g)), in
+    closed form, for q: Z_k -> T with the values v = q(1) and b = B(1, 1)
+    of ``coeff.quad_values``, so q(g) = v g + b g (g - 1) / 2.
 
-    Requires the bilinear part of q to be nondegenerate; the magnitude is
-    then exactly sqrt(k), and the phase is an exact rational.  With
-    e(x) = exp(2 pi i x) and the quadratic Gauss sums G(a; n) = sum over Z_n
-    of e(a g^2 / n):
+    Requires the bilinear coefficient c = k b to be a unit mod k; the
+    magnitude is then exactly sqrt(k), and the phase is an exact rational.
+    With e(x) = exp(2 pi i x) and the quadratic Gauss sums
+    G(a; n) = sum over Z_n of e(a g^2 / n):
 
-    * odd k: q(g) = (s g^2 + h1 g) / k with 2 s = h2.  Completing the
-      square, g -> g + u with 2 s u = h1, leaves e(-s u^2 / k) G(s; k), and
-      G(s; k) = (s/k) eps_k sqrt(k) with the Jacobi symbol (s/k) and
-      eps_k = 1 for k = 1 mod 4, i for k = 3 mod 4;
-    * even k: q(g) = (a g^2 + 2 h1 g) / 2k with a = h2 - 2 h1 odd, and the
-      summand has period k, so the sum is half of the one over Z_2k.  With
-      a u = h1 (mod k) it is e(-a u^2 / 2k) G(a; 2k) / 2, and
-      G(a; 2k) = (2k/a) (1 + i) eps_a^-1 sqrt(2k).
+    * odd k: q(g) = (s g^2 + h g) / k with 2 s = c and h = k v - s.
+      Completing the square, g -> g + u with 2 s u = h, leaves
+      e(-s u^2 / k) G(s; k), and G(s; k) = (s/k) eps_k sqrt(k) with the
+      Jacobi symbol (s/k) and eps_k = 1 for k = 1 mod 4, i for k = 3 mod 4;
+    * even k: q(g) = (c g^2 + 2 h g) / 2k with c odd and 2 h = 2 k v - c,
+      and the summand has period k, so the sum is half of the one over
+      Z_2k.  With c u = h (mod k) it is e(-c u^2 / 2k) G(c; 2k) / 2, and
+      G(c; 2k) = (2k/c) (1 + i) eps_c^-1 sqrt(2k).
     """
-    G = q.source
-    assert G.kind == "Zk" and q.target.kind == "T"
-    k, h2, h1 = G.k, int(q.h2), int(q.h1)
+    assert A.kind == "Zk"
+    k, c = A.k, round(A.k * b) % A.k
+    if math.gcd(c, k) != 1:
+        raise Degenerate(f"bilinear coefficient {c} degenerate over Z_{k}")
     if k % 2:
-        s = h2 * ((k + 1) // 2) % k
-        if math.gcd(s, k) != 1:
-            raise Degenerate(f"bilinear coefficient {h2 % k} degenerate over Z_{k}")
-        u = h1 * pow(2 * s, -1, k) % k
+        s = c * ((k + 1) // 2) % k
+        u = (round(k * v) - s) * pow(2 * s, -1, k) % k
         phase = Fraction(-s * u * u, k) + Fraction(k % 4 == 3, 4)
         phase += Fraction(_jacobi(s, k) == -1, 2)
     else:
-        a = (h2 - 2 * h1) % (2 * k)
-        if math.gcd(a, k) != 1:
-            raise Degenerate(f"bilinear coefficient {a % k} degenerate over Z_{k}")
-        u = h1 * pow(a, -1, k) % k
-        phase = Fraction(-a * u * u, 2 * k) + Fraction(1, 8) - Fraction(a % 4 == 3, 4)
-        phase += Fraction(_jacobi(2 * k, a) == -1, 2)
+        u = (round(2 * k * v) - c) // 2 * pow(c, -1, k) % k
+        phase = Fraction(-c * u * u, 2 * k) + Fraction(1, 8) - Fraction(c % 4 == 3, 4)
+        phase += Fraction(_jacobi(2 * k, c) == -1, 2)
     return Fraction(k), mod1(phase)
 
 
@@ -387,13 +382,44 @@ def _jacobi(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the three reductions
+# the reductions
 
 
 def _check_rho_in_kernel(t: QTensorData, rho: LinearFnData) -> None:
     composed = t.eps.compose_hom(rho)
     if any(composed.nonzero(i, 0) for i in range(len(t.G))):
         raise KernelViolation("rho does not land in kernel(eps1)")
+
+
+def _reduce_step(t: QTensorData, rho: LinearFnData) -> QTensorData:
+    """One step of ``reduce_full`` over a kernel factor rho: A -> E with A =
+    Z_k (k > 1), T or R.  rho is checked and q pulled back along it once,
+    and qres = q o rho picks the reduction.
+
+    Over Z_k, the restricted bilinear coefficient v = k B(1, 1) decides: a
+    unit mod k gives the invertible reduction, 0 the zero one, and any other
+    v the zero one over the order-gcd(v, k) subgroup of A, generated by
+    k / gcd(v, k), on which the form vanishes.  Over R the real reduction
+    runs unless the quadratic part of qres vanishes, and the zero one then,
+    as over T.
+    """
+    _check_rho_in_kernel(t, rho)
+    qres = t.q.precompose(rho)
+    A = rho.domain[0]
+    if A.kind == "Zk":
+        v = _restricted_bilinear(qres, A)
+        g = math.gcd(v, A.k)
+        if g == 1:
+            return _reduce_invertible(t, rho, qres)
+        if v:
+            A1 = GroupProduct([A])
+            inner = LinearFnData.of_images(GroupProduct([Zk(g)]), A1, A1.identity(),
+                                           [[image_group(Zk(g), A).normalize(A.k // g)]])
+            rho, qres = rho.compose_hom(inner), qres.precompose(inner)
+    elif A.kind == "R":
+        if abs(complex(float(qres.mat["a"][0][0]), float(qres.mat["phi"][0][0]))) >= 1e-12:
+            return _reduce_real(t, rho, qres)
+    return _reduce_zero(t, rho, qres)
 
 
 def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
@@ -413,8 +439,8 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     (x = y + a rho), so E drops factor p and t is restricted to the
     solutions of beta = -chi on the other factors.  A discrete rho without
     a pivot restricts t to the solutions K2 in E first, then quotients K2
-    by rho's K2 coordinates through a section in K2.  A continuous rho
-    without one raises ``UnsupportedKernel``.
+    by rho's K2 coordinates (``_quotient``).  A continuous rho without one
+    raises ``UnsupportedKernel``.
     """
     A = rho.domain[0]
     for part, tgt in PARTS:
@@ -449,9 +475,7 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
             raise UnsupportedKernel("discrete subgroup meeting continuous kernel factors")
         sub = LinearFnData.of_images(GroupProduct([A]), K2, K2.identity(),
                                      [[image_fit(A, f, x)] for f, x in zip(K2, inside)])
-        qpres = quotient_by_subgroup(K2, sub)
-        q_new, eps_new = _extract_through_section(K2, qpres.group, qpres.lift, out.q, out.eps)
-        out = QTensorData(t.G, qpres.group, eps_new, q_new, t.div_weight, t.mag2)
+        out = _quotient(out, sub)
     if A.kind == "Zk":
         out.mul_sqrt(Fraction(A.k * A.k))
     elif A.kind in ("Z", "R"):
@@ -499,7 +523,9 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
 
     q o gamma factors as qres o phi through phi: E -> A = Z_k, so q - q o
     gamma is the rank-one update ``minus_pullback`` over phi's support;
-    with a float value the general precomposition and difference run.
+    with a float value the general precomposition and difference run.  The
+    Gauss sum over A is read off qres, and E is quotiented by the image of
+    rho (``_quotient``), which drops the pivot factor of rho when it has one.
     """
     A = rho.domain[0]
     k = A.k
@@ -520,16 +546,35 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
         p = t.q.precompose(gamma)
         p.a0, p.phi0 = 0, 0
         qtilde = t.q - p
-    mag2, phase = gauss_sum(qres.phi1[0])
-    # quotient E by the image of rho
-    qpres = quotient_by_subgroup(t.E, rho)
-    Q = qpres.group
-    lifts = [list(lv) for lv in qpres.lift]
-    q_new, eps_new = _extract_through_section(t.E, Q, lifts, qtilde, t.eps)
-    out = QTensorData(t.G, Q, eps_new, q_new, t.div_weight, t.mag2)
+    mag2, phase = gauss_sum(A, qres.vec["phi"][0], qres.mat["phi"][0][0])
+    out = _quotient(QTensorData(t.G, t.E, t.eps, qtilde, t.div_weight, t.mag2), rho)
     out.mul_sqrt(Fraction(mag2))
     out.mul_phase(phase)
     return _compact(out)
+
+
+def _quotient(t: QTensorData, rho: LinearFnData) -> QTensorData:
+    """t with E replaced by its quotient by the image of rho: A -> E, for q
+    and eps invariant under that image.
+
+    A cyclic A = Z_k with a pivot p (``_pivot``) takes no Smith form: with
+    u the inverse of rho_p, u rho(1) lies in the image, so e_p is
+    -u sum_{j != p} rho_j e_j modulo it, and a multiple m rho(1) that
+    vanishes on p has k | m.  So the other factors present the quotient
+    with unit-vector lifts, and t keeps just them (``_keep_factors``), in
+    the order of ``quotient_by_subgroup``: discrete, then T, then R.  Any
+    other subgroup goes through ``quotient_by_subgroup`` and the section of
+    its lifts (``_extract_through_section``).
+    """
+    E = t.E
+    if len(rho.domain) == 1 and rho.domain[0].kind == "Zk":
+        p = _pivot(E, rho)
+        if p is not None:
+            return _keep_factors(t, sorted((j for j in range(len(E)) if j != p),
+                                           key=lambda j: "ZTR".index(E[j].kind[0])))
+    qpres = quotient_by_subgroup(E, rho)
+    q, eps = _extract_through_section(E, qpres.group, qpres.lift, t.q, t.eps)
+    return QTensorData(t.G, qpres.group, eps, q, t.div_weight, t.mag2)
 
 
 def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
@@ -542,10 +587,14 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
     """
     assert rho.domain[0].kind == "R"
     _check_rho_in_kernel(t, rho)
+    return _reduce_real(t, rho, t.q.precompose(rho))
+
+
+def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
+    """``reduce_real`` once rho is checked, with qres = q o rho."""
     p = _pivot(t.E, rho)
     if p is None:
         raise UnsupportedKernel("real reduction over a direction with no R entry")
-    qres = t.q.precompose(rho)
     # over R the values are the multipliers: q(x) = w x + z x^2 / 2
     za, zphi = qres.mat["a"][0][0], qres.mat["phi"][0][0]
     wa, wphi = qres.vec["a"][0], qres.vec["phi"][0]
@@ -625,52 +674,20 @@ def _add_complex_cell(q: QuadraticFnData, j: int, l: int, Ej, El, val: complex) 
 
 
 def reduce_full(t: QTensorData) -> QTensorData:
-    """Repeatedly reduce kernel factors of eps^(1) until only Z remains."""
+    """Reduce kernel factors of eps^(1) until only Z remains: each step hands
+    the inclusion of the first Z_k (k > 1), T or R factor of the kernel to
+    ``_reduce_step``."""
     cur = _compact(t)
     if cur.is_zero:
         return cur
     measure = _reduction_measure(cur)
     while True:
         pres = kernel_of_hom(cur.eps.linear_part())
-        K, incl = pres.group, pres.inclusion
-        progress = False
-        for kk in range(len(K)):
-            A = K[kk]
-            col = incl.restrict_cols([kk])
-            if A.kind == "Z":
-                continue
-            if A.kind == "Zk":
-                if A.k == 1:
-                    continue
-                qres = cur.q.precompose(col)
-                v = _restricted_bilinear(qres, A)
-                g = math.gcd(v, A.k)
-                if v == 0 or g == 1:
-                    _check_rho_in_kernel(cur, col)
-                    step = _reduce_zero if v == 0 else _reduce_invertible
-                    cur = step(cur, col, qres)
-                else:
-                    # zero-reduce the order-g subgroup inside A, generated by A.k / g
-                    sub = [[image_group(Zk(g), Ej).normalize(A.k // g * x)]
-                           for Ej, x in zip(cur.E, col.column(0))]
-                    cur = reduce_zero(cur, LinearFnData.of_images(
-                        GroupProduct([Zk(g)]), cur.E, cur.E.identity(), sub))
-                progress = True
-                break
-            if A.kind == "T":
-                cur = reduce_zero(cur, col)
-                progress = True
-                break
-            if A.kind == "R":
-                qres = cur.q.precompose(col)
-                za, zp = qres.mat["a"][0][0], qres.mat["phi"][0][0]
-                if abs(complex(float(za), float(zp))) < 1e-12:
-                    cur = reduce_zero(cur, col)
-                else:
-                    cur = reduce_real(cur, col)
-                progress = True
-                break
-        if cur.is_zero or not progress:
+        kk = next((kk for kk, A in enumerate(pres.group) if A.kind != "Z" and A is not Z1), None)
+        if kk is None:
+            return cur
+        cur = _reduce_step(cur, pres.inclusion.restrict_cols([kk]))
+        if cur.is_zero:
             return cur
         # each step sums out a finite subgroup of order >= 2 or integrates out
         # a whole T or R factor, so the loop ends after finitely many steps

@@ -22,16 +22,9 @@ supported classes raise UnsupportedKernel.  The kernel vectors of a discrete blo
 ``_Elimination.kernel``, are its inclusion's image columns as they stand,
 each entry reduced in its factor.
 
-Each system is factored once: one elimination and one Smith form
-U A V = S of its residual serve every kernel vector, solution, lattice
-basis and inverse read off it (U^-1 is built alongside U), and
-``solve_with_kernel`` gives a solve and a kernel of the same homomorphism
-one factorization when they lift to the same system.
-
-The commonest systems of a contraction skip all of that: a one-row unit
+The commonest system of a contraction skips all of that: a one-row unit
 pivot is one substitution x_p = sigma + sum_l a_l x_l (``Substitution``),
-which the engine applies to eps and q directly, and a cyclic quotient
-with a unit pivot drops a factor (``_drop_pivot``).
+which the engine applies to eps and q directly.
 """
 
 from __future__ import annotations
@@ -191,43 +184,26 @@ def smith_normal_form(A: Sequence[Sequence[int]], inverse: bool = False):
     return U, S, V
 
 
-def _factor(A: Sequence[Sequence[int]], factored: Optional[dict]):
-    """smith_normal_form(A), kept in ``factored`` (keyed by the matrix) when
-    given, so a system met twice is factored once."""
-    return _cached(factored, tuple(map(tuple, A)), lambda: smith_normal_form(A))
-
-
-def _cached(factored: Optional[dict], key, make):
-    """make(), kept in ``factored`` under ``key`` when given."""
-    if factored is None:
-        return make()
-    if key not in factored:
-        factored[key] = make()
-    return factored[key]
-
-
-def integer_kernel(A: Sequence[Sequence[int]], snf=None) -> List[List[int]]:
-    """Basis (list of columns) of {x : A x = 0} over the integers; ``snf``
-    is A's Smith form when already known."""
+def integer_kernel(A: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Basis (list of columns) of {x : A x = 0} over the integers."""
     n = len(A)
     m = len(A[0]) if n else 0
     if m == 0:
         return []
     if n == 0:
         return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    _, S, V = snf or smith_normal_form(A)
+    _, S, V = smith_normal_form(A)
     r = sum(1 for t in range(min(n, m)) if S[t][t] != 0)
     return [[V[i][j] for i in range(m)] for j in range(r, m)]
 
 
-def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int], snf=None) -> Optional[List[int]]:
-    """One integer solution of A x = b, or None; ``snf`` is A's Smith form
-    when already known."""
+def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List[int]]:
+    """One integer solution of A x = b, or None."""
     n = len(A)
     m = len(A[0]) if n else 0
     if n == 0:
         return [0] * m
-    U, S, V = snf or smith_normal_form(A)
+    U, S, V = smith_normal_form(A)
     c = [sum(U[i][j] * int(b[j]) for j in range(n)) for i in range(n)]
     y = [0] * m
     for t in range(min(n, m)):
@@ -442,7 +418,6 @@ class _Elimination:
         self.free = [j for j in range(len(orders)) if j not in pivoted]
         self.zero_rows = [i for i in left if not any(rows[i][l] for l in self.free)]
         self.residual = [i for i in left if i not in self.zero_rows]
-        self._snf = None
 
     def residual_system(self) -> List[List[int]]:
         """[R | D]: the residual R with one auxiliary unknown per modular
@@ -450,11 +425,6 @@ class _Elimination:
         aux = [i for i in self.residual if self.mods[i]]
         return [[self.rows[i][l] for l in self.free] + [self.mods[i] if i == a else 0 for a in aux]
                 for i in self.residual]
-
-    def snf(self):
-        if self._snf is None:
-            self._snf = smith_normal_form(self.residual_system())
-        return self._snf
 
     def _reduce_rhs(self, rhs: Sequence[int]) -> List[int]:
         """rhs through the row operations of the elimination."""
@@ -482,7 +452,7 @@ class _Elimination:
             return None
         x_free = [0] * len(self.free)
         if self.residual:
-            y = solve_integer(self.residual_system(), [b[i] for i in self.residual], self.snf())
+            y = solve_integer(self.residual_system(), [b[i] for i in self.residual])
             if y is None:
                 return None
             x_free = y[:len(self.free)]
@@ -493,26 +463,18 @@ class _Elimination:
         (0 for a Z factor); generators of order 1 are left out."""
         orders = [self.orders[l] for l in self.free]
         if self.residual:
-            gens = _lattice_kernel(self.residual_system(), orders, self.snf())
+            gens = _lattice_kernel(self.residual_system(), orders)
         else:
             gens = [([int(t == jj) for t in range(len(orders))], o) for jj, o in enumerate(orders)]
         zero = [0] * len(self.mods)
         return [(self._complete(g, zero), o) for g, o in gens if o != 1]
 
 
-def _eliminate(A, mods: List[int], orders: List[int], factored: Optional[dict]) -> _Elimination:
-    """_Elimination(A, mods, orders), kept in ``factored`` (keyed by the
-    system) when given."""
-    key = (tuple(map(tuple, A)), tuple(mods), tuple(orders))
-    return _cached(factored, key, lambda: _Elimination(A, mods, orders))
-
-
-def _lattice_kernel(full: List[List[int]], orders: List[int], snf) -> List[Tuple[List[int], int]]:
+def _lattice_kernel(full: List[List[int]], orders: List[int]) -> List[Tuple[List[int], int]]:
     """Generators, with their orders, of the group of x in prod Z_{orders}
-    with [A | D] (x, y) = 0 for some integer y, from the Smith form ``snf``
-    of [A | D]."""
+    with [A | D] (x, y) = 0 for some integer y, the system ``full``."""
     m = len(orders)
-    kgens = integer_kernel(full, snf)
+    kgens = integer_kernel(full)
     # the solutions x, with the column relations k_j e_j, generate a lattice
     rels = [(jj, k) for jj, k in enumerate(orders) if k]
     gens = [g[:m] for g in kgens] + [[k if t == jj else 0 for t in range(m)] for jj, k in rels]
@@ -560,13 +522,11 @@ def _split_cols(E: GroupProduct):
     return disc, cont_t, cont_r
 
 
-def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelPresentation:
+def kernel_of_hom(eps: LinearFnData) -> KernelPresentation:
     """Kernel of a homomorphism between group products, as a product with
     an explicit inclusion.  Supported classes: discrete-to-discrete (with
     rational circle couplings), circle-to-circle, real-to-real, and block
-    combinations in which no codomain factor mixes source classes.
-    ``factored`` holds eliminations and Smith forms already computed (see
-    ``_eliminate`` and ``_factor``)."""
+    combinations in which no codomain factor mixes source classes."""
     assert eps.is_homomorphism
     E, G = eps.domain, eps.codomain
     disc, cont_t, cont_r = _split_cols(E)
@@ -582,10 +542,10 @@ def kernel_of_hom(eps: LinearFnData, factored: Optional[dict] = None) -> KernelP
     gens = _Generators(E)
     if disc:
         rows_d = [i for i in range(len(G)) if touch[i] == {"d"}]
-        _discrete_kernel(eps, disc, rows_d, gens.emit, factored)
+        _discrete_kernel(eps, disc, rows_d, gens.emit)
     if cont_t:
         rows_t = [i for i in range(len(G)) if touch[i] == {"t"}]
-        _circle_kernel(eps, cont_t, rows_t, gens.emit, factored)
+        _circle_kernel(eps, cont_t, rows_t, gens.emit)
     if cont_r:
         rows_r = [i for i in range(len(G)) if touch[i] == {"r"}]
         _real_block_kernel(eps, cont_r, rows_r, gens.emit)
@@ -620,18 +580,18 @@ def _zero_column(factor, E: GroupProduct) -> Tuple:
     return tuple(image_group(factor, El).normalize(0) for El in E)
 
 
-def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
+def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
     """Emit the kernel generators of eps on its discrete columns: the
     vectors of ``_Elimination.kernel``, each entry the image of the
     generator in that factor of E."""
     E = eps.domain
     A, mods, _ = _lifted_system(eps, cols, rows)
-    for gen, order in _eliminate(A, mods, [_order(E[j]) for j in cols], factored).kernel():
+    for gen, order in _Elimination(A, mods, [_order(E[j]) for j in cols]).kernel():
         factor = Zk(order) if order else Z
         emit(factor, {j: image_group(factor, E[j]).normalize(x) for j, x in zip(cols, gen) if x})
 
 
-def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, factored):
+def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
     E, G = eps.domain, eps.codomain
     m = len(cols)
     mat = []
@@ -645,7 +605,7 @@ def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit, fa
         for j in cols:
             emit(T, {j: 1})
         return
-    U, S, V = _factor(mat, factored)
+    U, S, V = smith_normal_form(mat)
     r = min(len(mat), m)
     for t in range(m):
         s = S[t][t] if t < r else 0
@@ -678,12 +638,11 @@ def _real_block_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit
         emit(R, {j: as_scalar(x) for j, x in zip(cols, vec)})
 
 
-def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None) -> Optional[Tuple]:
+def solve_hom(eps: LinearFnData, target: Tuple) -> Optional[Tuple]:
     """One solution e of eps(e) = target, or None.
 
     Solves the affine equation; the same class restrictions as
-    ``kernel_of_hom`` apply.  ``factored`` holds eliminations and Smith
-    forms already computed (see ``_eliminate`` and ``_factor``).
+    ``kernel_of_hom`` apply.
     """
     E, G = eps.domain, eps.codomain
     target = G.element(target)
@@ -699,7 +658,7 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
         if any(not is_disc[j] for i in rows_d for j in supp[i]):
             raise UnsupportedKernel("mixed-class solve")
         A, mods, rhs = _lifted_system(eps, disc, rows_d, b)
-        res = _eliminate(A, mods, [_order(E[j]) for j in disc], factored).solve(rhs)
+        res = _Elimination(A, mods, [_order(E[j]) for j in disc]).solve(rhs)
         if res is None:
             return None
         for jj, j in enumerate(disc):
@@ -711,7 +670,7 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
         mat = [[eps.img[i][j] for j in cont_t] for i in rows_t]
         rhsv = [b[i] for i in rows_t]
         if mat:
-            res = _solve_circle(mat, rhsv, _factor(mat, factored))
+            res = _solve_circle(mat, rhsv)
             if res is None:
                 return None
             for jj, j in enumerate(cont_t):
@@ -749,9 +708,9 @@ def solve_hom(eps: LinearFnData, target: Tuple, factored: Optional[dict] = None)
     return e
 
 
-def _solve_circle(mat: List[List[int]], rhs: List, snf) -> Optional[List]:
-    """Solve M phi = rhs (mod 1) for circle-valued unknowns, given M's Smith form."""
-    U, S, V = snf
+def _solve_circle(mat: List[List[int]], rhs: List) -> Optional[List]:
+    """Solve M phi = rhs (mod 1) for circle-valued unknowns."""
+    U, S, V = smith_normal_form(mat)
     n, m = len(mat), len(mat[0])
     c = []
     for i in range(n):
@@ -782,16 +741,14 @@ def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple,
     of the row's order is solved by substitution (``_substitute``): the
     presentation is then a ``Substitution``, whose ``group`` and
     ``inclusion`` are those of ``kernel_of_hom``.  Every other system
-    takes the general path: where the solve and the kernel lift eps to the
-    same integer system, it is eliminated and its residual factored once."""
+    takes the general path, ``solve_hom`` and then ``kernel_of_hom``."""
     found = _substitute(eps, target)
     if found is not None:
         return found
-    factored: dict = {}
-    e = solve_hom(eps, target, factored)
+    e = solve_hom(eps, target)
     if e is None:
         return None
-    return e, kernel_of_hom(eps, factored)
+    return e, kernel_of_hom(eps)
 
 
 class Substitution:
@@ -884,22 +841,14 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
     """Present S / image(incl) with canonical integer lifts.
 
     Supports subgroups of the discrete part of S; continuous factors must
-    not meet the subgroup.  A cyclic subgroup Z_k whose generator has a
-    unit entry on a Z_k factor of S is quotiented by dropping that factor
-    (``_drop_pivot``), with no Smith form.  Every other subgroup takes the
-    general path: one Smith form of [generators | column relations] gives
-    the quotient's cyclic factors, with lifts read off U^-1, followed by
-    the continuous factors of S as they stand.
+    not meet the subgroup.  One Smith form of [generators | column
+    relations] gives the quotient's cyclic factors, with lifts read off
+    U^-1, followed by the continuous factors of S as they stand.
     """
     K = incl.domain
     disc, cont_t, cont_r = _split_cols(S)
     if any(incl.nonzero(j, q) for q in range(len(K)) for j in cont_t + cont_r):
         raise UnsupportedKernel("quotient touching continuous factors")
-    if len(K) == 1 and K[0].kind == "Zk":
-        k = K[0].k
-        for p in disc:
-            if S[p] is K[0] and _is_unit(int(incl.img[p][0]) % k, k):
-                return _drop_pivot(S, incl, p, disc, cont_t + cont_r)
     m = len(disc)
     gens = [[int(incl.img[j][q]) for j in disc] for q in range(len(K))]
     for jj, j in enumerate(disc):
@@ -948,26 +897,3 @@ def quotient_by_subgroup(S: GroupProduct, incl: LinearFnData) -> QuotientPresent
 
     return QuotientPresentation(Q, lifts, project)
 
-
-def _drop_pivot(S: GroupProduct, incl: LinearFnData, p: int, disc: List[int],
-                cont: List[int]) -> QuotientPresentation:
-    """S / <g> for a generator g of order dividing k whose entry g_p on the
-    factor S_p = Z_k is a unit with inverse u.
-
-    The other factors of S, discrete first and continuous last as on the
-    general path, present the quotient with unit-vector lifts: u g lies
-    in the subgroup, so e_p = -u sum_{j != p} g_j e_j modulo it, and a
-    multiple m g that vanishes on p has k | m, so it is 0.  s projects to
-    s_j - u g_j s_p on each discrete factor j != p.
-    """
-    u = pow(int(incl.img[p][0]), -1, S[p].k)
-    ug = {j: u * int(incl.img[j][0]) for j in disc if j != p}
-    rest = list(ug) + cont
-    Q = GroupProduct([S[j] for j in rest])
-    lifts = [[int(i == j) for i in range(len(S))] for j in rest]
-
-    def project(s):
-        sp = int(s[p])
-        return Q.element([int(s[j]) - ug[j] * sp if j in ug else s[j] for j in rest])
-
-    return QuotientPresentation(Q, lifts, project)

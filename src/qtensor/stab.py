@@ -44,13 +44,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coeff import cell_group, hom_group, image_group, value_is_zero
-from .engine import (QTensorData, _dual_coefficient, _extract_through_section, permute_legs,
-                     reduce_full, tensor_product)
+from .engine import (QTensorData, _dual_coefficient, _quotient, permute_legs, reduce_full,
+                     tensor_product)
 from .errors import InvalidInput
 from .functions import LinearFnData, QuadraticFnData
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
 from .scalar import Scalar, is_exact, mod1, scalar_eq
-from .solve import UnsupportedKernel, kernel_of_hom, quotient_by_subgroup, solve_hom
+from .solve import UnsupportedKernel, kernel_of_hom, solve_hom
 
 
 class OrthogonalityViolation(InvalidInput):
@@ -339,11 +339,9 @@ def _code_state(tab: StabTableau) -> QTensorData:
         if h0 is None:
             raise UnsolvableOffset("no h0 solves kappa_x^* sigma_z^* h0 = p o kappa_x")
         h0 = H.element(h0)
-    qpres = quotient_by_subgroup(S, kx)
     qS = _omega(H).precompose_affine(_block([sx], [sz]), h0 + sz.codomain.identity()) - tab.p
     epsS = LinearFnData.of_images(S, H, h0, sx.img)
-    q_new, eps_new = _extract_through_section(S, qpres.group, qpres.lift, qS, epsS)
-    t = QTensorData(H, qpres.group, eps_new, q_new, 0, Fraction(1))
+    t = _quotient(QTensorData(H, S, epsS, qS, 0, Fraction(1)), kx)
     if S.finite and Kx.finite:
         t.mul_sqrt(Fraction(Kx.order, S.order))
     else:

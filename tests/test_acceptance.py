@@ -17,7 +17,7 @@ import pytest
 
 from gen import random_qtensor
 
-from qtensor.coeff import QuadCoeff, quad_apply, quad_to_bilinear
+from qtensor.coeff import QuadCoeff, quad_apply, quad_to_bilinear, quad_values
 from qtensor.dense import compare_exact_up_to_phase, materialize, materialize_matrix
 from qtensor.engine import (
     QTensorData,
@@ -192,7 +192,7 @@ def test_criterion_4_gauss_sums():
                     cmath.exp(2j * math.pi * float(quad_apply(q, g))) for g in range(k)
                 )
                 worst = max(worst, abs(abs(total) - math.sqrt(k)))
-                m2, _ = gauss_sum(q)
+                m2, _ = gauss_sum(Zk(k), *quad_values(q))
                 assert m2 == k
                 count += 1
     report(4, "Gauss sums have magnitude sqrt(k) for all nondegenerate q, k <= 12",

@@ -14,7 +14,7 @@ from test_functions import mixed_hom, mixed_quadratic
 from test_solve import one_row_systems, random_hom
 
 from qtensor import engine, solve
-from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff
+from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff, quad_values
 from qtensor.dense import dense_compare, materialize
 from qtensor.engine import (
     Degenerate,
@@ -187,13 +187,13 @@ def test_braket_zero_plus():
 
 def test_gauss_sum_values():
     # over Z2 with the |Y> phase: 1 + i
-    m2, ph = gauss_sum(QuadCoeff(Zk(2), T, 1, 0))
+    m2, ph = gauss_sum(Zk(2), *quad_values(QuadCoeff(Zk(2), T, 1, 0)))
     assert m2 == 2 and ph == Fraction(1, 8)
     # over Z4 with g^2/4-style phase (h2 = 1 means weight 1/8 * g^2 ... )
-    m2, ph = gauss_sum(QuadCoeff(Zk(4), T, 1, 0))
+    m2, ph = gauss_sum(Zk(4), *quad_values(QuadCoeff(Zk(4), T, 1, 0)))
     assert m2 == 4
     with pytest.raises(Degenerate):
-        gauss_sum(QuadCoeff(Zk(4), T, 2, 0))
+        gauss_sum(Zk(4), *quad_values(QuadCoeff(Zk(4), T, 2, 0)))
 
 
 def test_gauss_sum_magnitudes_up_to_12():
@@ -207,7 +207,7 @@ def test_gauss_sum_magnitudes_up_to_12():
                     continue
                 total = sum(cmath.exp(2j * math.pi * float(__import__("qtensor.coeff",
                             fromlist=["quad_apply"]).quad_apply(q, g))) for g in range(k))
-                m2, ph = gauss_sum(q)
+                m2, ph = gauss_sum(Zk(k), *quad_values(q))
                 assert m2 == k
                 assert abs(abs(total) - math.sqrt(k)) < 1e-9
 
@@ -285,10 +285,9 @@ def test_reduce_over_mixed_finite_and_integer_quotient():
     assert crossed
 
 
-def test_reductions_do_not_sample_functions(monkeypatch):
-    # F P F and its inverse on one Z101 register: a reduction may evaluate q
-    # and eps at the shift it solves for, but not at every point of Z101
-    from qtensor import engine
+def _z101_mirror():
+    """|0> on one Z101 register and the gates F P F, then their inverse: a
+    qudit mirror that returns |0> exactly."""
     from qtensor.net import build_gate
 
     d = 101
@@ -300,23 +299,30 @@ def test_reductions_do_not_sample_functions(monkeypatch):
     ket = QTensorData(parse_product(f"Z{d}"), GroupProduct(),
                       LinearFnData(GroupProduct(), parse_product(f"Z{d}"), (0,), [[]]),
                       QuadraticFnData.zero(GroupProduct()))
-    calls = {"eval": 0, "eps": 0, "steps": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(QuadraticFnData, "eval", counted("eval", QuadraticFnData.eval))
-    monkeypatch.setattr(LinearFnData, "__call__", counted("eps", LinearFnData.__call__))
-    # every step passes once through one of these; reduce_full calls the
-    # private forms of the finite reductions directly
-    for name in ("_reduce_zero", "_reduce_invertible", "reduce_real"):
-        monkeypatch.setattr(engine, name, counted("steps", getattr(engine, name)))
     P_inv = QTensorData(P.G, P.E, P.eps, -P.q)
-    t, steps = ket, 0
-    for gate in (F, P, F) + (F, F, F, P_inv, F, F, F):
+    return ket, (F, P, F) + (F, F, F, P_inv, F, F, F)
+
+
+def _counted(calls, key, fn):
+    """fn, counting its calls in calls[key]."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_reductions_do_not_sample_functions(monkeypatch):
+    # on the Z101 mirror a reduction may evaluate q and eps at the shift it
+    # solves for, but not at every point of Z101
+    calls = {"eval": 0, "eps": 0, "steps": 0}
+    monkeypatch.setattr(QuadraticFnData, "eval", _counted(calls, "eval", QuadraticFnData.eval))
+    monkeypatch.setattr(LinearFnData, "__call__", _counted(calls, "eps", LinearFnData.__call__))
+    # every step of reduce_full passes once through one of these
+    for name in ("_reduce_zero", "_reduce_invertible", "_reduce_real"):
+        monkeypatch.setattr(engine, name, _counted(calls, "steps", getattr(engine, name)))
+    t, gates = _z101_mirror()
+    steps = 0
+    for gate in gates:
         t = self_contract(tensor_product(t, gate), 0, 1)
         calls.update(eval=0, eps=0, steps=0)
         t = engine.reduce_full(t)
@@ -327,6 +333,99 @@ def test_reductions_do_not_sample_functions(monkeypatch):
         steps += calls["steps"]
     # the mirror returns |0> exactly
     assert steps >= 5 and len(t.E) == 0 and t.mag2 == 1 and t.q.phi0 == 0
+
+
+def test_each_reduction_step_checks_and_pulls_back_rho_once(monkeypatch):
+    """Every step of reduce_full checks rho against eps^(1) once and
+    precomposes q with it once, over the Z101 mirror and over a chain of
+    two-mode Gaussian gates (rotations and squeezers on each mode, then a
+    beam splitter)."""
+    from qtensor import net
+    from test_gaussian_outputs import _chain, _rot
+
+    calls = dict(check=0, precompose=0, steps=0, invertible=0, real=0)
+    monkeypatch.setattr(engine, "_check_rho_in_kernel",
+                        _counted(calls, "check", engine._check_rho_in_kernel))
+    monkeypatch.setattr(QuadraticFnData, "precompose",
+                        _counted(calls, "precompose", QuadraticFnData.precompose))
+    monkeypatch.setattr(engine, "_reduce_step", _counted(calls, "steps", engine._reduce_step))
+    monkeypatch.setattr(engine, "_reduce_invertible",
+                        _counted(calls, "invertible", engine._reduce_invertible))
+    monkeypatch.setattr(engine, "_reduce_real", _counted(calls, "real", engine._reduce_real))
+    seen = []
+
+    def reduce_full(t):
+        calls.update(check=0, precompose=0, steps=0)
+        out = engine.reduce_full(t)
+        assert calls["check"] == calls["precompose"] == calls["steps"], calls
+        seen.append(calls["steps"])
+        return out
+
+    t, gates = _z101_mirror()
+    for gate in gates:
+        t = reduce_full(self_contract(tensor_product(t, gate), 0, 1))
+    assert sum(seen) >= 5 and calls["invertible"] >= 2, (seen, calls)
+    monkeypatch.setattr(net, "reduce_full", reduce_full)
+    seen.clear()
+    c, s = math.cos(0.7), math.sin(0.7)
+    splitter = np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, s, c]])
+    Ls = []
+    for theta, r in ((0.5, 0.3), (0.9, -0.2), (0.4, 0.4)):
+        # each mode rotated by theta and squeezed, then the two mixed
+        L = np.diag([math.exp(r), math.exp(-r / 2), math.exp(-r), math.exp(r / 2)])
+        for j in range(2):
+            L[[j, j + 2], :] = _rot(theta) @ L[[j, j + 2], :]
+        Ls.append(splitter @ L)
+    assert len(_chain(Ls).E) == 4
+    assert sum(seen) >= 4 and calls["real"] >= 4, (seen, calls)
+
+
+def test_cyclic_quotient_with_a_unit_pivot_needs_no_smith_form(monkeypatch):
+    """A Z_k subgroup whose generator has a unit entry on a Z_k factor of E
+    is quotiented by dropping the first such factor, with no Smith form.
+    q and eps, pulled back from the other factors through the projection
+    that kills the subgroup, come back as they were, as they do through
+    ``quotient_by_subgroup`` and its section; where that quotient keeps the
+    same factors with unit-vector lifts, the two results are the same data."""
+    from qtensor.coeff import image_group
+
+    calls = {"snf": 0}
+    monkeypatch.setattr(solve, "smith_normal_form",
+                        _counted(calls, "snf", solve.smith_normal_form))
+    rng = random.Random(17)
+    H = parse_product("Z2,Z3,Z6,T,R")
+    same = 0
+    for sig in ["Z4,Z2", "Z2,Z2,Z2", "Z6,Z2,Z3", "Z3,Z9,Z3", "Z2,Z4,Z4", "Z6,Z6", "Z5"]:
+        E = parse_product(sig)
+        for _ in range(6):
+            p = rng.randrange(len(E))
+            k = E[p].k
+            img = [list(row) for row in random_hom(GroupProduct([E[p]]), E, rng).img]
+            img[p][0] = rng.choice([u for u in range(1, k) if math.gcd(u, k) == 1])
+            rho = LinearFnData.of_images(GroupProduct([E[p]]), E, E.identity(), img)
+            first = next(j for j in range(len(E)) if E[j] is E[p] and math.gcd(img[j][0], k) == 1)
+            # e -> e_j - u rho_j e_first on the kept factors j
+            kept = [j for j in range(len(E)) if j != first]
+            Q = GroupProduct([E[j] for j in kept])
+            u = pow(img[first][0], -1, k)
+            proj = LinearFnData.of_images(E, Q, Q.identity(), [
+                [image_group(E[l], E[j]).normalize((l == j) - (u * img[j][0] if l == first else 0))
+                 for l in range(len(E))] for j in kept])
+            q_Q, eps_Q = mixed_quadratic(Q, rng), mixed_hom(Q, H, rng)
+            t = QTensorData(H, E, eps_Q.compose_hom(proj), q_Q.precompose(proj))
+            calls["snf"] = 0
+            got = engine._quotient(t, rho)
+            assert calls["snf"] == 0 and got.E == Q
+            assert repr(got.q) == repr(q_Q) and repr(got.eps) == repr(eps_Q), (sig, img)
+            pres = solve.quotient_by_subgroup(E, rho)
+            q, eps = engine._extract_through_section(E, pres.group, pres.lift, t.q, t.eps)
+            for e in E.enumerate():
+                assert q.eval(pres.project(e)) == t.q.eval(e), (sig, img, e)
+                assert H.eq(eps(pres.project(e)), t.eps(e)), (sig, img, e)
+            if pres.group == Q and pres.lift == [[int(i == j) for i in range(len(E))] for j in kept]:
+                assert repr(q) == repr(got.q) and repr(eps) == repr(got.eps), (sig, img)
+                same += 1
+    assert same >= 20, same
 
 
 def test_gauss_sum_closed_form_against_brute_force():
@@ -356,9 +455,9 @@ def test_gauss_sum_closed_form_against_brute_force():
             q = QuadCoeff(Zk(k), T, int(a), int(b))
             if math.gcd(int(bv), k) != 1:
                 with pytest.raises(Degenerate):
-                    gauss_sum(q)
+                    gauss_sum(Zk(k), *quad_values(q))
                 continue
-            m2, ph = gauss_sum(q)
+            m2, ph = gauss_sum(Zk(k), *quad_values(q))
             assert m2 == k and abs(abs(total) - math.sqrt(k)) < 1e-9
             brute = Fraction(cmath.phase(total) / (2 * math.pi)).limit_denominator(8 * k) % 1
             assert ph == brute, (k, a, b, ph, brute)

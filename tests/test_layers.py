@@ -10,7 +10,8 @@ term on Z keeps its formula through.  Composition, duals, pullbacks and
 the other coefficient operations stay with the tables.  ``stab`` holds
 tableaux and Clifford data as maps and values, so it imports no
 coefficient cell and no conversion to or from one: cells are read and
-written only at the JSON boundary.
+written only at the JSON boundary.  Nor does ``engine``: its reductions,
+the Gauss sum included, read values.
 
 Every exception class of the package derives from ``errors.InvalidInput``
 (exit 2) or ``errors.Unsupported`` (exit 3), or states an internal
@@ -68,6 +69,11 @@ CELLS = {"HomCoeff", "Hom2Coeff", "QuadCoeff", "hom_zero", "cell_of_value", "hom
 def test_stab_imports_no_coefficient_cells():
     bad = [(name, line) for name, line in coeff_imports("stab") if name in CELLS]
     assert not bad, f"stab.py builds coefficient cells: {bad}"
+
+
+def test_engine_imports_no_coefficient_cells():
+    bad = [(name, line) for name, line in coeff_imports("engine") if name in CELLS]
+    assert not bad, f"engine.py builds coefficient cells: {bad}"
 
 
 BASES = {"InvalidInput", "Unsupported"}

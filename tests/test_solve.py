@@ -1,6 +1,5 @@
 """Brute-force verification of the kernel / solve / quotient machinery."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +9,7 @@ import pytest
 from qtensor import solve
 from qtensor.coeff import HomCoeff, hom_group
 from qtensor.functions import LinearFnData, hom_data
-from qtensor.groups import GroupProduct, R, T, Z, Zk, parse_product
+from qtensor.groups import R, T, Z, Zk, parse_product
 from qtensor.solve import (
     UnsupportedKernel,
     gauss_jordan,
@@ -459,34 +458,6 @@ def test_quotient_finite():
             check_quotient(S, incl, quotient_by_subgroup(S, incl))
 
 
-def test_cyclic_quotient_with_a_unit_pivot_needs_no_smith_form(monkeypatch):
-    # a Z_k subgroup whose generator has a unit entry on a Z_k factor of S
-    # is quotiented by dropping that factor: the first such factor goes,
-    # the others stay in order with unit-vector lifts
-    calls = []
-    snf = solve.smith_normal_form
-    monkeypatch.setattr(solve, "smith_normal_form",
-                        lambda A, **kw: calls.append(A) or snf(A, **kw))
-    rng = random.Random(17)
-    for sigS in ["Z4,Z2", "Z2,Z2,Z2", "Z6,Z2,Z3", "Z3,Z9,Z3", "Z2,Z4,Z4", "Z6,Z6", "Z5"]:
-        S = parse_product(sigS)
-        for _ in range(6):
-            p = rng.randrange(len(S))
-            k = S[p].k
-            K = GroupProduct([S[p]])
-            img = [list(row) for row in random_hom(K, S, rng).img]
-            img[p][0] = rng.choice([u for u in range(1, k) if math.gcd(u, k) == 1])
-            incl = LinearFnData.of_images(K, S, S.identity(), img)
-            pres = quotient_by_subgroup(S, incl)
-            check_quotient(S, incl, pres)
-            first = next(j for j in range(len(S)) if S[j] is S[p]
-                         and math.gcd(img[j][0], k) == 1)
-            kept = [j for j in range(len(S)) if j != first]
-            assert pres.group == GroupProduct([S[j] for j in kept])
-            assert pres.lift == [[int(i == j) for i in range(len(S))] for j in kept]
-    assert calls == []
-
-
 # one-row discrete systems: Z_k and Z rows over Z_k, Z, T and R columns
 ROW_SIGS = ["Z6", "Z4", "Z2", "Z3", "Z"]
 COLUMN_SIGS = ["Z2", "Z3", "Z4", "Z6", "Z", "T", "R"]
@@ -532,9 +503,8 @@ def test_substitution_matches_the_general_elimination():
         pivots = solve._Elimination(A, mods, [solve._order(E[j]) for j in disc]).steps
         targets = list(G.enumerate()) if G.finite else [(c,) for c in range(-3, 4)]
         for g in targets:
-            factored = {}
-            e = solve_hom(eps, g, factored)
-            general = None if e is None else (e, kernel_of_hom(eps, factored))
+            e = solve_hom(eps, g)
+            general = None if e is None else (e, kernel_of_hom(eps))
             found = solve._substitute(eps, g)
             if pivots:
                 seen["pivot"] += 1
