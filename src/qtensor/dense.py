@@ -77,16 +77,6 @@ class DenseTensor:
             return 0
         return self.parities[axis][label]
 
-    def conj(self) -> "DenseTensor":
-        ex = None
-        if self.exact is not None:
-            ex = np.empty(self.dims, dtype=object)
-            for idx in np.ndindex(*self.dims):
-                e = self.exact[idx]
-                ex[idx] = None if e is None else (e[0], mod1(-e[1]))
-        out_fl = None if self.outgoing is None else [not o for o in self.outgoing]
-        return DenseTensor(self.dims, np.conj(self.arr), self.parities, out_fl, ex)
-
 
 def tensor_product_dense(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     arr = np.multiply.outer(a.arr, b.arr)
@@ -311,25 +301,6 @@ def dense_compare(a: DenseTensor, b: DenseTensor, mode: str = "tol",
         return CompareReport(dev, dev <= tol, phase)
     dev = float(np.max(np.abs(a.arr - b.arr))) if a.arr.size else 0.0
     return CompareReport(dev, dev <= tol)
-
-
-def compare_exact_up_to_phase(a: DenseTensor, b: DenseTensor) -> bool:
-    """Entrywise exact equality after aligning one global rational phase."""
-    if a.exact is None or b.exact is None:
-        return False
-    shift = None
-    for idx in np.ndindex(*a.dims):
-        ea, eb = a.exact[idx], b.exact[idx]
-        if ea[0] != eb[0]:
-            return False
-        if ea[0] == 0:
-            continue
-        d = mod1(ea[1] - eb[1])
-        if shift is None:
-            shift = d
-        elif mod1(d - shift) != 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -230,23 +230,16 @@ def _extract_through_section(
     sum x_t e_t -> sum x_t * lift_t, for a quotient Q of the domain E of q
     and eps (``_quotient``).
 
-    When every lift is the unit vector of a factor of E that is Q's factor
-    itself (``_coordinate_lifts``), the section is a coordinate inclusion:
-    q and eps are restricted to those columns, and there is nothing to
-    check.
-    Otherwise, reading each finite factor Z_k of Q as Z makes the
-    section a homomorphism, so q and eps are composed with it.  Both
-    functions must be invariant under the reduced subgroup; then every
-    composite factors through Z -> Z_k.  An eps entry of a finite factor is
-    its image of 1, checked by ``image_fit``.  The values of q on Z and on
-    Z_k are the same values at the generator, so they carry over once
-    checked: a quadratic term D factors through Z_k when D(k) = 0 and
-    k B(1, 1) = 0, a cell when its value is a multiple of 1/d on a hom^2
-    group Z_d.  The a part of a finite factor has trivial groups.
+    Reading each finite factor Z_k of Q as Z makes the section a
+    homomorphism, so q and eps are composed with it.  Both functions must
+    be invariant under the reduced subgroup; then every composite factors
+    through Z -> Z_k.  An eps entry of a finite factor is its image of 1,
+    checked by ``image_fit``.  The values of q on Z and on Z_k are the same
+    values at the generator, so they carry over once checked: a quadratic
+    term D factors through Z_k when D(k) = 0 and k B(1, 1) = 0, a cell when
+    its value is a multiple of 1/d on a hom^2 group Z_d.  The a part of a
+    finite factor has trivial groups.
     """
-    cols = _coordinate_lifts(E, Q, lifts)
-    if cols is not None:
-        return qfun.restrict_cols(cols), epsfun.restrict_cols(cols)
     Qz = GroupProduct([Z if f.kind == "Zk" else f for f in Q])
     section = LinearFnData.of_images(
         Qz, E, E.identity(),
@@ -269,22 +262,6 @@ def _extract_through_section(
            for Gi, row in zip(epsfun.codomain, ez.img)]
     eps0 = tuple(Gi.normalize(x) for Gi, x in zip(epsfun.codomain, epsfun.eps0))
     return qz, LinearFnData.of_images(Q, epsfun.codomain, eps0, img)
-
-
-def _coordinate_lifts(E: GroupProduct, Q: GroupProduct, lifts: List[List]) -> Optional[List[int]]:
-    """The column j_t of each lift when lift t is the unit vector e_{j_t}
-    of a factor E_{j_t} that is Q_t itself, with an exact 1; None when some
-    lift is not."""
-    cols = []
-    for Qt, lift in zip(Q, lifts):
-        nonzero = [j for j, x in enumerate(lift) if x != 0]
-        if len(nonzero) != 1:
-            return None
-        j = nonzero[0]
-        if E[j] is not Qt or lift[j] != 1 or isinstance(lift[j], float):
-            return None
-        cols.append(j)
-    return cols
 
 
 def _check_descent(Q: GroupProduct, Qz: GroupProduct, fin: List[bool], vec, mat) -> None:
@@ -456,7 +433,7 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     beta = _beta(t, rho, "phi")
     target = GroupProduct([Astar]).element([Astar.neg(chi)])
     r_dims_before = sum(1 for f in t.E if f.kind == "R")
-    p = _pivot(t.E, rho)
+    p = _pivot(t.E, A, rho.column(0))
     if p is not None:
         keep = [j for j in range(len(t.E)) if j != p]
         t, beta = _keep_factors(t, keep), beta.restrict_cols(keep)
@@ -485,14 +462,13 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     return _compact(out)
 
 
-def _pivot(E: GroupProduct, rho: LinearFnData) -> Optional[int]:
-    """The factor of E at which a reduction over rho: A -> E drops its
-    direction, or None: for A = R the R factor with the largest |rho_p|;
-    otherwise the first factor that is A itself with a unit entry, a unit
-    mod k on Z_k and +-1 on Z and T."""
-    A, col = rho.domain[0], rho.column(0)
+def _pivot(E: GroupProduct, A, col: List[Scalar]) -> Optional[int]:
+    """The factor of E at which a reduction or a quotient drops the
+    direction ``col``, the image column of A, or None: for A = R the R
+    factor with the largest |col_p|; otherwise the first factor that is A
+    itself with a unit entry, a unit mod k on Z_k and +-1 on Z and T."""
     if A.kind == "R":
-        return max((j for j in _col_support(rho, 0) if E[j] is R),
+        return max((j for j, x in enumerate(col) if E[j] is R and not R.eq(x, 0)),
                    key=lambda j: abs(col[j]), default=None)
     for j, (Ej, x) in enumerate(zip(E, col)):
         if Ej is A and (math.gcd(int(x), A.k) == 1 if A.kind == "Zk" else abs(x) == 1):
@@ -554,24 +530,35 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
 
 
 def _quotient(t: QTensorData, rho: LinearFnData) -> QTensorData:
-    """t with E replaced by its quotient by the image of rho: A -> E, for q
+    """t with E replaced by its quotient by the image of rho: K -> E, for q
     and eps invariant under that image.
 
-    A cyclic A = Z_k with a pivot p (``_pivot``) takes no Smith form: with
-    u the inverse of rho_p, u rho(1) lies in the image, so e_p is
-    -u sum_{j != p} rho_j e_j modulo it, and a multiple m rho(1) that
-    vanishes on p has k | m.  So the other factors present the quotient
-    with unit-vector lifts, and t keeps just them (``_keep_factors``), in
-    the order of ``quotient_by_subgroup``: discrete, then T, then R.  Any
-    other subgroup goes through ``quotient_by_subgroup`` and the section of
-    its lifts (``_extract_through_section``).
+    Each Z_k or Z generator of K drops one pivot factor of E, in order, as
+    in the row reduction of a stabilizer tableau, with no Smith form.  With
+    g its image, p its pivot (``_pivot``) and u the inverse of g_p, e_p is
+    -u sum_{j != p} g_j e_j modulo g, and a multiple of g that vanishes on
+    p is 0, so the other factors present E / <g>.  Each later generator h is
+    projected onto them, h - (h_p u) g, before it looks for its pivot.
+    When every generator finds one, t keeps the factors left
+    (``_keep_factors``), in the order of ``quotient_by_subgroup``:
+    discrete, then T, then R.  Otherwise the quotient goes through
+    ``quotient_by_subgroup`` and the section of its lifts
+    (``_extract_through_section``).
     """
-    E = t.E
-    if len(rho.domain) == 1 and rho.domain[0].kind == "Zk":
-        p = _pivot(E, rho)
-        if p is not None:
-            return _keep_factors(t, sorted((j for j in range(len(E)) if j != p),
-                                           key=lambda j: "ZTR".index(E[j].kind[0])))
+    E, keep = t.E, list(range(len(t.E)))
+    cols = [rho.column(c) for c in range(len(rho.domain))]
+    for c, (A, g) in enumerate(zip(rho.domain, cols)):
+        p = _pivot(E, A, g) if A.kind in ("Zk", "Z") else None
+        if p is None:
+            break
+        keep.remove(p)
+        u = pow(int(g[p]), -1, A.k) if A.kind == "Zk" else g[p]
+        for h in cols[c + 1:]:
+            m, h[p] = h[p] * u, 0
+            for j in keep:
+                h[j] -= m * g[j]
+    else:
+        return _keep_factors(t, sorted(keep, key=lambda j: "ZTR".index(E[j].kind[0])))
     qpres = quotient_by_subgroup(E, rho)
     q, eps = _extract_through_section(E, qpres.group, qpres.lift, t.q, t.eps)
     return QTensorData(t.G, qpres.group, eps, q, t.div_weight, t.mag2)
@@ -592,7 +579,7 @@ def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
 
 def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
     """``reduce_real`` once rho is checked, with qres = q o rho."""
-    p = _pivot(t.E, rho)
+    p = _pivot(t.E, R, rho.column(0))
     if p is None:
         raise UnsupportedKernel("real reduction over a direction with no R entry")
     # over R the values are the multipliers: q(x) = w x + z x^2 / 2

@@ -20,8 +20,9 @@ numerators over one common denominator.  Two steps of a contraction
 rewrite only the values they touch, with exact values on Z_k and Z
 factors, also as integer numerators: a unit-pivot substitution
 x_p = sigma + sum_l a_l x_l (``substitute``), and the rank-one update
-q - r o phi for phi: E -> Z_k (``minus_pullback``).  Floats, and T or R
-factors in their reach, take the general composition.
+q - r o phi for phi: E -> Z_k (``minus_pullback``).  Floats among the
+values a step rewrites, and T or R factors paired with the pivot of a
+substitution, take the general composition.
 
 Neither kind of function holds a coefficient object.  The ``HomCoeff``,
 ``QuadCoeff`` and ``Hom2Coeff`` cells of the table-level API are converted
@@ -33,7 +34,6 @@ once on construction and rebuilt on demand by the views ``eps1``, ``a1``,
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -183,14 +183,13 @@ class LinearFnData:
     def substitute(self, sub) -> Optional["LinearFnData"]:
         """``compose_affine`` through the kernel inclusion and shift of a
         ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, or None when a
-        value is a float.
+        row it rewrites holds a float among r, its constant and its moved
+        entries.
 
         Only a row with a nonzero entry r at p changes: its constant gains
         r sigma and each moved column l gains r a_l.  The other entries
         are shared; column p goes.
         """
-        if not _exact_rows(self.eps0, *self.img):
-            return None
         p, sigma, take, D = sub.p, sub.sigma, sub.take, self.domain
         eps0 = list(self.eps0)
         img = []
@@ -198,6 +197,8 @@ class LinearFnData:
             new = take(row)
             r = row[p]
             if r:
+                if float in map(type, [r, eps0[i], *(row[l] for _, l, _ in sub.moved)]):
+                    return None
                 if sigma:
                     eps0[i] = Gi.normalize(eps0[i] + r * sigma)
                 for j, l, a in sub.moved:
@@ -523,15 +524,14 @@ class QuadraticFnData:
     def substitute(self, sub) -> Optional["QuadraticFnData"]:
         """``precompose_affine`` through the kernel inclusion and shift of a
         ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, or None when a
-        value is a float or a factor with a nonzero cell against p is T or R.
+        value it reads (``_substitute_part``) is a float or a factor with a
+        nonzero cell against p is T or R.
 
         The constants gain q_p(sigma), as in ``eval``.  Only the values of
         the moved factors and, with sigma != 0, of the factors paired with
         p change (``_substitute_part``); the others are shared.
         """
         D, p, sigma, take = self.domain, sub.p, sub.sigma, sub.take
-        if not self._exact():
-            return None
         a0, phi0 = as_scalar(self.a0), mod1(self.phi0)
         vec, mat = {}, {}
         for part, A in PARTS:
@@ -539,43 +539,38 @@ class QuadraticFnData:
             near = [k for k, b in enumerate(m[p]) if b and k != p]
             if any(D[k].kind not in ("Zk", "Z") for k in near):
                 return None
+            vec[part] = take(v)
+            mat[part] = [take(row) for row in take(m)]
+            if (near or v[p] or m[p][p]) and not _substitute_part(
+                    v, m, vec[part], mat[part], sub, near, A is T):
+                return None
             if sigma:
                 t = _quad_term(D[p], A, v[p], m[p][p], sigma)
                 if A is R:
                     a0 = as_scalar(a0 + t)
                 else:
                     phi0 = mod1(phi0 + t)
-            vec[part] = take(v)
-            mat[part] = [take(row) for row in take(m)]
-            if near or v[p] or m[p][p]:
-                _substitute_part(v, m, vec[part], mat[part], sub, near, A is T)
         return QuadraticFnData._of_values(sub.group, a0, phi0, vec, mat)
-
-    def _exact(self) -> bool:
-        """Whether no value of either part is a float."""
-        vec, mat = self.vec, self.mat
-        return _exact_rows(vec["a"], vec["phi"], *mat["a"], *mat["phi"])
 
     def minus_pullback(self, phi: List[int], v: Scalar, b: Scalar) -> Optional["QuadraticFnData"]:
         """self - r o phi, constants kept, for a homomorphism phi: E -> Z_k
         with integer images ``phi`` and the function r on Z_k with
-        r(1) = v and B(1, 1) = b; None when a value is a float or a factor
-        with phi_j != 0 is T or R.
+        r(1) = v and B(1, 1) = b; None when v, b or a phase value over
+        phi's support is a float.  phi is 0 on T and R factors, as
+        hom[T|Z_k] and hom[R|Z_k] are trivial.
 
         Only the phase values over phi's support change:
         v_j -= phi_j v + C(phi_j, 2) b and B_jl -= phi_j phi_l b, summed as
         integer numerators over one denominator.
         """
         supp = [(j, f) for j, f in enumerate(phi) if f]
-        if any(self.domain[j].kind not in ("Zk", "Z") for j, _ in supp):
-            return None
-        if not (_exact_rows((v, b)) and self._exact()):
+        vec, mat = self.vec["phi"], self.mat["phi"]
+        read = [v, b, *(vec[j] for j, _ in supp), *(mat[j][l] for j, _ in supp for l, _ in supp)]
+        if float in map(type, read):
             return None
         out = self.copy()
         out.a0, out.phi0 = as_scalar(self.a0), mod1(self.phi0)
-        vec, mat = self.vec["phi"], self.mat["phi"]
-        L = math.lcm(v.denominator, b.denominator, *(vec[j].denominator for j, _ in supp),
-                     *(mat[j][l].denominator for j, _ in supp for l, _ in supp))
+        L = math.lcm(*(x.denominator for x in read))
         V, B = v.numerator * (L // v.denominator), b.numerator * (L // b.denominator)
         ovec, omat = out.vec["phi"], out.mat["phi"]
         for j, f in supp:
@@ -676,11 +671,6 @@ def _quad_term(G, A, v: Scalar, b: Scalar, x: Scalar) -> Scalar:
     return A.normalize(b * x * x / 2 + v * x)
 
 
-def _exact_rows(*rows) -> bool:
-    """Whether no entry of the rows is a float."""
-    return float not in map(type, itertools.chain(*rows))
-
-
 def _over(old: Scalar, n: int, L: int) -> Scalar:
     """The value n / L of an entry that held ``old``; a zero keeps the zero
     of the entry's group."""
@@ -689,11 +679,12 @@ def _over(old: Scalar, n: int, L: int) -> Scalar:
     return old if not old else Fraction(0)
 
 
-def _substitute_part(vec, mat, out_vec, out_mat, sub, near: List[int], generated: bool) -> None:
+def _substitute_part(vec, mat, out_vec, out_mat, sub, near: List[int], generated: bool) -> bool:
     """Write into ``out_vec`` and ``out_mat``, one part of q restricted to
     the kept columns, the values that the substitution
-    x_p = sigma + sum_l a_l x_l changes; every factor met is Z_k or Z and
-    every value exact, and ``near`` lists the factors with a cell against p.
+    x_p = sigma + sum_l a_l x_l changes; False, with nothing written, when
+    a value it reads is a float.  Every factor met is Z_k or Z, and
+    ``near`` lists the factors with a cell against p.
 
     With w = v_p + sigma b_pp and B the cells of the input, a moved factor
     l gets v_l + sigma B_pl + a_l w, plus C(a_l, 2) b_pp + a_l B_pl for a
@@ -716,6 +707,8 @@ def _substitute_part(vec, mat, out_vec, out_mat, sub, near: List[int], generated
         read += [row[m] for _, m in others]
     for _, m in others:
         read += [vec[m], prow[m]]
+    if float in map(type, read):
+        return False
     L = math.lcm(*[x.denominator for x in read])
 
     def num(x) -> int:
@@ -741,6 +734,7 @@ def _substitute_part(vec, mat, out_vec, out_mat, sub, near: List[int], generated
     if sigma:
         for j2, m in others:
             out_vec[j2] = value(vec[m], num(vec[m]) + sigma * num(prow[m]))
+    return True
 
 
 def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_mat) -> bool:

@@ -18,7 +18,7 @@ import pytest
 from gen import random_qtensor
 
 from qtensor.coeff import QuadCoeff, quad_apply, quad_to_bilinear, quad_values
-from qtensor.dense import compare_exact_up_to_phase, materialize, materialize_matrix
+from qtensor.dense import materialize, materialize_matrix
 from qtensor.engine import (
     QTensorData,
     gauss_sum,

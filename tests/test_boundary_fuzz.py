@@ -15,6 +15,7 @@ import io
 import json
 import pathlib
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -242,3 +243,20 @@ def test_valid_z_and_t_payloads_exit_0_or_3(workdir, data):
     path = workdir / "pair.net"
     path.write_text(valid_pair_net(data.draw))
     assert run(["contract", str(path)]) in (0, 3)
+
+
+def test_z_and_t_census_has_at_most_13_unsupported_pairs(workdir, monkeypatch):
+    """The census of the Z/T pairs that the engine does not reduce yet: at
+    most 13 of the 300 derandomized pairs of the test above exit 3.  Its
+    exit codes are collected by running it again; Hypothesis derives the
+    derandomized examples from the test's source, so that test stays as it
+    is and draws the same pairs."""
+    codes = []
+
+    def record(argv, contract=run):
+        codes.append(contract(argv))
+        return codes[-1]
+
+    monkeypatch.setattr(sys.modules[__name__], "run", record)
+    test_valid_z_and_t_payloads_exit_0_or_3(workdir=workdir)
+    assert len(codes) == 300 and codes.count(3) <= 13, (len(codes), codes.count(3))

@@ -380,52 +380,129 @@ def test_each_reduction_step_checks_and_pulls_back_rho_once(monkeypatch):
     assert sum(seen) >= 4 and calls["real"] >= 4, (seen, calls)
 
 
-def test_cyclic_quotient_with_a_unit_pivot_needs_no_smith_form(monkeypatch):
-    """A Z_k subgroup whose generator has a unit entry on a Z_k factor of E
-    is quotiented by dropping the first such factor, with no Smith form.
-    q and eps, pulled back from the other factors through the projection
-    that kills the subgroup, come back as they were, as they do through
-    ``quotient_by_subgroup`` and its section; where that quotient keeps the
-    same factors with unit-vector lifts, the two results are the same data."""
-    from qtensor.coeff import image_group
-
-    calls = {"snf": 0}
+def _count_quotients(monkeypatch):
+    """Counters of the Smith forms and of the ``quotient_by_subgroup`` calls
+    that ``engine._quotient`` makes."""
+    calls = {"snf": 0, "quotient": 0}
     monkeypatch.setattr(solve, "smith_normal_form",
                         _counted(calls, "snf", solve.smith_normal_form))
+    monkeypatch.setattr(engine, "quotient_by_subgroup",
+                        _counted(calls, "quotient", engine.quotient_by_subgroup))
+    return calls
+
+
+def _sums_to_quotient(t, got, order):
+    """Whether t sums to |K| times its quotient ``got`` by a subgroup K of order ``order``."""
+    return np.allclose(materialize(t).arr, order * materialize(got).arr, atol=1e-9)
+
+
+def test_quotient_drops_a_unit_pivot_per_generator(monkeypatch):
+    """A subgroup of E = O x P generated by g_c, from P_c = Z_k or Z, with a
+    unit on P_c, 0 on the rest of P and no unit on a factor of O of its own
+    group, is quotiented by dropping P, with no Smith form.  The generators
+    handed over are mixed, each plus multiples of the earlier ones of its
+    group, so a later one finds its pivot only once projected.  q and eps,
+    pulled back from O through the projection that kills the subgroup, come
+    back as they were; on a finite E, t sums to |K| times the quotient.  O
+    mixes Z2, Z3, Z6, Z, T and R."""
+    from qtensor.coeff import image_group
+
+    calls = _count_quotients(monkeypatch)
     rng = random.Random(17)
-    H = parse_product("Z2,Z3,Z6,T,R")
-    same = 0
-    for sig in ["Z4,Z2", "Z2,Z2,Z2", "Z6,Z2,Z3", "Z3,Z9,Z3", "Z2,Z4,Z4", "Z6,Z6", "Z5"]:
-        E = parse_product(sig)
-        for _ in range(6):
-            p = rng.randrange(len(E))
-            k = E[p].k
-            img = [list(row) for row in random_hom(GroupProduct([E[p]]), E, rng).img]
-            img[p][0] = rng.choice([u for u in range(1, k) if math.gcd(u, k) == 1])
-            rho = LinearFnData.of_images(GroupProduct([E[p]]), E, E.identity(), img)
-            first = next(j for j in range(len(E)) if E[j] is E[p] and math.gcd(img[j][0], k) == 1)
-            # e -> e_j - u rho_j e_first on the kept factors j
-            kept = [j for j in range(len(E)) if j != first]
-            Q = GroupProduct([E[j] for j in kept])
-            u = pow(img[first][0], -1, k)
-            proj = LinearFnData.of_images(E, Q, Q.identity(), [
-                [image_group(E[l], E[j]).normalize((l == j) - (u * img[j][0] if l == first else 0))
-                 for l in range(len(E))] for j in kept])
-            q_Q, eps_Q = mixed_quadratic(Q, rng), mixed_hom(Q, H, rng)
-            t = QTensorData(H, E, eps_Q.compose_hom(proj), q_Q.precompose(proj))
-            calls["snf"] = 0
-            got = engine._quotient(t, rho)
-            assert calls["snf"] == 0 and got.E == Q
-            assert repr(got.q) == repr(q_Q) and repr(got.eps) == repr(eps_Q), (sig, img)
-            pres = solve.quotient_by_subgroup(E, rho)
-            q, eps = engine._extract_through_section(E, pres.group, pres.lift, t.q, t.eps)
-            for e in E.enumerate():
-                assert q.eval(pres.project(e)) == t.q.eval(e), (sig, img, e)
-                assert H.eq(eps(pres.project(e)), t.eps(e)), (sig, img, e)
-            if pres.group == Q and pres.lift == [[int(i == j) for i in range(len(E))] for j in kept]:
-                assert repr(q) == repr(got.q) and repr(eps) == repr(got.eps), (sig, img)
-                same += 1
-    assert same >= 20, same
+    seen = {"gens": set(), "finite": 0, "continuous": 0, "projected": 0}
+    for _ in range(300):
+        # mostly one group for P, so that P and O share groups often
+        kinds = rng.choice([[Zk(2), Zk(3), Zk(6), Z], [Zk(6)], [Z]])
+        P = GroupProduct([rng.choice(kinds) for _ in range(rng.randrange(4))])
+        O = GroupProduct(sorted((rng.choice(2 * kinds + [Zk(2), Zk(3), T, R])
+                                 for _ in range(rng.randrange(4))),
+                                key=lambda f: "ZTR".index(f.kind[0])))
+        E, m = O * P, len(O)
+        g = [list(row) for row in random_hom(P, E, rng).img]
+        u = []
+        for c, A in enumerate(P):
+            units = [x for x in range(A.k) if math.gcd(x, A.k) == 1] if A.kind == "Zk" else [1, -1]
+            others = [x for x in range(1, A.k) if x not in units] if A.kind == "Zk" else [2, -2, 3, -3]
+            for j, Ej in enumerate(E):
+                if j == m + c:
+                    g[j][c] = rng.choice(units)
+                elif j >= m:
+                    g[j][c] = 0
+                elif Ej is A:
+                    g[j][c] = rng.choice(others or [0])
+            u.append(pow(g[m + c][c], -1, A.k) if A.kind == "Zk" else g[m + c][c])
+        img = [list(row) for row in g]
+        for c, A in enumerate(P):
+            for c0 in range(c):
+                if P[c0] is A:
+                    # a multiple that puts a unit on a factor of O of this group, if one does
+                    ns = list(range(1, A.k)) if A.kind == "Zk" else [1, -1, 2]
+                    n = next((n for n in ns if engine._pivot(
+                        O, A, [row[c] + n * row[c0] for row in img[:m]]) is not None), rng.choice(ns))
+                    for j, Ej in enumerate(E):
+                        img[j][c] = image_group(A, Ej).normalize(img[j][c] + n * img[j][c0])
+        rho = LinearFnData.of_images(P, E, E.identity(), img)
+        # unprojected, a handed-over generator would find its pivot on O
+        seen["projected"] += any(E[j] is A and engine._pivot(O, A, [row[c] for row in img[:m]]) == j
+                                 for c, A in enumerate(P) for j in range(m))
+        # e -> e_j - sum_c u_c e_c g_jc on the factors j of O
+        proj = LinearFnData.of_images(E, O, O.identity(), [
+            [image_group(E[l], Oj).normalize(int(l == j) if l < m else -u[l - m] * g[j][l - m])
+             for l in range(len(E))] for j, Oj in enumerate(O)])
+        H = parse_product("Z2,Z3,Z6" if E.finite else "Z2,Z3,Z6,T,R")
+        q_O, eps_O = mixed_quadratic(O, rng), mixed_hom(O, H, rng)
+        t = QTensorData(H, E, eps_O.compose_hom(proj), q_O.precompose(proj))
+        calls.update(snf=0, quotient=0)
+        got = engine._quotient(t, rho)
+        assert calls == {"snf": 0, "quotient": 0} and got.E == O, (P, O, img)
+        assert repr(got.q) == repr(q_O) and repr(got.eps) == repr(eps_O), (P, O, img)
+        if E.finite and E.order <= 1296:
+            assert _sums_to_quotient(t, got, P.order), (P, O, img)
+            seen["finite"] += 1
+        seen["gens"].add(len(P))
+        seen["continuous"] += any(f.kind in ("T", "R") for f in O)
+    assert seen.pop("gens") == {0, 1, 2, 3} and min(seen.values()) > 10, seen
+
+
+def test_kernel_quotients_sum_to_the_tensor(monkeypatch):
+    """E = Z2/Z3/Z4/Z6 mixes quotiented by the kernel of f: E -> F, with
+    eps = f + eps0 and q = r o f: t sums to |K| times the quotient.  A
+    Smith form runs only where ``quotient_by_subgroup`` does, for a
+    generator left without a pivot."""
+    calls = _count_quotients(monkeypatch)
+    rng = random.Random(41)
+    taken = {0: 0, 1: 0}
+    for _ in range(80):
+        E = GroupProduct([rng.choice([Zk(2), Zk(3), Zk(4), Zk(6)]) for _ in range(rng.randint(1, 4))])
+        F = GroupProduct([rng.choice([Zk(2), Zk(3), Zk(6)]) for _ in range(rng.randint(1, 2))])
+        f = random_hom(E, F, rng)
+        K = solve.kernel_of_hom(f)
+        eps = LinearFnData.of_images(E, F, F.element([rng.randrange(x.k) for x in F]), f.img)
+        t = QTensorData(F, E, eps, mixed_quadratic(F, rng).precompose(f))
+        calls.update(snf=0, quotient=0)
+        got = engine._quotient(t, K.inclusion)
+        assert (calls["snf"] > 0) == (calls["quotient"] == 1), (E, f.img)
+        assert _sums_to_quotient(t, got, K.group.order), (E, f.img)
+        taken[calls["quotient"]] += 1
+    assert min(taken.values()) > 5, taken
+
+
+@pytest.mark.parametrize("E, K, img, F, f", [
+    # Z2 -> Z2 x Z6 with image (0, 3): no unit on the Z2 factor
+    ("Z2,Z6", "Z2", [[0], [3]], "Z2,Z3", [[1, 0], [0, 1]]),
+    # Z3 -> Z9 with image 3
+    ("Z9", "Z3", [[3]], "Z3", [[1]]),
+    # (0, 1) drops the Z2 factor; (2, 1) then projects to (2, 0), with no Z2 left
+    ("Z4,Z2", "Z2,Z2", [[0, 2], [1, 1]], "Z2", [[1, 0]]),
+])
+def test_a_generator_without_a_pivot_takes_the_smith_quotient(monkeypatch, E, K, img, F, f):
+    calls = _count_quotients(monkeypatch)
+    E, K, F = parse_product(E), parse_product(K), parse_product(F)
+    f = LinearFnData.of_images(E, F, F.identity(), f)
+    t = QTensorData(F, E, f, mixed_quadratic(F, random.Random(3)).precompose(f))
+    got = engine._quotient(t, LinearFnData.of_images(K, E, E.identity(), img))
+    assert calls["quotient"] == 1 and calls["snf"] > 0
+    assert _sums_to_quotient(t, got, K.order)
 
 
 def test_gauss_sum_closed_form_against_brute_force():
@@ -488,7 +565,7 @@ def _paired_with_pivot(q, p):
 
 def test_substitution_rewrites_match_the_general_composition():
     rng = random.Random(5)
-    seen = dict(sigma=0, moved=0, z1=0, continuous=0, declined=0, floats=0)
+    seen = dict(sigma=0, moved=0, z1=0, continuous=0, declined=0, float_read=0, float_elsewhere=0)
     for row in _substitution_systems(rng):
         E, G = row.domain, row.codomain
         targets = list(G.enumerate()) if G.finite else [(0,), (1,), (-2,)]
@@ -512,21 +589,47 @@ def test_substitution_rewrites_match_the_general_composition():
             seen["moved"] += bool(sub.moved)
             seen["z1"] += any(f is Zk(1) for f in E)
             seen["continuous"] += any(f.kind in ("T", "R") for f in E)
-            # a float value anywhere sends both to the general composition
-            eps_f = LinearFnData.of_images(E, H, eps.eps0[:-1] + (0.25,), eps.img)
-            q_f = q.copy()
-            q_f.vec["phi"][sub.p] = float(q_f.vec["phi"][sub.p])
-            assert eps_f.substitute(sub) is None and q_f.substitute(sub) is None
-            for t in (QTensorData(H, E, eps_f, q), QTensorData(H, E, eps, q_f)):
-                general = solve.KernelPresentation(sub.group, kappa)
+            # a float that a rewrite reads sends it to the general composition;
+            # a float elsewhere is shared, as the general composition keeps it
+            general = solve.KernelPresentation(sub.group, kappa)
+            for eps_f, q_f, read in _with_a_float(eps, q, sub):
+                if read:
+                    assert (q_f if eps_f is eps else eps_f).substitute(sub) is None
+                else:
+                    assert repr(eps_f.substitute(sub)) == repr(eps_f.compose_affine(kappa, shift))
+                    if got is not None:
+                        assert repr(q_f.substitute(sub)) == repr(q_f.precompose_affine(kappa, shift))
+                t = QTensorData(H, E, eps_f, q_f)
                 assert repr(engine._restrict_to_coset(t, shift, sub)) == repr(
                     engine._restrict_to_coset(t, shift, general))
-                seen["floats"] += 1
+                seen["float_read" if read else "float_elsewhere"] += 1
     assert min(seen.values()) > 20, seen
+
+
+def _with_a_float(eps, q, sub):
+    """(eps', q', whether the substitution reads the float) for copies of
+    eps and q with one value made a float: the constant of an eps row over
+    T or R, read when the row has an entry at p, and a phase value of q on
+    p, read when nonzero, or on a Z_k factor that is not moved and has no
+    cell against p, not read."""
+    E, H, p = eps.domain, eps.codomain, sub.p
+    for i in range(len(H)):
+        if H[i].kind in ("T", "R"):
+            eps0 = list(eps.eps0)
+            eps0[i] = 0.25
+            yield LinearFnData.of_images(E, H, tuple(eps0), eps.img), q, eps.img[i][p] != 0
+    moved = {l for _, l, _ in sub.moved}
+    paired = {m for part in ("a", "phi") for m, b in enumerate(q.mat[part][p]) if b}
+    for k in range(len(E)):
+        if k == p and q.vec["phi"][p] or E[k].kind == "Zk" and k not in moved | paired | {p}:
+            q_f = q.copy()
+            q_f.vec["phi"][k] = float(q_f.vec["phi"][k] or Fraction(1, E[k].k))
+            yield eps, q_f, k == p
 
 
 def test_rank_one_update_matches_q_minus_its_pullback():
     rng = random.Random(23)
+    seen = {"read": 0, "elsewhere": 0}
     for _ in range(300):
         A = GroupProduct([Zk(rng.choice([2, 3, 4, 6]))])
         E = GroupProduct([rng.choice([Zk(2), Zk(3), Zk(4), Zk(6), Z])
@@ -537,6 +640,23 @@ def test_rank_one_update_matches_q_minus_its_pullback():
         p.a0, p.phi0 = 0, 0
         got = q.minus_pullback(phi.img[0], r.vec["phi"][0], r.mat["phi"][0][0])
         assert repr(got) == repr(q - p), (E, A, phi.img, r)
+        # a float on phi's support declines; a float off it, or in the a part, is kept
+        for j, f in enumerate(phi.img[0]):
+            q_f = q.copy()
+            q_f.vec["phi"][j] = float(q_f.vec["phi"][j] or Fraction(1, 4))
+            got = q_f.minus_pullback(phi.img[0], r.vec["phi"][0], r.mat["phi"][0][0])
+            if f:
+                assert got is None
+                seen["read"] += 1
+            else:
+                assert repr(got) == repr(q_f - p), (E, A, phi.img, r)
+                seen["elsewhere"] += 1
+        q_f = q.copy()
+        q_f.a0 = 0.25
+        got = q_f.minus_pullback(phi.img[0], float(r.vec["phi"][0]), r.mat["phi"][0][0])
+        assert got is None
+        assert repr(q_f.minus_pullback(phi.img[0], r.vec["phi"][0], r.mat["phi"][0][0])) == repr(q_f - p)
+    assert min(seen.values()) > 50, seen
 
 
 def test_rewrites_leave_contractions_unchanged(monkeypatch):

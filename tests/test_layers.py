@@ -156,3 +156,35 @@ def test_cli_names_no_error_class_but_the_bases():
     caught = {n.id for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
               for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     assert caught == BASES | {"OSError"}
+
+
+def _trees(*dirs):
+    """The parsed Python files under the repository directories ``dirs``."""
+    root = os.path.dirname(os.path.dirname(SRC))
+    for d in dirs:
+        for base, _, files in os.walk(os.path.join(root, d)):
+            for fn in sorted(files):
+                if fn.endswith(".py"):
+                    with open(os.path.join(base, fn), encoding="utf-8") as fh:
+                        yield fn, ast.parse(fh.read())
+
+
+def test_every_top_level_definition_is_used():
+    """Every top-level function and class of the package is read somewhere
+    in ``src``, ``tests`` or ``perfbench``: by a Name or an Attribute load,
+    or as an ``__all__`` entry.  An import alone is not a use."""
+    defined = {node.name: f"{fn}:{node.lineno}" for fn, tree in _trees("src/qtensor")
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = set()
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    dead = sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used)
+    assert not dead, f"top-level definitions no code reads: {dead}"
