@@ -31,13 +31,14 @@ from .coeff import (
     value_is_zero,
 )
 from .errors import Unsupported
-from .functions import PARTS, LinearFnData, QuadraticFnData, zero_row
+from .functions import PARTS, LinearFnData, QuadraticFnData, _Scaled, zero_row
 from .groups import GroupProduct, R, T, Z, Z1, Zk
 from .scalar import Scalar, mod1
 from .solve import (
     KernelPresentation,
     Substitution,
     UnsupportedKernel,
+    _pivot,
     kernel_of_hom,
     quotient_by_subgroup,
     solve_hom,
@@ -139,9 +140,10 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     (``_restrict_to_coset``).  Both come from ``solve_with_kernel``: on a
     Z_k or Z wire whose delta row has a unit entry on a column of the
     wire's order, the substitution x_p = sigma + sum_l a_l x_l on the
-    first such column, which leaves E and rewrites only the eps rows and
-    q values it touches; otherwise the general elimination and
-    composition.
+    first such column (``solve._pivot``), which leaves E and rewrites only
+    the eps rows and q values it touches, whatever the kinds of the other
+    factors and the types of their values; otherwise the general
+    elimination and composition.
     """
     assert i != j
     if t.G[i] != t.G[j]:
@@ -173,14 +175,12 @@ def _restrict_to_coset(t: QTensorData, shift: Tuple, pres: KernelPresentation) -
     composed with h -> kappa(h) + shift.
 
     A ``Substitution`` x_p = sigma + sum_l a_l x_l is applied to eps and q
-    directly (``substitute``), rewriting only the values it touches; with a
-    float value, or a T or R factor paired with p, the general composition
-    runs instead."""
+    directly (``substitute``), rewriting only the values it touches, on
+    every factor kind and value type; any other presentation takes the
+    general composition."""
     if isinstance(pres, Substitution):
-        q = t.q.substitute(pres)
-        eps = None if q is None else t.eps.substitute(pres)
-        if eps is not None:
-            return QTensorData(t.G, pres.group, eps, q, t.div_weight, t.mag2)
+        return QTensorData(t.G, pres.group, t.eps.substitute(pres), t.q.substitute(pres),
+                           t.div_weight, t.mag2)
     kappa = pres.inclusion
     return QTensorData(t.G, pres.group, t.eps.compose_affine(kappa, shift),
                        t.q.precompose_affine(kappa, shift), t.div_weight, t.mag2)
@@ -195,22 +195,28 @@ def _beta(t: QTensorData, rho: LinearFnData, part: str) -> LinearFnData:
     for one part of q.
 
     Factor j's entry is read off s_j = sum_k rho_k b_kj, the value of the
-    character r -> B(rho r, e_j) at the unit of A.
+    character r -> B(rho r, e_j) at the unit of A, times k for A = Z_k
+    (``_dual_coefficient``); the sums are ``_Scaled`` numerators.
     """
     A = rho.domain[0]
     tgt = T if part == "phi" else R
     Astar = hom_group(A, tgt)
     E, mat = t.E, t.q.mat[part]
-    sums: List[Scalar] = [0] * len(E)
+    rows = []
     for k in _col_support(rho, 0):
-        r, row = rho.img[k][0], mat[k]
+        row = mat[k]
         diagonal = not value_is_zero(cell_group(E[k], E[k], tgt), row[k])
-        for j, b in enumerate(row):
-            if b != 0 and (j != k or diagonal):
-                sums[j] = sums[j] + b * r
+        rows.append((rho.img[k][0], [(j, b) for j, b in enumerate(row)
+                                     if b != 0 and (j != k or diagonal)]))
+    S = _Scaled([b for _, cells in rows for _, b in cells])
+    sums = [0] * len(E)
+    for r, cells in rows:
+        for j, b in cells:
+            sums[j] += S.num(b) * r
+    scale = A.k if A.kind == "Zk" else 1
     return LinearFnData.of_images(E, GroupProduct([Astar]), (Astar.normalize(0),),
-                                  [[image_group(Ej, Astar).normalize(_dual_coefficient(A, s))
-                                    for Ej, s in zip(E, sums)]])
+                                  [[S.value(image_group(Ej, Astar), scale * n)
+                                    for Ej, n in zip(E, sums)]])
 
 
 def _dual_coefficient(A, s: Scalar) -> Scalar:
@@ -462,20 +468,6 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     return _compact(out)
 
 
-def _pivot(E: GroupProduct, A, col: List[Scalar]) -> Optional[int]:
-    """The factor of E at which a reduction or a quotient drops the
-    direction ``col``, the image column of A, or None: for A = R the R
-    factor with the largest |col_p|; otherwise the first factor that is A
-    itself with a unit entry, a unit mod k on Z_k and +-1 on Z and T."""
-    if A.kind == "R":
-        return max((j for j, x in enumerate(col) if E[j] is R and not R.eq(x, 0)),
-                   key=lambda j: abs(col[j]), default=None)
-    for j, (Ej, x) in enumerate(zip(E, col)):
-        if Ej is A and (math.gcd(int(x), A.k) == 1 if A.kind == "Zk" else abs(x) == 1):
-            return j
-    return None
-
-
 def _restricted_bilinear(qres: QuadraticFnData, A) -> int:
     """The coefficient in Z_k of the bilinear form of q_phi restricted to
     A = Z_k, k B(1, 1)."""
@@ -498,10 +490,10 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     """``reduce_invertible`` once rho is checked, with qres = q o rho.
 
     q o gamma factors as qres o phi through phi: E -> A = Z_k, so q - q o
-    gamma is the rank-one update ``minus_pullback`` over phi's support;
-    with a float value the general precomposition and difference run.  The
-    Gauss sum over A is read off qres, and E is quotiented by the image of
-    rho (``_quotient``), which drops the pivot factor of rho when it has one.
+    gamma is the rank-one update ``minus_pullback`` over phi's support, for
+    exact and float values alike.  The Gauss sum over A is read off qres,
+    and E is quotiented by the image of rho (``_quotient``), which drops
+    the pivot factor of rho when it has one.
     """
     A = rho.domain[0]
     k = A.k
@@ -516,12 +508,6 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     to_A = [image_group(Ej, A).normalize(vinv * x)
             for Ej, x in zip(t.E, _beta(t, rho, "phi").img[0])]
     qtilde = t.q.minus_pullback(to_A, qres.vec["phi"][0], qres.mat["phi"][0][0])
-    if qtilde is None:
-        A1 = GroupProduct([A])
-        gamma = rho.compose_hom(LinearFnData.of_images(t.E, A1, A1.identity(), [to_A]))
-        p = t.q.precompose(gamma)
-        p.a0, p.phi0 = 0, 0
-        qtilde = t.q - p
     mag2, phase = gauss_sum(A, qres.vec["phi"][0], qres.mat["phi"][0][0])
     out = _quotient(QTensorData(t.G, t.E, t.eps, qtilde, t.div_weight, t.mag2), rho)
     out.mul_sqrt(Fraction(mag2))

@@ -15,14 +15,12 @@ B(e_k, e_l) = q(e_k + e_l) - q(e_k) - q(e_l); every other factor holds its
 multipliers, so that q(x) = v x + b x^2 / 2 on it.  Floats are carried over
 as they are.  Precomposition with gamma is then b' = gamma^T b gamma, plus
 the diagonal values of the generated factors, summed over the nonzero rows
-of gamma; exact values on generated factors are summed as integer
-numerators over one common denominator.  Two steps of a contraction
-rewrite only the values they touch, with exact values on Z_k and Z
-factors, also as integer numerators: a unit-pivot substitution
-x_p = sigma + sum_l a_l x_l (``substitute``), and the rank-one update
-q - r o phi for phi: E -> Z_k (``minus_pullback``).  Floats among the
-values a step rewrites, and T or R factors paired with the pivot of a
-substitution, take the general composition.
+of gamma.  Two steps of a contraction rewrite only the values they touch: a
+unit-pivot substitution x_p = sigma + sum_l a_l x_l (``substitute``), and
+the rank-one update q - r o phi for phi: E -> Z_k (``minus_pullback``).
+All three sum values one way (``_Scaled``): exact values as integer
+numerators over one common denominator, floats scaled by it, and each sum
+normalized once in its group, exact unless a float reached it.
 
 Neither kind of function holds a coefficient object.  The ``HomCoeff``,
 ``QuadCoeff`` and ``Hom2Coeff`` cells of the table-level API are converted
@@ -180,15 +178,14 @@ class LinearFnData:
         composed = self.compose_hom(gamma)
         return LinearFnData.of_images(gamma.domain, self.codomain, self(shift), composed.img)
 
-    def substitute(self, sub) -> Optional["LinearFnData"]:
+    def substitute(self, sub) -> "LinearFnData":
         """``compose_affine`` through the kernel inclusion and shift of a
-        ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, or None when a
-        row it rewrites holds a float among r, its constant and its moved
-        entries.
+        ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, for exact and
+        float entries alike.
 
         Only a row with a nonzero entry r at p changes: its constant gains
-        r sigma and each moved column l gains r a_l.  The other entries
-        are shared; column p goes.
+        r sigma and each moved column l gains r a_l, each normalized in its
+        group.  The other entries are shared; column p goes.
         """
         p, sigma, take, D = sub.p, sub.sigma, sub.take, self.domain
         eps0 = list(self.eps0)
@@ -197,8 +194,6 @@ class LinearFnData:
             new = take(row)
             r = row[p]
             if r:
-                if float in map(type, [r, eps0[i], *(row[l] for _, l, _ in sub.moved)]):
-                    return None
                 if sigma:
                     eps0[i] = Gi.normalize(eps0[i] + r * sigma)
                 for j, l, a in sub.moved:
@@ -292,8 +287,9 @@ def _zero_parts(domain: GroupProduct) -> Tuple[Dict[str, List[Scalar]], Dict[str
     return vec, mat
 
 
-def _off_diagonal(grp, v) -> Scalar:
-    """An off-diagonal matrix entry: a float within tolerance of 0 is 0."""
+def _snap(grp, v) -> Scalar:
+    """v, or the exact 0 of ``grp`` for a float within tolerance of 0: an
+    off-diagonal entry is stored so, and a sum reads every value so."""
     return grp.normalize(0) if isinstance(v, float) and grp.eq(v, 0) else v
 
 
@@ -411,7 +407,7 @@ class QuadraticFnData:
         """Add x to the value of the bilinear cell (i, j), i != j."""
         D, mat = self.domain, self.mat[part]
         grp = cell_group(D[i], D[j], _TARGETS[part])
-        mat[i][j] = mat[j][i] = _off_diagonal(grp, grp.normalize(mat[i][j] + grp.normalize(x)))
+        mat[i][j] = mat[j][i] = _snap(grp, grp.normalize(mat[i][j] + grp.normalize(x)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -422,9 +418,9 @@ class QuadraticFnData:
         D = self.domain
         if len(e) != len(D):
             raise DomainMismatch("element does not match domain")
-        # every term at a finite factor's 0 is an exact 0, so those are skipped
+        # every term at an exact 0 is an exact 0, so those are skipped
         live = [(i, G.normalize(x)) for i, (G, x) in enumerate(zip(D, e))
-                if x != 0 or G.kind != "Zk"]
+                if x != 0 or isinstance(x, float)]
         out = []
         for (part, A), acc in zip(PARTS, (self.a0, self.phi0)):
             vec, mat = self.vec[part], self.mat[part]
@@ -460,7 +456,7 @@ class QuadraticFnData:
             sv, sm, ov, om = self.vec[part], self.mat[part], other.vec[part], other.mat[part]
             vgrps, cgrps = _part_groups(D.factors, A)
             vec[part] = [g.normalize(op(x, y)) for g, x, y in zip(vgrps, sv, ov)]
-            mat[part] = [[g.normalize(op(x, y)) if i == j else _off_diagonal(g, g.normalize(op(x, y)))
+            mat[part] = [[g.normalize(op(x, y)) if i == j else _snap(g, g.normalize(op(x, y)))
                           for j, (g, x, y) in enumerate(zip(grow, row, orow))]
                          for i, (grow, row, orow) in enumerate(zip(cgrps, sm, om))]
         return QuadraticFnData._of_values(D, as_scalar(op(self.a0, other.a0)),
@@ -468,9 +464,10 @@ class QuadraticFnData:
 
     def shift(self, e0: GroupElement) -> "QuadraticFnData":
         """The function e -> self(e + e0): the constant is self(e0), and each
-        factor i gains the linear term B(e0, e_i)."""
-        out = self.copy()
-        out.a0, out.phi0 = self.eval(e0)
+        factor i gains the linear term B(e0, e_i), a float within tolerance
+        of 0 read as 0 (``_snap``).  The bilinear matrices are shared."""
+        out = QuadraticFnData._of_values(self.domain, *self.eval(e0),
+                                         {part: list(v) for part, v in self.vec.items()}, self.mat)
         support = [k for k, x in enumerate(e0) if x != 0]
         if not support:
             return out
@@ -487,19 +484,12 @@ class QuadraticFnData:
                 grp = image_group(D[i], A)
                 d = grp.normalize(lin[i])
                 if not value_is_zero(grp, d):
-                    vec[i] = grp.normalize(vec[i] + d)
+                    vec[i] = _snap(grp, grp.normalize(vec[i] + d))
         return out
 
     def precompose(self, gamma: LinearFnData) -> "QuadraticFnData":
-        """The function h -> self(gamma(h)) for a homomorphism gamma.
-
-        On values, b' = gamma^T b gamma, and a generated output factor i
-        gets v'_i = sum_k [g_ki v_k + C(g_ki, 2) b_kk] + sum_{k<l} g_ki g_li b_kl.
-        Only the nonzero rows of gamma are visited.  Exact values on
-        generated factors are summed as integer numerators over one common
-        denominator; otherwise each term is summed in the order (k, l) of
-        the input entries.
-        """
+        """The function h -> self(gamma(h)) for a homomorphism gamma, by
+        ``_pullback`` over the nonzero rows of gamma."""
         assert gamma.is_homomorphism
         if gamma.codomain != self.domain:
             raise DomainMismatch("precompose domains do not line up")
@@ -509,10 +499,7 @@ class QuadraticFnData:
         out = QuadraticFnData._of_values(H, self.a0, self.phi0, *_zero_parts(H))
         for part, A in PARTS:
             vec, mat = self.vec[part], self.mat[part]
-            if not any(vec[k] or any(mat[k]) for k in live):
-                continue
-            if not (A is T and _pullback_exact(self.domain, vec, mat, gamma.img, support, live,
-                                               out.vec[part], out.mat[part])):
+            if any(vec[k] or any(mat[k]) for k in live):
                 _pullback(self.domain, H, A, vec, mat, gamma.img, support, live,
                           out.vec[part], out.mat[part])
         return out
@@ -521,66 +508,56 @@ class QuadraticFnData:
         """The function h -> self(gamma(h) + shift)."""
         return self.shift(shift).precompose(gamma)
 
-    def substitute(self, sub) -> Optional["QuadraticFnData"]:
+    def substitute(self, sub) -> "QuadraticFnData":
         """``precompose_affine`` through the kernel inclusion and shift of a
-        ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, or None when a
-        value it reads (``_substitute_part``) is a float or a factor with a
-        nonzero cell against p is T or R.
+        ``solve.Substitution`` x_p = sigma + sum_l a_l x_l, for every factor
+        kind and value type.
 
-        The constants gain q_p(sigma), as in ``eval``.  Only the values of
-        the moved factors and, with sigma != 0, of the factors paired with
-        p change (``_substitute_part``); the others are shared.
+        With sigma != 0 the function is shifted by sigma e_p first
+        (``shift``), which changes the constants and the values of p and of
+        the factors paired with it.  Then only the values of the moved
+        factors change (``_substitute_part``); the others are shared.
         """
-        D, p, sigma, take = self.domain, sub.p, sub.sigma, sub.take
-        a0, phi0 = as_scalar(self.a0), mod1(self.phi0)
+        D, p, take = self.domain, sub.p, sub.take
+        zero = D.identity()
+        q = self.shift(zero[:p] + (sub.sigma,) + zero[p + 1:]) if sub.sigma else self
         vec, mat = {}, {}
         for part, A in PARTS:
-            v, m = self.vec[part], self.mat[part]
-            near = [k for k, b in enumerate(m[p]) if b and k != p]
-            if any(D[k].kind not in ("Zk", "Z") for k in near):
-                return None
+            v, m = q.vec[part], q.mat[part]
             vec[part] = take(v)
             mat[part] = [take(row) for row in take(m)]
-            if (near or v[p] or m[p][p]) and not _substitute_part(
-                    v, m, vec[part], mat[part], sub, near, A is T):
-                return None
-            if sigma:
-                t = _quad_term(D[p], A, v[p], m[p][p], sigma)
-                if A is R:
-                    a0 = as_scalar(a0 + t)
-                else:
-                    phi0 = mod1(phi0 + t)
-        return QuadraticFnData._of_values(sub.group, a0, phi0, vec, mat)
+            near = [k for k, b in enumerate(m[p]) if b and k != p]
+            if sub.moved and (near or v[p] or m[p][p]):
+                _substitute_part(D, A, v, m, vec[part], mat[part], sub, near)
+        return QuadraticFnData._of_values(sub.group, as_scalar(q.a0), mod1(q.phi0), vec, mat)
 
-    def minus_pullback(self, phi: List[int], v: Scalar, b: Scalar) -> Optional["QuadraticFnData"]:
+    def minus_pullback(self, phi: List[int], v: Scalar, b: Scalar) -> "QuadraticFnData":
         """self - r o phi, constants kept, for a homomorphism phi: E -> Z_k
         with integer images ``phi`` and the function r on Z_k with
-        r(1) = v and B(1, 1) = b; None when v, b or a phase value over
-        phi's support is a float.  phi is 0 on T and R factors, as
-        hom[T|Z_k] and hom[R|Z_k] are trivial.
+        r(1) = v and B(1, 1) = b, for exact and float values alike.  phi is
+        0 on T and R factors, as hom[T|Z_k] and hom[R|Z_k] are trivial.
 
         Only the phase values over phi's support change:
         v_j -= phi_j v + C(phi_j, 2) b and B_jl -= phi_j phi_l b, summed as
-        integer numerators over one denominator.
+        ``_Scaled`` numerators.
         """
         supp = [(j, f) for j, f in enumerate(phi) if f]
+        vgrps, cgrps = _part_groups(self.domain.factors, T)
         vec, mat = self.vec["phi"], self.mat["phi"]
-        read = [v, b, *(vec[j] for j, _ in supp), *(mat[j][l] for j, _ in supp for l, _ in supp)]
-        if float in map(type, read):
-            return None
+        vals = {j: _snap(vgrps[j], vec[j]) for j, _ in supp}
+        cells = {(j, l): _snap(cgrps[j][l], mat[j][l]) for j, _ in supp for l, _ in supp}
+        v, b = _snap(T, v), _snap(T, b)
+        S = _Scaled([v, b, *vals.values(), *cells.values()])
+        V, B = S.num(v), S.num(b)
         out = self.copy()
         out.a0, out.phi0 = as_scalar(self.a0), mod1(self.phi0)
-        L = math.lcm(*(x.denominator for x in read))
-        V, B = v.numerator * (L // v.denominator), b.numerator * (L // b.denominator)
         ovec, omat = out.vec["phi"], out.mat["phi"]
         for j, f in supp:
-            x = vec[j]
-            n = x.numerator * (L // x.denominator) - f * V - f * (f - 1) // 2 * B
-            ovec[j] = _over(x, n % L, L)
-            row = mat[j]
+            c = f * (f - 1) // 2
+            ovec[j] = S.value(vgrps[j], S.num(vals[j]) - f * V - (c * B if c else 0))
             for l, g in supp:
-                x = row[l]
-                omat[j][l] = _over(x, (x.numerator * (L // x.denominator) - f * g * B) % L, L)
+                n = S.num(cells[j, l]) - f * g * B
+                omat[j][l] = S.value(cgrps[j][l], n) if j == l else S.cell(cgrps[j][l], n)
         return out
 
     def restrict_cols(self, cols: List[int]) -> "QuadraticFnData":
@@ -671,197 +648,141 @@ def _quad_term(G, A, v: Scalar, b: Scalar, x: Scalar) -> Scalar:
     return A.normalize(b * x * x / 2 + v * x)
 
 
-def _over(old: Scalar, n: int, L: int) -> Scalar:
-    """The value n / L of an entry that held ``old``; a zero keeps the zero
-    of the entry's group."""
-    if n:
-        return Fraction(n, L)
-    return old if not old else Fraction(0)
+class _Scaled:
+    """One sum of values, as numerators over one denominator.
+
+    L is the lcm of the denominators of the exact values in ``read``.
+    ``num(x)`` is x L: an integer for an exact x, a float for a float, so a
+    sum of numerators is exact unless a float reached it.  ``value`` turns
+    a sum back into a value of its group, normalized once, and ``cell``
+    does the same for an off-diagonal entry (``_snap``).
+    """
+
+    __slots__ = ("L",)
+
+    def __init__(self, read):
+        self.L = math.lcm(*[x.denominator for x in read if not isinstance(x, float)])
+
+    def num(self, x):
+        return x * self.L if isinstance(x, float) else x.numerator * (self.L // x.denominator)
+
+    def value(self, grp, n) -> Scalar:
+        L = self.L
+        if not isinstance(n, int):
+            return grp.normalize(n / L)
+        return Fraction(n % L, L) if grp is T else grp.normalize(Fraction(n, L))
+
+    def cell(self, grp, n) -> Scalar:
+        return _snap(grp, self.value(grp, n))
 
 
-def _substitute_part(vec, mat, out_vec, out_mat, sub, near: List[int], generated: bool) -> bool:
-    """Write into ``out_vec`` and ``out_mat``, one part of q restricted to
-    the kept columns, the values that the substitution
-    x_p = sigma + sum_l a_l x_l changes; False, with nothing written, when
-    a value it reads is a float.  Every factor met is Z_k or Z, and
-    ``near`` lists the factors with a cell against p.
+def _substitute_part(D: GroupProduct, A, vec, mat, out_vec, out_mat, sub, near: List[int]) -> None:
+    """Write into ``out_vec`` and ``out_mat``, one part of q into A
+    restricted to the kept columns, the values that the substitution
+    x_p = sum_l a_l x_l changes, once q is shifted by sigma e_p; ``near``
+    lists the factors with a cell against p.
 
-    With w = v_p + sigma b_pp and B the cells of the input, a moved factor
-    l gets v_l + sigma B_pl + a_l w, plus C(a_l, 2) b_pp + a_l B_pl for a
-    generated part (into T, held by values at the generator), and
+    With B the cells of the input, a moved factor l gets v_l + a_l v_p,
+    plus C(a_l, 2) b_pp + a_l B_pl when it is generated, and
     b_ll + a_l^2 b_pp + 2 a_l B_pl; a cell of two moved factors gains
-    a_l a_m b_pp + a_m B_pl + a_l B_pm, one of a moved factor and another
-    factor m of ``near`` gains a_l B_pm, and with sigma != 0 such an m gets
-    v_m + sigma B_pm.  All sums are integer numerators over the lcm L of
-    the denominators read, taken mod L for a part into T.
+    a_l a_m b_pp + a_m B_pl + a_l B_pm, and one of a moved factor and
+    another factor m of ``near``, of any kind, gains a_l B_pm.  These are
+    the sums of ``_pullback`` along the kernel inclusion, as ``_Scaled``
+    numerators, each normalized in its entry's group.
     """
-    p, sigma, pos, moved = sub.p, sub.sigma, sub.pos, sub.moved
-    prow = mat[p]
-    moved_cols = {l for _, l, _ in moved}
-    others = [(pos[m], m) for m in near if m not in moved_cols]
-    read = [vec[p], prow[p]]
-    for _, l, _ in moved:
-        row = mat[l]
-        read += [vec[l], prow[l], row[l]]
-        read += [row[m] for m in moved_cols]
-        read += [row[m] for _, m in others]
-    for _, m in others:
-        read += [vec[m], prow[m]]
-    if float in map(type, read):
-        return False
-    L = math.lcm(*[x.denominator for x in read])
-
-    def num(x) -> int:
-        return x.numerator * (L // x.denominator)
-
-    def value(old, n):
-        return _over(old, n % L if generated else n, L)
-
-    bpp = num(prow[p])
-    w = num(vec[p]) + sigma * bpp
+    p, pos, moved = sub.p, sub.pos, sub.moved
+    vgrps, cgrps = _part_groups(D.factors, A)
+    rows = [p] + [l for _, l, _ in moved]
+    others = [(pos[m], m) for m in near if m not in rows]
+    cols = rows + [m for _, m in others]
+    vals = {k: _snap(vgrps[k], vec[k]) for k in rows}
+    cells = {(k, l): _snap(cgrps[k][l], mat[k][l]) for k in rows for l in cols}
+    S = _Scaled([*vals.values(), *cells.values()])
+    num = S.num
+    vp, bpp = num(vals[p]), num(cells[p, p])
     for idx, (j, l, a) in enumerate(moved):
-        row, bpl = mat[l], num(prow[l])
-        n = num(vec[l]) + sigma * bpl + a * w
-        if generated:
-            n += a * (a - 1) // 2 * bpp + a * bpl
-        out_vec[j] = value(vec[l], n)
-        out_mat[j][j] = value(row[l], num(row[l]) + a * a * bpp + 2 * a * bpl)
+        bpl, grow = num(cells[p, l]), cgrps[l]
+        n = num(vals[l]) + a * vp
+        if is_generated(D[l], A):
+            c = a * (a - 1) // 2
+            n += (c * bpp if c else 0) + a * bpl
+        out_vec[j] = S.value(vgrps[l], n)
+        out_mat[j][j] = S.value(grow[l], num(cells[l, l]) + a * a * bpp + 2 * a * bpl)
         for j2, m, a2 in moved[idx + 1:]:
-            out_mat[j][j2] = out_mat[j2][j] = value(
-                row[m], num(row[m]) + a * a2 * bpp + a2 * bpl + a * num(prow[m]))
+            out_mat[j][j2] = out_mat[j2][j] = S.cell(
+                grow[m], num(cells[l, m]) + a * a2 * bpp + a2 * bpl + a * num(cells[p, m]))
         for j2, m in others:
-            out_mat[j][j2] = out_mat[j2][j] = value(row[m], num(row[m]) + a * num(prow[m]))
-    if sigma:
-        for j2, m in others:
-            out_vec[j2] = value(vec[m], num(vec[m]) + sigma * num(prow[m]))
-    return True
+            out_mat[j][j2] = out_mat[j2][j] = S.cell(grow[m],
+                                                     num(cells[l, m]) + a * num(cells[p, m]))
 
 
-def _pullback_exact(D: GroupProduct, vec, mat, img, support, live, out_vec, out_mat) -> bool:
-    """``_pullback`` into T where every live factor is generated and every
-    live value exact; False, with nothing written, otherwise.
-
-    The images of generated factors are integers, so each output entry is
-    an integer combination of the input values: it is summed as integer
-    numerators over the lcm L of their denominators and built as one
-    Fraction.  The kinds of the live factors are checked before any cell
-    is read.
-    """
-    if any(D[k].kind not in ("Zk", "Z") or isinstance(vec[k], float) for k in live):
-        return False
-    terms = []
-    dens = set()
-    for k in live:
-        v, row = vec[k], mat[k]
-        dens.add(v.denominator)
-        cells = []
-        for l in live:
-            b = row[l]
-            if b:
-                if isinstance(b, float):
-                    return False
-                dens.add(b.denominator)
-                cells.append((l, b))
-        terms.append((k, v, cells))
-    L = math.lcm(*dens)
-    h = len(out_vec)
-    vnum = [0] * h
-    bnum = [[0] * h for _ in range(h)]
-    for k, v, cells in terms:
-        # P[j] = sum_l b_kl g_lj, and low[j] its part over l < k
-        P = [0] * h
-        low = [0] * h
-        bkk = 0
-        for l, b in cells:
-            b = b.numerator * (L // b.denominator)
-            if l == k:
-                bkk = b
-            gl = img[l]
-            for j in support[l]:
-                x = b * gl[j]
-                P[j] += x
-                if l < k:
-                    low[j] += x
-        V = v.numerator * (L // v.denominator)
-        gk = img[k]
-        for i in support[k]:
-            g = gk[i]
-            vnum[i] += g * (V + low[i]) + g * (g - 1) // 2 * bkk
-            brow = bnum[i]
-            for j in range(i, h):
-                if P[j]:
-                    brow[j] += g * P[j]
-    for i in range(h):
-        n = vnum[i] % L
-        if n:
-            out_vec[i] = Fraction(n, L)
-        brow = bnum[i]
-        for j in range(i, h):
-            n = brow[j] % L
-            if n:
-                out_mat[i][j] = out_mat[j][i] = Fraction(n, L)
-    return True
+_HALF = Fraction(1, 2)
 
 
 def _pullback(D: GroupProduct, H: GroupProduct, A, vec, mat, img, support, live,
               out_vec, out_mat) -> None:
     """Write the values of one part of q o gamma into ``out_vec`` and
-    ``out_mat`` (zero on entry), term by term.
+    ``out_mat`` (zero on entry), for a part into A over every factor kind.
 
-    Factor k's quadratic term counts when its values are not both 0 within
-    tolerance, and its diagonal bilinear value when that is not 0 within
-    tolerance; each term and each partial sum is normalized in its group.
+    b'_ij = sum_kl g_ki b_kl g_lj.  A generated output factor i gets
+    v'_i = sum_k [g_ki v_k + c_k(g_ki) b_kk] + sum_{k<l} g_ki g_li b_kl, with
+    c_k(g) = C(g, 2) on a generated input factor and g^2 / 2 on any other;
+    any other output factor gets v'_i = sum_k g_ki v_k.  The sums run over
+    the ``live`` rows of gamma as ``_Scaled`` numerators, and a value
+    within tolerance of 0 is skipped.
     """
-    quad = {k: not (value_is_zero(image_group(D[k], A), vec[k])
-                    and value_is_zero(cell_group(D[k], D[k], A), mat[k][k])) for k in live}
-    cells: Dict[Cell, Scalar] = {}
+    vgrps, cgrps = _part_groups(D.factors, A)
+    terms = []
     for k in live:
-        Dk, row, gk = D[k], mat[k], img[k]
-        if quad[k]:
-            for i in support[k]:
-                _add_quadratic_term(Dk, H[i], A, vec[k], row[k], gk[i], i, out_vec, out_mat)
-        for l in live:
-            b = row[l]
+        row, grow = mat[k], cgrps[k]
+        cells = [(l, b) for l in live
+                 if (b := row[l]) and not (isinstance(b, float) and grow[l].eq(b, 0))]
+        terms.append((k, _snap(vgrps[k], vec[k]), cells))
+    S = _Scaled([v for _, v, _ in terms] + [b for *_, cells in terms for _, b in cells])
+    num = S.num
+    # an integral Fraction image, as in the rows of R factors, multiplies as an int
+    img = {k: [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in img[k]]
+           if D[k] is R else img[k] for k in live}
+    h = len(H)
+    out_gen = [is_generated(Hi, A) for Hi in H]
+    vnum = [0] * h
+    bnum = [[0] * h for _ in range(h)]
+    for k, v, cells in terms:
+        # P[j] = sum_l b_kl g_lj, and low[j] its part over l < k
+        P: Dict[int, Scalar] = {}
+        low: Dict[int, Scalar] = {}
+        bkk = 0
+        for l, b in cells:
+            b = num(b)
             if l == k:
-                if not (quad[k] and not value_is_zero(cell_group(Dk, Dk, A), b)):
-                    continue
-            elif b == 0:
-                continue
-            gl, sl = img[l], support[l]
-            # a float g_ki b_kl is a coefficient of H_i -> hom[D_l|T], which is T
-            # itself when factors l and i are generated, so it is reduced mod 1 first
-            wrap = isinstance(b, float) and is_generated(D[l], A)
-            for i in support[k]:
-                gb = gk[i] * b
-                if wrap and is_generated(H[i], A):
-                    gb = mod1(gb)
-                if l < k and i in sl:
-                    # the diagonal of H picks up B(gamma_k h, gamma_l h) once per pair {k, l}
-                    grp = cell_group(H[i], H[i], A)
-                    t = grp.normalize(gb * gl[i])
-                    if is_generated(H[i], A):
-                        out_vec[i] = mod1(out_vec[i] + t)
-                    out_mat[i][i] = grp.normalize(out_mat[i][i] + 2 * t)
-                for j in sl:
-                    if j > i:
-                        grp = cell_group(H[i], H[j], A)
-                        t = grp.normalize(gb * gl[j])
-                        cells[i, j] = grp.normalize(cells[i, j] + t) if (i, j) in cells else t
-    for (i, j), v in cells.items():
-        out_mat[i][j] = out_mat[j][i] = _off_diagonal(cell_group(H[i], H[j], A), v)
-
-
-def _add_quadratic_term(Dk, Hi, A, v: Scalar, b: Scalar, g: Scalar, i: int,
-                        out_vec, out_mat) -> None:
-    """Add to output factor i the pullback of input factor k's quadratic
-    term along its image g, as ``coeff.phi`` computes it."""
-    vgrp, bgrp = image_group(Hi, A), cell_group(Hi, Hi, A)
-    if is_generated(Hi, A):
-        dv, db = _quad_term(Dk, A, v, b, g), g * g * b
-    else:
-        # a continuous output factor sees continuous input factors only
-        dv = v * g
-        db = b * g * g if cell_group(Dk, Dk, A) is not Z1 else None
-    out_vec[i] = vgrp.normalize(out_vec[i] + vgrp.normalize(dv))
-    if db is not None:
-        out_mat[i][i] = bgrp.normalize(out_mat[i][i] + bgrp.normalize(db))
+                bkk = b
+            gl = img[l]
+            for j in support[l]:
+                x = b * gl[j]
+                P[j] = P.get(j, 0) + x
+                if l < k:
+                    low[j] = low.get(j, 0) + x
+        V = num(v)
+        gk = img[k]
+        in_gen = is_generated(D[k], A)
+        for i in support[k]:
+            g = gk[i]
+            if out_gen[i]:
+                c = g * (g - 1) // 2 if in_gen else g * g * _HALF
+                vnum[i] += g * (V + low.get(i, 0)) + (c * bkk if c and bkk else 0)
+            else:
+                vnum[i] += g * V
+            brow = bnum[i]
+            for j, y in P.items():
+                if j >= i:
+                    brow[j] += g * y
+    vout, cout = _part_groups(H.factors, A)
+    for i in range(h):
+        n = vnum[i]
+        if n or isinstance(n, float):
+            out_vec[i] = S.value(vout[i], n)
+        brow = bnum[i]
+        for j in range(i, h):
+            n = brow[j]
+            if n or isinstance(n, float):
+                out_mat[i][j] = out_mat[j][i] = (S.value if i == j else S.cell)(cout[i][j], n)

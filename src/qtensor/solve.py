@@ -794,36 +794,48 @@ class Substitution:
 
 
 def _substitute(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, Substitution]]:
-    """``solve_with_kernel`` of a one-row system into Z_k (modulus k) or Z
-    (modulus 0) by one substitution, or None without a pivot.
+    """``solve_with_kernel`` of a one-row system into A = Z_k (modulus k)
+    or Z (modulus 0) by one substitution, or None without a pivot.
 
-    The pivot p is the first discrete column of the row's order with a unit
-    entry, as in ``_Elimination``.  With u the inverse of r_p,
-    x_p = u (c - sum_{l != p} r_l x_l): the solution is sigma = u c on p
-    and 0 elsewhere, and a_l = -u r_l.
+    The pivot p is the first factor A of E with a unit entry (``_pivot``).
+    With u the inverse of r_p, x_p = u (c - sum_{l != p} r_l x_l): the
+    solution is sigma = u c on p and 0 elsewhere, and a_l = -u r_l.
     """
     G, E = eps.codomain, eps.domain
     if len(G) != 1 or G[0].kind not in ("Zk", "Z"):
         return None
     assert eps.is_homomorphism
-    mod, row = G[0].k, eps.img[0]
-    disc, cont_t, cont_r = _split_cols(E)
-    r = [row[j] % mod if mod else row[j] for j in disc]
-    for j, x in zip(disc, r):
-        if x and E[j].k == mod and _is_unit(x, mod):
-            p, u = j, pow(x, -1, mod) if mod else x
-            break
-    else:
+    A, row = G[0], eps.img[0]
+    p = _pivot(E, A, row)
+    if p is None:
         return None
+    mod = A.k
+    u = pow(row[p], -1, mod) if mod else row[p]
+    disc, cont_t, cont_r = _split_cols(E)
     sol = list(E.identity())
-    sol[p] = sigma = E[p].normalize(u * int(G[0].normalize(target[0])))
+    sol[p] = sigma = E[p].normalize(u * int(A.normalize(target[0])))
     keep = [l for l in disc if l != p and E[l] is not Z1]
     a = {}
-    for l, x in zip(disc, r):
-        y = -u * x % mod if mod else -u * x
-        if y and l != p and E[l] is not Z1:
+    for l in keep:
+        y = -u * row[l] % mod if mod else -u * row[l]
+        if y:
             a[l] = image_group(E[l], E[p]).normalize(y)
     return tuple(sol), Substitution(E, p, sigma, a, keep + cont_t + cont_r)
+
+
+def _pivot(E: GroupProduct, A, col: List) -> Optional[int]:
+    """The factor of E at which a substitution, a reduction or a quotient
+    drops the direction ``col``, the image column of A, or None: for A = R
+    the R factor with the largest |col_p|; otherwise the first factor that
+    is A itself with a unit entry, a unit mod k on Z_k and +-1 on Z and T.
+    A zero entry is never a pivot, also on Z1."""
+    if A.kind == "R":
+        return max((j for j, x in enumerate(col) if E[j] is R and not R.eq(x, 0)),
+                   key=lambda j: abs(col[j]), default=None)
+    for j, (Ej, x) in enumerate(zip(E, col)):
+        if x and Ej is A and (math.gcd(int(x), A.k) == 1 if A.kind == "Zk" else abs(x) == 1):
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------

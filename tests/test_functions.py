@@ -6,8 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 from qtensor.groups import GroupProduct, R, T, Z, Zk, parse_product
-from qtensor.coeff import (Hom2Coeff, HomCoeff, QuadCoeff, hom2_group, hom2_zero, hom_group,
-                           quad_group)
+from qtensor.coeff import (Hom2Coeff, HomCoeff, QuadCoeff, cell_group, hom2_group, hom2_zero,
+                           hom_group, image_group, quad_group)
 from qtensor.functions import LinearFnData, QuadraticFnData, hom_data
 
 
@@ -273,6 +273,30 @@ def mixed_hom(H: GroupProduct, E: GroupProduct, rng: random.Random) -> LinearFnD
     return hom_data(H, E, cells)
 
 
+def _values(q: QuadraticFnData):
+    """The constants and every value of both parts of q."""
+    yield from (q.a0, q.phi0)
+    for part in ("a", "phi"):
+        yield from q.vec[part]
+        for row in q.mat[part]:
+            yield from row
+
+
+def _floated(q: QuadraticFnData, rng: random.Random) -> QuadraticFnData:
+    """A copy of q with about half of its nonzero values in T or R made
+    floats (values in Z, the multipliers of T factors, stay integers)."""
+    out, D = q.copy(), q.domain
+    for part, A in (("a", R), ("phi", T)):
+        vec, mat = out.vec[part], out.mat[part]
+        for k in range(len(D)):
+            if vec[k] and image_group(D[k], A) in (T, R) and rng.random() < 0.5:
+                vec[k] = float(vec[k])
+            for l in range(k, len(D)):
+                if mat[k][l] and cell_group(D[k], D[l], A) in (T, R) and rng.random() < 0.5:
+                    mat[k][l] = mat[l][k] = float(mat[k][l])
+    return out
+
+
 def _points(G: GroupProduct, rng: random.Random, n: int = 12):
     return [G.element([rng.choice(_sample_points(f)) for f in G]) for _ in range(n)]
 
@@ -291,6 +315,12 @@ def test_operations_pointwise_on_every_factor_kind():
         qc = q.precompose(gam)
         for h in _points(H, rng):
             assert qc.eval(h) == q.eval(gam(h)), (E, H, h)
+        assert not any(isinstance(x, float) for x in _values(qc)), (E, H, qc)
+        q_f = _floated(q, rng)
+        qc_f = q_f.precompose(gam)
+        for h in _points(H, rng):
+            (a, phi), (a0, phi0) = qc_f.eval(h), q_f.eval(gam(h))
+            assert abs(a - a0) < 1e-9 and T.eq(phi, phi0), (E, H, h)
         e0 = _points(E, rng, 1)[0]
         qs, qa, qd = q.shift(e0), q + p, q - p
         for e in _points(E, rng):
