@@ -18,7 +18,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qtensor import cli, jsonio
@@ -237,20 +237,20 @@ def valid_pair_net(draw) -> str:
     return "\n".join(lines + nodes) + "\n"
 
 
-@seed(0)
 @FUZZ
 @given(data=st.data())
-def _valid_z_and_t_payloads_exit_0_or_3(workdir, data):
+def test_valid_z_and_t_payloads_exit_0_or_3(workdir, data):
     path = workdir / "pair.net"
     path.write_text(valid_pair_net(data.draw))
     assert run(["contract", str(path)]) in (0, 3)
 
 
-def test_z_and_t_census_has_at_most_18_unsupported_pairs(workdir, monkeypatch):
-    """Valid Z/T payload pairs exit 0 or 3, and the census of the pairs that
-    the engine does not reduce yet: at most 18 of the 300 pairs that
-    ``_valid_z_and_t_payloads_exit_0_or_3`` draws on its fixed seed exit 3.
-    The census is that helper's only caller, so the pairs run once."""
+def test_z_and_t_census_has_at_most_13_unsupported_pairs(workdir, monkeypatch):
+    """The census of the Z/T pairs that the engine does not reduce yet: at
+    most 13 of the 300 derandomized pairs of the test above exit 3.  Its
+    exit codes are collected by running it again; Hypothesis derives the
+    derandomized examples from the test's source, so that test stays as it
+    is and draws the same pairs."""
     codes = []
 
     def record(argv, contract=run):
@@ -258,5 +258,5 @@ def test_z_and_t_census_has_at_most_18_unsupported_pairs(workdir, monkeypatch):
         return codes[-1]
 
     monkeypatch.setattr(sys.modules[__name__], "run", record)
-    _valid_z_and_t_payloads_exit_0_or_3(workdir=workdir)
-    assert len(codes) == 300 and codes.count(3) <= 18, (len(codes), codes.count(3))
+    test_valid_z_and_t_payloads_exit_0_or_3(workdir=workdir)
+    assert len(codes) == 300 and codes.count(3) <= 13, (len(codes), codes.count(3))
