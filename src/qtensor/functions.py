@@ -160,8 +160,10 @@ class LinearFnData:
                     if v and Dj.kind in ("Zk", "Z"):
                         acc += v * Dj.normalize(x)
             else:
+                # a term at an exact 0 is an exact 0, as in QuadraticFnData.eval
                 for Dj, v, x in zip(D, row, e):
-                    acc = acc + image_apply(Dj, Gi, v, x)
+                    if x != 0 or isinstance(x, float):
+                        acc = acc + image_apply(Dj, Gi, v, x)
             out.append(Gi.normalize(acc))
         return tuple(out)
 

@@ -4,23 +4,30 @@ elementary abelian groups.
 Every homomorphism arrives as one matrix of generator images
 (``LinearFnData.img``), and every presentation leaves as one: kernel
 inclusions, solutions and quotient lifts are image columns, with no
-coefficient object per cell.  Discrete blocks (Z_k and Z factors) are
-lifted to integer systems by reading those images, one row per codomain
-factor taken mod its order (T rows scaled to integers first, Z and R rows
-exact).  Each system is first eliminated on unit
-pivots (``_Elimination``): a cell whose column order equals its row's
-modulus and whose value is a unit there fixes that column as a function
-of the others, in the manner of a Schur complement.  Only the rows left
-without a pivot, the residual, go to exact Smith normal form; a zero
-residual makes the kernel the product of the free columns with no Smith
-form at all.  Real blocks use one Gauss-Jordan elimination,
-``gauss_jordan`` (exact over rationals when possible, floating point with
-a pivot threshold of PIVOT_TOL times the largest entry otherwise).
-Circle-group targets are lifted through the covering R -> R/Z by
-introducing auxiliary integer unknowns.  Kernel shapes outside the
-supported classes raise UnsupportedKernel.  The kernel vectors of a discrete block, from
-``_Elimination.kernel``, are its inclusion's image columns as they stand,
-each entry reduced in its factor.
+coefficient object per cell.
+
+Kernels and solutions come from one routine, ``_System``, so
+``kernel_of_hom``, ``solve_hom`` and ``solve_with_kernel`` accept the
+same systems.  It splits the columns into three classes, discrete (Z_k
+and Z), circle (T) and real (R), and a codomain factor whose nonzero
+entries lie in two classes raises UnsupportedKernel.  Each class block is
+eliminated once, and its particular solution and its kernel generators
+are both read off that elimination:
+
+- discrete columns, into any rows: one integer system lifted from the
+  images, one row per codomain factor taken mod its order (T rows scaled
+  to integers first, Z and R rows exact, a Z column's coupling exact).
+  It is eliminated on unit pivots first (``_Elimination``): a cell whose
+  column order equals its row's modulus and whose value is a unit there
+  fixes that column as a function of the others, in the manner of a Schur
+  complement.  Only the rows left without a pivot, the residual, go to
+  exact Smith normal form, once; a zero residual needs none;
+- circle columns, into T rows: one Smith form of the integer multipliers;
+- real columns, into R rows: one Gauss-Jordan elimination
+  (``gauss_jordan``) of [A | b], or of A for a kernel alone, exact over
+  rationals when the data are, floating point with a pivot threshold of
+  PIVOT_TOL times the largest entry otherwise; or one real column into
+  one T row, whose kernel is a lattice.
 
 The commonest system of a contraction skips all of that: a one-row unit
 pivot is one substitution x_p = sigma + sum_l a_l x_l (``Substitution``),
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .coeff import image_apply, image_group
+from .coeff import image_group
 from .errors import Unsupported
 from .functions import LinearFnData
 from .groups import GroupProduct, R, T, Z, Z1, Zk
@@ -184,41 +191,6 @@ def smith_normal_form(A: Sequence[Sequence[int]], inverse: bool = False):
     return U, S, V
 
 
-def integer_kernel(A: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Basis (list of columns) of {x : A x = 0} over the integers."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if m == 0:
-        return []
-    if n == 0:
-        return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    _, S, V = smith_normal_form(A)
-    r = sum(1 for t in range(min(n, m)) if S[t][t] != 0)
-    return [[V[i][j] for i in range(m)] for j in range(r, m)]
-
-
-def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution of A x = b, or None."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if n == 0:
-        return [0] * m
-    U, S, V = smith_normal_form(A)
-    c = [sum(U[i][j] * int(b[j]) for j in range(n)) for i in range(n)]
-    y = [0] * m
-    for t in range(min(n, m)):
-        if S[t][t] != 0:
-            if c[t] % S[t][t] != 0:
-                return None
-            y[t] = c[t] // S[t][t]
-        elif c[t] != 0:
-            return None
-    for t in range(min(n, m), n):
-        if c[t] != 0:
-            return None
-    return [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
-
-
 # ---------------------------------------------------------------------------
 # rational / real elimination
 
@@ -265,14 +237,10 @@ def gauss_jordan(A: Sequence[Sequence], exact: bool):
     return M, pivots, det
 
 
-def real_kernel(A: List[List]) -> List[List]:
-    """Basis of {x : A x = 0} over the reals, one vector per free column:
-    1 there and 0 on the other free columns, so coordinate directions in
-    the kernel stay coordinate directions.  Exact when A is rational."""
-    exact = all(is_exact(x) for row in A for x in row)
-    M, pivots, _ = gauss_jordan(A, exact)
-    num = Fraction if exact else float
-    m = len(A[0]) if A else 0
+def _free_basis(M, pivots: List[int], m: int, num) -> List[List]:
+    """The kernel basis read off a reduced row echelon form M of m columns,
+    one vector per free column: 1 there and 0 on the other free columns, so
+    coordinate directions in the kernel stay coordinate directions."""
     basis = []
     for j in range(m):
         if j in pivots:
@@ -285,29 +253,23 @@ def real_kernel(A: List[List]) -> List[List]:
     return basis
 
 
-def real_solve(A: List[List], b: List) -> Optional[List]:
-    """One solution of A x = b over the reals (exact if data rational)."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if all(is_exact(x) for row in A for x in row) and all(is_exact(x) for x in b):
-        # reducing [A | b]: the system is inconsistent iff b's column holds a pivot
-        M, pivots, _ = gauss_jordan([list(row) + [bb] for row, bb in zip(A, b)], True)
-        if m in pivots:
-            return None
-        x = [Fraction(0)] * m
-        for row_idx, pj in enumerate(pivots):
-            x[pj] = M[row_idx][m]
-        return x
-    import numpy as np
-
-    M = np.array([[float(x) for x in row] for row in A], dtype=float)
-    bb = np.array([float(x) for x in b], dtype=float)
-    if M.size == 0:
-        return [0.0] * m if not any(abs(x) > 1e-9 for x in bb) else None
-    x, res, rank, sv = np.linalg.lstsq(M, bb, rcond=None)
-    if np.max(np.abs(M @ x - bb)) > 1e-7:
+def _particular(M, pivots: List[int], m: int, num) -> Optional[List]:
+    """The solution of A x = b read off the reduced form M of [A | b], the
+    free columns 0, or None when b's column holds a pivot."""
+    if m in pivots:
         return None
-    return list(x)
+    x = [num(0)] * m
+    for row_idx, pj in enumerate(pivots):
+        x[pj] = M[row_idx][m]
+    return x
+
+
+def real_solve(A: List[List], b: List) -> Optional[List]:
+    """One solution of A x = b over the reals, from one ``gauss_jordan`` of
+    [A | b]: exact when A and b are rational, floating point otherwise."""
+    exact = all(is_exact(x) for row in A for x in row) and all(is_exact(x) for x in b)
+    M, pivots, _ = gauss_jordan([list(row) + [bb] for row, bb in zip(A, b)], exact)
+    return _particular(M, pivots, len(A[0]) if A else 0, Fraction if exact else float)
 
 
 # ---------------------------------------------------------------------------
@@ -320,46 +282,34 @@ class KernelPresentation:
     inclusion: LinearFnData  # homomorphism group -> E
 
 
-def _lifted_system(eps: LinearFnData, cols: List[int], rows: List[int], b=None):
+def _lifted_system(eps: LinearFnData, cols: List[int], rows: List[int]):
     """The integer system A x = rhs (row t mod mods[t], 0 for an exact row)
-    that lifts eps on the discrete columns ``cols`` and codomain ``rows``;
-    ``b`` is the right-hand side of a solve, None for a kernel.
+    that lifts eps on the discrete columns ``cols`` and codomain ``rows``,
+    with the scale s_t that lifts row t: a target b_t becomes rhs_t = s_t b_t.
 
     The entries are the generator images of eps.  A row into Z_k or Z is
-    integral as it stands.  A row into T or R has rational entries (a Z
-    column's must be exact, and in a solve a Z column must not meet an R
-    row) and is scaled by the lcm of their denominators and, in a solve,
-    of b's; a T row is then taken mod that scale.  Rows into Z and R are
-    exact equations, and a kernel skips zero R rows.
+    integral as it stands (scale 1).  A row into T or R has rational
+    entries (a Z column's must be exact) and is scaled by the lcm of their
+    denominators; a T row is then taken mod that scale.  Rows into Z and R
+    are exact equations.
     """
     E, G = eps.domain, eps.codomain
-    A, mods, rhs = [], [], []
+    A, mods, scales = [], [], []
     for i in rows:
         Gi, vals = G[i], [eps.img[i][j] for j in cols]
         if Gi.kind in ("Zk", "Z"):
             A.append(vals)
-            mods.append(Gi.k if Gi.kind == "Zk" else 0)
-            rhs.append(0 if b is None else int(b[i]))
+            mods.append(Gi.k)
+            scales.append(1)
             continue
         for j, v in zip(cols, vals):
-            if E[j].kind == "Z":
-                if b is not None and Gi.kind == "R":
-                    raise UnsupportedKernel("integer lattice into real target in a solve")
-                if not is_exact(v):
-                    raise UnsupportedKernel(f"irrational coupling from {E[j]} into {Gi}")
-        if b is None:
-            if Gi.kind == "R" and not any(vals):
-                continue
-            bi = Fraction(0)
-        elif Gi.kind == "R" and not is_exact(b[i]):
-            raise UnsupportedKernel("irrational real target in discrete solve")
-        else:
-            bi = Fraction(b[i])
-        den = math.lcm(bi.denominator, *[c.denominator for c in vals])
+            if E[j].kind == "Z" and not is_exact(v):
+                raise UnsupportedKernel(f"irrational coupling from {E[j]} into {Gi}")
+        den = math.lcm(*[c.denominator for c in vals])
         A.append([int(c * den) for c in vals])
         mods.append(den if Gi.kind == "T" else 0)
-        rhs.append(int(bi * den))
-    return A, mods, rhs
+        scales.append(den)
+    return A, mods, scales
 
 
 def _is_unit(x: int, mod: int) -> bool:
@@ -381,7 +331,9 @@ class _Elimination:
     of the other unknowns, and the rows left without a pivot, on the
     columns left without one (the residual), hold all that remains of the
     system.  Pivot rows are kept reduced, each free of the other pivot
-    columns, so a solution of the residual completes in one pass.
+    columns, so a solution of the residual completes in one pass.  The
+    residual is factored once, on first use, and ``solve`` and ``kernel``
+    both read that Smith form.
     """
 
     def __init__(self, A: Sequence[Sequence[int]], mods: List[int], orders: List[int]):
@@ -419,12 +371,14 @@ class _Elimination:
         self.zero_rows = [i for i in left if not any(rows[i][l] for l in self.free)]
         self.residual = [i for i in left if i not in self.zero_rows]
 
-    def residual_system(self) -> List[List[int]]:
-        """[R | D]: the residual R with one auxiliary unknown per modular
-        row, a column of D holding its modulus."""
+    @functools.cached_property
+    def _smith(self):
+        """U [R | D] V = S for the residual R with one auxiliary unknown per
+        modular row, a column of D holding its modulus."""
         aux = [i for i in self.residual if self.mods[i]]
-        return [[self.rows[i][l] for l in self.free] + [self.mods[i] if i == a else 0 for a in aux]
-                for i in self.residual]
+        return smith_normal_form([[self.rows[i][l] for l in self.free]
+                                  + [self.mods[i] if i == a else 0 for a in aux]
+                                  for i in self.residual])
 
     def _reduce_rhs(self, rhs: Sequence[int]) -> List[int]:
         """rhs through the row operations of the elimination."""
@@ -446,16 +400,25 @@ class _Elimination:
         return x
 
     def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
-        """One solution of A x = rhs, or None."""
+        """One solution of A x = rhs, or None.  On the residual, with
+        U [R | D] V = S and c = U b: x = V y, y_t = c_t / S_tt where S_tt
+        divides c_t, and c_t = 0 wherever S_tt = 0."""
         b = self._reduce_rhs(rhs)
         if any(b[i] % self.mods[i] if self.mods[i] else b[i] for i in self.zero_rows):
             return None
         x_free = [0] * len(self.free)
         if self.residual:
-            y = solve_integer(self.residual_system(), [b[i] for i in self.residual])
-            if y is None:
-                return None
-            x_free = y[:len(self.free)]
+            U, S, V = self._smith
+            m = len(V)
+            y = [0] * m
+            for t, Ut in enumerate(U):
+                c = sum(u * b[i] for u, i in zip(Ut, self.residual))
+                s = S[t][t] if t < m else 0
+                if c % s if s else c:
+                    return None
+                if s:
+                    y[t] = c // s
+            x_free = [sum(v * yj for v, yj in zip(V[l], y)) for l in range(len(self.free))]
         return self._complete(x_free, b)
 
     def kernel(self) -> List[Tuple[List[int], int]]:
@@ -463,18 +426,21 @@ class _Elimination:
         (0 for a Z factor); generators of order 1 are left out."""
         orders = [self.orders[l] for l in self.free]
         if self.residual:
-            gens = _lattice_kernel(self.residual_system(), orders)
+            _, S, V = self._smith
+            m = len(V)
+            rank = sum(1 for t in range(min(len(S), m)) if S[t][t] != 0)
+            gens = _lattice_kernel([[row[j] for row in V] for j in range(rank, m)], orders)
         else:
             gens = [([int(t == jj) for t in range(len(orders))], o) for jj, o in enumerate(orders)]
         zero = [0] * len(self.mods)
         return [(self._complete(g, zero), o) for g, o in gens if o != 1]
 
 
-def _lattice_kernel(full: List[List[int]], orders: List[int]) -> List[Tuple[List[int], int]]:
+def _lattice_kernel(kgens: List[List[int]], orders: List[int]) -> List[Tuple[List[int], int]]:
     """Generators, with their orders, of the group of x in prod Z_{orders}
-    with [A | D] (x, y) = 0 for some integer y, the system ``full``."""
+    with [A | D] (x, y) = 0 for some integer y, given the integer kernel
+    ``kgens`` of [A | D]."""
     m = len(orders)
-    kgens = integer_kernel(full)
     # the solutions x, with the column relations k_j e_j, generate a lattice
     rels = [(jj, k) for jj, k in enumerate(orders) if k]
     gens = [g[:m] for g in kgens] + [[k if t == jj else 0 for t in range(m)] for jj, k in rels]
@@ -510,46 +476,192 @@ def _order(f) -> int:
     return f.k if f.kind == "Zk" else 0
 
 
+# the column class of each factor kind: discrete, circle, real
+_CLASS = {"Zk": "d", "Z": "d", "T": "t", "R": "r"}
+
+
 def _split_cols(E: GroupProduct):
-    disc, cont_t, cont_r = [], [], []
+    """The discrete, the T and the R columns of E."""
+    split = {"d": [], "t": [], "r": []}
     for j, f in enumerate(E):
-        if f.kind in ("Zk", "Z"):
-            disc.append(j)
-        elif f.kind == "T":
-            cont_t.append(j)
-        else:
-            cont_r.append(j)
-    return disc, cont_t, cont_r
+        split[_CLASS[f.kind]].append(j)
+    return split["d"], split["t"], split["r"]
+
+
+class _Discrete:
+    """The block of the Z_k and Z columns: one lifted system, eliminated
+    once (``_Elimination``).  A target b_t enters as s_t b_t with the row's
+    scale s_t, which must be an integer: a T or R row lifted by s_t only
+    reaches multiples of 1 / s_t."""
+
+    def __init__(self, eps: LinearFnData, cols: List[int], rows: List[int]):
+        E = eps.domain
+        self.eps, self.cols, self.rows = eps, cols, rows
+        A, mods, self.scales = _lifted_system(eps, cols, rows)
+        self.elim = _Elimination(A, mods, [_order(E[j]) for j in cols])
+
+    def solve(self, b) -> Optional[List]:
+        G, rhs = self.eps.codomain, []
+        for i, s in zip(self.rows, self.scales):
+            if G[i].kind == "R" and not is_exact(b[i]):
+                raise UnsupportedKernel("irrational real target in discrete solve")
+            x = Fraction(b[i]) * s
+            if x.denominator != 1:
+                return None
+            rhs.append(x.numerator)
+        return self.elim.solve(rhs)
+
+    def kernel(self, emit) -> None:
+        """The vectors of ``_Elimination.kernel``, each entry the image of
+        the generator in that factor of E."""
+        E = self.eps.domain
+        for gen, order in self.elim.kernel():
+            factor = Zk(order) if order else Z
+            emit(factor, {j: image_group(factor, E[j]).normalize(x)
+                          for j, x in zip(self.cols, gen) if x})
+
+
+class _Circle:
+    """The block of the T columns, whose rows are T rows with integer
+    multipliers M: one Smith form U M V = S.  The kernel is V's columns, a
+    T factor for S_tt = 0 and a Z_s factor sending 1 to V / s for s > 1;
+    M phi = b (mod 1) is solved by phi = V y, y_t = (U b)_t / S_tt, where
+    (U b)_t must vanish mod 1 when S_tt = 0."""
+
+    def __init__(self, eps: LinearFnData, cols: List[int], rows: List[int]):
+        self.cols, self.rows = cols, rows
+        mat = [[eps.img[i][j] for j in cols] for i in rows]
+        self.smith = smith_normal_form(mat) if rows else None
+
+    def solve(self, b) -> Optional[List]:
+        m = len(self.cols)
+        if not self.rows:
+            return [0] * m
+        U, S, V = self.smith
+        y = [Fraction(0)] * m
+        for t, Ut in enumerate(U):
+            c = 0
+            for u, i in zip(Ut, self.rows):
+                c = c + u * b[i]
+            s = S[t][t] if t < m else 0
+            if s:
+                y[t] = Fraction(c, s) if is_exact(c) else float(c) / s
+            elif not T.eq(mod1(c), 0):
+                return None
+        return [sum(v * yj for v, yj in zip(row, y)) for row in V]
+
+    def kernel(self, emit) -> None:
+        if not self.rows:
+            for j in self.cols:
+                emit(T, {j: 1})
+            return
+        _, S, V = self.smith
+        r = min(len(S), len(self.cols))
+        for t in range(len(self.cols)):
+            s = S[t][t] if t < r else 0
+            if s == 1:
+                continue
+            factor = T if s == 0 else Zk(s)
+            emit(factor, {j: V[jj][t] if s == 0 else mod1(Fraction(V[jj][t], s))
+                          for jj, j in enumerate(self.cols)})
+
+
+class _Real:
+    """The block of the R columns.  Into R rows A: one ``gauss_jordan`` of
+    [A | b] for a solve, of A alone for a kernel (exact when the data are
+    rational); the kernel is read off the same reduced form unless the
+    target alone is a float.  A single R column may instead feed a single
+    T row, x -> c x mod 1: the kernel is the lattice (1 / c) Z, and b / c
+    solves it."""
+
+    def __init__(self, eps: LinearFnData, cols: List[int], rows: List[int]):
+        G = eps.codomain
+        self.cols, self.rows = cols, rows
+        t_rows = [i for i in rows if G[i].kind == "T"]
+        self.step = None
+        if t_rows:
+            if len(cols) > 1 or len(rows) > 1:
+                raise UnsupportedKernel("real sources into circle targets beyond 1x1")
+            c = eps.img[t_rows[0]][cols[0]]
+            self.step = 1 / c if not is_exact(c) else Fraction(1) / Fraction(c)
+            return
+        self.A = [[eps.img[i][j] for j in cols] for i in rows]
+        self.exact = all(is_exact(x) for row in self.A for x in row)
+        self.reduced = None
+
+    def solve(self, b) -> Optional[List]:
+        if self.step is not None:
+            return [b[self.rows[0]] * self.step]
+        rhs = [b[i] for i in self.rows]
+        exact = self.exact and all(is_exact(x) for x in rhs)
+        M, pivots, _ = gauss_jordan([row + [x] for row, x in zip(self.A, rhs)], exact)
+        if exact == self.exact:
+            self.reduced = M, pivots
+        return _particular(M, pivots, len(self.cols), Fraction if exact else float)
+
+    def kernel(self, emit) -> None:
+        if self.step is not None:
+            emit(Z, {self.cols[0]: self.step})
+            return
+        M, pivots = self.reduced or gauss_jordan(self.A, self.exact)[:2]
+        for vec in _free_basis(M, pivots, len(self.cols), Fraction if self.exact else float):
+            emit(R, {j: as_scalar(x) for j, x in zip(self.cols, vec)})
+
+
+class _System:
+    """A homomorphism eps split into column classes (``_CLASS``) and
+    eliminated once per class block, for its kernel, its solutions or both.
+
+    A codomain factor whose nonzero entries lie in two classes raises
+    UnsupportedKernel; every other row belongs to the block of its class,
+    and a zero row to none, so a solution meets it only through the final
+    check eps(e) = target.  Each block (``_Discrete``, ``_Circle``,
+    ``_Real``) is factored once, and its solution and its kernel
+    generators are both read off that factorization.
+    """
+
+    def __init__(self, eps: LinearFnData):
+        E = eps.domain
+        self.eps = eps
+        kind = [_CLASS[f.kind] for f in E]
+        touch = [{kind[j] for j in cols} for cols in eps.support()]
+        for i, classes in enumerate(touch):
+            if len(classes) > 1:
+                raise UnsupportedKernel(
+                    f"codomain factor {i} couples source classes {sorted(classes)}")
+        self.blocks = [block(eps, cols, [i for i, cl in enumerate(touch) if cl == {c}])
+                       for c, block, cols in zip("dtr", (_Discrete, _Circle, _Real), _split_cols(E))
+                       if cols]
+
+    def solution(self, target: Tuple) -> Optional[Tuple]:
+        """One e with eps(e) = target, or None."""
+        eps = self.eps
+        E, G = eps.domain, eps.codomain
+        target = G.element(target)
+        b = G.sub(target, eps(E.identity()))
+        sol = [0] * len(E)
+        for block in self.blocks:
+            x = block.solve(b)
+            if x is None:
+                return None
+            for j, v in zip(block.cols, x):
+                sol[j] = v
+        e = E.element(sol)
+        return e if G.eq(eps(e), target) else None
+
+    def kernel(self) -> KernelPresentation:
+        gens = _Generators(self.eps.domain)
+        for block in self.blocks:
+            block.kernel(gens.emit)
+        return gens.presentation()
 
 
 def kernel_of_hom(eps: LinearFnData) -> KernelPresentation:
     """Kernel of a homomorphism between group products, as a product with
-    an explicit inclusion.  Supported classes: discrete-to-discrete (with
-    rational circle couplings), circle-to-circle, real-to-real, and block
-    combinations in which no codomain factor mixes source classes."""
+    an explicit inclusion, read off ``_System``; the module docstring
+    lists the supported classes."""
     assert eps.is_homomorphism
-    E, G = eps.domain, eps.codomain
-    disc, cont_t, cont_r = _split_cols(E)
-    # classify rows by which column classes touch them
-    kind = ["d" if f.kind in ("Zk", "Z") else "t" if f.kind == "T" else "r" for f in E]
-    touch = [{kind[j] for j in cols} for cols in eps.support()]
-    for i, classes in enumerate(touch):
-        if len(classes) > 1:
-            raise UnsupportedKernel(
-                f"codomain factor {i} couples source classes {sorted(classes)}"
-            )
-    # handle each class independently and splice the results back together
-    gens = _Generators(E)
-    if disc:
-        rows_d = [i for i in range(len(G)) if touch[i] == {"d"}]
-        _discrete_kernel(eps, disc, rows_d, gens.emit)
-    if cont_t:
-        rows_t = [i for i in range(len(G)) if touch[i] == {"t"}]
-        _circle_kernel(eps, cont_t, rows_t, gens.emit)
-    if cont_r:
-        rows_r = [i for i in range(len(G)) if touch[i] == {"r"}]
-        _real_block_kernel(eps, cont_r, rows_r, gens.emit)
-    return gens.presentation()
+    return _System(eps).kernel()
 
 
 class _Generators:
@@ -580,157 +692,13 @@ def _zero_column(factor, E: GroupProduct) -> Tuple:
     return tuple(image_group(factor, El).normalize(0) for El in E)
 
 
-def _discrete_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
-    """Emit the kernel generators of eps on its discrete columns: the
-    vectors of ``_Elimination.kernel``, each entry the image of the
-    generator in that factor of E."""
-    E = eps.domain
-    A, mods, _ = _lifted_system(eps, cols, rows)
-    for gen, order in _Elimination(A, mods, [_order(E[j]) for j in cols]).kernel():
-        factor = Zk(order) if order else Z
-        emit(factor, {j: image_group(factor, E[j]).normalize(x) for j, x in zip(cols, gen) if x})
-
-
-def _circle_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
-    E, G = eps.domain, eps.codomain
-    m = len(cols)
-    mat = []
-    for i in rows:
-        if G[i].kind != "T":
-            if any(eps.nonzero(i, j) for j in cols):
-                raise UnsupportedKernel("circle factors map only into circles")
-            continue
-        mat.append([eps.img[i][j] for j in cols])
-    if not mat:
-        for j in cols:
-            emit(T, {j: 1})
-        return
-    U, S, V = smith_normal_form(mat)
-    r = min(len(mat), m)
-    for t in range(m):
-        s = S[t][t] if t < r else 0
-        if s == 1:
-            continue
-        # a T factor maps by integer multipliers, a Z_s factor sends 1 to V/s
-        factor = T if s == 0 else Zk(s)
-        emit(factor, {j: V[jj][t] if s == 0 else mod1(Fraction(V[jj][t], s))
-                      for jj, j in enumerate(cols)})
-
-
-def _real_block_kernel(eps: LinearFnData, cols: List[int], rows: List[int], emit):
-    E, G = eps.domain, eps.codomain
-    t_rows = [i for i in rows if G[i].kind == "T"
-              and any(eps.nonzero(i, j) for j in cols)]
-    r_rows = [i for i in rows if G[i].kind == "R"]
-    if t_rows:
-        # single real source into a single circle target: kernel is a lattice
-        if len(cols) == 1 and not r_rows and len(t_rows) == 1:
-            c = eps.img[t_rows[0]][cols[0]]
-            emit(Z, {cols[0]: 1 / c if not is_exact(c) else Fraction(1) / Fraction(c)})
-            return
-        raise UnsupportedKernel("real sources into circle targets beyond 1x1")
-    mat = [[eps.img[i][j] for j in cols] for i in r_rows]
-    basis = real_kernel(mat) if mat else [
-        [Fraction(1) if t == j else Fraction(0) for t in range(len(cols))]
-        for j in range(len(cols))
-    ]
-    for vec in basis:
-        emit(R, {j: as_scalar(x) for j, x in zip(cols, vec)})
-
-
 def solve_hom(eps: LinearFnData, target: Tuple) -> Optional[Tuple]:
     """One solution e of eps(e) = target, or None.
 
     Solves the affine equation; the same class restrictions as
-    ``kernel_of_hom`` apply.
+    ``kernel_of_hom`` apply, since both read one ``_System``.
     """
-    E, G = eps.domain, eps.codomain
-    target = G.element(target)
-    b = G.sub(target, eps(E.identity()))
-    disc, cont_t, cont_r = _split_cols(E)
-    sol = [None] * len(E)
-    # discrete part
-    supp = eps.support()
-    is_disc = [f.kind in ("Zk", "Z") for f in E]
-    rows_d = [i for i, cols in enumerate(supp)
-              if any(is_disc[j] for j in cols) or (not cont_t and not cont_r)]
-    if disc:
-        if any(not is_disc[j] for i in rows_d for j in supp[i]):
-            raise UnsupportedKernel("mixed-class solve")
-        A, mods, rhs = _lifted_system(eps, disc, rows_d, b)
-        res = _Elimination(A, mods, [_order(E[j]) for j in disc]).solve(rhs)
-        if res is None:
-            return None
-        for jj, j in enumerate(disc):
-            sol[j] = res[jj]
-    # circle part
-    if cont_t:
-        rows_t = [i for i in range(len(G)) if G[i].kind == "T"
-                  and any(eps.nonzero(i, j) for j in cont_t)]
-        mat = [[eps.img[i][j] for j in cont_t] for i in rows_t]
-        rhsv = [b[i] for i in rows_t]
-        if mat:
-            res = _solve_circle(mat, rhsv)
-            if res is None:
-                return None
-            for jj, j in enumerate(cont_t):
-                sol[j] = res[jj]
-        else:
-            for j in cont_t:
-                sol[j] = 0
-    # real part
-    if cont_r:
-        rows_r = [i for i in range(len(G)) if G[i].kind == "R"]
-        mat = [[eps.img[i][j] for j in cont_r] for i in rows_r]
-        rhsv = [b[i] for i in rows_r]
-        # contribution of already-solved discrete columns into real targets
-        for idx, i in enumerate(rows_r):
-            for j in disc:
-                if eps.nonzero(i, j):
-                    rhsv[idx] = rhsv[idx] - image_apply(E[j], G[i], eps.img[i][j], sol[j])
-        if mat and any(eps.nonzero(i, j) for i in rows_r for j in cont_r):
-            res = real_solve(mat, rhsv)
-            if res is None:
-                return None
-            for jj, j in enumerate(cont_r):
-                sol[j] = res[jj]
-        else:
-            if any(abs(float(x)) > 1e-9 for x in rhsv):
-                return None
-            for j in cont_r:
-                sol[j] = 0
-    for j in range(len(E)):
-        if sol[j] is None:
-            sol[j] = 0
-    e = E.element(sol)
-    if not G.eq(eps(e), target):
-        return None
-    return e
-
-
-def _solve_circle(mat: List[List[int]], rhs: List) -> Optional[List]:
-    """Solve M phi = rhs (mod 1) for circle-valued unknowns."""
-    U, S, V = smith_normal_form(mat)
-    n, m = len(mat), len(mat[0])
-    c = []
-    for i in range(n):
-        acc = 0
-        for j in range(n):
-            acc = acc + U[i][j] * rhs[j]
-        c.append(acc)
-    y = [Fraction(0)] * m
-    for t in range(m):
-        s = S[t][t] if t < min(n, m) else 0
-        if t < n:
-            if s == 0:
-                if not T.eq(mod1(c[t]), 0):
-                    return None
-            else:
-                y[t] = Fraction(c[t], s) if is_exact(c[t]) else float(c[t]) / s
-    for t in range(min(n, m), n):
-        if not T.eq(mod1(c[t]), 0):
-            return None
-    return [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
+    return _System(eps).solution(target)
 
 
 def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, KernelPresentation]]:
@@ -741,14 +709,16 @@ def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple,
     of the row's order is solved by substitution (``_substitute``): the
     presentation is then a ``Substitution``, whose ``group`` and
     ``inclusion`` are those of ``kernel_of_hom``.  Every other system
-    takes the general path, ``solve_hom`` and then ``kernel_of_hom``."""
+    takes the general path: one ``_System``, whose solution and kernel
+    share each block's factorization."""
     found = _substitute(eps, target)
     if found is not None:
         return found
-    e = solve_hom(eps, target)
+    system = _System(eps)
+    e = system.solution(target)
     if e is None:
         return None
-    return e, kernel_of_hom(eps)
+    return e, system.kernel()
 
 
 class Substitution:

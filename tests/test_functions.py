@@ -388,3 +388,20 @@ def test_exact_zero_terms_stay_exact_at_a_float_point():
                         [QuadCoeff(R, T, 0, 0), QuadCoeff(R, T, 0, 0)])
     a, phi = q.eval((0.5, 1.25))
     assert isinstance(a, float) and a != 0 and phi == 0 and not isinstance(phi, float)
+
+
+def test_linear_fn_skips_exact_zero_coordinates():
+    # a float image at an exact 0 coordinate adds an exact 0, so the
+    # general composition keeps the value types of the substitution
+    from qtensor.solve import _substitute
+
+    E, G = parse_product("Z2,R"), parse_product("R")
+    eps = LinearFnData.of_images(E, G, (Fraction(0),), [[0, 0.5]])
+    for point, want in (((0, Fraction(0)), (Fraction(0),)), ((0, 0.0), (0.0,)),
+                        ((1, Fraction(2)), (1.0,))):
+        assert repr(eps(point)) == repr(want), point
+    # x_0 = 0 from the row (1, 0) into Z2: sigma = 0, the R column kept
+    delta = LinearFnData.of_images(E, parse_product("Z2"), (0,), [[1, 0]])
+    shift, sub = _substitute(delta, (0,))
+    assert repr(eps.compose_affine(sub.inclusion, shift)) == repr(eps.substitute(sub))
+    assert repr(eps.compose_affine(sub.inclusion, shift).eps0) == repr((Fraction(0),))

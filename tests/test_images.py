@@ -83,11 +83,14 @@ def _cellwise_compose(f, gamma):
 
 
 def _cellwise_apply(f, e):
+    """f(e) cell by cell; a coordinate that is an exact 0 adds nothing, so a
+    float cell does not make the value a float there."""
     out = []
     for i, Ci in enumerate(f.codomain):
         acc = f.eps0[i]
         for j in range(len(f.domain)):
-            acc = acc + hom_apply(f.eps1[i][j], e[j])
+            if e[j] != 0 or isinstance(e[j], float):
+                acc = acc + hom_apply(f.eps1[i][j], e[j])
         out.append(Ci.normalize(acc))
     return tuple(out)
 

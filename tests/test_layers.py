@@ -188,3 +188,14 @@ def test_every_top_level_definition_is_used():
                 used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     dead = sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used)
     assert not dead, f"top-level definitions no code reads: {dead}"
+
+
+def test_solve_imports_no_numpy():
+    """Real systems are eliminated by ``gauss_jordan`` alone, exact or float:
+    ``solve`` has no least-squares fork."""
+    with open(os.path.join(SRC, "solve.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "numpy"], modules

@@ -1,26 +1,26 @@
 """Brute-force verification of the kernel / solve / quotient machinery."""
 
+import collections
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from qtensor import solve
 from qtensor.coeff import HomCoeff, hom_group
-from qtensor.functions import LinearFnData, hom_data
+from qtensor.engine import QTensorData, self_contract
+from qtensor.functions import LinearFnData, QuadraticFnData, hom_data, zero_row
 from qtensor.groups import R, T, Z, Zk, parse_product
 from qtensor.solve import (
     UnsupportedKernel,
     gauss_jordan,
-    integer_kernel,
     kernel_of_hom,
     quotient_by_subgroup,
-    real_kernel,
     real_solve,
     smith_normal_form,
     solve_hom,
-    solve_integer,
 )
 
 
@@ -48,15 +48,22 @@ def test_snf_random():
 
 
 def test_integer_kernel_and_solve():
+    # exact integer rows over Z unknowns, eliminated once: the kernel
+    # generators span the m - rank(A) dimensional solutions of A v = 0, and
+    # A x = b is solved for every b in the image
     rng = random.Random(2)
     for _ in range(40):
         n, m = rng.randrange(1, 4), rng.randrange(1, 5)
         A = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
-        for v in integer_kernel(A):
+        elim = solve._Elimination(A, [0] * n, [0] * m)
+        kernel = elim.kernel()
+        assert len(kernel) == m - minor_rank(A)
+        for v, order in kernel:
+            assert order == 0
             assert all(sum(A[i][j] * v[j] for j in range(m)) == 0 for i in range(n))
         x = [rng.randrange(-3, 4) for _ in range(m)]
         b = [sum(A[i][j] * x[j] for j in range(m)) for i in range(n)]
-        sol = solve_integer(A, b)
+        sol = elim.solve(b)
         assert sol is not None
         assert all(sum(A[i][j] * sol[j] for j in range(m)) == b[i] for i in range(n))
 
@@ -271,6 +278,26 @@ def test_kernel_real_into_circle_is_lattice():
     assert e[0] == Fraction(5, 3)
 
 
+def test_real_into_circle_wire_keeps_its_offset():
+    # x -> (1/4 + c x, 0) from R into T x T: contracting the two legs
+    # solves c x = 3/4 (mod 1) on the coset of the lattice (1 / c) Z, as
+    # with offset 0, where x = 0
+    E, G = parse_product("R"), parse_product("T,T")
+    for c in (Fraction(1), Fraction(1, 2), 0.5):
+        x = solve_hom(hom_from_values("R", "T", [[c]]), (Fraction(1, 4),))
+        assert x is not None and T.eq(T.normalize(c * x[0]), Fraction(1, 4)), c
+        outs = []
+        for offset in (Fraction(1, 4), Fraction(0)):
+            eps = LinearFnData(E, G, G.element([offset, 0]),
+                               [[HomCoeff(R, T, c)], [HomCoeff(R, T, 0)]])
+            out = self_contract(QTensorData(G, E, eps, QuadraticFnData.zero(E), 0, None), 0, 1)
+            assert not out.is_zero, (c, offset)
+            outs.append(out)
+        assert [str(f) for f in outs[0].E] == ["Z"]
+        assert (outs[0].E, outs[0].G, outs[0].div_weight) == (
+            outs[1].E, outs[1].G, outs[1].div_weight)
+
+
 def test_kernel_real_block():
     E, G = parse_product("R,R,R"), parse_product("R")
     eps = hom_data(E, G, [[HomCoeff(R, R, Fraction(1)), HomCoeff(R, R, Fraction(-1)),
@@ -300,6 +327,95 @@ def test_kernel_mixed_row_raises():
     eps = hom_data(E, G, [[HomCoeff(Z, R, Fraction(1)), HomCoeff(R, R, Fraction(1))]])
     with pytest.raises(UnsupportedKernel):
         kernel_of_hom(eps)
+
+
+# the factors of random systems that kernel and solve must accept alike
+SYSTEM_COLUMNS = ["Z2", "Z3", "Z4", "Z6", "Z", "T", "R"]
+SYSTEM_ROWS = ["Z2", "Z4", "Z6", "Z", "T", "R"]
+
+
+def random_system(rng):
+    """A random exact homomorphism with about half its cells zero, so that
+    most rows stay within one column class."""
+    E = parse_product(",".join(rng.choice(SYSTEM_COLUMNS) for _ in range(rng.randrange(1, 4))))
+    G = parse_product(",".join(rng.choice(SYSTEM_ROWS) for _ in range(rng.randrange(1, 3))))
+    img = [[x if rng.random() < 0.5 else zero for x, zero in zip(row, zero_row(E, Gi))]
+           for Gi, row in zip(G, random_hom(E, G, rng).img)]
+    return LinearFnData.of_images(E, G, G.identity(), img)
+
+
+def random_element(E, rng):
+    return E.element([rng.randrange(f.k) if f.kind == "Zk" else
+                      rng.randrange(-3, 4) if f.kind == "Z" else
+                      Fraction(rng.randrange(12), 12) if f.kind == "T" else
+                      Fraction(rng.randrange(-6, 7), 2) for f in E])
+
+
+def test_kernel_and_solve_accept_the_same_systems():
+    # one class split: the kernel raises exactly when the solve does, every
+    # point of the image is solved, and solve_with_kernel returns both
+    rng = random.Random(17)
+    seen = collections.Counter()
+    for _ in range(1500):
+        eps = random_system(rng)
+        E, G = eps.domain, eps.codomain
+        points = [random_element(E, rng) for _ in range(3)]
+        try:
+            pres = kernel_of_hom(eps)
+        except UnsupportedKernel:
+            seen["unsupported"] += 1
+            for e in points:
+                with pytest.raises(UnsupportedKernel):
+                    solve_hom(eps, eps(e))
+            continue
+        for r in [random_element(pres.group, rng) for _ in range(3)]:
+            assert G.is_identity(eps(pres.inclusion(r))), (eps, r)
+        for e in points:
+            g = eps(e)
+            sol = solve_hom(eps, g)
+            assert sol is not None and G.eq(eps(sol), g), (eps, e, sol)
+            assert repr(_presented(solve.solve_with_kernel(eps, g))) == repr((sol, pres)), eps
+        seen.update({f"{E[j].kind}->{G[i].kind}" for i, cols in enumerate(eps.support())
+                     for j in cols})
+    assert min(seen[k] for k in ("unsupported", "R->T", "Z->R", "T->T", "R->R", "Z->T")) > 10, seen
+
+
+def test_general_solve_factors_each_block_once(monkeypatch):
+    # the solution and the kernel are read off one factorization per block:
+    # no more Smith forms than the kernel alone, and one Gauss-Jordan
+    # elimination of [A | b] for exact and float real rows alike
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def inner(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return inner
+
+    monkeypatch.setattr(solve, "smith_normal_form", counted("snf", solve.smith_normal_form))
+    monkeypatch.setattr(solve, "gauss_jordan", counted("gj", solve.gauss_jordan))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    # systems that leave a residual after the unit pivots (4 Smith forms
+    # against the kernel's 3 when the solve factors the residual again)
+    for case in [("Z4,Z2,Z6,Z2", "Z2,Z4", [[1, 1, 1, 0], [2, 1, 1, 1]])] + PIVOT_CASES:
+        eps = hom_from_values(*case)
+        kernel_of_hom(eps)
+        kernel_snf = calls["snf"]
+        assert 1 <= kernel_snf <= 3, case
+        calls.clear()
+        for e in box(eps.domain, 1)[:24]:
+            e2, _ = solve.solve_with_kernel(eps, eps(e))
+            assert eps.codomain.eq(eps(e2), eps(e)) and calls["snf"] <= kernel_snf, (case, calls)
+            calls.clear()
+    for vals in ([[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(-1)]],
+                 [[0.5, 1.25, -2.0], [1.5, 0.0, 0.75]]):
+        eps = hom_from_values("R,R,R", "R,R", vals)
+        G = eps.codomain
+        for e in [random_element(eps.domain, random.Random(n)) for n in range(4)]:
+            e2, pres = solve.solve_with_kernel(eps, eps(e))
+            assert G.eq(eps(e2), eps(e)) and len(pres.group) == 1
+            assert (calls["gj"], calls["lstsq"]) == (1, 0), (vals, calls)
+            calls.clear()
 
 
 def check_solve(eps, targets):
@@ -386,7 +502,7 @@ def test_elimination_random_rational():
         assert len(pivots) == rank
         if n == m:
             assert det == cofactor_det(A)
-        basis = real_kernel(A)
+        basis = real_kernel_columns(A)
         assert len(basis) == m - rank
         for v in basis:
             assert all(isinstance(x, Fraction) for x in v)
@@ -405,6 +521,13 @@ def test_elimination_random_rational():
             assert [sum(a * y for a, y in zip(row, x)) for row in A] == b
 
 
+def real_kernel_columns(A):
+    """The image columns of kernel_of_hom of x -> A x from R^m to R^n."""
+    m = len(A[0])
+    pres = kernel_of_hom(hom_from_values(",".join(["R"] * m), ",".join(["R"] * len(A)), A))
+    return [pres.inclusion.column(q) for q in range(len(pres.group))]
+
+
 def test_real_kernel_float_outputs():
     # bit patterns pinned: free columns give unit vectors, and entries below
     # PIVOT_TOL times the largest |entry| never pivot
@@ -414,7 +537,7 @@ def test_real_kernel_float_outputs():
         ([[0.3, 0.6, 0.1], [0.1, 0.2, 0.7], [0.2, 0.4, -0.6]], [[-2.0, 1.0, -0.0]]),
     ]
     for A, want in cases:
-        assert repr(real_kernel(A)) == repr(want)
+        assert repr(real_kernel_columns(A)) == repr(want)
 
 
 def test_solve_circle():
