@@ -20,7 +20,8 @@ import numpy as np
 
 from .engine import QTensorData
 from .errors import Unsupported
-from .scalar import is_exact, mod1
+from .groups import GroupProduct, R
+from .scalar import TOL, is_exact, mod1
 
 
 class InfiniteGroupError(Unsupported):
@@ -28,8 +29,14 @@ class InfiniteGroupError(Unsupported):
 
 
 class TooLargeError(Unsupported):
-    """A dense tensor or enumeration past a fixed size limit; the case is
+    """A dense tensor or enumeration past ``DENSE_LIMIT``; the case is
     valid but the oracle refuses it."""
+
+
+#: the most entries of a dense array, or elements of an enumerated domain,
+#: the oracle takes on: 2**22 complex doubles are 64 MiB, one array that
+#: fits beside the engine's own data on a small machine
+DENSE_LIMIT = 2 ** 22
 
 
 class DivergentPrefactor(Unsupported):
@@ -207,25 +214,24 @@ def _swap_adjacent(arr, t: DenseTensor, cur: List[int], pos: int):
 
 
 def materialize(t: QTensorData) -> DenseTensor:
-    """Dense entries of a quadratic tensor over finite groups."""
+    """Dense entries of a quadratic tensor over finite groups, |G| and |E|
+    each at most ``DENSE_LIMIT``."""
     for f in t.G:
         if not f.finite:
             raise InfiniteGroupError(f"cannot materialize over {f}")
     if t.div_weight != 0:
         raise DivergentPrefactor(f"divergence weight {t.div_weight}")
     dims = tuple(f.k for f in t.G)
-    arr = np.zeros(dims, dtype=complex)
-    terms: dict = {}
-    if t.is_zero:
-        ex = np.empty(dims, dtype=object)
-        for idx in np.ndindex(*dims):
-            ex[idx] = (Fraction(0), Fraction(0))
-        return DenseTensor(dims, arr, exact=ex)
-    for f in t.E:
+    E = GroupProduct() if t.is_zero else t.E
+    for f in E:
         if not f.finite:
             raise InfiniteGroupError(f"cannot enumerate embedding domain {f}")
-    exact_ok = t.mag2 is not None
-    for e in t.E.enumerate():
+    if max(t.G.order, E.order) > DENSE_LIMIT:
+        raise TooLargeError("dense materialization would exceed the size limit")
+    arr = np.zeros(dims, dtype=complex)
+    terms: dict = {}
+    exact_ok = t.is_zero or t.mag2 is not None
+    for e in () if t.is_zero else E.enumerate():
         g = t.eps(e)
         idx = tuple(int(x) for x in g)
         a, ph = t.q.eval(e)
@@ -237,18 +243,11 @@ def materialize(t: QTensorData) -> DenseTensor:
         exact_ok = exact_ok and is_exact(ph)
         terms.setdefault(idx, []).append(mod1(ph))
     ex = None
-    if exact_ok:
+    if exact_ok and all(len(lst) == 1 for lst in terms.values()):
         ex = np.empty(dims, dtype=object)
         for idx in np.ndindex(*dims):
-            lst = terms.get(idx, [])
-            if not lst:
-                ex[idx] = (Fraction(0), Fraction(0))
-            elif len(lst) == 1:
-                ex[idx] = (t.mag2, Fraction(lst[0]))
-            else:
-                ex[idx] = None
-        if any(ex[idx] is None for idx in np.ndindex(*dims)):
-            ex = None
+            lst = terms.get(idx)
+            ex[idx] = (t.mag2, Fraction(lst[0])) if lst else (Fraction(0), Fraction(0))
     return DenseTensor(dims, arr, exact=ex)
 
 
@@ -274,8 +273,10 @@ class CompareReport:
     phase: complex = 1.0 + 0j
 
 
-def dense_compare(a: DenseTensor, b: DenseTensor, mode: str = "tol",
-                  tol: float = 1e-9) -> CompareReport:
+def dense_compare(a: DenseTensor, b: DenseTensor, mode: str = "tol") -> CompareReport:
+    """Compare two dense tensors entry by entry: exactly on their sidecars
+    (mode "exact"), up to one global phase ("phase"), or as they stand
+    ("tol"), the float modes within TOL."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"{a.dims} vs {b.dims}")
     if mode == "exact":
@@ -290,25 +291,29 @@ def dense_compare(a: DenseTensor, b: DenseTensor, mode: str = "tol",
         return CompareReport(0.0, True)
     if mode == "phase":
         ia = np.unravel_index(np.argmax(np.abs(a.arr)), a.dims) if a.arr.size else None
-        if ia is None or abs(a.arr[ia]) < tol:
+        if ia is None or abs(a.arr[ia]) < TOL:
             dev = float(np.max(np.abs(b.arr))) if b.arr.size else 0.0
-            return CompareReport(dev, dev <= tol)
-        if abs(b.arr[ia]) < tol:
+            return CompareReport(dev, dev <= TOL)
+        if abs(b.arr[ia]) < TOL:
             return CompareReport(float("inf"), False)
         phase = a.arr[ia] / b.arr[ia]
         phase /= abs(phase)
         dev = float(np.max(np.abs(a.arr - phase * b.arr)))
-        return CompareReport(dev, dev <= tol, phase)
+        return CompareReport(dev, dev <= TOL, phase)
     dev = float(np.max(np.abs(a.arr - b.arr))) if a.arr.size else 0.0
-    return CompareReport(dev, dev <= tol)
+    return CompareReport(dev, dev <= TOL)
 
 
 # ---------------------------------------------------------------------------
 # continuous spot checks
 
 
-def grid_materialize(t: QTensorData, spacing: float = 0.05, extent: float = 8.0,
-                     z_window: int = 40) -> Tuple[np.ndarray, np.ndarray]:
+#: the Z directions of ``grid_materialize`` are summed over |n| <= Z_WINDOW
+Z_WINDOW = 40
+
+
+def grid_materialize(t: QTensorData, spacing: float = 0.05,
+                     extent: float = 8.0) -> Tuple[np.ndarray, np.ndarray]:
     """Sample a tensor over R^n factors on a regular grid.
 
     Supports E = R^n x Z^l with the R part of eps invertible onto G = R^n
@@ -324,7 +329,7 @@ def grid_materialize(t: QTensorData, spacing: float = 0.05, extent: float = 8.0,
     if len(t.G) != 1 or len(rcols) != 1:
         raise NotNormalizable("grid sampling implemented for single-mode tensors")
     c = t.eps.img[0][rcols[0]]
-    if abs(float(c)) < 1e-12:
+    if R.eq(c, 0):
         raise NotNormalizable("embedding does not cover the output mode")
     # negative definiteness of the a-part across R and Z columns
     mat = []
@@ -335,7 +340,7 @@ def grid_materialize(t: QTensorData, spacing: float = 0.05, extent: float = 8.0,
             row.append(float(cell.value) if not cell.is_zero() else 0.0)
         mat.append(row)
     evs = np.linalg.eigvalsh(np.array(mat))
-    if evs.max() > -1e-12:
+    if evs.max() > -TOL:
         raise NotNormalizable("q_a is not negative definite on the domain")
     xs = np.arange(-extent, extent + spacing / 2, spacing)
     vals = np.zeros(len(xs), dtype=complex)
@@ -343,19 +348,12 @@ def grid_materialize(t: QTensorData, spacing: float = 0.05, extent: float = 8.0,
     for ix, x in enumerate(xs):
         er = (x - float(t.eps.eps0[0])) / float(c)
         total = 0j
-        if zcols:
-            for n in range(-z_window, z_window + 1):
-                e = [0.0] * len(t.E)
-                e[rcols[0]] = er
-                e[zcols[0]] = n
-                a, ph = t.q.eval(t.E.element(e))
-                total += math.exp(2 * math.pi * float(a)) * cmath.exp(
-                    2j * math.pi * float(ph)
-                )
-        else:
+        for n in range(-Z_WINDOW, Z_WINDOW + 1) if zcols else (0,):
             e = [0.0] * len(t.E)
             e[rcols[0]] = er
+            if zcols:
+                e[zcols[0]] = n
             a, ph = t.q.eval(t.E.element(e))
-            total = math.exp(2 * math.pi * float(a)) * cmath.exp(2j * math.pi * float(ph))
+            total += math.exp(2 * math.pi * float(a)) * cmath.exp(2j * math.pi * float(ph))
         vals[ix] = total
     return xs, vals

@@ -399,10 +399,15 @@ def _reduce_step(t: QTensorData, rho: LinearFnData) -> QTensorData:
             inner = LinearFnData.of_images(GroupProduct([Zk(g)]), A1, A1.identity(),
                                            [[image_group(Zk(g), A).normalize(A.k // g)]])
             rho, qres = rho.compose_hom(inner), qres.precompose(inner)
-    elif A.kind == "R":
-        if abs(complex(float(qres.mat["a"][0][0]), float(qres.mat["phi"][0][0]))) >= 1e-12:
-            return _reduce_real(t, rho, qres)
+    elif A.kind == "R" and not _form_vanishes(qres, A):
+        return _reduce_real(t, rho, qres)
     return _reduce_zero(t, rho, qres)
+
+
+def _form_vanishes(qres: QuadraticFnData, A) -> bool:
+    """Whether the bilinear form of qres = q o rho vanishes on A, both
+    parts read as zero by their cell groups."""
+    return all(value_is_zero(cell_group(A, A, tgt), qres.mat[part][0][0]) for part, tgt in PARTS)
 
 
 def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
@@ -426,9 +431,8 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     raises ``UnsupportedKernel``.
     """
     A = rho.domain[0]
-    for part, tgt in PARTS:
-        if not value_is_zero(cell_group(A, A, tgt), qres.mat[part][0][0]):
-            raise KernelViolation("q^(2) does not vanish on rho")
+    if not _form_vanishes(qres, A):
+        raise KernelViolation("q^(2) does not vanish on rho")
     if not value_is_zero(image_group(A, R), qres.vec["a"][0]):
         raise NotIntegrable("q_a does not vanish on the summed subgroup")
     if _beta(t, rho, "a").support()[0]:
@@ -571,12 +575,11 @@ def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     # over R the values are the multipliers: q(x) = w x + z x^2 / 2
     za, zphi = qres.mat["a"][0][0], qres.mat["phi"][0][0]
     wa, wphi = qres.vec["a"][0], qres.vec["phi"][0]
-    z = complex(float(za), float(zphi))
-    if abs(z) < 1e-12:
+    if _form_vanishes(qres, R):
         raise Degenerate("vanishing quadratic part; use the zero reduction")
-    if float(za) > 1e-9:
+    if za > 0 and not R.eq(za, 0):
         raise NotIntegrable(f"positive real part {za} in Gaussian exponent")
-    w = complex(float(wa), float(wphi))
+    z, w = complex(float(za), float(zphi)), complex(float(wa), float(wphi))
     # complex pairing row beta_j with beta(e)(r) = q2(rho r, e) on the factors kept
     betas = [complex(float(ca), float(cp)) for j, (ca, cp) in
              enumerate(zip(_beta(t, rho, "a").img[0], _beta(t, rho, "phi").img[0])) if j != p]
@@ -612,7 +615,7 @@ def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
 def _add_complex_linear(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
     """Add the linear term val e_j to the complex exponent q_a + i q_phi."""
     if Ej.kind in ("Zk", "T"):
-        assert abs(val) < 1e-12, "complex linear correction on a finite factor"
+        assert R.eq(abs(val), 0), "complex linear correction on a finite factor"
         return
     for (part, A), x in zip(PARTS, (val.real, val.imag)):
         # the value at the generator or the multiplier of the linear term is x
@@ -623,7 +626,7 @@ def _add_complex_linear(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
 def _add_complex_h2(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
     """Add val e_j^2 / 2 to the complex exponent q_a + i q_phi."""
     if Ej.kind in ("Zk", "T"):
-        assert abs(val) < 1e-12
+        assert R.eq(abs(val), 0)
         return
     for (part, A), x in zip(PARTS, (val.real, val.imag)):
         if is_generated(Ej, A):
@@ -637,7 +640,7 @@ def _add_complex_cell(q: QuadraticFnData, j: int, l: int, Ej, El, val: complex) 
     """Add val e_j e_l to the complex exponent q_a + i q_phi."""
     for (part, A), x in zip(PARTS, (val.real, val.imag)):
         if cell_group(Ej, El, A) is Z1:
-            assert abs(x) < 1e-12
+            assert R.eq(x, 0)
         else:
             q.add_to_cell(part, j, l, x)
 

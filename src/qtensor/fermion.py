@@ -25,6 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor, TooLargeError
 from .errors import InvalidInput, Unsupported
+from .scalar import PIVOT_TOL, TOL
 
 
 class NotAntisymmetric(InvalidInput):
@@ -39,18 +40,19 @@ class NontrivialEmbedding(Unsupported):
     """An operation that needs l = 0 and eps1 = I was given other data."""
 
 
-def pfaffian(M: np.ndarray, tol: float = 1e-12) -> complex:
+def pfaffian(M: np.ndarray) -> complex:
     """Pfaffian of a complex antisymmetric matrix.
 
     Parlett-Reid tridiagonalization with partial pivoting, O(n^3); odd
-    dimension gives 0.
+    dimension gives 0, and so does a pivot at most PIVOT_TOL times the
+    largest |entry| (at least 1).
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if n == 0:
         return 1.0 + 0j
     scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M + M.T)) > 1e-9 * scale:
+    if np.max(np.abs(M + M.T)) > TOL * scale:
         raise NotAntisymmetric("matrix is not antisymmetric")
     if n % 2 == 1:
         return 0j
@@ -60,7 +62,7 @@ def pfaffian(M: np.ndarray, tol: float = 1e-12) -> complex:
     for k in range(0, n - 1, 2):
         # pivot the largest entry of column k below the diagonal into row k+1
         piv = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
-        if abs(A[piv, k]) < tol * scale:
+        if abs(A[piv, k]) < PIVOT_TOL * scale:
             return 0j
         if piv != k + 1:
             A[[k + 1, piv], :] = A[[piv, k + 1], :]
@@ -105,7 +107,7 @@ class FermionTensorData:
         self.eps1 = np.asarray(self.eps1, dtype=complex).reshape(self.n, m)
         self.q2 = np.asarray(self.q2, dtype=complex).reshape(m, m)
         scale = max(1.0, float(np.max(np.abs(self.q2))) if m else 1.0)
-        if np.max(np.abs(self.q2 + self.q2.T), initial=0.0) > 1e-12 * scale:
+        if np.max(np.abs(self.q2 + self.q2.T), initial=0.0) > TOL * scale:
             raise NotAntisymmetric("q2 must be antisymmetric")
 
     @property
@@ -113,8 +115,10 @@ class FermionTensorData:
         return self.n - 2 * self.l
 
     def has_trivial_embedding(self) -> bool:
-        # np.allclose(eps1, I) written out, |eps1 - I| <= 1e-8 + 1e-5 |I| per
-        # entry (NaN and inf fail), without its per-call dispatch cost
+        # np.allclose(eps1, I) written out with numpy's default pair,
+        # |eps1 - I| <= 1e-8 + 1e-5 |I| per entry (NaN and inf fail), without
+        # its per-call dispatch cost: the closeness of a whole matrix to I
+        # that numpy-built embeddings are read by, not the zero of one value
         if self.l != 0 or self.eps1.shape != (self.n, self.n):
             return False
         eye = np.eye(self.n)
@@ -220,7 +224,7 @@ def fermion_contract(t: FermionTensorData, c: int) -> FermionTensorData:
     K[c:, :c] = -eI.T
     K[c:, c:] = t.q2[n + c:, n + c:]
     pf = pfaffian(K)
-    if abs(pf) < 1e-12:
+    if abs(pf) < PIVOT_TOL:
         raise SingularBlock("contraction block is singular")
     q2_new = a + bc @ np.linalg.inv(K) @ bc.T
     q2_new = (q2_new - q2_new.T) / 2  # clean numerical asymmetry

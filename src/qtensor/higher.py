@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dense import DenseTensor, InfiniteGroupError, TooLargeError
+from .dense import DENSE_LIMIT, DenseTensor, InfiniteGroupError, TooLargeError
 from .groups import ElementaryGroup, GroupProduct, T, Zk
 from .scalar import Scalar
 
@@ -108,10 +108,15 @@ def derivative_i(fn: Callable, G: GroupProduct, args: Sequence) -> Scalar:
     return acc
 
 
-def is_order_i(fn: Callable, G: GroupProduct, i: int, target=T,
-               guard: int = 10 ** 6) -> bool:
+#: the most (i+1)-tuples of G whose derivative ``is_order_i`` evaluates
+ORDER_GUARD = 10 ** 6
+#: the highest level ``hierarchy_level_diagonal`` looks for
+MAX_LEVEL = 6
+
+
+def is_order_i(fn: Callable, G: GroupProduct, i: int, target=T) -> bool:
     """Exhaustively check that the (i+1)-st derivative vanishes."""
-    if G.order ** (i + 1) > guard:
+    if G.order ** (i + 1) > ORDER_GUARD:
         raise TooLargeError(f"|G|^{i + 1} exceeds the enumeration guard")
     elems = list(G.enumerate())
     for combo in itertools.product(elems, repeat=i + 1):
@@ -121,20 +126,20 @@ def is_order_i(fn: Callable, G: GroupProduct, i: int, target=T,
     return True
 
 
-def hierarchy_level_diagonal(fn: Callable, G: GroupProduct, max_level: int = 6) -> int:
+def hierarchy_level_diagonal(fn: Callable, G: GroupProduct) -> int:
     """Smallest i such that the phase function is order i: the level of
     diag(e^{2 pi i fn}) in the Clifford hierarchy."""
-    for i in range(1, max_level + 1):
+    for i in range(1, MAX_LEVEL + 1):
         if is_order_i(fn, G, i):
             return i
-    raise ValueError(f"no order <= {max_level}")
+    raise ValueError(f"no order <= {MAX_LEVEL}")
 
 
 def order_tensor_materialize(t: OrderTensorData) -> DenseTensor:
     if not (t.G.finite and t.E.finite):
         raise InfiniteGroupError("materialization needs finite groups")
-    if t.E.order > 2 ** 16:
-        raise TooLargeError("embedding domain too large")
+    if max(t.G.order, t.E.order) > DENSE_LIMIT:
+        raise TooLargeError("dense materialization would exceed the size limit")
     dims = tuple(f.k for f in t.G)
     arr = np.zeros(dims, dtype=complex)
     for e, g in t.entry_sources():

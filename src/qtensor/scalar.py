@@ -5,6 +5,20 @@ values are plain `int`; T and R values are `Fraction` or `float`.
 Arithmetic between exact values stays exact, except that `int / int` is
 a float, so exact division goes through `Fraction`; any operation touching
 a float yields a float.  Circle values are kept reduced to [0, 1).
+
+Every float decision of the package reads one of two rules:
+
+- zero and equality: a value is 0, or two values are equal, as its group
+  says (``ElementaryGroup.eq``, ``coeff.value_is_zero``): exact values
+  compare exactly, and floats within ``TOL`` (on the circle, mod 1);
+- elimination pivots: a float pivot is usable when its magnitude exceeds
+  ``PIVOT_TOL`` times the largest magnitude read (``solve.gauss_jordan``,
+  ``fermion.pfaffian``).
+
+Exact data never reaches either tolerance.  Two bounds on whole float
+arrays keep values of their own, each commented where it stands:
+numpy's allclose pair in ``fermion`` and the fermion oracle's bound in
+``net``.
 """
 
 from __future__ import annotations
@@ -15,8 +29,10 @@ from typing import Union
 
 Scalar = Union[Fraction, int, float]
 
-#: default tolerance for comparisons involving floats
+#: absolute tolerance of a float zero or a float equality
 TOL = 1e-9
+#: relative threshold of a float elimination pivot
+PIVOT_TOL = 1e-12
 
 
 def as_scalar(x) -> Scalar:
@@ -52,19 +68,19 @@ def mod1(x: Scalar) -> Scalar:
     return r
 
 
-def scalar_eq(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
-    """Exact equality for rational pairs, |a-b| <= tol otherwise."""
+def scalar_eq(a: Scalar, b: Scalar) -> bool:
+    """Exact equality for rational pairs, |a-b| <= TOL otherwise."""
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(float(a) - float(b)) <= tol
+    return abs(float(a) - float(b)) <= TOL
 
 
-def scalar_eq_mod1(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
+def scalar_eq_mod1(a: Scalar, b: Scalar) -> bool:
     """Equality on the circle: distance measured mod 1."""
     if is_exact(a) and is_exact(b):
         return mod1(a - b) == 0
     d = mod1(float(a) - float(b))
-    return min(d, 1.0 - d) <= tol
+    return min(d, 1.0 - d) <= TOL
 
 
 def scalar_json(x: Scalar):

@@ -46,9 +46,7 @@ from .coeff import image_group
 from .errors import Unsupported
 from .functions import LinearFnData
 from .groups import GroupProduct, R, T, Z, Z1, Zk
-from .scalar import as_scalar, is_exact, mod1
-
-PIVOT_TOL = 1e-12
+from .scalar import PIVOT_TOL, as_scalar, is_exact, mod1
 
 
 class UnsupportedKernel(Unsupported):

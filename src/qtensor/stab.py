@@ -49,7 +49,7 @@ from .engine import (QTensorData, _dual_coefficient, _quotient, permute_legs, re
 from .errors import InvalidInput
 from .functions import LinearFnData, QuadraticFnData
 from .groups import GroupElement, GroupProduct, R, T, Z, Zk
-from .scalar import Scalar, is_exact, mod1, scalar_eq
+from .scalar import TOL, Scalar, is_exact, mod1, scalar_eq
 from .solve import UnsupportedKernel, kernel_of_hom, solve_hom
 
 
@@ -501,6 +501,17 @@ def _dotscalar(a, b):
     return acc
 
 
+def _real_rows(M: np.ndarray) -> List[List[Scalar]]:
+    """The entries of a float matrix as R values: an exact 0 where R reads
+    the entry as zero, the float otherwise."""
+    return [[0 if R.eq(x, 0) else float(x) for x in row] for row in M.tolist()]
+
+
+def _vanishes(M: np.ndarray) -> bool:
+    """Whether every entry of a float matrix is zero as R reads it."""
+    return float(np.max(np.abs(M), initial=0.0)) <= TOL
+
+
 def gaussian_clifford(L: np.ndarray, d: Optional[Sequence[float]] = None) -> CliffordData:
     """Clifford data of the Gaussian unitary with quadrature action L, d.
 
@@ -510,7 +521,7 @@ def gaussian_clifford(L: np.ndarray, d: Optional[Sequence[float]] = None) -> Cli
     n2 = L.shape[0]
     n = n2 // 2
     Jt = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    if np.max(np.abs(L.T @ Jt @ L - Jt)) > 1e-9:
+    if not _vanishes(L.T @ Jt @ L - Jt):
         raise NotSymplectic("L^T J L != J")
     d = np.zeros(n2) if d is None else np.asarray(d, dtype=float)
     pi_m = np.diag([1.0] * n + [2 * math.pi] * n)
@@ -518,20 +529,19 @@ def gaussian_clifford(L: np.ndarray, d: Optional[Sequence[float]] = None) -> Cli
     Lpi_inv = pi_inv @ np.linalg.inv(L) @ pi_m
     H = GroupProduct([R] * n)
     P = H * dual_product(H)
-    alpha = _of_entries(P, P, [[float(x) if abs(x) > 1e-14 else 0 for x in row]
-                               for row in Lpi_inv])
+    alpha = _of_entries(P, P, _real_rows(Lpi_inv))
     omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
     W = Lpi_inv.T @ omega_t @ Lpi_inv - omega_t
-    assert np.max(np.abs(W - W.T)) < 1e-9, "u^(2) matrix must be symmetric"
+    assert _vanishes(W - W.T), "u^(2) matrix must be symmetric"
     u = QuadraticFnData.zero(P)
     vec, mat = u.vec["phi"], u.mat["phi"]
     lin = d @ pi_inv @ Jt
     for i in range(n2):
         # an R factor holds the multipliers (h1, h2) of h1 x + h2 x^2 / 2
-        if abs(W[i, i]) > 1e-14 or abs(lin[i]) > 1e-14:
+        if not (R.eq(W[i, i], 0) and R.eq(lin[i], 0)):
             vec[i], mat[i][i] = lin[i], W[i, i]
         for j in range(i + 1, n2):
-            if abs(W[i, j]) > 1e-14:
+            if not R.eq(W[i, j], 0):
                 u.add_to_cell("phi", i, j, W[i, j])
     return CliffordData(H, alpha, u)
 
@@ -543,14 +553,13 @@ def _gkp_data(L: np.ndarray):
     n2 = L.shape[0]
     n = n2 // 2
     S = GroupProduct([Z] * n2)
-    sx = _of_entries(S, GroupProduct([R] * n), [[float(x) if abs(x) > 1e-14 else 0 for x in row]
-                                                for row in L[:n]])
+    sx = _of_entries(S, GroupProduct([R] * n), _real_rows(L[:n]))
     omega_t = np.block([[np.zeros((n, n)), np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
     M = L.T @ omega_t @ L / (2 * math.pi)
     p = QuadraticFnData.zero(S)
     vec, mat = p.vec["phi"], p.mat["phi"]
     for a in range(n2):
-        if abs(M[a, a]) > 1e-14:
+        if not R.eq(M[a, a], 0):
             vec[a] = mod1(M[a, a] / 2)
             mat[a][a] = mod1(2 * vec[a])
         for b in range(a + 1, n2):
@@ -571,10 +580,9 @@ def gkp_tableau(L: np.ndarray) -> StabTableau:
     n, sx, p = _gkp_data(L)
     Jt = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     gram = L.T @ Jt @ L / (2 * math.pi)
-    if np.max(np.abs(gram - np.round(gram))) > 1e-9:
+    if not _vanishes(gram - np.round(gram)):
         raise NotSymplectic("L^T J L is not an integer multiple of 2 pi")
-    sz = _of_entries(p.domain, sx.codomain, [[float(x) / (2 * math.pi) if abs(x) > 1e-14 else 0
-                                              for x in row] for row in L[n:]])
+    sz = _of_entries(p.domain, sx.codomain, _real_rows(L[n:] / (2 * math.pi)))
     tab = StabTableau(sx.codomain, p.domain, sx, sz, p)
     tab.validate()
     return tab

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gen import random_qtensor
+from gen import random_network
 
 from qtensor.coeff import QuadCoeff, quad_apply, quad_to_bilinear, quad_values
 from qtensor.dense import materialize, materialize_matrix
@@ -33,7 +33,7 @@ from qtensor.fermion import (
     fermion_matrix,
     fermion_entry,
 )
-from qtensor.groups import GroupProduct, T, Zk, parse_product
+from qtensor.groups import T, Zk, parse_product
 from qtensor.higher import (
     ccx_gate,
     ccz_gate,
@@ -126,32 +126,10 @@ def test_criterion_3_oracle_equivalence_500_networks():
     worst = 0.0
     exact_all = True
     while done < 500:
-        nt = rng.randrange(2, 7)
-        tensors = []
-        for _ in range(nt):
-            nidx = rng.randrange(1, 3)
-            G = GroupProduct([Zk(rng.choice([2, 3, 4, 6])) for _ in range(nidx)])
-            tensors.append(random_qtensor(G, rng, max_e=2))
-        big = tensors[0]
-        for t in tensors[1:]:
-            big = tensor_product(big, t)
-        if big.G.order > 4096 or big.E.order > 3000:
+        drawn = random_network(rng)
+        if drawn is None:
             continue
-        idxs = list(range(len(big.G)))
-        rng.shuffle(idxs)
-        pairs = []
-        used = set()
-        for a in idxs:
-            if a in used:
-                continue
-            for b in idxs:
-                if b in used or b == a:
-                    continue
-                if big.G[a] == big.G[b] and rng.random() < 0.7:
-                    pairs.append((a, b))
-                    used.add(a)
-                    used.add(b)
-                    break
+        big, pairs = drawn
         ref = materialize(big).arr
         cur = big
         axes_live = list(range(len(big.G)))

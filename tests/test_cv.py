@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qtensor import engine
 from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff
 from qtensor.dense import grid_materialize
 from qtensor.engine import (
@@ -20,7 +21,7 @@ from qtensor.engine import (
 )
 from qtensor.functions import LinearFnData, QuadraticFnData, hom_data
 from qtensor.groups import GroupProduct, R, T, Z, parse_product
-from qtensor.solve import real_solve
+from qtensor.solve import kernel_of_hom, real_solve
 from qtensor.stab import (
     ConditionViolation,
     NotSymplectic,
@@ -36,8 +37,10 @@ from qtensor.stab import (
 )
 
 
-def cv_tensor(q00, q01, q11, open_first=True) -> QTensorData:
-    """Two-mode pure-quadratic data over E = R^2 with one open index."""
+def cv_tensor(q00, q01, q11, open_first=True, w=0) -> QTensorData:
+    """Two-mode quadratic data over E = R^2 with one open index, reading
+    x0: q = q00 x0^2 / 2 + q01 x0 x1 + q11 x1^2 / 2 + w x1 (complex, as
+    q_a + i q_phi)."""
     G = parse_product("R")
     E = parse_product("R,R")
     eps = hom_data(E, G, [[HomCoeff(R, R, Fraction(1)), HomCoeff(R, R, 0)]])
@@ -45,8 +48,8 @@ def cv_tensor(q00, q01, q11, open_first=True) -> QTensorData:
     q = QuadraticFnData.zero(E)
     q.a1[0] = QuadCoeff(R, R, q00.real, 0)
     q.phi1[0] = QuadCoeff(R, T, q00.imag, 0)
-    q.a1[1] = QuadCoeff(R, R, q11.real, 0)
-    q.phi1[1] = QuadCoeff(R, T, q11.imag, 0)
+    q.a1[1] = QuadCoeff(R, R, q11.real, w.real)
+    q.phi1[1] = QuadCoeff(R, T, q11.imag, w.imag)
     if q01:
         q.set_cell("a", 0, 1, Hom2Coeff(R, R, R, q01.real))
         q.set_cell("phi", 0, 1, Hom2Coeff(R, R, T, q01.imag))
@@ -82,6 +85,61 @@ def test_gaussian_reduction_vs_quadrature():
             want = quadrature(f)
             got = _entry_at(red, h)
             assert abs(got - want) < 1e-6 * max(1.0, abs(want)), (q00, q01, q11, h)
+
+
+def test_real_reduction_corrects_the_linear_term():
+    # a linear term w x1 on the integrated direction beside the cross term
+    # q01 x0 x1: the integral over x1 adds -w q01 / q11 to x0's linear term
+    rng = random.Random(79)
+    for _ in range(8):
+        q00 = complex(-rng.uniform(0.2, 1.5), rng.uniform(-1, 1))
+        q11 = complex(-rng.uniform(0.2, 1.5), rng.uniform(-1, 1))
+        q01 = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+        w = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        t = cv_tensor(q00, q01, q11, w=w)
+        red = reduce_full(t)
+        assert len(red.E) == 1
+        got_lin = complex(float(red.q.a1[0].h1), float(red.q.phi1[0].h1))
+        assert abs(got_lin + w * q01 / q11) < 1e-9
+        for h in (0.0, 0.7, -1.3):
+            def f(c, h=h):
+                return np.exp(2 * math.pi * (0.5 * q00 * h * h + 0.5 * q11 * c * c
+                                             + q01 * h * c + w * c))
+
+            # f is the unreduced tensor's entry along x1
+            for c in (-0.9, 0.4):
+                assert abs(f(c) - eval_tensor_entry(t, [h, c])) < 1e-9
+            want = quadrature(f)
+            got = _entry_at(red, h)
+            assert abs(got - want) < 1e-6 * max(1.0, abs(want)), (q00, q01, q11, w, h)
+
+
+@pytest.mark.parametrize("part", ["a", "phi"])
+def test_real_direction_with_a_form_within_tol_takes_the_zero_reduction(monkeypatch, part):
+    # over E = R^2 with eps = x0 - x1, the kernel direction rho = (1, 1)
+    # meets q = -(x0 - x1)^2 / 2 + 5e-11 x0 x1 (in one part) in the form
+    # q(rho) = 5e-11, which is zero as R reads it: the step takes the zero
+    # reduction, a delta of infinite measure, not a Gaussian integral with
+    # prefactor 1 / sqrt(-z), and ``reduce_real`` calls it degenerate
+    calls = {"zero": 0, "real": 0}
+    for name, key in (("_reduce_zero", "zero"), ("_reduce_real", "real")):
+        def counted(*args, _fn=getattr(engine, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, counted)
+    G, E = parse_product("R"), parse_product("R,R")
+    eps = LinearFnData.of_images(E, G, G.identity(), [[Fraction(1), Fraction(-1)]])
+    q = QuadraticFnData.zero(E)
+    q.mat[part][0][0] = q.mat[part][1][1] = -0.5
+    q.add_to_cell(part, 0, 1, 0.5 + 2.5e-11)
+    t = QTensorData(G, E, eps, q, 0, None)
+    rho = kernel_of_hom(eps).inclusion
+    assert 1e-11 < abs(t.q.precompose(rho).mat[part][0][0]) < 1e-10
+    red = reduce_full(t)
+    assert calls == {"zero": 1, "real": 0}, calls
+    assert len(red.E) == 1 and red.div_weight == 1
+    with pytest.raises(engine.Degenerate):
+        engine.reduce_real(t, rho)
 
 
 def _entry_at(t: QTensorData, h: float) -> complex:

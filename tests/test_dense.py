@@ -10,17 +10,21 @@ import pytest
 from gen import random_qtensor
 
 from qtensor.dense import (
+    DENSE_LIMIT,
     CompareReport,
     DenseTensor,
     ShapeMismatch,
+    TooLargeError,
     dense_compare,
     dense_contract,
     materialize,
     self_contract_dense,
     tensor_product_dense,
 )
-from qtensor.engine import reduce_full, self_contract, tensor_product
-from qtensor.groups import parse_product
+from qtensor.engine import QTensorData, reduce_full, self_contract, tensor_product
+from qtensor.functions import LinearFnData, QuadraticFnData
+from qtensor.groups import GroupProduct, Zk, parse_product
+from qtensor.higher import OrderTensorData, order_tensor_materialize
 
 
 def test_compare_modes():
@@ -87,3 +91,16 @@ def test_materialize_respects_ops_random():
         want = np.trace(materialize(t).arr)
         got = materialize(reduce_full(tc)).arr
         assert abs(got - want) < 1e-9
+
+
+def test_dense_materialization_refuses_past_the_size_limit():
+    # an embedding domain or an index set past DENSE_LIMIT raises before a
+    # single element is enumerated or an array allocated
+    big, one = GroupProduct([Zk(2)] * 23), GroupProduct([Zk(2)])
+    assert big.order > DENSE_LIMIT
+    for G, E in ((one, big), (big, GroupProduct())):
+        t = QTensorData(G, E, LinearFnData.zero(E, G), QuadraticFnData.zero(E))
+        with pytest.raises(TooLargeError, match="size limit"):
+            materialize(t)
+    with pytest.raises(TooLargeError, match="size limit"):
+        order_tensor_materialize(OrderTensorData(one, big, []))

@@ -17,11 +17,17 @@ Every exception class of the package derives from ``errors.InvalidInput``
 (exit 2) or ``errors.Unsupported`` (exit 3), or states an internal
 invariant and is listed in ``INTERNAL``; ``cli`` names no exception class
 but the two bases.
+
+Every float decision reads ``scalar.TOL`` (through the groups' ``eq``) or
+``scalar.PIVOT_TOL``: no other module writes a tolerance of its own, and
+exact data never reaches a float comparison.
 """
 
 import ast
 import builtins
+import collections
 import os
+import random
 
 import pytest
 
@@ -199,3 +205,82 @@ def test_solve_imports_no_numpy():
                for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert not [m for m in modules if m.split(".")[0] == "numpy"], modules
+
+
+# float literals below 1e-3 allowed in src/qtensor, by (module, the
+# function they sit in or the module-level name they are assigned to)
+TOLERANCE_SITES = {
+    ("scalar", "TOL"), ("scalar", "PIVOT_TOL"),
+    # np.allclose's default pair, the test that eps1 is the identity
+    ("fermion", "has_trivial_embedding"),
+    # the graded fermion oracle's bound
+    ("net", "verify_against_dense"),
+}
+
+
+def _small_float_sites(module: str):
+    """(name, line) of each float literal 0 < |x| < 1e-3 in ``module``, with
+    the name of the function it sits in, or of the module-level assignment."""
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (where is None and isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            where = node.targets[0].id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
+            yield where, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    yield from visit(tree, None)
+
+
+def test_no_tolerance_literal_outside_scalar():
+    """A float is zero, or two floats equal, as its group says (scalar.TOL),
+    and a float pivot is usable above PIVOT_TOL times the largest magnitude
+    read: no module writes a threshold of its own, except the two commented
+    sites of ``TOLERANCE_SITES``."""
+    modules = sorted(fn[:-3] for fn in os.listdir(SRC) if fn.endswith(".py"))
+    bad = [(m, where, line) for m in modules for where, line in _small_float_sites(m)
+           if (m, where) not in TOLERANCE_SITES]
+    assert not bad, bad
+
+
+def test_exact_inputs_never_compare_floats(monkeypatch):
+    """The stabilizer pins and a sample of acceptance criterion 3's networks
+    are exact: no group comparison on them reads a float, so neither
+    tolerance decides anything there."""
+    from gen import random_network
+    from test_stabilizer import stab_outputs
+
+    from qtensor import groups
+    from qtensor.dense import materialize
+    from qtensor.engine import reduce_full, self_contract
+
+    floats = collections.Counter()
+    for name in ("scalar_eq", "scalar_eq_mod1"):
+        def counted(a, b, _fn=getattr(groups, name), _name=name):
+            if isinstance(a, float) or isinstance(b, float):
+                floats[_name] += 1
+            return _fn(a, b)
+        monkeypatch.setattr(groups, name, counted)
+    stab_outputs()
+    rng, done = random.Random(424242), 0
+    while done < 40:
+        drawn = random_network(rng)
+        if drawn is None:
+            continue
+        cur, pairs = drawn
+        live = list(range(len(cur.G)))
+        for a, b in pairs:
+            ia, ib = sorted((live.index(a), live.index(b)))
+            live = [x for x in live if x not in (a, b)]
+            cur = reduce_full(self_contract(cur, ia, ib))
+        materialize(cur)
+        done += 1
+    assert not floats, floats
+    # the counter sees a float comparison when there is one
+    assert groups.R.eq(1e-12, 0) and floats["scalar_eq"] == 1

@@ -104,19 +104,22 @@ def test_snf_inverse_random():
 
 
 def test_kernel_factors_each_matrix_once(monkeypatch):
-    # Z4 x Z2 x Z6 x Z2 -> Z2 x Z4 has four column relations; the lifted
-    # system, the generator lattice and the relation matrix are each
-    # factored once, and the relation matrix's U^-1 comes with its Smith form
+    # Z4 x Z2 x Z6 x Z2 -> Z2 x Z4 with images [[1, 1, 1, 0], [2, 2, 2, 2]]:
+    # the Z2 row pivots, and the Z4 row it leaves holds only 2s, a residual
+    # with no unit; the lifted system, the generator lattice and the
+    # relation matrix are each factored once, and the relation matrix's
+    # U^-1 comes with its Smith form
     E, G = parse_product("Z4,Z2,Z6,Z2"), parse_product("Z2,Z4")
-    vals = [[1, 1, 1, 0], [1, 0, 2, 1]]
+    vals = [[1, 1, 1, 0], [2, 1, 1, 1]]
     eps = hom_data(E, G, [[HomCoeff(E[j], G[i], vals[i][j]) for j in range(len(E))]
                           for i in range(len(G))])
+    assert [list(row) for row in eps.img] == [[1, 1, 1, 0], [2, 2, 2, 2]]
     calls = []
     snf = solve.smith_normal_form
     monkeypatch.setattr(solve, "smith_normal_form",
                         lambda A, **kw: calls.append(A) or snf(A, **kw))
     pres = kernel_of_hom(eps)
-    assert len(calls) <= 3, len(calls)
+    assert 1 <= len(calls) <= 3, len(calls)
     true_kernel = {e for e in E.enumerate() if G.is_identity(eps(e))}
     assert {pres.inclusion(r) for r in pres.group.enumerate()} == true_kernel
 
