@@ -121,11 +121,7 @@ def cmd_fermion(args) -> int:
     t = jsonio.loads(_read_utf8(args.data), FermionTensorData, "fermionic tensor data")
     if set(args.bitstring) - {"0", "1"}:
         raise InvalidInput(f"bitstring {args.bitstring!r} is not made of the digits 0 and 1")
-    bits = [int(c) for c in args.bitstring]
-    if len(bits) != t.n:
-        print(f"bitstring length {len(bits)} != {t.n} modes", file=sys.stderr)
-        return 2
-    v = fermion_entry(t, bits)
+    v = fermion_entry(t, [int(c) for c in args.bitstring])
     print(f"({v.real:+.6f}{v.imag:+.6f}i)")
     return 0
 

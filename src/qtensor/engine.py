@@ -138,12 +138,12 @@ def self_contract(t: QTensorData, i: int, j: int) -> QTensorData:
     The solutions of eps_i(e) = eps_j(e) form a coset shift + kernel(delta)
     of the one-row delta = eps1_i - eps1_j, and t is restricted to it
     (``_restrict_to_coset``).  Both come from ``solve_with_kernel``: on a
-    Z_k or Z wire whose delta row has a unit entry on a column of the
-    wire's order, the substitution x_p = sigma + sum_l a_l x_l on the
-    first such column (``solve._pivot``), which leaves E and rewrites only
-    the eps rows and q values it touches, whatever the kinds of the other
-    factors and the types of their values; otherwise the general
-    elimination and composition.
+    wire of any kind whose delta row has a pivot (``solve._substitute``: a
+    unit entry of the wire's order on Z_k and Z, +-1 on a T column on T,
+    an R column on R), the substitution x_p = sigma + sum_l a_l x_l, which
+    leaves E and rewrites only the eps rows and q values it touches,
+    whatever the kinds of the other factors and the types of their values;
+    otherwise the general elimination and composition.
     """
     assert i != j
     if t.G[i] != t.G[j]:
@@ -176,8 +176,9 @@ def _restrict_to_coset(t: QTensorData, shift: Tuple, pres: KernelPresentation) -
 
     A ``Substitution`` x_p = sigma + sum_l a_l x_l is applied to eps and q
     directly (``substitute``), rewriting only the values it touches, on
-    every factor kind and value type; any other presentation takes the
-    general composition."""
+    every factor kind and value type and for a pivot of every kind; the
+    presentation of a system without a pivot takes the general
+    composition."""
     if isinstance(pres, Substitution):
         return QTensorData(t.G, pres.group, t.eps.substitute(pres), t.q.substitute(pres),
                            t.div_weight, t.mag2)

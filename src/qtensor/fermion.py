@@ -10,15 +10,20 @@ contraction (the identity-law case) and asserted in the tests.
 
 The tensor product, mode permutation and contraction work on tensors with
 trivial embedding (l = 0, eps1 the identity) only; any other input raises
-`NontrivialEmbedding`.  A network is contracted by absorbing its nodes one
-at a time (`net._contract_fermi`), so each Schur complement inverts a
-block over the modes joined by that step only.
+`NontrivialEmbedding`.  Triviality is decided once per tensor, when it is
+made: a caller-given eps1 is compared with the identity there, and the
+results of `fermion_tensor_product`, `permute_modes` and `fermion_contract`
+(and `fermion_identity`, `beam_splitter`) are trivial by construction, so
+they build no identity matrix and are not compared again; their eps1 is
+made on first read.  q2's antisymmetry is checked on every construction.
+A network is contracted by absorbing its nodes one at a time
+(`net._contract_fermi`), so each Schur complement inverts a block over the
+modes joined by that step only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -51,8 +56,9 @@ def pfaffian(M: np.ndarray) -> complex:
     n = M.shape[0]
     if n == 0:
         return 1.0 + 0j
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M + M.T)) > TOL * scale:
+    # ndarray methods: np.max's dispatch costs more than the reduction of a small block
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M + M.T).max() > TOL * scale:
         raise NotAntisymmetric("matrix is not antisymmetric")
     if n % 2 == 1:
         return 0j
@@ -61,7 +67,7 @@ def pfaffian(M: np.ndarray) -> complex:
     value = 1.0 + 0j
     for k in range(0, n - 1, 2):
         # pivot the largest entry of column k below the diagonal into row k+1
-        piv = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
+        piv = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
         if abs(A[piv, k]) < PIVOT_TOL * scale:
             return 0j
         if piv != k + 1:
@@ -93,36 +99,67 @@ def pfaffian_cofactor(M: np.ndarray) -> complex:
     return total
 
 
-@dataclass
 class FermionTensorData:
-    n: int
-    l: int
-    eps1: np.ndarray  # n x (n - 2l) complex
-    q2: np.ndarray  # (n - 2l) x (n - 2l) complex antisymmetric
-    q0: complex = 1.0 + 0j
+    """A fermionic tensor on n modes with l pairs: an n x (n - 2l) complex
+    embedding ``eps1``, an antisymmetric (n - 2l) x (n - 2l) complex ``q2``
+    and a scalar ``q0``.
 
-    def __post_init__(self):
-        m = self.n - 2 * self.l
-        assert m >= 0, "pair count too large"
-        self.eps1 = np.asarray(self.eps1, dtype=complex).reshape(self.n, m)
-        self.q2 = np.asarray(self.q2, dtype=complex).reshape(m, m)
-        scale = max(1.0, float(np.max(np.abs(self.q2))) if m else 1.0)
-        if np.max(np.abs(self.q2 + self.q2.T), initial=0.0) > TOL * scale:
-            raise NotAntisymmetric("q2 must be antisymmetric")
+    Whether eps1 is the trivial embedding (l = 0, eps1 = I) is decided here,
+    once (``has_trivial_embedding``); ``eps1`` is read-only, so the
+    decision holds for the tensor's life.
+    """
+
+    def __init__(self, n: int, l: int, eps1, q2, q0: complex = 1.0 + 0j):
+        if not 0 <= 2 * l <= n:
+            raise InvalidInput(f"pair count {l} does not fit {n} modes (0 <= 2 l <= n)")
+        m = n - 2 * l
+        self.n, self.l, self.q0 = n, l, q0
+        self._eps1 = np.asarray(eps1, dtype=complex).reshape(n, m)
+        self.q2 = _antisymmetric(q2, m)
+        self._trivial = l == 0 and _is_identity(self._eps1)
+
+    @classmethod
+    def _trivially_embedded(cls, n: int, q2, q0: complex) -> "FermionTensorData":
+        """The tensor with l = 0 and eps1 = I by construction."""
+        out = cls.__new__(cls)
+        out.n, out.l, out.q0 = n, 0, q0
+        out._eps1, out.q2, out._trivial = None, _antisymmetric(q2, n), True
+        return out
+
+    @property
+    def eps1(self) -> np.ndarray:
+        if self._eps1 is None:
+            self._eps1 = np.eye(self.n, dtype=complex)
+        return self._eps1
 
     @property
     def m(self) -> int:
         return self.n - 2 * self.l
 
     def has_trivial_embedding(self) -> bool:
-        # np.allclose(eps1, I) written out with numpy's default pair,
-        # |eps1 - I| <= 1e-8 + 1e-5 |I| per entry (NaN and inf fail), without
-        # its per-call dispatch cost: the closeness of a whole matrix to I
-        # that numpy-built embeddings are read by, not the zero of one value
-        if self.l != 0 or self.eps1.shape != (self.n, self.n):
-            return False
-        eye = np.eye(self.n)
-        return bool((np.abs(self.eps1 - eye) <= 1e-8 + 1e-5 * eye).all())
+        return self._trivial
+
+    def __repr__(self) -> str:
+        return (f"FermionTensorData(n={self.n!r}, l={self.l!r}, eps1={self.eps1!r}, "
+                f"q2={self.q2!r}, q0={self.q0!r})")
+
+
+def _antisymmetric(q2, m: int) -> np.ndarray:
+    """q2 as an m x m complex array, or NotAntisymmetric."""
+    q2 = np.asarray(q2, dtype=complex).reshape(m, m)
+    if m and np.abs(q2 + q2.T).max() > TOL * max(1.0, float(np.abs(q2).max())):
+        raise NotAntisymmetric("q2 must be antisymmetric")
+    return q2
+
+
+def _is_identity(eps1: np.ndarray) -> bool:
+    """Whether the square eps1 is the identity, as np.allclose reads it."""
+    # np.allclose(eps1, I) written out with numpy's default pair,
+    # |eps1 - I| <= 1e-8 + 1e-5 |I| per entry (NaN and inf fail), without
+    # its per-call dispatch cost: the closeness of a whole matrix to I
+    # that numpy-built embeddings are read by, not the zero of one value
+    eye = np.eye(len(eps1))
+    return bool((np.abs(eps1 - eye) <= 1e-8 + 1e-5 * eye).all())
 
 
 def _require_trivial(*ts: FermionTensorData) -> None:
@@ -141,7 +178,8 @@ def fermion_entry(t: FermionTensorData, x: Sequence[int]) -> complex:
     unit weights.
     """
     x = list(x)
-    assert len(x) == t.n
+    if len(x) != t.n:
+        raise InvalidInput(f"bitstring length {len(x)} != {t.n} modes")
     weight = sum(x)
     if (weight - 2 * t.l) % 2 != 0 or weight < 2 * t.l:
         return 0j
@@ -163,7 +201,7 @@ def fermion_identity(n: int) -> FermionTensorData:
     q2 = np.zeros((2 * n, 2 * n), dtype=complex)
     q2[:n, n:] = np.eye(n)
     q2[n:, :n] = -np.eye(n)
-    return FermionTensorData(2 * n, 0, np.eye(2 * n), q2, 1.0)
+    return FermionTensorData._trivially_embedded(2 * n, q2, 1.0)
 
 
 def beam_splitter(theta: float) -> FermionTensorData:
@@ -181,7 +219,7 @@ def beam_splitter(theta: float) -> FermionTensorData:
         ],
         dtype=complex,
     )
-    return FermionTensorData(4, 0, np.eye(4), q2, 1.0)
+    return FermionTensorData._trivially_embedded(4, q2, 1.0)
 
 
 def fermion_tensor_product(a: FermionTensorData, b: FermionTensorData) -> FermionTensorData:
@@ -190,7 +228,7 @@ def fermion_tensor_product(a: FermionTensorData, b: FermionTensorData) -> Fermio
     q2 = np.zeros((n, n), dtype=complex)
     q2[: a.n, : a.n] = a.q2
     q2[a.n:, a.n:] = b.q2
-    return FermionTensorData(n, 0, np.eye(n), q2, a.q0 * b.q0)
+    return FermionTensorData._trivially_embedded(n, q2, a.q0 * b.q0)
 
 
 def permute_modes(t: FermionTensorData, perm: Sequence[int]) -> FermionTensorData:
@@ -199,8 +237,8 @@ def permute_modes(t: FermionTensorData, perm: Sequence[int]) -> FermionTensorDat
     matches the fermionic reordering signs)."""
     _require_trivial(t)
     P = np.asarray(perm, dtype=np.intp)
-    q2 = t.q2[np.ix_(P, P)]
-    return FermionTensorData(t.n, 0, np.eye(t.n), q2, t.q0)
+    q2 = t.q2[P[:, None], P]
+    return FermionTensorData._trivially_embedded(t.n, q2, t.q0)
 
 
 def fermion_contract(t: FermionTensorData, c: int) -> FermionTensorData:
@@ -212,9 +250,10 @@ def fermion_contract(t: FermionTensorData, c: int) -> FermionTensorData:
     embedding, which is out of scope).  The Pfaffian and the inverse are
     of the 2c x 2c block only; the update of the n other modes is O(n^2 c).
     """
+    if not 0 <= 2 * c <= t.n:
+        raise InvalidInput(f"cannot contract {c} mode pairs of {t.n} modes")
     _require_trivial(t)
     n = t.n - 2 * c
-    assert n >= 0
     a = t.q2[:n, :n]
     bc = t.q2[:n, n:]
     eI = t.q2[n:n + c, n + c:] + np.eye(c)
@@ -231,7 +270,7 @@ def fermion_contract(t: FermionTensorData, c: int) -> FermionTensorData:
     # scalar fixed against dense graded contraction (identity case) and
     # asserted on random instances in the tests
     q0_new = t.q0 * pf * (-1) ** (c * (c - 1) // 2)
-    return FermionTensorData(n, 0, np.eye(n), q2_new, q0_new)
+    return FermionTensorData._trivially_embedded(n, q2_new, q0_new)
 
 
 def fermion_dense(t: FermionTensorData, outgoing: Optional[List[bool]] = None) -> DenseTensor:

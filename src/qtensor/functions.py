@@ -16,7 +16,7 @@ multipliers, so that q(x) = v x + b x^2 / 2 on it.  Floats are carried over
 as they are.  Precomposition with gamma is then b' = gamma^T b gamma, plus
 the diagonal values of the generated factors, summed over the nonzero rows
 of gamma.  Two steps of a contraction rewrite only the values they touch: a
-unit-pivot substitution x_p = sigma + sum_l a_l x_l (``substitute``), and
+one-row substitution x_p = sigma + sum_l a_l x_l (``substitute``), and
 the rank-one update q - r o phi for phi: E -> Z_k (``minus_pullback``).
 All three sum values one way (``_Scaled``): exact values as integer
 numerators over one common denominator, floats scaled by it, and each sum
@@ -541,7 +541,12 @@ class QuadraticFnData:
 
         Only the phase values over phi's support change:
         v_j -= phi_j v + C(phi_j, 2) b and B_jl -= phi_j phi_l b, summed as
-        ``_Scaled`` numerators.
+        ``_Scaled`` numerators.  A float term is first a value of its own,
+        normalized in its group and, off the diagonal, snapped as
+        ``_pullback`` writes it (``_Scaled.cell``), so that a term that is
+        0 in its group leaves the value it is taken from as it was, exact
+        or not, as in q - r o phi; an exact term gives the same value
+        either way.
         """
         supp = [(j, f) for j, f in enumerate(phi) if f]
         vgrps, cgrps = _part_groups(self.domain.factors, T)
@@ -554,12 +559,18 @@ class QuadraticFnData:
         out = self.copy()
         out.a0, out.phi0 = as_scalar(self.a0), mod1(self.phi0)
         ovec, omat = out.vec["phi"], out.mat["phi"]
+        num = S.num
         for j, f in supp:
             c = f * (f - 1) // 2
-            ovec[j] = S.value(vgrps[j], S.num(vals[j]) - f * V - (c * B if c else 0))
+            grp, n = vgrps[j], f * V + (c * B if c else 0)
+            if isinstance(n, float):
+                n = num(S.value(grp, n))
+            ovec[j] = S.value(grp, num(vals[j]) - n)
             for l, g in supp:
-                n = S.num(cells[j, l]) - f * g * B
-                omat[j][l] = S.value(cgrps[j][l], n) if j == l else S.cell(cgrps[j][l], n)
+                grp, write, n = cgrps[j][l], S.value if j == l else S.cell, f * g * B
+                if isinstance(n, float):
+                    n = num(write(grp, n))
+                omat[j][l] = write(grp, num(cells[j, l]) - n)
         return out
 
     def restrict_cols(self, cols: List[int]) -> "QuadraticFnData":
@@ -678,6 +689,9 @@ class _Scaled:
         return _snap(grp, self.value(grp, n))
 
 
+_HALF = Fraction(1, 2)
+
+
 def _substitute_part(D: GroupProduct, A, vec, mat, out_vec, out_mat, sub, near: List[int]) -> None:
     """Write into ``out_vec`` and ``out_mat``, one part of q into A
     restricted to the kept columns, the values that the substitution
@@ -685,14 +699,17 @@ def _substitute_part(D: GroupProduct, A, vec, mat, out_vec, out_mat, sub, near: 
     lists the factors with a cell against p.
 
     With B the cells of the input, a moved factor l gets v_l + a_l v_p,
-    plus C(a_l, 2) b_pp + a_l B_pl when it is generated, and
+    plus c_p(a_l) b_pp + a_l B_pl when it is generated, and
     b_ll + a_l^2 b_pp + 2 a_l B_pl; a cell of two moved factors gains
     a_l a_m b_pp + a_m B_pl + a_l B_pm, and one of a moved factor and
-    another factor m of ``near``, of any kind, gains a_l B_pm.  These are
-    the sums of ``_pullback`` along the kernel inclusion, as ``_Scaled``
-    numerators, each normalized in its entry's group.
+    another factor m of ``near``, of any kind, gains a_l B_pm.  As in
+    ``_pullback``, c_p(a) = C(a, 2) when the pivot is generated and
+    a^2 / 2 otherwise (a T or R pivot, whose a_l need not be integers).
+    These are the sums of ``_pullback`` along the kernel inclusion, as
+    ``_Scaled`` numerators, each normalized in its entry's group.
     """
     p, pos, moved = sub.p, sub.pos, sub.moved
+    p_gen = is_generated(D[p], A)
     vgrps, cgrps = _part_groups(D.factors, A)
     rows = [p] + [l for _, l, _ in moved]
     others = [(pos[m], m) for m in near if m not in rows]
@@ -706,7 +723,7 @@ def _substitute_part(D: GroupProduct, A, vec, mat, out_vec, out_mat, sub, near: 
         bpl, grow = num(cells[p, l]), cgrps[l]
         n = num(vals[l]) + a * vp
         if is_generated(D[l], A):
-            c = a * (a - 1) // 2
+            c = a * (a - 1) // 2 if p_gen else a * a * _HALF
             n += (c * bpp if c else 0) + a * bpl
         out_vec[j] = S.value(vgrps[l], n)
         out_mat[j][j] = S.value(grow[l], num(cells[l, l]) + a * a * bpp + 2 * a * bpl)
@@ -716,9 +733,6 @@ def _substitute_part(D: GroupProduct, A, vec, mat, out_vec, out_mat, sub, near: 
         for j2, m in others:
             out_mat[j][j2] = out_mat[j2][j] = S.cell(grow[m],
                                                      num(cells[l, m]) + a * num(cells[p, m]))
-
-
-_HALF = Fraction(1, 2)
 
 
 def _pullback(D: GroupProduct, H: GroupProduct, A, vec, mat, img, support, live,

@@ -29,9 +29,13 @@ are both read off that elimination:
   PIVOT_TOL times the largest entry otherwise; or one real column into
   one T row, whose kernel is a lattice.
 
-The commonest system of a contraction skips all of that: a one-row unit
-pivot is one substitution x_p = sigma + sum_l a_l x_l (``Substitution``),
-which the engine applies to eps and q directly.
+The commonest system of a contraction skips all of that: a one-row
+system with a pivot is one substitution x_p = sigma + sum_l a_l x_l
+(``Substitution``), which the engine applies to eps and q directly.  That
+holds on a row of every kind: a unit entry on a discrete column of the
+row's order into Z_k or Z, +-1 on a T column into T, and into R the first
+R column whose entry exceeds PIVOT_TOL times the row's largest, the column
+``gauss_jordan`` would pivot on (``_substitute``).
 """
 
 from __future__ import annotations
@@ -703,12 +707,14 @@ def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple,
     """``solve_hom(eps, target)`` and ``kernel_of_hom(eps)``, or None when
     there is no solution.
 
-    A one-row system into Z_k or Z with a unit entry on a discrete column
-    of the row's order is solved by substitution (``_substitute``): the
-    presentation is then a ``Substitution``, whose ``group`` and
-    ``inclusion`` are those of ``kernel_of_hom``.  Every other system
-    takes the general path: one ``_System``, whose solution and kernel
-    share each block's factorization."""
+    A one-row system with a pivot is solved by substitution
+    (``_substitute``), on a row of any kind: a unit entry on a discrete
+    column of the row's order into Z_k or Z, an entry +-1 on a T column
+    into T, an R column into R.  The presentation is then a
+    ``Substitution``, whose ``group`` and ``inclusion`` are those of
+    ``kernel_of_hom`` wherever ``_System`` takes the row.  Every other
+    system takes the general path: one ``_System``, whose solution and
+    kernel share each block's factorization."""
     found = _substitute(eps, target)
     if found is not None:
         return found
@@ -720,20 +726,25 @@ def solve_with_kernel(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple,
 
 
 class Substitution:
-    """The solutions of a one-row system r x = c into Z_k or Z with a unit
-    pivot r_p: x_p = sigma + sum_l a_l x_l, every other column free.
+    """The solutions of a one-row system r x = c with a pivot r_p:
+    x_p = sigma + sum_l a_l x_l, every other column free.
 
     ``keep`` lists the free columns in the order of ``kernel_of_hom``
-    (discrete, then T, then R, with Z1 columns left out), ``group`` is their
-    product K, ``pos`` maps a kept column to its place in K, and ``moved``
-    holds (place in K, column l, integer a_l) for every a_l != 0.  The
-    kernel inclusion K -> E, ``inclusion``, is built on first use.
+    (discrete, then T, then R, with Z1 columns left out; over a T pivot the
+    T columns in the order of the Smith form's column swap), ``group`` is
+    their product K, ``pos`` maps a kept column to its place in K, and
+    ``moved`` holds (place in K, column l, a_l) for every kept a_l != 0, a_l an
+    integer on a discrete pivot and a value of hom[E_l|E_p] on a T or R
+    one.  ``unit`` is the 1 of an R pivot row's numbers (``Fraction`` or
+    float), None on other rows.  The kernel inclusion K -> E,
+    ``inclusion``, is built on first use.
     """
 
-    __slots__ = ("E", "p", "sigma", "keep", "group", "pos", "moved", "_plain", "_inclusion")
+    __slots__ = ("E", "p", "sigma", "keep", "group", "pos", "moved", "unit", "_plain",
+                 "_inclusion")
 
-    def __init__(self, E: GroupProduct, p: int, sigma: int, a: dict, keep: List[int]):
-        self.E, self.p, self.sigma, self.keep = E, p, sigma, keep
+    def __init__(self, E: GroupProduct, p: int, sigma, a: dict, keep: List[int], unit=None):
+        self.E, self.p, self.sigma, self.keep, self.unit = E, p, sigma, keep, unit
         self.group = GroupProduct([E[l] for l in keep])
         self.pos = {l: j for j, l in enumerate(keep)}
         self.moved = [(j, l, a[l]) for j, l in enumerate(keep) if l in a]
@@ -747,56 +758,101 @@ class Substitution:
 
     @property
     def inclusion(self) -> LinearFnData:
-        """e_l + a_l e_p for a discrete column l, e_l for a T or R column."""
+        """e_l + a_l e_p for every kept column l.  Over an R pivot, a kept R
+        column's generator reads ``unit`` and its 0 on every R column, as
+        the kernel basis of ``gauss_jordan`` does."""
         if self._inclusion is None:
-            E, a = self.E, {l: x for _, l, x in self.moved}
+            E, p, unit, a = self.E, self.p, self.unit, {l: x for _, l, x in self.moved}
+            real = [j for j, f in enumerate(E) if f is R] if unit is not None else []
             gens = _Generators(E)
             for l in self.keep:
                 f = E[l]
-                images = {l: 1 if f is T else Fraction(1) if f is R else f.normalize(1)}
+                if f is R and real:
+                    images = dict.fromkeys(real, unit * 0)
+                    images[l] = unit
+                else:
+                    images = {l: 1 if f is T else Fraction(1) if f is R else f.normalize(1)}
                 if l in a:
-                    images[self.p] = a[l]
+                    images[p] = a[l]
                 gens.emit(f, images)
             self._inclusion = gens.presentation().inclusion
         return self._inclusion
 
 
 def _substitute(eps: LinearFnData, target: Tuple) -> Optional[Tuple[Tuple, Substitution]]:
-    """``solve_with_kernel`` of a one-row system into A = Z_k (modulus k)
-    or Z (modulus 0) by one substitution, or None without a pivot.
+    """``solve_with_kernel`` of a one-row system r x = c into A by one
+    substitution, or None without a pivot p.
 
-    The pivot p is the first factor A of E with a unit entry (``_pivot``).
-    With u the inverse of r_p, x_p = u (c - sum_{l != p} r_l x_l): the
-    solution is sigma = u c on p and 0 elsewhere, and a_l = -u r_l.
+    - A = Z_k (modulus k) or Z (modulus 0): p is the first factor A of E
+      with a unit entry, and u the inverse of r_p mod k (``_pivot``);
+    - A = T: p is the first T factor with r_p = +-1, and u = r_p;
+    - A = R: p is the first R column of the row's ``support`` whose |r_p|
+      exceeds PIVOT_TOL times the row's largest |r| (any nonzero entry of
+      an exact row), and u = 1 / r_p.  This is the column ``gauss_jordan``
+      pivots on, so E keeps the coordinates ``_System`` gives it; the R
+      column of largest |r_p| (``_pivot``'s rule) would change them.  An
+      entry that R reads as zero is not in the support, so it is never a
+      pivot.
+
+    Then x_p = u (c - sum_{l != p} r_l x_l): the solution is sigma = u c on
+    p and 0 elsewhere, and a_l = -u r_l, each normalized in its group.
+    Over R the numbers are those of the elimination: ``Fraction``s when
+    the row's entries (and, for sigma and the solution, c) are exact,
+    floats otherwise.
     """
     G, E = eps.codomain, eps.domain
-    if len(G) != 1 or G[0].kind not in ("Zk", "Z"):
+    if len(G) != 1:
         return None
     assert eps.is_homomorphism
     A, row = G[0], eps.img[0]
-    p = _pivot(E, A, row)
-    if p is None:
-        return None
-    mod = A.k
-    u = pow(row[p], -1, mod) if mod else row[p]
     disc, cont_t, cont_r = _split_cols(E)
+    c, unit, block = A.normalize(target[0]), None, ()
+    if A is R:
+        supp = eps.support()[0]
+        exact = all(is_exact(row[j]) for j in cont_r + supp)
+        tol = 0 if exact else PIVOT_TOL * max((abs(row[j]) for j in supp), default=0.0)
+        p = next((j for j in supp if E[j] is R and abs(row[j]) > tol), None)
+        if p is None:
+            return None
+        num = Fraction if exact else float
+        unit, rp = num(1), num(row[p])
+        sigma = c / rp if exact and is_exact(c) else float(c) / float(row[p])
+        a = {l: -(num(row[l]) / rp) for l in supp if l != p}
+        block = cont_r
+        cont_r = [l for l in cont_r if l != p]
+    else:
+        p = _pivot(E, A, row)
+        if p is None:
+            return None
+        u = pow(row[p], -1, A.k) if A.kind == "Zk" else row[p]
+        Ep = E[p]
+        sigma = Ep.normalize(u * (c if A is T else int(c)))
+        a = {}
+        for l, x in enumerate(row):
+            if x and l != p:
+                y = image_group(E[l], Ep).normalize(-u * x)
+                if y:
+                    a[l] = y
+        if A is T:
+            # the Smith form of the row swaps p with the first T column
+            block, cont_t = cont_t, [cont_t[0] if l == p else l for l in cont_t[1:]]
     sol = list(E.identity())
-    sol[p] = sigma = E[p].normalize(u * int(A.normalize(target[0])))
-    keep = [l for l in disc if l != p and E[l] is not Z1]
-    a = {}
-    for l in keep:
-        y = -u * row[l] % mod if mod else -u * row[l]
-        if y:
-            a[l] = image_group(E[l], E[p]).normalize(y)
-    return tuple(sol), Substitution(E, p, sigma, a, keep + cont_t + cont_r)
+    if isinstance(sigma, float):
+        # the elimination's own zeros: the block solved in floats reads 0.0
+        for j in block:
+            sol[j] = 0.0
+    sol[p] = sigma
+    keep = [l for l in disc if l != p and E[l] is not Z1] + cont_t + cont_r
+    return tuple(sol), Substitution(E, p, sigma, a, keep, unit)
 
 
 def _pivot(E: GroupProduct, A, col: List) -> Optional[int]:
-    """The factor of E at which a substitution, a reduction or a quotient
-    drops the direction ``col``, the image column of A, or None: for A = R
-    the R factor with the largest |col_p|; otherwise the first factor that
-    is A itself with a unit entry, a unit mod k on Z_k and +-1 on Z and T.
-    A zero entry is never a pivot, also on Z1."""
+    """The factor of E at which a reduction or a quotient drops the
+    direction ``col``, the image column of A, or None: for A = R the R
+    factor with the largest |col_p|; otherwise the first factor that is A
+    itself with a unit entry, a unit mod k on Z_k and +-1 on Z and T.  A
+    zero entry is never a pivot, also on Z1.  A substitution pivots a Z_k,
+    Z or T row by the same rule, an R row by its own (``_substitute``)."""
     if A.kind == "R":
         return max((j for j, x in enumerate(col) if E[j] is R and not R.eq(x, 0)),
                    key=lambda j: abs(col[j]), default=None)

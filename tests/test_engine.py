@@ -11,7 +11,7 @@ import pytest
 
 from gen import random_qtensor
 from test_functions import mixed_hom, mixed_quadratic
-from test_solve import one_row_systems, random_hom
+from test_solve import continuous_row_systems, one_row_systems, random_hom
 
 from qtensor import engine, solve
 from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff, cell_group, image_group, quad_values
@@ -548,13 +548,15 @@ def test_gauss_sum_closed_form_against_brute_force():
 
 def _substitution_systems(rng):
     """The one-row systems of the solver's tests, then rows over columns
-    that include Z1."""
+    that include Z1, then the solver's rows into R and T."""
     yield from one_row_systems(random.Random(11))
     for _ in range(80):
         sig = rng.choice(["Z6", "Z2", "Z3", "Z"])
         E = parse_product(",".join([sig, "Z1"] + [rng.choice(["Z1", "Z2", "Z3", "Z6", "Z", "T", "R"])
                                                   for _ in range(rng.randrange(3))]))
         yield random_hom(GroupProduct(rng.sample(E.factors, len(E))), parse_product(sig), rng)
+    for row, _, _ in continuous_row_systems(random.Random(13)):
+        yield row
 
 
 def _paired_with_pivot(q, p):
@@ -578,14 +580,17 @@ def _entries(f):
             yield from ((cell_group(Dk, Dl, A), b) for Dl, b in zip(D, row))
 
 
-def _assert_close(got, want):
+def _assert_close(got, want, exact_may_stay=False):
     """got and want have one domain and agree to 1e-12 (mod 1 in T) on
-    every value, each value exact in both or a float in both."""
+    every value, each value exact in both or a float in both; with
+    ``exact_may_stay``, a value of got may also be exact where want's is a
+    float."""
     assert got.domain == want.domain
     pairs = list(zip(_entries(got), _entries(want)))
     assert len(pairs) == len(list(_entries(want)))
     for (grp, x), (_, y) in pairs:
-        assert isinstance(x, float) == isinstance(y, float), (grp, x, y)
+        assert isinstance(x, float) == isinstance(y, float) or (
+            exact_may_stay and isinstance(y, float)), (grp, x, y)
         d = abs(float(x) - float(y))
         if grp is T:
             d = min(d % 1, -d % 1)
@@ -595,10 +600,11 @@ def _assert_close(got, want):
 def test_substitution_rewrites_match_the_general_composition():
     rng = random.Random(5)
     seen = dict(sigma=0, moved=0, z1=0, continuous=0, paired_continuous=0, float_read=0,
-                float_elsewhere=0)
+                float_elsewhere=0, R_pivot=0, T_pivot=0, float_row=0)
     for row in _substitution_systems(rng):
         E, G = row.domain, row.codomain
-        targets = list(G.enumerate()) if G.finite else [(0,), (1,), (-2,)]
+        targets = (list(G.enumerate()) if G.finite else [(0,), (1,), (-2,)] if G[0] is Z
+                   else [(0,), (G[0].normalize(Fraction(1, 4)),), (G[0].normalize(Fraction(-5, 2)),)])
         for g in rng.sample(targets, min(3, len(targets))):
             found = solve._substitute(row, g)
             if found is None:
@@ -608,13 +614,23 @@ def test_substitution_rewrites_match_the_general_composition():
             H = GroupProduct([rng.choice([Zk(2), Zk(3), Zk(6), Z, T, R])
                               for _ in range(rng.randrange(3))] + [T, R])
             eps, q = mixed_hom(E, H, rng), mixed_quadratic(E, rng)
-            assert repr(eps.substitute(sub)) == repr(eps.compose_affine(kappa, shift)), (E, g)
-            assert repr(q.substitute(sub)) == repr(q.precompose_affine(kappa, shift)), (E, g, q)
+            # a float row's elimination writes a float 1 and 0 into the
+            # inclusion and the shift, which turn the values that the
+            # substitution leaves exact into floats in the general composition
+            float_row = any(isinstance(x, float) for x in row.img[0])
+            if float_row:
+                _assert_close(eps.substitute(sub), eps.compose_affine(kappa, shift), True)
+                _assert_close(q.substitute(sub), q.precompose_affine(kappa, shift), True)
+            else:
+                assert repr(eps.substitute(sub)) == repr(eps.compose_affine(kappa, shift)), (E, g)
+                assert repr(q.substitute(sub)) == repr(q.precompose_affine(kappa, shift)), (E, g, q)
             seen["sigma"] += sub.sigma != 0
             seen["moved"] += bool(sub.moved)
             seen["z1"] += any(f is Zk(1) for f in E)
             seen["continuous"] += any(f.kind in ("T", "R") for f in E)
             seen["paired_continuous"] += bool(_paired_with_pivot(q, sub.p) & {"T", "R"})
+            seen[f"{E[sub.p].kind}_pivot"] = seen.get(f"{E[sub.p].kind}_pivot", 0) + 1
+            seen["float_row"] += float_row
             # with a float, read by the rewrite or not, it agrees with the
             # general composition to 1e-12, value types included
             general = solve.KernelPresentation(sub.group, kappa)
@@ -622,8 +638,8 @@ def test_substitution_rewrites_match_the_general_composition():
                 t = QTensorData(H, E, eps_f, q_f)
                 got = engine._restrict_to_coset(t, shift, sub)
                 want = engine._restrict_to_coset(t, shift, general)
-                _assert_close(got.eps, want.eps)
-                _assert_close(got.q, want.q)
+                _assert_close(got.eps, want.eps, float_row)
+                _assert_close(got.q, want.q, float_row)
                 seen["float_read" if read else "float_elsewhere"] += 1
     assert min(seen.values()) > 20, seen
 
@@ -634,7 +650,8 @@ def _with_a_float(eps, q, sub):
     T or R, read when the row has an entry at p; a phase value of q on p,
     read when nonzero, or on a moved factor, read; a cell of q against p,
     read; and a phase value on a Z_k factor that is not moved and has no
-    cell against p, not read."""
+    cell against p, not read.  A T factor's phase value is an integer
+    multiplier, so it stays exact."""
     E, H, p = eps.domain, eps.codomain, sub.p
     for i in range(len(H)):
         if H[i].kind in ("T", "R"):
@@ -644,8 +661,8 @@ def _with_a_float(eps, q, sub):
     moved = {l for _, l, _ in sub.moved}
     paired = {m for part in ("a", "phi") for m, b in enumerate(q.mat[part][p]) if b}
     for k in range(len(E)):
-        if k == p and q.vec["phi"][p] or k in moved or (
-                E[k].kind == "Zk" and k not in moved | paired | {p}):
+        if E[k] is not T and (k == p and q.vec["phi"][p] or k in moved or (
+                E[k].kind == "Zk" and k not in moved | paired | {p})):
             q_f = q.copy()
             q_f.vec["phi"][k] = float(q_f.vec["phi"][k] or Fraction(1, max(E[k].k, 2)))
             yield eps, q_f, k == p or k in moved
@@ -683,6 +700,20 @@ def test_rank_one_update_matches_q_minus_its_pullback():
         _assert_close(q_f.minus_pullback(phi.img[0], r_f.vec["phi"][0], r.mat["phi"][0][0]),
                       q_f - p_f)
     assert min(seen.values()) > 50, seen
+    # a pulled-back cell that is 0 in its group leaves an exact value exact:
+    # over Z4 x Z4, phi = (2, 2) and a float b = 1/4 pull back the cell
+    # 2 * 2 * 0.25 = 1.0, which is 0 in T, so B_01 = 1/4 stays a Fraction
+    E, A = GroupProduct([Zk(4), Zk(4)]), GroupProduct([Zk(4)])
+    q = QuadraticFnData(E)
+    q.mat["phi"][0][1] = q.mat["phi"][1][0] = Fraction(1, 4)
+    r = QuadraticFnData(A)
+    r.mat["phi"][0][0] = 0.25
+    p = r.precompose(LinearFnData.of_images(E, A, A.identity(), [[2, 2]]))
+    p.a0, p.phi0 = 0, 0
+    got, want = q.minus_pullback([2, 2], 0, 0.25), q - p
+    assert repr(got) == repr(want)
+    assert got.mat["phi"][0][1] == Fraction(1, 4) and type(got.mat["phi"][0][1]) is Fraction
+    _assert_close(got, want)
 
 
 def test_rewrites_leave_contractions_unchanged(monkeypatch):

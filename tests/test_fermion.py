@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from qtensor import fermion
 from qtensor.dense import (
     DenseTensor,
     TooLargeError,
@@ -33,6 +34,7 @@ from qtensor.fermion import (
     pfaffian,
     pfaffian_cofactor,
 )
+from qtensor.errors import InvalidInput
 from qtensor.net import NetworkSpec, Node, parse, run_contract, verify_against_dense
 from test_netcli import run_cli
 
@@ -259,6 +261,42 @@ def test_nontrivial_embedding_raises_a_named_error():
     with pytest.raises(NontrivialEmbedding):
         fermion_contract(paired, 1)
     assert issubclass(NontrivialEmbedding, ValueError)
+
+
+def test_shapes_that_do_not_fit_raise_invalid_input():
+    with pytest.raises(InvalidInput, match="pair count"):
+        FermionTensorData(2, 2, np.zeros((2, 0)), np.zeros((0, 0)), 1.0)
+    bs = beam_splitter(0.3)
+    with pytest.raises(InvalidInput, match="bitstring length 3"):
+        fermion_entry(bs, [0, 1, 1])
+    with pytest.raises(InvalidInput, match="2 mode pairs"):
+        fermion_contract(fermion_identity(1), 2)
+    # the shape is checked before the embedding
+    paired = FermionTensorData(2, 1, np.zeros((2, 0)), np.zeros((0, 0)), 1.0)
+    with pytest.raises(InvalidInput):
+        fermion_contract(paired, 2)
+
+
+def test_results_are_trivial_by_construction(monkeypatch):
+    """The tensor product, a mode permutation and a contraction compare no
+    embedding with the identity: their inputs were decided when they were
+    made, and their results are trivial by construction, with eps1 = I
+    when read."""
+    rng = random.Random(41)
+    a = beam_splitter(0.3)
+    b = FermionTensorData(4, 0, np.eye(4), random_antisym(4, rng), 0.5)
+    want = fermion_contract(permute_modes(fermion_tensor_product(a, b), [0, 4, 1, 5, 2, 3, 6, 7]), 2)
+
+    def compare(eps1):
+        raise AssertionError("an embedding compared with the identity again")
+
+    monkeypatch.setattr(fermion, "_is_identity", compare)
+    got = fermion_contract(permute_modes(fermion_tensor_product(a, b), [0, 4, 1, 5, 2, 3, 6, 7]), 2)
+    assert got.has_trivial_embedding()
+    assert np.array_equal(got.q2, want.q2) and got.q0 == want.q0
+    assert np.array_equal(got.eps1, np.eye(4))
+    for x in ([0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1]):
+        assert fermion_entry(got, x) == fermion_entry(want, x)
 
 
 # ---------------------------------------------------------------------------

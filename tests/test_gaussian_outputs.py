@@ -46,9 +46,14 @@ def _gate(theta: float, r: float) -> np.ndarray:
 
 
 def _chain(Ls) -> QTensorData:
-    """The contraction of one node per n-mode symplectic matrix in Ls, gate k
-    on its outputs x{k+1}_j and its inputs x{k}_j, open on the last outputs
-    and then the first inputs."""
+    """The contraction of ``chain_spec(Ls)``."""
+    return run_contract(chain_spec(Ls)).group_part
+
+
+def chain_spec(Ls) -> NetworkSpec:
+    """One node per n-mode symplectic matrix in Ls, gate k on its outputs
+    x{k+1}_j and its inputs x{k}_j, open on the last outputs and then the
+    first inputs."""
     n, m = len(Ls[0]) // 2, len(Ls)
     spec = NetworkSpec()
     for k in range(m + 1):
@@ -58,17 +63,20 @@ def _chain(Ls) -> QTensorData:
         legs = [f"x{k + 1}_{j}" for j in range(n)] + [f"x{k}_{j}" for j in range(n)]
         spec.nodes.append(Node(f"u{k}", clifford_to_tensor(gaussian_clifford(L)), legs))
     spec.open_order = [f"x{m}_{j}" for j in range(n)] + [f"x0_{j}" for j in range(n)]
-    return run_contract(spec).group_part
+    return spec
+
+
+def gaussian_chains() -> dict:
+    """The gates of eight chains of 4 to 6 gates, keyed by chain."""
+    rng = random.Random(12)
+    return {f"chain{c}_m{m}": [_gate(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5))
+                               for _ in range(m)]
+            for c, m in enumerate([4, 5, 6, 4, 5, 6, 4, 6])}
 
 
 def gaussian_outputs() -> dict:
-    """The JSON text of eight chains of 4 to 6 gates, keyed by chain."""
-    rng = random.Random(12)
-    out = {}
-    for c, m in enumerate([4, 5, 6, 4, 5, 6, 4, 6]):
-        Ls = [_gate(rng.uniform(0.3, 1.2), rng.uniform(-0.5, 0.5)) for _ in range(m)]
-        out[f"chain{c}_m{m}"] = jsonio.dumps(_chain(Ls))
-    return out
+    """The JSON text of the contracted ``gaussian_chains``, keyed by chain."""
+    return {key: jsonio.dumps(_chain(Ls)) for key, Ls in gaussian_chains().items()}
 
 
 def test_gaussian_outputs_match_pinned():

@@ -212,7 +212,7 @@ def test_solve_imports_no_numpy():
 TOLERANCE_SITES = {
     ("scalar", "TOL"), ("scalar", "PIVOT_TOL"),
     # np.allclose's default pair, the test that eps1 is the identity
-    ("fermion", "has_trivial_embedding"),
+    ("fermion", "_is_identity"),
     # the graded fermion oracle's bound
     ("net", "verify_against_dense"),
 }

@@ -434,6 +434,8 @@ def _json_node(payload: str) -> str:
     # bitstrings with digits other than 0 and 1
     (("fermion", "eval", FILE, "02"), _FERMION),
     (("fermion", "eval", FILE, "0x"), _FERMION),
+    # a bitstring whose length is not the number of modes
+    (("fermion", "eval", FILE, "011"), _FERMION),
     # a fermion payload whose q2 is symmetric
     (("fermion", "eval", FILE, "00"), _edited(_FERMION, lambda t: t.update(
         q2=[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]))),
@@ -447,7 +449,8 @@ def _json_node(payload: str) -> str:
         "node_not_json", "node_without_g", "tableau_without_sigma_x", "clifford_without_u",
         "string_a0", "string_div_weight", "negative_mag2", "tableau_node", "fbs_not_a_number",
         "fid_not_a_number", "gate_on_two_factor_wires", "order_undeclared_wire", "order_open_wire",
-        "bitstring_digit_2", "bitstring_digit_x", "symmetric_fermion_q2", "directory_payload",
+        "bitstring_digit_2", "bitstring_digit_x", "bitstring_wrong_length",
+        "symmetric_fermion_q2", "directory_payload",
         "selftest_negative_max_k"])
 def test_cli_invalid_input_exits_2(tmp_path, args, text):
     f = tmp_path / "input"

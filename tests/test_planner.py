@@ -3,6 +3,7 @@ rescanning every remaining edge at each step; the edges it picks must be
 the ones a full rescan picks, step by step."""
 
 import glob
+import json
 import os
 import random
 import sys
@@ -174,6 +175,52 @@ def test_zk_contractions_take_the_substitution(monkeypatch):
 
     def general(*args):
         raise AssertionError("general composition on Z_k data")
+
+    monkeypatch.setattr(QuadraticFnData, "precompose_affine", general)
+    monkeypatch.setattr(LinearFnData, "compose_affine", general)
+    assert [repr(run_contract(spec).group_part) for spec in specs] == want
+
+
+def _qtensor_payload(G, E, eps0, eps1, phi1, phi2):
+    """A qtensor payload in the format of the boundary fuzz's valid pairs:
+    legs G, E factors, images eps1 and the phase part (phi1, phi2)."""
+    return {"type": "qtensor", "G": G, "E": E, "zero": False, "div_weight": 0, "mag2": 1,
+            "eps": {"domain": E, "codomain": G, "eps0": eps0, "eps1": eps1},
+            "q": {"domain": E, "a0": 0, "phi0": 0, "a1": [[0, 0]] * len(E.split(",")),
+                  "phi1": phi1, "a2": {}, "phi2": phi2}}
+
+
+def _t_wire_net() -> str:
+    """Three json nodes joined by two T wires, whose last step integrates
+    out a T factor coupled to a Z factor by a unit cell."""
+    third, sixth = {"num": 1, "den": 3}, {"num": 1, "den": 6}
+    a = _qtensor_payload("T,Z3", "T,Z3", [{"num": 1, "den": 4}, 0], [[1, 0], [0, 1]],
+                         [[0, 2], [1, 2]], {})
+    b = _qtensor_payload("T,T,Z", "T,Z", [0, 0, 0], [[1, 0], [-1, 0], [0, 1]],
+                         [[0, 1], [third, sixth]], {"0,1": 1})
+    c = _qtensor_payload("T", "T", [{"num": 1, "den": 2}], [[1]], [[0, -1]], {})
+    return ("wire s1: T\nwire s2: T\nwire ao: Z3\nwire bo: Z\n"
+            f"node a = json {json.dumps(a)} (s1, ao)\n"
+            f"node b = json {json.dumps(b)} (s1, s2, bo)\n"
+            f"node c = json {json.dumps(c)} (s2)\n")
+
+
+def test_r_and_t_contractions_take_the_substitution(monkeypatch):
+    """On the Gaussian chains (R wires) and on a network of T wires every
+    wire contraction and zero reduction rewrites eps and q by substitution:
+    with the general compositions patched to raise, the results are the
+    same."""
+    from qtensor.functions import LinearFnData, QuadraticFnData
+    from test_gaussian_outputs import chain_spec, gaussian_chains
+
+    # the Gaussian nodes are built through the general composition, so the
+    # specs are built before the patch
+    specs = [chain_spec(Ls) for Ls in gaussian_chains().values()] + [parse(_t_wire_net())]
+    want = [repr(run_contract(spec).group_part) for spec in specs]
+    assert "is_zero=False" in want[-1]
+
+    def general(*args):
+        raise AssertionError("general composition on an R or T wire")
 
     monkeypatch.setattr(QuadraticFnData, "precompose_affine", general)
     monkeypatch.setattr(LinearFnData, "compose_affine", general)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from qtensor import solve
-from qtensor.coeff import HomCoeff, hom_group
+from qtensor.coeff import HomCoeff, hom_group, image_group
 from qtensor.engine import QTensorData, self_contract
 from qtensor.functions import LinearFnData, QuadraticFnData, hom_data, zero_row
-from qtensor.groups import R, T, Z, Zk, parse_product
+from qtensor.groups import Z1, GroupProduct, R, T, Z, Zk, parse_product
 from qtensor.solve import (
     UnsupportedKernel,
     gauss_jordan,
@@ -643,3 +643,98 @@ def test_substitution_matches_the_general_elimination():
                 assert found is None
             assert repr(_presented(solve.solve_with_kernel(eps, g))) == repr(general)
     assert min(seen.values()) > 20, seen
+    # rows into R and T: where _System takes the row, the same solution and
+    # presentation; where it raises (a row coupling two column classes) or
+    # pivots on an entry that R reads as zero, a solution and a kernel
+    # inclusion of the row
+    seen = dict.fromkeys(["R general", "R direct", "R float", "R none", "T general",
+                          "T direct", "T none"], 0)
+    for eps, pivot, comparable in continuous_row_systems(random.Random(13)):
+        E, A = eps.domain, eps.codomain[0]
+        for c in (0, Fraction(3, 4), Fraction(-5, 2), 0.3):
+            g = (A.normalize(c),)
+            found = solve._substitute(eps, g)
+            kind = A.kind + (" float" if A is R and any(isinstance(x, float) for x in eps.img[0])
+                             else "")
+            if pivot is None:
+                seen[A.kind + " none"] += 1
+                assert found is None, (E, eps.img)
+                continue
+            assert found is not None and found[1].p == pivot, (E, eps.img)
+            try:
+                general = (solve_hom(eps, g), kernel_of_hom(eps)) if comparable else None
+            except UnsupportedKernel:
+                general = None
+            if general is None:
+                seen[A.kind + " direct"] += 1
+                e, pres = found
+                assert eps.codomain.eq(eps(e), g), (E, eps.img, g)
+                assert not any(eps.compose_hom(pres.inclusion).support()[0]), (E, eps.img)
+                assert len(pres.group) == sum(1 for f in E if f is not Z1) - 1
+                continue
+            seen[kind if kind != "R" and kind != "T" else kind + " general"] += 1
+            _assert_same_solution(_presented(found), general, E)
+            _assert_same_solution(_presented(solve.solve_with_kernel(eps, g)), general, E)
+    assert min(seen.values()) > 20, seen
+
+
+# the columns of one-row systems into R (Z_k and T columns map to 0 there)
+# and into T (every kind maps in)
+R_ROW_COLUMNS = [Zk(2), Z, T, R, R]
+T_ROW_COLUMNS = [Zk(4), Z, T, T, R]
+# rows into R whose first R entries R reads as zero: the pivot is the
+# first entry it does not, and a row with none declines (_System pivots on
+# a tiny entry above PIVOT_TOL times the largest, so it is no reference)
+TINY_ROWS = [("R,R", [1e-11, 2.5], 1), ("R,Z,R", [-3e-10, 1.5, 0.0], None),
+             ("Z,R,R", [2.0, 1e-10, -4e-11], None), ("R,R,R", [0.0, 5e-10, -0.75], 2)]
+
+
+def _row(E, A, values):
+    """The one-row homomorphism E -> A with the given entries."""
+    G = GroupProduct([A])
+    return LinearFnData.of_images(E, G, G.identity(),
+                                  [[image_group(f, A).normalize(x) for f, x in zip(E, values)]])
+
+
+def continuous_row_systems(rng):
+    """(row, expected pivot, whether _System is a reference) for random
+    rows into R and T, half of them with the entries outside the pivot's
+    class made 0 (the rows _System takes), each row into R also with its
+    entries made floats; then TINY_ROWS."""
+    for _ in range(150):
+        A = rng.choice([R, T])
+        factors = [A] + [rng.choice(R_ROW_COLUMNS if A is R else T_ROW_COLUMNS)
+                         for _ in range(rng.randrange(4))]
+        E = GroupProduct(rng.sample(factors, len(factors)))
+        values = [rng.choice([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]) if f is R
+                  else rng.choice([0, 1, -1, 2, -3]) if f is T
+                  else rng.choice([0, Fraction(1, 4), Fraction(-1, 2), 1]) for f in E]
+        if rng.random() < 0.5:
+            values = [x if f is A else 0 for f, x in zip(E, values)]
+        eps = _row(E, A, values)
+        pivot = next((j for j, (f, x) in enumerate(zip(E, eps.img[0]))
+                      if f is A and (x != 0 if A is R else abs(x) == 1)), None)
+        yield eps, pivot, True
+        if A is R:
+            yield _row(E, R, [float(x) for x in values]), pivot, True
+    for sig, values, pivot in TINY_ROWS:
+        yield _row(parse_product(sig), R, values), pivot, False
+
+
+def _assert_same_solution(got, want, E):
+    """Two (solution, presentation) pairs over E agree: the same kernel
+    factors, and every value of the same type in both, equal when exact
+    and within 1e-12 (mod 1 in T) when a float."""
+    (e1, p1), (e2, p2) = got, want
+    assert p1.group == p2.group, (p1.group, p2.group)
+    K = p1.group
+    pairs = list(zip(E, e1, e2))
+    for Ei, r1, r2 in zip(E, p1.inclusion.img, p2.inclusion.img):
+        pairs += [(image_group(Kj, Ei), x, y) for Kj, x, y in zip(K, r1, r2)]
+    for grp, x, y in pairs:
+        assert type(x) is type(y), (grp, x, y)
+        if isinstance(x, float):
+            d = abs(x - y)
+            assert (min(d % 1, -d % 1) if grp is T else d) < 1e-12, (grp, x, y)
+        else:
+            assert x == y, (grp, x, y)
