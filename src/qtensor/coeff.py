@@ -112,14 +112,6 @@ class HomCoeff:
     def is_zero(self) -> bool:
         return value_is_zero(self.group, self.value)
 
-    def __add__(self, other: "HomCoeff") -> "HomCoeff":
-        if (self.source, self.target) != (other.source, other.target):
-            raise TagMismatch("hom coefficient tags differ")
-        return HomCoeff(self.source, self.target, self.value + other.value)
-
-    def __neg__(self) -> "HomCoeff":
-        return HomCoeff(self.source, self.target, -self.value)
-
 
 @functools.lru_cache(maxsize=None)
 def hom_zero(G: ElementaryGroup, A: ElementaryGroup) -> HomCoeff:
@@ -270,14 +262,6 @@ class Hom2Coeff:
     def is_zero(self) -> bool:
         return value_is_zero(self.group, self.value)
 
-    def __add__(self, other: "Hom2Coeff") -> "Hom2Coeff":
-        if (self.g0, self.g1, self.target) != (other.g0, other.g1, other.target):
-            raise TagMismatch("bilinear coefficient tags differ")
-        return Hom2Coeff(self.g0, self.g1, self.target, self.value + other.value)
-
-    def __neg__(self) -> "Hom2Coeff":
-        return Hom2Coeff(self.g0, self.g1, self.target, -self.value)
-
     def transpose(self) -> "Hom2Coeff":
         # the coefficient groups for (g0,g1) and (g1,g0) coincide and the
         # evaluation formulas are symmetric, so the value carries over
@@ -343,12 +327,6 @@ class QuadCoeff:
     def is_zero(self) -> bool:
         g2, g1 = self.groups
         return value_is_zero(g2, self.h2) and value_is_zero(g1, self.h1)
-
-    def __add__(self, other: "QuadCoeff") -> "QuadCoeff":
-        return quad_add(self, other)
-
-    def __neg__(self) -> "QuadCoeff":
-        return QuadCoeff(self.source, self.target, -self.h2, -self.h1)
 
 
 @functools.lru_cache(maxsize=None)

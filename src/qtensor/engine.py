@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .coeff import (
+    DomainMismatch,
     cell_group,
     hom2_group,
     hom_group,
@@ -333,7 +334,8 @@ def gauss_sum(A, v: Scalar, b: Scalar) -> Tuple[Fraction, Fraction]:
       Z_2k.  With c u = h (mod k) it is e(-c u^2 / 2k) G(c; 2k) / 2, and
       G(c; 2k) = (2k/c) (1 + i) eps_c^-1 sqrt(2k).
     """
-    assert A.kind == "Zk"
+    if A.kind != "Zk":
+        raise DomainMismatch(f"Gauss sum over {A}, not Z_k")
     k, c = A.k, round(A.k * b) % A.k
     if math.gcd(c, k) != 1:
         raise Degenerate(f"bilinear coefficient {c} degenerate over Z_{k}")
@@ -375,10 +377,21 @@ def _check_rho_in_kernel(t: QTensorData, rho: LinearFnData) -> None:
         raise KernelViolation("rho does not land in kernel(eps1)")
 
 
+def _pulled_back(t: QTensorData, rho: LinearFnData,
+                 qres: Optional[QuadraticFnData]) -> QuadraticFnData:
+    """qres = q o rho as a caller that has checked rho passes it (as
+    ``_reduce_step`` does), or else q o rho once rho is checked against
+    eps^(1) here."""
+    if qres is None:
+        _check_rho_in_kernel(t, rho)
+        qres = t.q.precompose(rho)
+    return qres
+
+
 def _reduce_step(t: QTensorData, rho: LinearFnData) -> QTensorData:
     """One step of ``reduce_full`` over a kernel factor rho: A -> E with A =
     Z_k (k > 1), T or R.  rho is checked and q pulled back along it once,
-    and qres = q o rho picks the reduction.
+    and qres = q o rho picks the reduction, which is handed qres.
 
     Over Z_k, the restricted bilinear coefficient v = k B(1, 1) decides: a
     unit mod k gives the invertible reduction, 0 the zero one, and any other
@@ -394,15 +407,15 @@ def _reduce_step(t: QTensorData, rho: LinearFnData) -> QTensorData:
         v = _restricted_bilinear(qres, A)
         g = math.gcd(v, A.k)
         if g == 1:
-            return _reduce_invertible(t, rho, qres)
+            return reduce_invertible(t, rho, qres)
         if v:
             A1 = GroupProduct([A])
             inner = LinearFnData.of_images(GroupProduct([Zk(g)]), A1, A1.identity(),
                                            [[image_group(Zk(g), A).normalize(A.k // g)]])
             rho, qres = rho.compose_hom(inner), qres.precompose(inner)
     elif A.kind == "R" and not _form_vanishes(qres, A):
-        return _reduce_real(t, rho, qres)
-    return _reduce_zero(t, rho, qres)
+        return reduce_real(t, rho, qres)
+    return reduce_zero(t, rho, qres)
 
 
 def _form_vanishes(qres: QuadraticFnData, A) -> bool:
@@ -411,16 +424,11 @@ def _form_vanishes(qres: QuadraticFnData, A) -> bool:
     return all(value_is_zero(cell_group(A, A, tgt), qres.mat[part][0][0]) for part, tgt in PARTS)
 
 
-def reduce_zero(t: QTensorData, rho: LinearFnData) -> QTensorData:
+def reduce_zero(t: QTensorData, rho: LinearFnData,
+                qres: Optional[QuadraticFnData] = None) -> QTensorData:
     """Sum or integrate t over the image of rho: A -> E, a subgroup of the
-    kernel of eps^(1) on which the bilinear form of q vanishes, by
-    dropping a pivot factor of rho from E (``_reduce_zero``)."""
-    _check_rho_in_kernel(t, rho)
-    return _reduce_zero(t, rho, t.q.precompose(rho))
-
-
-def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
-    """``reduce_zero`` once rho is checked, with qres = q o rho.
+    kernel of eps^(1) on which the bilinear form of q vanishes.  A caller
+    that passes qres = q o rho has checked rho (``_pulled_back``).
 
     Summed over a in A, exp(2 pi q(e + rho a)) gives |A| exp(2 pi q(e)) on
     the solutions of beta(e) = -chi, chi = q_phi o rho, and 0 elsewhere.
@@ -431,6 +439,7 @@ def _reduce_zero(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     by rho's K2 coordinates (``_quotient``).  A continuous rho without one
     raises ``UnsupportedKernel``.
     """
+    qres = _pulled_back(t, rho, qres)
     A = rho.domain[0]
     if not _form_vanishes(qres, A):
         raise KernelViolation("q^(2) does not vanish on rho")
@@ -483,16 +492,11 @@ def _col_support(lin: LinearFnData, col: int) -> List[int]:
     return [j for j in range(len(lin.codomain)) if lin.nonzero(j, col)]
 
 
-def reduce_invertible(t: QTensorData, rho: LinearFnData) -> QTensorData:
-    """Gauss-sum reduction over a finite cyclic subgroup where q_phi^(2)
-    is nondegenerate."""
-    assert rho.domain[0].kind == "Zk"
-    _check_rho_in_kernel(t, rho)
-    return _reduce_invertible(t, rho, t.q.precompose(rho))
-
-
-def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
-    """``reduce_invertible`` once rho is checked, with qres = q o rho.
+def reduce_invertible(t: QTensorData, rho: LinearFnData,
+                      qres: Optional[QuadraticFnData] = None) -> QTensorData:
+    """Gauss-sum reduction over a finite cyclic subgroup, the image of
+    rho: Z_k -> E, where q_phi^(2) is nondegenerate.  A caller that passes
+    qres = q o rho has checked rho (``_pulled_back``).
 
     q o gamma factors as qres o phi through phi: E -> A = Z_k, so q - q o
     gamma is the rank-one update ``minus_pullback`` over phi's support, for
@@ -501,6 +505,9 @@ def _reduce_invertible(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData)
     the pivot factor of rho when it has one.
     """
     A = rho.domain[0]
+    if A.kind != "Zk":
+        raise DomainMismatch(f"invertible reduction over {A}, not Z_k")
+    qres = _pulled_back(t, rho, qres)
     k = A.k
     if qres.vec["a"][0] != 0 or qres.mat["a"][0][0] != 0:
         raise NotIntegrable("q_a must vanish on the reduced subgroup")
@@ -555,21 +562,19 @@ def _quotient(t: QTensorData, rho: LinearFnData) -> QTensorData:
     return QTensorData(t.G, qpres.group, eps, q, t.div_weight, t.mag2)
 
 
-def reduce_real(t: QTensorData, rho: LinearFnData) -> QTensorData:
+def reduce_real(t: QTensorData, rho: LinearFnData,
+                qres: Optional[QuadraticFnData] = None) -> QTensorData:
     """Complex Gaussian integration over the real direction rho: R -> E.
+    A caller that passes qres = q o rho has checked rho (``_pulled_back``).
 
     As in ``reduce_zero``, x = y + a rho with y_p = 0 at the pivot p of
     rho (``_pivot``): the integral over a corrects q on the other factors,
     which stay as they are, and factor p is dropped.  A rho with no R
     entry raises ``UnsupportedKernel``.
     """
-    assert rho.domain[0].kind == "R"
-    _check_rho_in_kernel(t, rho)
-    return _reduce_real(t, rho, t.q.precompose(rho))
-
-
-def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QTensorData:
-    """``reduce_real`` once rho is checked, with qres = q o rho."""
+    if rho.domain[0].kind != "R":
+        raise DomainMismatch(f"real reduction over {rho.domain[0]}, not R")
+    qres = _pulled_back(t, rho, qres)
     p = _pivot(t.E, R, rho.column(0))
     if p is None:
         raise UnsupportedKernel("real reduction over a direction with no R entry")
@@ -586,22 +591,15 @@ def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
              enumerate(zip(_beta(t, rho, "a").img[0], _beta(t, rho, "phi").img[0])) if j != p]
     t = _keep_factors(t, [j for j in range(len(t.E)) if j != p])
     qtilde = t.q.copy()
-    m = len(t.E)
     for j, bj in enumerate(betas):
-        if bj == 0 and w == 0:
+        if bj == 0:
             continue
-        # linear correction: -w beta_j / z
-        lin = -(w * bj) / z
-        if lin != 0:
-            _add_complex_linear(qtilde, j, t.E[j], lin)
-        # diagonal correction: -(beta_j)^2 / (2z) as h2 on factor j
-        dia = -(bj * bj) / z
-        if dia != 0:
-            _add_complex_h2(qtilde, j, t.E[j], dia)
-        for l in range(j + 1, m):
-            cross = -(bj * betas[l]) / z
-            if cross != 0:
-                _add_complex_cell(qtilde, j, l, t.E[j], t.E[l], cross)
+        # -w beta_j / z on e_j, -beta_j^2 / z on e_j^2 / 2, -beta_j beta_l / z on e_j e_l
+        terms = [(None, -(w * bj) / z), (j, -(bj * bj) / z)]
+        terms += [(l, -(bj * betas[l]) / z) for l in range(j + 1, len(betas))]
+        for l, val in terms:
+            if val != 0:
+                _add_complex(qtilde, j, l, val)
     const = -(w * w) / (2 * z)
     qtilde.a0 = qtilde.a0 + const.real
     qtilde.phi0 = mod1(qtilde.phi0 + const.imag)
@@ -613,34 +611,28 @@ def _reduce_real(t: QTensorData, rho: LinearFnData, qres: QuadraticFnData) -> QT
     return _compact(out)
 
 
-def _add_complex_linear(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
-    """Add the linear term val e_j to the complex exponent q_a + i q_phi."""
-    if Ej.kind in ("Zk", "T"):
-        assert R.eq(abs(val), 0), "complex linear correction on a finite factor"
+def _add_complex(q: QuadraticFnData, j: int, l: Optional[int], val: complex) -> None:
+    """Add to the complex exponent q_a + i q_phi the linear term val e_j for
+    l None, val e_j^2 / 2 for l = j, and val e_j e_l otherwise.  A finite
+    factor (Z_k or T) takes no linear or square term, and a trivial cell
+    group no cross term: val is 0 there."""
+    Ej = q.domain[j]
+    if l in (None, j) and Ej.kind in ("Zk", "T"):
+        assert R.eq(abs(val), 0), "complex correction on a finite factor"
         return
     for (part, A), x in zip(PARTS, (val.real, val.imag)):
-        # the value at the generator or the multiplier of the linear term is x
-        grp = image_group(Ej, A)
-        q.vec[part][j] = grp.normalize(q.vec[part][j] + grp.normalize(x))
-
-
-def _add_complex_h2(q: QuadraticFnData, j: int, Ej, val: complex) -> None:
-    """Add val e_j^2 / 2 to the complex exponent q_a + i q_phi."""
-    if Ej.kind in ("Zk", "T"):
-        assert R.eq(abs(val), 0)
-        return
-    for (part, A), x in zip(PARTS, (val.real, val.imag)):
-        if is_generated(Ej, A):
-            # Z into T: q(1) gains x / 2 and B(1, 1) gains x
-            q.vec[part][j] = mod1(q.vec[part][j] + x / 2)
-        grp = cell_group(Ej, Ej, A)
-        q.mat[part][j][j] = grp.normalize(q.mat[part][j][j] + x)
-
-
-def _add_complex_cell(q: QuadraticFnData, j: int, l: int, Ej, El, val: complex) -> None:
-    """Add val e_j e_l to the complex exponent q_a + i q_phi."""
-    for (part, A), x in zip(PARTS, (val.real, val.imag)):
-        if cell_group(Ej, El, A) is Z1:
+        vec, mat = q.vec[part], q.mat[part]
+        if l is None:
+            # the value at the generator or the multiplier of the linear term is x
+            grp = image_group(Ej, A)
+            vec[j] = grp.normalize(vec[j] + grp.normalize(x))
+        elif l == j:
+            if is_generated(Ej, A):
+                # Z into T: q(1) gains x / 2 and B(1, 1) gains x
+                vec[j] = mod1(vec[j] + x / 2)
+            grp = cell_group(Ej, Ej, A)
+            mat[j][j] = grp.normalize(mat[j][j] + x)
+        elif cell_group(Ej, q.domain[l], A) is Z1:
             assert R.eq(x, 0)
         else:
             q.add_to_cell(part, j, l, x)

@@ -15,7 +15,10 @@ made: a caller-given eps1 is compared with the identity there, and the
 results of `fermion_tensor_product`, `permute_modes` and `fermion_contract`
 (and `fermion_identity`, `beam_splitter`) are trivial by construction, so
 they build no identity matrix and are not compared again; their eps1 is
-made on first read.  q2's antisymmetry is checked on every construction.
+made on first read.  q2's antisymmetry is checked where it enters, by
+`FermionTensorData(...)`; those results build q2 antisymmetric from checked
+inputs (a block diagonal, a simultaneous permutation, (q2 - q2^T) / 2), so
+they are not checked again.
 A network is contracted by absorbing its nodes one at a time
 (`net._contract_fermi`), so each Schur complement inverts a block over the
 modes joined by that step only.
@@ -119,11 +122,13 @@ class FermionTensorData:
         self._trivial = l == 0 and _is_identity(self._eps1)
 
     @classmethod
-    def _trivially_embedded(cls, n: int, q2, q0: complex) -> "FermionTensorData":
-        """The tensor with l = 0 and eps1 = I by construction."""
+    def _trivially_embedded(cls, n: int, q2: np.ndarray, q0: complex) -> "FermionTensorData":
+        """The tensor with l = 0 and eps1 = I by construction, for an n x n
+        complex q2 that is antisymmetric by construction: it is not checked
+        again."""
         out = cls.__new__(cls)
         out.n, out.l, out.q0 = n, 0, q0
-        out._eps1, out.q2, out._trivial = None, _antisymmetric(q2, n), True
+        out._eps1, out.q2, out._trivial = None, q2, True
         return out
 
     @property

@@ -587,7 +587,10 @@ class _Real:
             c = eps.img[t_rows[0]][cols[0]]
             self.step = 1 / c if not is_exact(c) else Fraction(1) / Fraction(c)
             return
-        self.A = [[eps.img[i][j] for j in cols] for i in rows]
+        # read through support(): a float entry that R reads as zero enters as 0.0
+        support, img = eps.support(), eps.img
+        self.A = [[img[i][j] if j in support[i] or is_exact(img[i][j]) else 0.0 for j in cols]
+                  for i in rows]
         self.exact = all(is_exact(x) for row in self.A for x in row)
         self.reduced = None
 

@@ -122,7 +122,7 @@ def test_real_direction_with_a_form_within_tol_takes_the_zero_reduction(monkeypa
     # reduction, a delta of infinite measure, not a Gaussian integral with
     # prefactor 1 / sqrt(-z), and ``reduce_real`` calls it degenerate
     calls = {"zero": 0, "real": 0}
-    for name, key in (("_reduce_zero", "zero"), ("_reduce_real", "real")):
+    for name, key in (("reduce_zero", "zero"), ("reduce_real", "real")):
         def counted(*args, _fn=getattr(engine, name), _key=key):
             calls[_key] += 1
             return _fn(*args)

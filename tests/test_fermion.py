@@ -399,6 +399,30 @@ def test_networks_agree_with_dense_and_one_shot(kind):
     assert singular == 0
 
 
+def test_results_of_random_networks_are_antisymmetric(monkeypatch):
+    """The tensor product, a mode permutation and a contraction do not check
+    the q2 they build: over random networks, on both routes, each result
+    holds an n x n complex q2 that the constructor's check accepts."""
+    made = []
+    build = FermionTensorData._trivially_embedded.__func__
+
+    def record(cls, n, q2, q0):
+        made.append(build(cls, n, q2, q0))
+        return made[-1]
+
+    monkeypatch.setattr(FermionTensorData, "_trivially_embedded", classmethod(record))
+    rng = random.Random(47)
+    for kind in ("random", "self_loop", "split", "shuffled"):
+        for _ in range(8):
+            spec = random_fermion_net(rng, kind)
+            _contract_or_singular(lambda s: run_contract(s).fermion_part, spec)
+            _contract_or_singular(one_shot_contract, spec)
+    assert len(made) > 100
+    for t in made:
+        assert t.q2.shape == (t.n, t.n) and t.q2.dtype == complex
+        fermion._antisymmetric(t.q2, t.n)
+
+
 def test_singular_self_loop_raises_on_both_routes():
     spec = parse("wire a: F\nwire b: F\nwire c: F\n"
                  "node u = fbs(3.141592653589793)(a, b, a, c)\nopen b, c\n")

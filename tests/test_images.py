@@ -76,7 +76,7 @@ def _cellwise_compose(f, gamma):
             acc = hom_zero(Hj, Ci)
             for k in range(len(f.domain)):
                 if not fc[i][k].is_zero() and not gc[k][j].is_zero():
-                    acc = acc + compose(gc[k][j], fc[i][k])
+                    acc = HomCoeff(Hj, Ci, acc.value + compose(gc[k][j], fc[i][k]).value)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

@@ -89,7 +89,8 @@ BASES = {"InvalidInput", "Unsupported"}
 INTERNAL = {
     "KernelViolation": "a reduction given rho outside ker eps1, or q^(2) not vanishing on it",
     "Degenerate": "a reduction applied to a bilinear part it does not handle",
-    "DomainMismatch": "an element or function on another domain than the one given",
+    "DomainMismatch": ("an element or function on another domain than the one given, or a "
+                       "reduction or Gauss sum given a direction of another kind"),
     "TagMismatch": "coefficient cells whose groups do not line up",
     "UnsupportedTarget": "a coefficient table asked for a target it has no entry for",
     "ArityMismatch": "a group element with the wrong number of components",

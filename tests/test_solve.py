@@ -532,11 +532,14 @@ def real_kernel_columns(A):
 
 
 def test_real_kernel_float_outputs():
-    # bit patterns pinned: free columns give unit vectors, and entries below
-    # PIVOT_TOL times the largest |entry| never pivot
+    # bit patterns pinned: free columns give unit vectors, entries below
+    # PIVOT_TOL times the largest |entry| never pivot, and an entry that R
+    # reads as zero enters the elimination as 0.0 (1e-11 is no pivot and
+    # gives no multiplier -2.5e11)
     cases = [
         ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]], [[0.6666666666666665, -1.8333333333333333, 1.0]]),
-        ([[1e-13, 1.0]], [[1.0, -1e-13]]),
+        ([[1e-13, 1.0]], [[1.0, -0.0]]),
+        ([[1e-11, 2.5]], [[1.0, -0.0]]),
         ([[0.3, 0.6, 0.1], [0.1, 0.2, 0.7], [0.2, 0.4, -0.6]], [[-2.0, 1.0, -0.0]]),
     ]
     for A, want in cases:
@@ -644,12 +647,11 @@ def test_substitution_matches_the_general_elimination():
             assert repr(_presented(solve.solve_with_kernel(eps, g))) == repr(general)
     assert min(seen.values()) > 20, seen
     # rows into R and T: where _System takes the row, the same solution and
-    # presentation; where it raises (a row coupling two column classes) or
-    # pivots on an entry that R reads as zero, a solution and a kernel
-    # inclusion of the row
+    # presentation; where it raises (a row coupling two column classes), a
+    # solution and a kernel inclusion of the row
     seen = dict.fromkeys(["R general", "R direct", "R float", "R none", "T general",
                           "T direct", "T none"], 0)
-    for eps, pivot, comparable in continuous_row_systems(random.Random(13)):
+    for eps, pivot in continuous_row_systems(random.Random(13)):
         E, A = eps.domain, eps.codomain[0]
         for c in (0, Fraction(3, 4), Fraction(-5, 2), 0.3):
             g = (A.normalize(c),)
@@ -662,7 +664,7 @@ def test_substitution_matches_the_general_elimination():
                 continue
             assert found is not None and found[1].p == pivot, (E, eps.img)
             try:
-                general = (solve_hom(eps, g), kernel_of_hom(eps)) if comparable else None
+                general = solve_hom(eps, g), kernel_of_hom(eps)
             except UnsupportedKernel:
                 general = None
             if general is None:
@@ -697,10 +699,10 @@ def _row(E, A, values):
 
 
 def continuous_row_systems(rng):
-    """(row, expected pivot, whether _System is a reference) for random
-    rows into R and T, half of them with the entries outside the pivot's
-    class made 0 (the rows _System takes), each row into R also with its
-    entries made floats; then TINY_ROWS."""
+    """(row, expected pivot) for random rows into R and T, half of them
+    with the entries outside the pivot's class made 0 (the rows _System
+    takes), each row into R also with its entries made floats; then
+    TINY_ROWS."""
     for _ in range(150):
         A = rng.choice([R, T])
         factors = [A] + [rng.choice(R_ROW_COLUMNS if A is R else T_ROW_COLUMNS)
@@ -714,11 +716,11 @@ def continuous_row_systems(rng):
         eps = _row(E, A, values)
         pivot = next((j for j, (f, x) in enumerate(zip(E, eps.img[0]))
                       if f is A and (x != 0 if A is R else abs(x) == 1)), None)
-        yield eps, pivot, True
+        yield eps, pivot
         if A is R:
-            yield _row(E, R, [float(x) for x in values]), pivot, True
+            yield _row(E, R, [float(x) for x in values]), pivot
     for sig, values, pivot in TINY_ROWS:
-        yield _row(parse_product(sig), R, values), pivot, False
+        yield _row(parse_product(sig), R, values), pivot
 
 
 def _assert_same_solution(got, want, E):

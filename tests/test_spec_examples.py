@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtensor.coeff import Hom2Coeff, HomCoeff, QuadCoeff
+from qtensor.coeff import DomainMismatch, Hom2Coeff, HomCoeff, QuadCoeff
 from qtensor.dense import materialize
 from qtensor.engine import (
     NotIntegrable,
     NotInvertible,
     QTensorData,
+    gauss_sum,
     reduce_invertible,
     reduce_real,
     self_contract,
@@ -69,15 +70,33 @@ def test_reduce_invertible_degenerate_raises():
         reduce_invertible(t, rho)
 
 
-def test_reduce_real_not_integrable():
+def _real_kernel_tensor(a_h2):
+    """Tensor over the trivial group with E = R in the kernel, q_a = a_h2 x^2 / 2."""
     G = GroupProduct()
     E = parse_product("R")
     eps = LinearFnData(E, G, G.identity(), [])
     q = QuadraticFnData.zero(E)
-    q.a1[0] = QuadCoeff(R, R, Fraction(1), 0)  # positive quadratic exponent
+    q.a1[0] = QuadCoeff(R, R, a_h2, 0)
     t = QTensorData(G, E, eps, q, 0, None)
     rho = hom_data(E, E, [[HomCoeff(R, R, 1)]])
+    return t, rho
+
+
+def test_reduce_real_not_integrable():
+    t, rho = _real_kernel_tensor(Fraction(1))  # positive quadratic exponent
     with pytest.raises(NotIntegrable):
+        reduce_real(t, rho)
+
+
+def test_reductions_reject_a_direction_of_another_kind():
+    # the invertible reduction and the Gauss sum take Z_k, the real one R
+    t, rho = _real_kernel_tensor(Fraction(-1))
+    with pytest.raises(DomainMismatch):
+        reduce_invertible(t, rho)
+    with pytest.raises(DomainMismatch):
+        gauss_sum(R, 0, Fraction(1))
+    t, rho = _kernel_column_tensor(1, 3)
+    with pytest.raises(DomainMismatch):
         reduce_real(t, rho)
 
 
